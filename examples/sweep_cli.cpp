@@ -29,7 +29,8 @@
 // Any of --journal/--resume/--deadline/--point-budget/--breaker selects the
 // supervised campaign runtime (core::Campaign): a crash-tolerant execution
 // with a durable checkpoint journal, digest-verified resume, wall-clock
-// budgets and a relock circuit breaker. A killed campaign resumed with
+// budgets and a relock circuit breaker (counted in point order, so it skips
+// the same points for every --jobs). A killed campaign resumed with
 // `--journal j --resume j` re-runs only the missing points and produces a
 // report byte-identical (modulo timing fields) to an uninterrupted run.
 //
@@ -197,8 +198,8 @@ int main(int argc, char** argv) {
     core::CampaignOptions copt;
     copt.jobs = jobs >= 0 ? jobs : 1;
     copt.resilience.point_budget_s = point_budget_s;
+    copt.resilience.relock_breaker = breaker;
     copt.deadline_s = deadline_s;
-    copt.relock_breaker = breaker;
     copt.journal_path = journal_path;
     copt.resume_path = resume_path;
     copt.tool = "sweep_cli";
@@ -217,7 +218,7 @@ int main(int argc, char** argv) {
     std::printf("campaign: %d executed, %d resumed%s%s%s%s\n", cres.points_executed,
                 cres.points_resumed, cres.torn_tail_repaired ? ", torn journal tail repaired" : "",
                 cres.deadline_hit ? ", deadline hit" : "",
-                cres.breaker_opened ? ", relock breaker open" : "",
+                cres.merged.breaker_open ? ", relock breaker open" : "",
                 cres.stop_requested && !cres.deadline_hit ? ", stopped" : "");
     result = std::move(cres.merged);
     campaign_report = std::move(cres.report);

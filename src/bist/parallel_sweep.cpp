@@ -46,6 +46,14 @@ ParallelSweep::ParallelSweep(const pll::PllConfig& config, SweepOptions sweep,
   config_.validate();
   sweep_.check(config_).throwIfError();
   options_.check().throwIfError();
+  results_.resize(sweep_.modulation_frequencies_hz.size());
+}
+
+void ParallelSweep::preload(std::size_t index, ResilientResponse result) {
+  if (used_) throw std::logic_error("ParallelSweep::preload: engine already used");
+  if (result.response.points.size() != 1 || result.response.raw.size() != 1)
+    throw std::invalid_argument("ParallelSweep::preload: a preloaded result must hold one point");
+  results_.at(index) = std::move(result);
 }
 
 ResilientResponse ParallelSweep::run() {
@@ -56,46 +64,78 @@ ResilientResponse ParallelSweep::run() {
 
   const std::vector<double>& freqs = sweep_.modulation_frequencies_hz;
   const std::size_t n = freqs.size();
-  std::vector<ResilientResponse> per_point(n);
+  std::vector<std::size_t> pending;
+  for (std::size_t i = 0; i < n; ++i)
+    if (!results_[i]) pending.push_back(i);
+
+  // results_, breaker, decided and sink_error are guarded by `mutex` while
+  // the workers run. Every finished result holds exactly one point.
+  std::mutex mutex;
+  RelockBreaker breaker(options_.resilience.relock_breaker);
+  std::size_t decided = 0;  // points [0, decided) have passed the breaker
+  auto advance = [&] {
+    while (decided < n && results_[decided] && !breaker.open())
+      breaker.record(results_[decided++]->response.points.front());
+  };
+  advance();  // a preloaded prefix may already have tripped it
+  std::atomic<bool> breaker_open{breaker.open()};
+  Status sink_error;
 
   std::atomic<std::size_t> next{0};
-  std::mutex progress_mutex;
   auto worker = [&] {
     obs::ScopedSpan worker_span("farm.worker");
     for (;;) {
       // Claim-then-check would tally a claimed-but-never-run point as an
       // engine failure; checking first keeps "never claimed" and "claimed
       // and cancelled in flight" the two only post-stop outcomes.
-      if (stop_.stopRequested()) return;
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
+      if (stop_.stopRequested() || breaker_open.load(std::memory_order_acquire)) return;
+      const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
+      if (k >= pending.size()) return;
+      const std::size_t i = pending[k];
+      ResilientResponse r;
       try {
         ResilientSweep engine(config_, singlePointOptions(sweep_, i), options_.resilience);
         engine.attachStop(&stop_);
         if (on_point_testbench_)
           engine.onTestbench([this, i](SweepTestbench& bench) { on_point_testbench_(i, bench); });
-        per_point[i] = engine.run();
+        r = engine.run();
       } catch (const std::exception& e) {
-        per_point[i].status = Status::makef(Status::Kind::Internal,
-                                            "point %zu (fm = %g Hz): engine threw: %s", i, freqs[i],
-                                            e.what());
+        r.status = Status::makef(Status::Kind::Internal,
+                                 "point %zu (fm = %g Hz): engine threw: %s", i, freqs[i], e.what());
       }
-      if (progress_) {
-        // The merged view of a point is exactly its bench-local point (see
-        // the isolation model in the header), so it can be reported as soon
-        // as it lands — possibly out of point order.
-        const MeasuredPoint* p =
-            per_point[i].response.points.empty() ? nullptr : &per_point[i].response.points.front();
-        std::lock_guard<std::mutex> guard(progress_mutex);
-        if (p) progress_(i, *p);
+      // The engine never produced its point (a stall during the nominal/DC
+      // prelude, or a throw): synthesise a Dropped point carrying the reason.
+      const bool measured = !r.response.points.empty();
+      if (!measured)
+        appendDroppedPoint(r, freqs[i],
+                           r.status.ok() ? Status::makef(Status::Kind::Internal,
+                                                         "point %zu (fm = %g Hz): engine "
+                                                         "produced no point",
+                                                         i, freqs[i])
+                                         : r.status);
+
+      std::lock_guard<std::mutex> guard(mutex);
+      // The merged view of a point is exactly its bench-local point (see
+      // the isolation model in the header), so it can be committed and
+      // reported as soon as it lands — possibly out of point order.
+      const MeasuredPoint& p = r.response.points.front();
+      if (measured && sink_ && sink_error.ok() && p.status.kind() != Status::Kind::Cancelled) {
+        if (Status s = sink_(i, r); !s.ok()) {
+          sink_error = std::move(s);
+          stop_.requestStop();
+        }
       }
+      if (measured && progress_) progress_(i, p);
+      results_[i] = std::move(r);
+      advance();
+      if (breaker.open()) breaker_open.store(true, std::memory_order_release);
     }
   };
 
   const unsigned hw = std::thread::hardware_concurrency();
   std::size_t jobs = options_.jobs > 0 ? static_cast<std::size_t>(options_.jobs)
                                        : static_cast<std::size_t>(hw > 0 ? hw : 1);
-  jobs = std::min(jobs, n);
+  jobs = std::min(jobs, pending.size());
   obs::MetricsRegistry::global().gauge("bist.farm.jobs").set(static_cast<double>(jobs));
   if (jobs <= 1) {
     worker();
@@ -106,67 +146,53 @@ ResilientResponse ParallelSweep::run() {
     for (std::thread& t : pool) t.join();
   }
 
+  // A point no worker claimed was either stopped or lies past an open
+  // breaker (where the merge below replaces it anyway).
   const bool stopped = stop_.stopRequested();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (results_[i]) continue;
+    appendDroppedPoint(results_[i].emplace(), freqs[i],
+                       stopped ? Status::makef(Status::Kind::Cancelled,
+                                               "point %zu (fm = %g Hz): stop requested before a "
+                                               "worker claimed the point",
+                                               i, freqs[i])
+                               : breaker.skipStatus(i, freqs[i]));
+  }
+  advance();
 
   // Deterministic merge, strictly in point-index order regardless of which
-  // worker finished when.
+  // worker finished when; points past an open breaker count as skipped.
   ResilientResponse out;
   for (std::size_t i = 0; i < n; ++i) {
-    ResilientResponse& r = per_point[i];
+    if (i >= decided) {
+      appendDroppedPoint(out, freqs[i], breaker.skipStatus(i, freqs[i]));
+      continue;
+    }
+    ResilientResponse& r = *results_[i];
     if (out.response.nominal_vco_hz == 0.0 && r.response.nominal_vco_hz != 0.0) {
       out.response.nominal_vco_hz = r.response.nominal_vco_hz;
       out.response.static_reference_deviation_hz = r.response.static_reference_deviation_hz;
     }
-    out.bench.add(r.bench);
-    out.breaker_open = out.breaker_open || r.breaker_open;
-    if (r.response.points.empty()) {
-      // The engine never produced its point: a stall during the nominal/DC
-      // prelude, a thrown exception, or — after a stop — a point no worker
-      // ever claimed. Synthesise a Dropped point carrying the reason so
-      // the merged sweep stays fully labelled, one entry per requested
-      // frequency.
-      MeasuredPoint p;
-      p.modulation_hz = freqs[i];
-      p.timed_out = true;
-      p.quality = PointQuality::Dropped;
-      p.attempts = 0;
-      if (!r.status.ok()) {
-        p.status = r.status;
-      } else if (stopped) {
-        p.status = Status::makef(Status::Kind::Cancelled,
-                                 "point %zu (fm = %g Hz): stop requested before a worker claimed "
-                                 "the point",
-                                 i, freqs[i]);
-      } else {
-        p.status = Status::makef(Status::Kind::Internal,
-                                 "point %zu (fm = %g Hz): engine produced no point", i, freqs[i]);
-      }
-      TestSequencer::PointResult raw;
-      raw.modulation_hz = freqs[i];
-      raw.timed_out = true;
-      raw.status = p.status;
-      ++out.report.points_total;
-      ++out.report.dropped;
-      out.response.points.push_back(std::move(p));
-      out.response.raw.push_back(std::move(raw));
-    } else {
-      out.report.points_total += r.report.points_total;
-      out.report.ok += r.report.ok;
-      out.report.retried += r.report.retried;
-      out.report.degraded += r.report.degraded;
-      out.report.dropped += r.report.dropped;
-      out.report.attempts_total += r.report.attempts_total;
-      out.report.relocks += r.report.relocks;
-      out.report.relock_failures += r.report.relock_failures;
-      out.response.points.push_back(std::move(r.response.points.front()));
-      out.response.raw.push_back(std::move(r.response.raw.front()));
-    }
+    out.report.points_total += r.report.points_total;
+    out.report.ok += r.report.ok;
+    out.report.retried += r.report.retried;
+    out.report.degraded += r.report.degraded;
+    out.report.dropped += r.report.dropped;
+    out.report.attempts_total += r.report.attempts_total;
+    out.report.relocks += r.report.relocks;
+    out.report.relock_failures += r.report.relock_failures;
     // Total simulated seconds across the farm; with wall_time_s below this
     // is the recorded sim-vs-wall speedup of the parallel execution.
     out.report.sim_time_s += r.report.sim_time_s;
+    out.bench.add(r.bench);
     if (out.status.ok() && !r.status.ok()) out.status = r.status;
+    out.response.points.push_back(std::move(r.response.points.front()));
+    out.response.raw.push_back(std::move(r.response.raw.front()));
   }
-  if (stopped && out.status.ok())
+  out.breaker_open = breaker.open();
+  if (!sink_error.ok())
+    out.status = sink_error;
+  else if (stopped && out.status.ok())
     out.status = Status::makef(Status::Kind::Cancelled,
                                "stop requested; %d of %zu points measured", out.report.usable(), n);
   out.report.wall_time_s =

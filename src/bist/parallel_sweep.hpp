@@ -3,6 +3,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
+#include <vector>
 
 #include "bist/resilient_sweep.hpp"
 #include "common/status.hpp"
@@ -16,7 +18,8 @@ struct ParallelSweepOptions {
   /// number of sweep points. 1 is the serial reference execution — by
   /// contract it produces bit-identical results to any other job count.
   int jobs = 0;
-  /// Retry/relock/degrade policy applied to every point's engine.
+  /// Retry/relock/degrade policy applied to every point's engine. Its
+  /// relock_breaker is decided by the farm, across points, in index order.
   ResilientSweepOptions resilience;
 
   /// Structured check; every rejection names the offending field and value.
@@ -59,6 +62,13 @@ struct ParallelSweepOptions {
 /// bit-identical points, report counters and statuses for every value of
 /// `jobs` — only wall_time_s varies. A fatal failure on one point never
 /// stops the others; it is recorded on that point and as the sweep status.
+///
+/// Relock breaker: the farm feeds finished points through one RelockBreaker
+/// strictly in index order. Once it opens, every later point merges as
+/// not attempted (attempts 0, RelockFailed, "breaker" in the context) and
+/// contributes nothing else to the merged result — whether it ran, was
+/// preloaded, or never ran — so the verdict is jobs-invariant too. Workers
+/// stop claiming points as soon as the finished prefix has tripped it.
 class ParallelSweep {
  public:
   ParallelSweep(const pll::PllConfig& config, SweepOptions sweep,
@@ -77,6 +87,22 @@ class ParallelSweep {
   void onPointMeasured(std::function<void(std::size_t, const MeasuredPoint&)> cb) {
     progress_ = std::move(cb);
   }
+
+  /// Per-point sink: (point_index, the point's single-point result). Runs
+  /// on the worker, under the same lock as onPointMeasured and before it,
+  /// in completion order, for every executed point that produced a
+  /// non-Cancelled classification. A non-ok return stops the farm, and the
+  /// first such status becomes the sweep status. A campaign journals here,
+  /// so a point is durable before it is reported.
+  void onPointResult(std::function<Status(std::size_t, const ResilientResponse&)> sink) {
+    sink_ = std::move(sink);
+  }
+
+  /// Supply point `index` as already complete (e.g. replayed from a
+  /// checkpoint journal): a single-point result, exactly one point and one
+  /// raw entry. It is merged in index order like an executed point and
+  /// never re-run, nor passed to the sink. Call before run().
+  void preload(std::size_t index, ResilientResponse result);
 
   /// Cooperative stop, callable from any thread (including a progress
   /// callback or a signal-handling path via chainStop). Workers abandon
@@ -98,6 +124,8 @@ class ParallelSweep {
   ParallelSweepOptions options_;
   std::function<void(std::size_t, SweepTestbench&)> on_point_testbench_;
   std::function<void(std::size_t, const MeasuredPoint&)> progress_;
+  std::function<Status(std::size_t, const ResilientResponse&)> sink_;
+  std::vector<std::optional<ResilientResponse>> results_;  ///< per point, once finished
   StopSource stop_;
   bool used_ = false;
 };

@@ -70,6 +70,40 @@ std::string SweepQualityReport::summary() const {
   return buf;
 }
 
+void SweepQualityReport::count(const MeasuredPoint& p) {
+  ++points_total;
+  attempts_total += p.attempts;
+  switch (p.quality) {
+    case PointQuality::Ok: ++ok; break;
+    case PointQuality::Retried: ++retried; break;
+    case PointQuality::Degraded: ++degraded; break;
+    case PointQuality::Dropped: ++dropped; break;
+  }
+}
+
+void appendDroppedPoint(ResilientResponse& out, double modulation_hz, Status status) {
+  MeasuredPoint p;
+  p.modulation_hz = modulation_hz;
+  p.timed_out = true;
+  p.quality = PointQuality::Dropped;
+  p.attempts = 0;
+  p.status = std::move(status);
+  TestSequencer::PointResult raw;
+  raw.modulation_hz = modulation_hz;
+  raw.timed_out = true;
+  raw.status = p.status;
+  out.report.count(p);
+  out.response.points.push_back(std::move(p));
+  out.response.raw.push_back(std::move(raw));
+}
+
+Status RelockBreaker::skipStatus(std::size_t index, double modulation_hz) const {
+  return Status::makef(Status::Kind::RelockFailed,
+                       "point %zu (fm = %g Hz): relock circuit breaker open after %d consecutive "
+                       "relock-failed points; point not attempted",
+                       index, modulation_hz, limit_);
+}
+
 namespace {
 
 TestSequencer::Options escalated(const TestSequencer::Options& base,
@@ -102,9 +136,8 @@ ResilientResponse ResilientSweep::run() {
   PLLBIST_SPAN("sweep.run");
   const auto wall_start = std::chrono::steady_clock::now();
 
-  const std::unique_ptr<SweepTestbench> bench_ptr =
-      TestbenchFactory(config_, sweep_, resilience_.lock_threshold_s, resilience_.lock_cycles)
-          .make();
+  const auto bench_ptr = std::make_unique<SweepTestbench>(
+      config_, sweep_, resilience_.lock_threshold_s, resilience_.lock_cycles);
   SweepTestbench& bench = *bench_ptr;
   if (on_testbench_) on_testbench_(bench);
   sim::Circuit& c = bench.circuit();
@@ -153,10 +186,12 @@ ResilientResponse ResilientSweep::run() {
       return StepOutcome::OverBudget;
     return StepOutcome::Done;
   };
-  // Step until `flag`, a sim deadline, an interruption, or a dry queue.
-  auto stepUntil = [&](const bool& flag, double deadline_s) {
+  // Step until `done()`, a sim deadline, an interruption, or a dry queue.
+  // The predicate is a template parameter (generic lambda), not a
+  // std::function: this is the per-event loop.
+  auto stepUntil = [&](auto done, double deadline_s) {
     int countdown = kInterruptStride;
-    while (!flag) {
+    while (!done()) {
       if (c.now() >= deadline_s) return StepOutcome::Deadline;
       if (--countdown <= 0) {
         countdown = kInterruptStride;
@@ -166,18 +201,7 @@ ResilientResponse ResilientSweep::run() {
     }
     return StepOutcome::Done;
   };
-  auto stepUntilLocked = [&](double deadline_s) {
-    int countdown = kInterruptStride;
-    while (!lock.isLocked()) {
-      if (c.now() >= deadline_s) return StepOutcome::Deadline;
-      if (--countdown <= 0) {
-        countdown = kInterruptStride;
-        if (const StepOutcome o = interrupted(); o != StepOutcome::Done) return o;
-      }
-      if (!c.step()) return StepOutcome::Stall;
-    }
-    return StepOutcome::Done;
-  };
+  auto locked = [&] { return lock.isLocked(); };
   // Stop-aware replacement for c.run(t_end): advance in bounded sim-time
   // slices so an interruption takes effect mid-wait, not at its end.
   auto advanceTo = [&](double t_end) {
@@ -195,21 +219,8 @@ ResilientResponse ResilientSweep::run() {
   // attempts, the given status. Keeps points_total == requested count on
   // every exit path, so partial results are never silently truncated.
   auto skipPoint = [&](std::size_t i, Status status) {
-    MeasuredPoint p;
-    p.modulation_hz = freqs[i];
-    p.timed_out = true;
-    p.quality = PointQuality::Dropped;
-    p.attempts = 0;
-    p.status = std::move(status);
-    TestSequencer::PointResult raw;
-    raw.modulation_hz = freqs[i];
-    raw.timed_out = true;
-    raw.status = p.status;
-    ++out.report.points_total;
-    ++out.report.dropped;
+    appendDroppedPoint(out, freqs[i], std::move(status));
     telemetry().points_dropped.increment();
-    out.response.points.push_back(std::move(p));
-    out.response.raw.push_back(std::move(raw));
     if (progress_) progress_(out.response.points.back());
   };
   auto cancelAllFrom = [&](std::size_t first, const char* where) {
@@ -237,7 +248,7 @@ ResilientResponse ResilientSweep::run() {
     out.response.nominal_vco_hz = hz;
     nominal_done = true;
   });
-  switch (stepUntil(nominal_done, kNoDeadline)) {
+  switch (stepUntil([&] { return nominal_done; }, kNoDeadline)) {
     case StepOutcome::Stall:
       out.status = Status::makef(Status::Kind::SimulationStall,
                                  "event queue ran dry at t = %g s during the nominal count", c.now());
@@ -257,7 +268,7 @@ ResilientResponse ResilientSweep::run() {
       out.response.static_reference_deviation_hz = hz - out.response.nominal_vco_hz;
       ref_done = true;
     });
-    switch (stepUntil(ref_done, kNoDeadline)) {
+    switch (stepUntil([&] { return ref_done; }, kNoDeadline)) {
       case StepOutcome::Stall:
         out.status =
             Status::makef(Status::Kind::SimulationStall,
@@ -275,8 +286,7 @@ ResilientResponse ResilientSweep::run() {
 
   const TestSequencer::Options base = seq.options();
   const double relock_wait_s = resilience_.relock_wait_periods / fn_hz;
-  int consecutive_relock_failures = 0;
-  bool breaker_tripped = false;
+  RelockBreaker breaker(resilience_.relock_breaker);
   bool cancelled = false;
 
   for (std::size_t i = 0; i < freqs.size(); ++i) {
@@ -287,11 +297,8 @@ ResilientResponse ResilientSweep::run() {
                                  "point %zu (fm = %g Hz): stop requested before measurement", i, fm));
       continue;
     }
-    if (breaker_tripped) {
-      skipPoint(i, Status::makef(Status::Kind::RelockFailed,
-                                 "point %zu (fm = %g Hz): relock circuit breaker open after %d "
-                                 "consecutive relock failures; point not attempted",
-                                 i, fm, consecutive_relock_failures));
+    if (breaker.open()) {
+      skipPoint(i, breaker.skipStatus(i, fm));
       continue;
     }
     obs::ScopedSpan point_span("point.measure");
@@ -325,7 +332,7 @@ ResilientResponse ResilientSweep::run() {
         last = std::move(r);
         done = true;
       });
-      const StepOutcome measure = stepUntil(done, kNoDeadline);
+      const StepOutcome measure = stepUntil([&] { return done; }, kNoDeadline);
       if (measure == StepOutcome::Stall) {
         last.timed_out = true;
         last.status = Status::makef(Status::Kind::SimulationStall,
@@ -354,7 +361,7 @@ ResilientResponse ResilientSweep::run() {
       bench.stopStimulus();
       lock.reset();
       const StepOutcome grace =
-          stepUntilLocked(c.now() + resilience_.relock_grace_periods / fn_hz);
+          stepUntil(locked, c.now() + resilience_.relock_grace_periods / fn_hz);
       if (grace == StepOutcome::Stall) {
         fatal_stall = true;
         break;
@@ -369,7 +376,7 @@ ResilientResponse ResilientSweep::run() {
       }
       if (grace == StepOutcome::Deadline) {
         // Declared lock loss: bounded relock-and-resume.
-        const StepOutcome relock = stepUntilLocked(c.now() + relock_wait_s);
+        const StepOutcome relock = stepUntil(locked, c.now() + relock_wait_s);
         if (relock == StepOutcome::Stall) {
           fatal_stall = true;
           break;
@@ -400,7 +407,6 @@ ResilientResponse ResilientSweep::run() {
 
     p.attempts = attempts_used;
     if (measured) {
-      consecutive_relock_failures = 0;
       p.deviation_hz = last.held_frequency_hz - out.response.nominal_vco_hz;
       p.phase_deg = last.phase_deg;
       p.timed_out = false;
@@ -433,17 +439,10 @@ ResilientResponse ResilientSweep::run() {
                                  "mid-measurement (attempt %d abandoned)",
                                  i, fm, c.now(), attempts_used);
       } else if (over_budget) {
-        consecutive_relock_failures = 0;
         p.status = Status::makef(Status::Kind::DeadlineExceeded,
                                  "point %zu (fm = %g Hz): wall budget %g s exceeded on attempt %d",
                                  i, fm, resilience_.point_budget_s, attempts_used);
       } else if (relock_failed) {
-        ++consecutive_relock_failures;
-        if (resilience_.relock_breaker > 0 &&
-            consecutive_relock_failures >= resilience_.relock_breaker) {
-          breaker_tripped = true;
-          out.breaker_open = true;
-        }
         p.status = Status::makef(
             Status::Kind::RelockFailed,
             "point %zu (fm = %g Hz): loop failed to re-lock within %g s after a failed attempt; "
@@ -452,7 +451,6 @@ ResilientResponse ResilientSweep::run() {
       } else if (fatal_stall) {
         p.status = last.status;
       } else {
-        consecutive_relock_failures = 0;
         p.status = Status::makef(Status::Kind::RetryExhausted,
                                  "point %zu (fm = %g Hz): all %d attempts failed; last failure: %s",
                                  i, fm, attempts_used, last.status.toString().c_str());
@@ -462,6 +460,7 @@ ResilientResponse ResilientSweep::run() {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - point_start).count();
     telemetry().point_wall.observe(p.wall_time_s);
     ++out.report.points_total;
+    breaker.record(p);
     out.response.points.push_back(p);
     out.response.raw.push_back(std::move(last));
     if (progress_) progress_(out.response.points.back());
@@ -477,6 +476,7 @@ ResilientResponse ResilientSweep::run() {
     out.status =
         Status::makef(Status::Kind::Cancelled, "stop requested at t = %g s; %d of %zu points "
                       "measured", c.now(), out.report.usable(), freqs.size());
+  out.breaker_open = breaker.open();
   stamp();
   return out;
 }

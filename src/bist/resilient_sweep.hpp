@@ -47,11 +47,12 @@ struct ResilientSweepOptions {
   /// based, so it trades the bit-identical determinism contract for a
   /// bounded run; leave at 0 where reports must be reproducible.
   double point_budget_s = 0.0;
-  /// Relock circuit breaker: after this many *consecutive* points dropped
-  /// as relock failures, remaining points are dropped without attempts
-  /// (status RelockFailed, "circuit breaker open"); 0 disables. A device
-  /// that cycle-slips near its hold-in boundary stops burning retry budget
-  /// on every remaining point.
+  /// Relock circuit breaker: after this many *consecutive* points, in
+  /// point-index order, dropped as relock failures, remaining points are
+  /// dropped without attempts (status RelockFailed, "circuit breaker
+  /// open"); 0 disables. A device that cycle-slips near its hold-in
+  /// boundary stops burning retry budget on every remaining point. See
+  /// RelockBreaker.
   int relock_breaker = 0;
 
   /// Structured check; every rejection names the offending field and value.
@@ -72,6 +73,9 @@ struct SweepQualityReport {
   int relock_failures = 0;  ///< relock waits that expired (point abandoned)
   double sim_time_s = 0.0;  ///< simulated time consumed by the whole sweep
   double wall_time_s = 0.0; ///< host wall-clock time of run()
+
+  /// Count one classified point: its quality and its attempts.
+  void count(const MeasuredPoint& p);
 
   /// True when every point measured cleanly on its first attempt.
   [[nodiscard]] bool clean() const { return retried == 0 && degraded == 0 && dropped == 0; }
@@ -126,6 +130,36 @@ struct ResilientResponse {
   Status status;
   BenchStats bench;          ///< this engine's private kernel/fault counters
   bool breaker_open = false; ///< the relock circuit breaker tripped
+};
+
+/// Append a point that produced no measurement — never attempted, never
+/// claimed, or skipped by the relock breaker — to `out`: Dropped, zero
+/// attempts, `status`, a raw skeleton, and counted in the quality report.
+void appendDroppedPoint(ResilientResponse& out, double modulation_hz, Status status);
+
+/// The relock circuit breaker (ResilientSweepOptions::relock_breaker). Fed
+/// one classified point at a time in point-index order, it opens once
+/// `limit` consecutive points were dropped as relock failures; every later
+/// point is then skipped unattempted. A limit of 0 never opens. Both the
+/// shared-bench ResilientSweep and the ParallelSweep farm decide through
+/// this one rule, so the farm's verdict is the same for every job count.
+class RelockBreaker {
+ public:
+  explicit RelockBreaker(int limit) : limit_(limit) {}
+
+  /// Feed the next point in index order. Only call while !open().
+  void record(const MeasuredPoint& p) {
+    const bool relock_failure =
+        p.quality == PointQuality::Dropped && p.status.kind() == Status::Kind::RelockFailed;
+    consecutive_ = relock_failure ? consecutive_ + 1 : 0;
+  }
+  [[nodiscard]] bool open() const { return limit_ > 0 && consecutive_ >= limit_; }
+  /// Status of point `index` skipped because the breaker is open.
+  [[nodiscard]] Status skipStatus(std::size_t index, double modulation_hz) const;
+
+ private:
+  int limit_;
+  int consecutive_ = 0;
 };
 
 /// The retry/relock/degrade sweep engine. Runs the same Table 2 sequence

@@ -98,18 +98,6 @@ sim::FaultInjector& SweepTestbench::faultInjector(uint64_t seed) {
 
 sim::SignalId SweepTestbench::mfreq() const { return peak_detector_->mfreq(); }
 
-TestbenchFactory::TestbenchFactory(pll::PllConfig config, SweepOptions options,
-                                   double lock_threshold_s, int lock_cycles)
-    : config_(std::move(config)), options_(std::move(options)),
-      lock_threshold_s_(lock_threshold_s), lock_cycles_(lock_cycles) {
-  config_.validate();
-  options_.check(config_).throwIfError();
-}
-
-std::unique_ptr<SweepTestbench> TestbenchFactory::make() const {
-  return std::make_unique<SweepTestbench>(config_, options_, lock_threshold_s_, lock_cycles_);
-}
-
 Status SweepTestbench::runUntil(const bool& flag) {
   while (!flag) {
     if (!circuit_.step())

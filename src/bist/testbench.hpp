@@ -103,29 +103,4 @@ class SweepTestbench {
   std::unique_ptr<sim::FaultInjector> injector_;
 };
 
-/// Value-type recipe for building identical, independent benches. The
-/// configuration is validated once at construction; `make()` only reads
-/// value members and touches no shared or global state, so it is safe to
-/// call concurrently from multiple threads — the point-farm executor hands
-/// one factory to all its workers and every frequency point gets a private
-/// Circuit.
-class TestbenchFactory {
- public:
-  TestbenchFactory(pll::PllConfig config, SweepOptions options, double lock_threshold_s = 0.0,
-                   int lock_cycles = 8);
-
-  /// Build a fresh bench from the recipe. Each call returns a fully
-  /// independent testbench (own circuit, own components, own RNG state).
-  [[nodiscard]] std::unique_ptr<SweepTestbench> make() const;
-
-  [[nodiscard]] const pll::PllConfig& config() const { return config_; }
-  [[nodiscard]] const SweepOptions& options() const { return options_; }
-
- private:
-  pll::PllConfig config_;
-  SweepOptions options_;
-  double lock_threshold_s_;
-  int lock_cycles_;
-};
-
 }  // namespace pllbist::bist

@@ -3,14 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
-#include <vector>
 
-#include "bist/testbench.hpp"
 #include "core/report_builder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
@@ -62,38 +58,28 @@ CheckpointRecord makeRecord(std::size_t index, const bist::ResilientResponse& r)
   return rec;
 }
 
-void tallyQuality(bist::SweepQualityReport& q, const bist::MeasuredPoint& p) {
-  ++q.points_total;
-  q.attempts_total += p.attempts;
-  switch (p.quality) {
-    case bist::PointQuality::Ok: ++q.ok; break;
-    case bist::PointQuality::Retried: ++q.retried; break;
-    case bist::PointQuality::Degraded: ++q.degraded; break;
-    case bist::PointQuality::Dropped: ++q.dropped; break;
-  }
-}
-
-/// Rebuild a resumed point's contribution to the merged response. The raw
-/// entry is a skeleton (counter captures are not journaled); everything
-/// the run report and Bode conversion read is reconstructed exactly.
-void mergeRecord(bist::ResilientResponse& m, const CheckpointRecord& rec) {
-  if (m.response.nominal_vco_hz == 0.0 && rec.nominal_vco_hz != 0.0) {
-    m.response.nominal_vco_hz = rec.nominal_vco_hz;
-    m.response.static_reference_deviation_hz = rec.static_reference_deviation_hz;
-  }
+/// The inverse of makeRecord: a resumed point as the single-point result
+/// the farm merges. The raw entry is a skeleton (counter captures are not
+/// journaled); everything the run report and Bode conversion read is
+/// reconstructed exactly.
+bist::ResilientResponse fromRecord(const CheckpointRecord& rec) {
+  bist::ResilientResponse r;
+  r.response.nominal_vco_hz = rec.nominal_vco_hz;
+  r.response.static_reference_deviation_hz = rec.static_reference_deviation_hz;
   bist::TestSequencer::PointResult raw;
   raw.modulation_hz = rec.point.modulation_hz;
   raw.phase_deg = rec.point.phase_deg;
   raw.held_frequency_hz = rec.nominal_vco_hz + rec.point.deviation_hz;
   raw.timed_out = rec.point.timed_out;
   raw.status = rec.point.status;
-  tallyQuality(m.report, rec.point);
-  m.report.relocks += rec.relocks;
-  m.report.relock_failures += rec.relock_failures;
-  m.report.sim_time_s += rec.sim_time_s;
-  m.bench.add(rec.bench);
-  m.response.points.push_back(rec.point);
-  m.response.raw.push_back(std::move(raw));
+  r.report.count(rec.point);
+  r.report.relocks = rec.relocks;
+  r.report.relock_failures = rec.relock_failures;
+  r.report.sim_time_s = rec.sim_time_s;
+  r.bench = rec.bench;
+  r.response.points.push_back(rec.point);
+  r.response.raw.push_back(std::move(raw));
+  return r;
 }
 
 /// Deterministic campaign report: identical in shape to
@@ -196,13 +182,6 @@ Status CampaignOptions::check() const {
     return Status::makef(K::InvalidArgument,
                          "CampaignOptions: supervision_tick_s = %g, must be positive",
                          supervision_tick_s);
-  if (relock_breaker < 0)
-    return Status::makef(K::InvalidArgument,
-                         "CampaignOptions: relock_breaker = %d, must be >= 0 (0 = disabled)",
-                         relock_breaker);
-  if (!resume_path.empty() && resume_path == journal_path) {
-    // In-place continuation: fine by construction.
-  }
   return resilience.check();
 }
 
@@ -222,8 +201,7 @@ CampaignResult Campaign::run() {
   const auto wall_start = Clock::now();
 
   CampaignResult out;
-  const std::vector<double>& freqs = sweep_.modulation_frequencies_hz;
-  const std::size_t n = freqs.size();
+  const std::size_t n = sweep_.modulation_frequencies_hz.size();
   CheckpointHeader header;
   header.tool = options_.tool;
   header.device = options_.device;
@@ -240,12 +218,11 @@ CampaignResult Campaign::run() {
   // Resume: load previously committed points, fail closed on any identity
   // or integrity violation. A torn final line is repaired (discarded +
   // truncated on the in-place path); its point simply re-runs.
-  std::vector<std::optional<CheckpointRecord>> resumed(n);
+  JournalLoadResult loaded;
   JournalWriter writer;
   bool writer_open = false;
   if (!options_.resume_path.empty()) {
     const auto load_start = Clock::now();
-    JournalLoadResult loaded;
     if (options_.resume_path == options_.journal_path) {
       if (Status s = writer.resume(options_.journal_path, header, loaded); !s.ok())
         return failClosed(std::move(s));
@@ -259,12 +236,8 @@ CampaignResult Campaign::run() {
     telemetry().resume_load_wall.observe(secondsSince(load_start));
     out.torn_tail_repaired = loaded.torn_tail;
     if (loaded.torn_tail) telemetry().torn_tails.increment();
-    for (CheckpointRecord& rec : loaded.records) {
-      const std::size_t i = rec.index;
-      resumed[i] = std::move(rec);
-      ++out.points_resumed;
-    }
-    telemetry().points_resumed.add(static_cast<uint64_t>(out.points_resumed));
+    out.points_resumed = static_cast<int>(loaded.records.size());
+    telemetry().points_resumed.add(loaded.records.size());
   }
   if (!options_.journal_path.empty() && !writer_open) {
     if (Status s = writer.create(options_.journal_path, header); !s.ok())
@@ -272,16 +245,37 @@ CampaignResult Campaign::run() {
     writer_open = true;
     // Resumed from a different file: re-commit the inherited records so
     // the target journal alone carries every committed point exactly once.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!resumed[i]) continue;
-      if (Status s = writer.append(*resumed[i]); !s.ok()) return failClosed(std::move(s));
-    }
+    for (const CheckpointRecord& rec : loaded.records)
+      if (Status s = writer.append(rec); !s.ok()) return failClosed(std::move(s));
   }
 
-  std::vector<std::size_t> pending;
-  pending.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    if (!resumed[i]) pending.push_back(i);
+  // The points run on the farm; resumed records are preloaded into it, and
+  // the journal append is its per-point sink.
+  bist::ParallelSweepOptions farm_options;
+  farm_options.jobs = options_.jobs;
+  farm_options.resilience = options_.resilience;
+  bist::ParallelSweep farm(config_, sweep_, farm_options);
+  farm.chainStop(&stop_);
+  for (const CheckpointRecord& rec : loaded.records) farm.preload(rec.index, fromRecord(rec));
+  if (on_point_testbench_) farm.onPointTestbench(on_point_testbench_);
+  if (progress_) farm.onPointMeasured(progress_);
+  Status journal_error;  // written by the sink, read after farm.run()
+  farm.onPointResult([&](std::size_t index, const bist::ResilientResponse& r) {
+    ++out.points_executed;
+    telemetry().points_executed.increment();
+    if (!writer_open) return Status();
+    const auto append_start = Clock::now();
+    journal_error = writer.append(makeRecord(index, r));
+    if (!journal_error.ok()) {
+      // Durability was requested and is gone: the farm stops burning
+      // budget on points that could not be checkpointed.
+      writer.close();
+      return journal_error;
+    }
+    telemetry().journal_append_wall.observe(secondsSince(append_start));
+    telemetry().journal_records.increment();
+    return Status();
+  });
 
   // Deadline supervisor: sleeps in ticks but never past the deadline, so
   // the stop token trips at the deadline itself; the tick only bounds how
@@ -289,7 +283,7 @@ CampaignResult Campaign::run() {
   std::atomic<bool> finished{false};
   std::atomic<bool> deadline_hit{false};
   std::thread supervisor;
-  if (options_.deadline_s > 0.0 && !pending.empty()) {
+  if (options_.deadline_s > 0.0 && loaded.records.size() < n) {
     supervisor = std::thread([&] {
       const auto deadline =
           wall_start + std::chrono::duration_cast<Clock::duration>(
@@ -310,207 +304,29 @@ CampaignResult Campaign::run() {
     });
   }
 
-  std::atomic<std::size_t> cursor{0};
-  std::atomic<bool> breaker_open{false};
-  std::mutex commit_mutex;
-  // Guarded by commit_mutex:
-  std::vector<std::optional<bist::ResilientResponse>> exec(n);
-  int consecutive_relock_failed_points = 0;
-  int executed = 0;
-  Status journal_error;
-
-  auto worker = [&] {
-    obs::ScopedSpan span("campaign.worker");
-    for (;;) {
-      if (stop_.stopRequested() || breaker_open.load(std::memory_order_acquire)) return;
-      const std::size_t k = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (k >= pending.size()) return;
-      const std::size_t i = pending[k];
-      bist::ResilientResponse r;
-      try {
-        bist::ResilientSweep engine(config_, bist::singlePointOptions(sweep_, i),
-                                    options_.resilience);
-        engine.attachStop(&stop_);
-        if (on_point_testbench_)
-          engine.onTestbench([this, i](bist::SweepTestbench& bench) { on_point_testbench_(i, bench); });
-        r = engine.run();
-      } catch (const std::exception& e) {
-        r.status = Status::makef(K::Internal, "point %zu (fm = %g Hz): engine threw: %s", i,
-                                 freqs[i], e.what());
-      }
-
-      std::lock_guard<std::mutex> guard(commit_mutex);
-      // A cancelled point is not terminal — it re-runs on resume, so it is
-      // never committed to the journal and never counts as executed.
-      const bool cancelled =
-          r.status.kind() == K::Cancelled ||
-          (!r.response.points.empty() &&
-           r.response.points.front().status.kind() == K::Cancelled);
-      if (!cancelled && !r.response.points.empty()) {
-        if (writer_open && journal_error.ok()) {
-          const auto append_start = Clock::now();
-          if (Status s = writer.append(makeRecord(i, r)); !s.ok()) {
-            // Durability was requested and is gone: stop burning budget on
-            // points that could not be checkpointed.
-            journal_error = std::move(s);
-            writer.close();
-            stop_.requestStop();
-          } else {
-            telemetry().journal_append_wall.observe(secondsSince(append_start));
-            telemetry().journal_records.increment();
-          }
-        }
-        const bist::MeasuredPoint& p = r.response.points.front();
-        const bool relock_failure_drop = p.quality == bist::PointQuality::Dropped &&
-                                         p.status.kind() == K::RelockFailed;
-        if (relock_failure_drop) {
-          ++consecutive_relock_failed_points;
-          if (options_.relock_breaker > 0 &&
-              consecutive_relock_failed_points >= options_.relock_breaker &&
-              !breaker_open.load(std::memory_order_relaxed)) {
-            breaker_open.store(true, std::memory_order_release);
-            telemetry().breaker_trips.increment();
-            PLLBIST_INSTANT("campaign.breaker_open");
-          }
-        } else {
-          consecutive_relock_failed_points = 0;
-        }
-        ++executed;
-        telemetry().points_executed.increment();
-      }
-      const bist::MeasuredPoint* point =
-          r.response.points.empty() ? nullptr : &r.response.points.front();
-      exec[i] = std::move(r);
-      if (progress_ && point != nullptr) progress_(i, *point);
-    }
-  };
-
-  if (!pending.empty()) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    std::size_t jobs = options_.jobs > 0 ? static_cast<std::size_t>(options_.jobs)
-                                         : static_cast<std::size_t>(hw > 0 ? hw : 1);
-    jobs = std::min(jobs, pending.size());
-    if (jobs <= 1) {
-      worker();
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(jobs);
-      for (std::size_t t = 0; t < jobs; ++t) pool.emplace_back(worker);
-      for (std::thread& t : pool) t.join();
-    }
-  }
+  out.merged = farm.run();
   finished.store(true, std::memory_order_release);
   if (supervisor.joinable()) supervisor.join();
   writer.close();
 
-  out.points_executed = executed;
   out.deadline_hit = deadline_hit.load(std::memory_order_acquire);
   out.stop_requested = stop_.stopRequested();
-  out.breaker_opened = breaker_open.load(std::memory_order_acquire);
-
-  // Deterministic merge in original point-index order, exactly the
-  // ParallelSweep discipline: resumed records and freshly executed points
-  // are indistinguishable in the result, and points that never ran are
-  // synthesised as Dropped with the reason they never ran.
   bist::ResilientResponse& m = out.merged;
-  Status first_fatal;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (resumed[i]) {
-      mergeRecord(m, *resumed[i]);
-      continue;
-    }
-    if (exec[i]) {
-      bist::ResilientResponse& r = *exec[i];
-      if (m.response.nominal_vco_hz == 0.0 && r.response.nominal_vco_hz != 0.0) {
-        m.response.nominal_vco_hz = r.response.nominal_vco_hz;
-        m.response.static_reference_deviation_hz = r.response.static_reference_deviation_hz;
-      }
-      m.bench.add(r.bench);
-      m.report.sim_time_s += r.report.sim_time_s;
-      if (r.response.points.empty()) {
-        bist::MeasuredPoint p;
-        p.modulation_hz = freqs[i];
-        p.timed_out = true;
-        p.quality = bist::PointQuality::Dropped;
-        p.attempts = 0;
-        p.status = r.status.ok()
-                       ? Status::makef(K::Internal,
-                                       "point %zu (fm = %g Hz): engine produced no point", i,
-                                       freqs[i])
-                       : r.status;
-        bist::TestSequencer::PointResult raw;
-        raw.modulation_hz = freqs[i];
-        raw.timed_out = true;
-        raw.status = p.status;
-        tallyQuality(m.report, p);
-        m.response.points.push_back(std::move(p));
-        m.response.raw.push_back(std::move(raw));
-      } else {
-        bist::MeasuredPoint p = r.response.points.front();
-        if (out.deadline_hit && p.status.kind() == K::Cancelled)
-          p.status = Status::makef(K::DeadlineExceeded, "campaign deadline %g s exceeded; %s",
-                                   options_.deadline_s, p.status.context().c_str());
-        tallyQuality(m.report, p);
-        m.report.relocks += r.report.relocks;
-        m.report.relock_failures += r.report.relock_failures;
-        m.response.points.push_back(std::move(p));
-        m.response.raw.push_back(std::move(r.response.raw.front()));
-      }
-      if (first_fatal.ok() && !r.status.ok() && r.status.kind() != K::Cancelled)
-        first_fatal = r.status;
-      continue;
-    }
-    // Never claimed: deadline first (the deadline trips the stop token, so
-    // check the specific cause before the generic one), then stop, then
-    // breaker.
-    bist::MeasuredPoint p;
-    p.modulation_hz = freqs[i];
-    p.timed_out = true;
-    p.quality = bist::PointQuality::Dropped;
-    p.attempts = 0;
-    if (out.deadline_hit) {
-      p.status = Status::makef(K::DeadlineExceeded,
-                               "point %zu (fm = %g Hz): campaign deadline %g s exceeded before "
-                               "the point was claimed",
-                               i, freqs[i], options_.deadline_s);
-    } else if (out.stop_requested) {
-      p.status = Status::makef(K::Cancelled,
-                               "point %zu (fm = %g Hz): stop requested before the point was "
-                               "claimed",
-                               i, freqs[i]);
-    } else if (out.breaker_opened) {
-      p.status = Status::makef(K::RelockFailed,
-                               "point %zu (fm = %g Hz): relock circuit breaker open after %d "
-                               "consecutive relock-failed points; point not attempted",
-                               i, freqs[i], options_.relock_breaker);
-    } else {
-      p.status = Status::makef(K::Internal, "point %zu (fm = %g Hz): point was never claimed", i,
-                               freqs[i]);
-    }
-    bist::TestSequencer::PointResult raw;
-    raw.modulation_hz = freqs[i];
-    raw.timed_out = true;
-    raw.status = p.status;
-    tallyQuality(m.report, p);
-    m.response.points.push_back(std::move(p));
-    m.response.raw.push_back(std::move(raw));
-  }
-  m.report.wall_time_s = secondsSince(wall_start);
-  m.breaker_open = out.breaker_opened;
-
-  if (!journal_error.ok()) {
-    out.status = journal_error;
-  } else if (out.deadline_hit) {
-    out.status = Status::makef(K::DeadlineExceeded,
+  if (m.breaker_open) telemetry().breaker_trips.increment();
+  // The deadline is what tripped the stop token: say so on every point it
+  // cancelled and on the campaign, unless the journal failed first.
+  if (out.deadline_hit) {
+    for (bist::MeasuredPoint& p : m.response.points)
+      if (p.status.kind() == K::Cancelled)
+        p.status = Status::makef(K::DeadlineExceeded, "campaign deadline %g s exceeded; %s",
+                                 options_.deadline_s, p.status.context().c_str());
+    if (journal_error.ok())
+      m.status = Status::makef(K::DeadlineExceeded,
                                "campaign deadline %g s exceeded; %d of %zu points completed",
                                options_.deadline_s, m.report.usable(), n);
-  } else if (out.stop_requested) {
-    out.status = Status::makef(K::Cancelled, "stop requested; %d of %zu points completed",
-                               m.report.usable(), n);
-  } else if (!first_fatal.ok()) {
-    out.status = first_fatal;
   }
-  m.status = out.status;
+  m.report.wall_time_s = secondsSince(wall_start);
+  out.status = m.status;
   out.report = buildCampaignReport(header, options_.jobs, m);
   return out;
 }

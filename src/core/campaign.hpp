@@ -19,7 +19,9 @@ struct CampaignOptions {
   /// thread; clamped to the number of points still pending.
   int jobs = 1;
   /// Retry/relock/degrade policy for every point's engine, including the
-  /// per-point wall budget (resilience.point_budget_s).
+  /// per-point wall budget (resilience.point_budget_s) and the relock
+  /// breaker (resilience.relock_breaker), which the farm decides in point
+  /// index order.
   bist::ResilientSweepOptions resilience;
   /// Whole-campaign wall-clock budget, seconds; 0 disables. The supervisor
   /// trips the stop token at the deadline; the campaign terminates within
@@ -28,11 +30,6 @@ struct CampaignOptions {
   double deadline_s = 0.0;
   /// Supervisor poll period (it sleeps in ticks, never past the deadline).
   double supervision_tick_s = 0.05;
-  /// Campaign-level relock circuit breaker: after this many consecutive
-  /// completed points dropped as relock failures, remaining points are not
-  /// attempted (0 disables). Counted in completion order — deterministic
-  /// at jobs = 1, approximate under concurrency (documented in DESIGN §10).
-  int relock_breaker = 0;
   /// Write a checkpoint journal here ("" = none). With resume_path equal,
   /// the journal continues in place (torn tail repaired by truncation).
   std::string journal_path;
@@ -60,20 +57,18 @@ struct CampaignResult {
   int points_resumed = 0;  ///< points replayed from the resume journal
   bool deadline_hit = false;
   bool stop_requested = false;
-  bool breaker_opened = false;
   bool torn_tail_repaired = false;  ///< resume discarded a torn final line
 };
 
-/// Supervised campaign runtime over the per-point sweep engines: durable
+/// Supervised campaign runtime: the bist::ParallelSweep farm plus a durable
 /// write-ahead checkpoint journal (one fsync'd JSONL record per completed
-/// point), digest-verified resume with exactly-once point accounting,
-/// wall-clock deadline supervision, cooperative cancellation, and a relock
-/// circuit breaker.
+/// point, appended by the farm's per-point sink), digest-verified resume
+/// with exactly-once point accounting (journaled points are preloaded into
+/// the farm, never re-run), and wall-clock deadline supervision.
 ///
-/// The campaign farms points exactly like bist::ParallelSweep — one
-/// single-point ResilientSweep per ORIGINAL point index, so per-point
-/// seeds (pointSeed) are identical whether a point runs in the first
-/// invocation, a resumed one, or an uninterrupted run. That index
+/// The farm runs one single-point ResilientSweep per ORIGINAL point index,
+/// so per-point seeds (pointSeed) are identical whether a point runs in the
+/// first invocation, a resumed one, or an uninterrupted run. That index
 /// discipline is what makes resume reproduce the uninterrupted result
 /// bit-exactly for the deterministic fields.
 class Campaign {

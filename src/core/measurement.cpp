@@ -31,17 +31,10 @@ MeasurementResult TransferFunctionMeasurement::runBist(const bist::SweepOptions&
   return result;
 }
 
-MeasurementResult TransferFunctionMeasurement::runBist(bist::StimulusKind stimulus,
-                                                       int points) const {
-  return runBist(defaultSweepOptions(stimulus, points));
-}
-
-namespace {
-
-/// Shared deterministic aggregation of a labelled sweep (resilient or
-/// parallel) into a MeasurementResult: fit what survived, record why when
-/// nothing did.
-MeasurementResult aggregateResilient(bist::ResilientResponse resilient) {
+MeasurementResult TransferFunctionMeasurement::runResilient(
+    const bist::SweepOptions& options, const bist::ResilientSweepOptions& resilience) const {
+  bist::ResilientResponse resilient = bist::ResilientSweep(config_, options, resilience).run();
+  // Fit what survived; record why when nothing did.
   MeasurementResult result;
   result.sweep = std::move(resilient.response);
   result.quality = resilient.report;
@@ -63,20 +56,6 @@ MeasurementResult aggregateResilient(bist::ResilientResponse resilient) {
       result.status = Status::make(Status::Kind::NoValidPoints, e.what());
   }
   return result;
-}
-
-}  // namespace
-
-MeasurementResult TransferFunctionMeasurement::runResilient(
-    const bist::SweepOptions& options, const bist::ResilientSweepOptions& resilience) const {
-  bist::ResilientSweep engine(config_, options, resilience);
-  return aggregateResilient(engine.run());
-}
-
-MeasurementResult TransferFunctionMeasurement::runParallel(
-    const bist::SweepOptions& options, const bist::ParallelSweepOptions& parallel) const {
-  bist::ParallelSweep engine(config_, options, parallel);
-  return aggregateResilient(engine.run());
 }
 
 baseline::BenchResult TransferFunctionMeasurement::runBench(

@@ -3,7 +3,6 @@
 #include "baseline/bench_measurement.hpp"
 #include "bist/analysis.hpp"
 #include "bist/controller.hpp"
-#include "bist/parallel_sweep.hpp"
 #include "bist/resilient_sweep.hpp"
 #include "common/status.hpp"
 #include "control/bode.hpp"
@@ -38,26 +37,12 @@ class TransferFunctionMeasurement {
   /// Run the on-chip BIST measurement (the paper's method).
   [[nodiscard]] MeasurementResult runBist(const bist::SweepOptions& options) const;
 
-  /// Run the same measurement with defaults derived from the designed
-  /// response (sweep around the design fn, given stimulus kind).
-  [[nodiscard]] MeasurementResult runBist(
-      bist::StimulusKind stimulus = bist::StimulusKind::MultiToneFsk, int points = 12) const;
-
   /// Run the measurement through the retry/relock/degrade layer. Unlike
   /// runBist this never throws on a sick device: dropped points are
   /// excluded from the Bode fit, the quality report records what happened,
   /// and `status` is NoValidPoints when nothing usable survived.
   [[nodiscard]] MeasurementResult runResilient(
       const bist::SweepOptions& options, const bist::ResilientSweepOptions& resilience = {}) const;
-
-  /// Run the measurement on the parallel point farm: one independent
-  /// testbench per frequency point on `parallel.jobs` workers, merged
-  /// deterministically — for a fixed configuration and seed set the result
-  /// is bit-identical for every job count (only quality.wall_time_s
-  /// varies). Same degradation contract as runResilient: never throws on a
-  /// sick device.
-  [[nodiscard]] MeasurementResult runParallel(
-      const bist::SweepOptions& options, const bist::ParallelSweepOptions& parallel = {}) const;
 
   /// Run the conventional bench measurement baseline (analog access).
   [[nodiscard]] baseline::BenchResult runBench(const baseline::BenchOptions& options) const;

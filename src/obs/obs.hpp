@@ -20,6 +20,7 @@
 //   point.attempt               one measurement attempt
 //   sweep.run                   one ResilientSweep::run()
 //   farm.run / farm.worker      ParallelSweep executor / one worker thread
+//   campaign.run                one Campaign::run(); its points run in farm.run
 
 namespace pllbist::obs {
 

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "bist/testbench.hpp"
 #include "common/assert.hpp"
@@ -161,7 +164,9 @@ TEST(ParallelSweep, RequestStopAfterFirstPointIsDeterministicAtOneJob) {
   // Serial farm: stop lands between points, so exactly the triggering point
   // is measured and every later slot is a Cancelled drop.
   const SweepOptions sweep = fastSweepOptions(StimulusKind::MultiToneFsk, 5);
-  ParallelSweep engine(fastTestConfig(), sweep, {});
+  ParallelSweepOptions popt;
+  popt.jobs = 1;
+  ParallelSweep engine(fastTestConfig(), sweep, popt);
   engine.onPointMeasured([&](std::size_t, const MeasuredPoint&) { engine.requestStop(); });
   const ResilientResponse r = engine.run();
   ASSERT_EQ(r.response.points.size(), 5u);
@@ -210,17 +215,74 @@ TEST(ParallelSweep, RequestStopMidCampaignDrainsWorkersWithoutDoubleCounting) {
   EXPECT_EQ(cancelled, r.report.dropped);
 }
 
+TEST(ParallelSweep, PreloadedPointsMergeInPlaceAndNeverRun) {
+  const SweepOptions sweep = fastSweepOptions(StimulusKind::MultiToneFsk, 4);
+  const ResilientResponse reference = runFarm(sweep, 1);
+  ParallelSweepOptions popt;
+  popt.jobs = 2;
+  ParallelSweep engine(fastTestConfig(), sweep, popt);
+  // Preload point 1 exactly as the reference measured it (a single-point
+  // engine run of the same recipe).
+  engine.preload(1, ResilientSweep(fastTestConfig(), singlePointOptions(sweep, 1)).run());
+  std::set<std::size_t> built;
+  std::mutex built_mutex;
+  engine.onPointTestbench([&](std::size_t index, SweepTestbench&) {
+    std::lock_guard<std::mutex> guard(built_mutex);
+    built.insert(index);
+  });
+  std::set<std::size_t> sunk;
+  engine.onPointResult([&](std::size_t index, const ResilientResponse&) {
+    sunk.insert(index);  // serialised by the farm
+    return Status();
+  });
+  const ResilientResponse r = engine.run();
+  EXPECT_EQ(built, (std::set<std::size_t>{0, 2, 3}));
+  EXPECT_EQ(sunk, (std::set<std::size_t>{0, 2, 3}));
+  expectBitIdentical(r, reference);
+  EXPECT_THROW(engine.preload(0, reference), std::logic_error);
+}
+
+TEST(ParallelSweep, PreloadRejectsMalformedResults) {
+  const SweepOptions sweep = fastSweepOptions(StimulusKind::MultiToneFsk, 2);
+  ParallelSweep engine(fastTestConfig(), sweep, {});
+  EXPECT_THROW(engine.preload(0, ResilientResponse{}), std::invalid_argument);
+  ResilientResponse one;
+  appendDroppedPoint(one, sweep.modulation_frequencies_hz[0], Status());
+  EXPECT_THROW(engine.preload(2, one), std::out_of_range);
+}
+
+TEST(ParallelSweep, SinkRunsBeforeProgressAndAnErrorStopsTheFarm) {
+  const SweepOptions sweep = fastSweepOptions(StimulusKind::MultiToneFsk, 4);
+  ParallelSweepOptions popt;
+  popt.jobs = 1;
+  ParallelSweep engine(fastTestConfig(), sweep, popt);
+  std::vector<std::string> events;
+  engine.onPointResult([&](std::size_t index, const ResilientResponse& r) {
+    EXPECT_EQ(r.response.points.size(), 1u);
+    events.push_back("sink " + std::to_string(index));
+    if (index == 1) return Status::make(Status::Kind::Internal, "sink full");
+    return Status();
+  });
+  engine.onPointMeasured([&](std::size_t index, const MeasuredPoint&) {
+    events.push_back("measured " + std::to_string(index));
+  });
+  const ResilientResponse r = engine.run();
+  EXPECT_EQ(events, (std::vector<std::string>{"sink 0", "measured 0", "sink 1", "measured 1"}));
+  EXPECT_EQ(r.status.kind(), Status::Kind::Internal);
+  EXPECT_EQ(r.status.context(), "sink full");
+  ASSERT_EQ(r.response.points.size(), 4u);
+  for (std::size_t i = 2; i < 4; ++i)
+    EXPECT_EQ(r.response.points[i].status.kind(), Status::Kind::Cancelled) << "point " << i;
+}
+
 TEST(TestbenchFactory, BenchesAreIndependent) {
   const SweepOptions sweep = fastSweepOptions(StimulusKind::MultiToneFsk, 2);
-  TestbenchFactory factory(fastTestConfig(), sweep);
-  auto bench_a = factory.make();
-  auto bench_b = factory.make();
+  SweepTestbench bench_a(fastTestConfig(), sweep);
+  SweepTestbench bench_b(fastTestConfig(), sweep);
   // Advancing one bench's circuit leaves the other untouched.
-  bench_a->circuit().run(0.01);
-  EXPECT_DOUBLE_EQ(bench_a->circuit().now(), 0.01);
-  EXPECT_DOUBLE_EQ(bench_b->circuit().now(), 0.0);
-  // The factory validated once; the recipe it hands out matches.
-  EXPECT_EQ(factory.options().modulation_frequencies_hz.size(), 2u);
+  bench_a.circuit().run(0.01);
+  EXPECT_DOUBLE_EQ(bench_a.circuit().now(), 0.01);
+  EXPECT_DOUBLE_EQ(bench_b.circuit().now(), 0.0);
 }
 
 }  // namespace

@@ -332,10 +332,10 @@ TEST(Campaign, RelockBreakerStopsBurningPointsOnADeadDevice) {
   CampaignOptions opt;
   opt.resilience.max_attempts = 2;
   opt.resilience.relock_wait_periods = 10.0;  // a railed loop never relocks
-  opt.relock_breaker = 2;
+  opt.resilience.relock_breaker = 2;
   Campaign campaign(sick, sweep, opt);
   const CampaignResult result = campaign.run();
-  EXPECT_TRUE(result.breaker_opened);
+  EXPECT_TRUE(result.merged.breaker_open);
   EXPECT_EQ(result.points_executed, 2);  // jobs = 1: deterministic trip point
   const auto& points = result.merged.response.points;
   ASSERT_EQ(points.size(), 5u);
@@ -345,6 +345,93 @@ TEST(Campaign, RelockBreakerStopsBurningPointsOnADeadDevice) {
     EXPECT_EQ(points[i].status.kind(), Status::Kind::RelockFailed) << i;
     EXPECT_EQ(points[i].attempts, 0) << "breaker-skipped point " << i << " was simulated";
     EXPECT_NE(points[i].status.context().find("breaker"), std::string::npos) << i;
+  }
+}
+
+/// The breaker decides in point-index order: the same five points, report
+/// and kernel counters at jobs = 1 and jobs = 3, from the farm and the
+/// campaign alike, and a stopped-then-resumed campaign reproduces the
+/// uninterrupted report.
+TEST(Campaign, RelockBreakerIsJobsInvariantAndSurvivesResume) {
+  const pll::PllConfig sick =
+      pll::applyFault(fastTestConfig(), {pll::FaultSpec::Kind::DividerWrongN, 25.0});
+  const bist::SweepOptions sweep = fastSweepOptions(StimulusKind::MultiToneFsk, 5);
+  bist::ResilientSweepOptions resilience;
+  resilience.max_attempts = 2;
+  resilience.relock_wait_periods = 10.0;
+  resilience.relock_breaker = 2;
+  auto expectBreakerShape = [](const ResilientResponse& r, const char* what) {
+    ASSERT_EQ(r.response.points.size(), 5u) << what;
+    const int expected_attempts[] = {1, 1, 0, 0, 0};
+    for (std::size_t i = 0; i < 5; ++i) {
+      const MeasuredPoint& p = r.response.points[i];
+      EXPECT_EQ(p.attempts, expected_attempts[i]) << what << " point " << i;
+      EXPECT_EQ(p.status.kind(), Status::Kind::RelockFailed) << what << " point " << i;
+      EXPECT_EQ(p.status.context().find("breaker") != std::string::npos, i >= 2)
+          << what << " point " << i;
+    }
+    EXPECT_TRUE(r.breaker_open) << what;
+  };
+  auto expectCountersEqual = [](const ResilientResponse& a, const ResilientResponse& b) {
+    EXPECT_EQ(a.report.points_total, b.report.points_total);
+    EXPECT_EQ(a.report.dropped, b.report.dropped);
+    EXPECT_EQ(a.report.attempts_total, b.report.attempts_total);
+    EXPECT_EQ(a.report.relocks, b.report.relocks);
+    EXPECT_EQ(a.report.relock_failures, b.report.relock_failures);
+    EXPECT_EQ(a.report.sim_time_s, b.report.sim_time_s);
+    EXPECT_EQ(a.bench.events_processed, b.bench.events_processed);
+    EXPECT_EQ(a.bench.events_delivered, b.bench.events_delivered);
+    EXPECT_EQ(a.bench.events_dropped, b.bench.events_dropped);
+  };
+
+  ResilientResponse serial;
+  std::string reference_report;
+  for (const int jobs : {1, 3}) {
+    bist::ParallelSweepOptions popt;
+    popt.jobs = jobs;
+    popt.resilience = resilience;
+    const ResilientResponse farmed = bist::ParallelSweep(sick, sweep, popt).run();
+    expectBreakerShape(farmed, "farm");
+
+    CampaignOptions opt;
+    opt.jobs = jobs;
+    opt.resilience = resilience;
+    Campaign campaign(sick, sweep, opt);
+    const CampaignResult result = campaign.run();
+    expectBreakerShape(result.merged, "campaign");
+    // The report's `jobs` field differs by design; keep the jobs = 1 one.
+    if (jobs == 1) {
+      serial = farmed;
+      reference_report = canonical(result.report);
+    }
+    for (const ResilientResponse* r : {&farmed, &result.merged}) {
+      expectPointsBitIdentical(*r, serial);
+      expectCountersEqual(*r, serial);
+    }
+  }
+
+  // Stop after point 0 or point 1 (jobs = 1), then resume in place.
+  for (const std::size_t stop_after : {std::size_t{0}, std::size_t{1}}) {
+    const std::string journal = tempPath("breaker_resume");
+    CampaignOptions opt;
+    opt.resilience = resilience;
+    opt.journal_path = journal;
+    {
+      Campaign first(sick, sweep, opt);
+      first.onPointMeasured([&](std::size_t index, const MeasuredPoint&) {
+        if (index == stop_after) first.requestStop();
+      });
+      const CampaignResult partial = first.run();
+      EXPECT_EQ(partial.points_executed, static_cast<int>(stop_after) + 1);
+    }
+    opt.resume_path = journal;
+    Campaign second(sick, sweep, opt);
+    const CampaignResult resumed = second.run();
+    EXPECT_EQ(resumed.points_resumed, static_cast<int>(stop_after) + 1);
+    EXPECT_EQ(resumed.points_executed, 1 - static_cast<int>(stop_after));
+    expectBreakerShape(resumed.merged, "resumed");
+    EXPECT_EQ(canonical(resumed.report), reference_report) << "stopped after " << stop_after;
+    std::remove(journal.c_str());
   }
 }
 

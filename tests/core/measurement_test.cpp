@@ -6,7 +6,6 @@
 
 #include "common/units.hpp"
 #include "support/test_configs.hpp"
-#include "support/tolerance.hpp"
 
 namespace pllbist::core {
 namespace {
@@ -65,33 +64,6 @@ TEST(TransferFunctionMeasurement, BistAndBenchSeeTheSamePeakLocation) {
   const auto bench_peak = bench_result.toBode().peak();
   EXPECT_NEAR(bist_result.parameters.peak_frequency_hz,
               radPerSecToHz(bench_peak.omega_rad_per_s), 40.0);
-}
-
-TEST(TransferFunctionMeasurement, RunParallelMatchesSerialFarm) {
-  TransferFunctionMeasurement meas(fastTestConfig());
-  const bist::SweepOptions sweep = fastSweepOptions(bist::StimulusKind::MultiToneFsk, 6);
-  bist::ParallelSweepOptions serial_opt;
-  serial_opt.jobs = 1;
-  bist::ParallelSweepOptions parallel_opt;
-  parallel_opt.jobs = 4;
-  const MeasurementResult serial = meas.runParallel(sweep, serial_opt);
-  const MeasurementResult parallel = meas.runParallel(sweep, parallel_opt);
-  ASSERT_TRUE(serial.status.ok()) << serial.status.toString();
-  ASSERT_TRUE(parallel.status.ok()) << parallel.status.toString();
-  ASSERT_EQ(serial.bode.size(), 6u);
-  ASSERT_EQ(parallel.bode.size(), 6u);
-  // The farm's determinism contract carries through aggregation: identical
-  // Bode points and extracted parameters for any job count.
-  for (std::size_t i = 0; i < serial.bode.size(); ++i) {
-    // ulpsEqual with 0 ulps == exact equality, but names the intent and
-    // prints both operands on failure.
-    EXPECT_PRED3(pllbist::testing::ulpsEqual, serial.bode.points()[i].magnitude_db,
-                 parallel.bode.points()[i].magnitude_db, 0);
-    EXPECT_PRED3(pllbist::testing::ulpsEqual, serial.bode.points()[i].phase_deg,
-                 parallel.bode.points()[i].phase_deg, 0);
-  }
-  EXPECT_EQ(serial.parameters.peaking_db, parallel.parameters.peaking_db);
-  EXPECT_GT(serial.parameters.peaking_db, 0.5);
 }
 
 TEST(Characterization, ReportsSmallErrorsOnGoldenDevice) {
