@@ -5,6 +5,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "bist/controller.hpp"
 #include "pll/config.hpp"
 #include "pll/cppll.hpp"
@@ -39,6 +45,45 @@ void BM_EventKernel(benchmark::State& state) {
   state.SetItemsProcessed(delivered);
 }
 BENCHMARK(BM_EventKernel)->Unit(benchmark::kMillisecond);
+
+/// A self-rescheduling event source, 100k events: the typed path (a
+/// registered handler, plain-data queue entries) against the same loop
+/// through scheduleCallback (a closure parked in the slab per event).
+class Ticker : public sim::Circuit::Handler {
+ public:
+  explicit Ticker(sim::Circuit& c) : circuit_(c), id_(c.addHandler(*this)) {}
+  void start() { circuit_.scheduleEvent(0.0, id_, 0); }
+
+ private:
+  bool onEvent(uint32_t tag, double now) override {
+    circuit_.scheduleEvent(now + 1e-6, id_, tag + 1);
+    return true;
+  }
+  sim::Circuit& circuit_;
+  sim::Circuit::HandlerId id_;
+};
+
+void BM_HandlerEvent(benchmark::State& state) {
+  const bool typed = state.range(0) != 0;
+  int64_t delivered = 0;
+  for (auto _ : state) {
+    sim::Circuit c;
+    Ticker ticker(c);
+    std::function<void(double)> tick = [&c, &tick](double now) {
+      c.scheduleCallback(now + 1e-6, tick);
+    };
+    if (typed)
+      ticker.start();
+    else
+      c.scheduleCallback(0.0, tick);
+    c.run(0.1 - 0.5e-6);  // 100k events
+    delivered += static_cast<int64_t>(c.deliveredEventCount());
+    benchmark::DoNotOptimize(delivered);
+  }
+  state.SetItemsProcessed(delivered);
+  state.SetLabel(typed ? "handler" : "closure");
+}
+BENCHMARK(BM_HandlerEvent)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
 /// Closed-loop PLL: simulated seconds per wall second.
 void BM_ClosedLoopSecond(benchmark::State& state) {

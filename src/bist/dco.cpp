@@ -15,24 +15,25 @@ void Dco::Config::validate() const {
 }
 
 Dco::Dco(sim::Circuit& c, sim::SignalId out, const Config& cfg)
-    : circuit_(c), out_(out), cfg_(cfg) {
+    : circuit_(c), handler_(c.addHandler(*this)), out_(out), cfg_(cfg) {
   cfg_.validate();
   tick_s_ = 1.0 / cfg_.master_clock_hz;
   modulus_ = pending_modulus_ = cfg_.initial_modulus;
   tick_ = static_cast<std::int64_t>(std::ceil(cfg_.start_time_s / tick_s_));
   const double t0 = static_cast<double>(tick_) * tick_s_;
   PLLBIST_ASSERT(t0 >= c.now());
-  circuit_.scheduleCallback(t0, [this](double now) { rise(now); });
+  circuit_.scheduleEvent(t0, handler_, 0);
 }
 
-void Dco::rise(double now) {
+bool Dco::onEvent(uint32_t, double now) {
   modulus_ = pending_modulus_;  // hop frequencies only at rising edges
   circuit_.scheduleSet(out_, now, true);
   const double fall = static_cast<double>(tick_ + modulus_ / 2) * tick_s_;
   circuit_.scheduleSet(out_, fall, false);
   tick_ += modulus_;
   const double next = static_cast<double>(tick_) * tick_s_;
-  circuit_.scheduleCallback(next, [this](double t) { rise(t); });
+  circuit_.scheduleEvent(next, handler_, 0);
+  return true;
 }
 
 int Dco::modulusFor(double hz) const {

@@ -19,7 +19,7 @@ namespace pllbist::bist {
 /// edges arithmetically instead of simulating 10^6 master transitions per
 /// second; the emitted waveform is tick-for-tick identical to the counter
 /// it models.
-class Dco : public sim::Component {
+class Dco : public sim::Component, private sim::Circuit::Handler {
  public:
   struct Config {
     double master_clock_hz = 1e6;
@@ -57,9 +57,11 @@ class Dco : public sim::Component {
   static double resolutionEq2(double fin_nominal_hz, double fref_master_hz);
 
  private:
-  void rise(double now);
+  /// Every event is the next output rising edge (the tag is unused).
+  bool onEvent(uint32_t tag, double now) override;
 
   sim::Circuit& circuit_;
+  sim::Circuit::HandlerId handler_;
   sim::SignalId out_;
   Config cfg_;
   double tick_s_ = 0.0;

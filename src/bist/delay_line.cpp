@@ -22,7 +22,7 @@ void DelayLineModulator::Config::validate() const {
 
 DelayLineModulator::DelayLineModulator(sim::Circuit& c, sim::SignalId in, sim::SignalId out,
                                        sim::SignalId peak_marker, const Config& cfg)
-    : circuit_(c), out_(out), peak_marker_(peak_marker), cfg_(cfg) {
+    : circuit_(c), handler_(c.addHandler(*this)), out_(out), peak_marker_(peak_marker), cfg_(cfg) {
   cfg_.validate();
   current_tap_ = (cfg_.taps - 1) / 2;  // idle mid-line
   // Retime every input edge through the currently selected tap. The base
@@ -65,7 +65,19 @@ void DelayLineModulator::stop() {
   current_tap_ = (cfg_.taps - 1) / 2;
 }
 
+bool DelayLineModulator::onEvent(uint32_t tag, double now) {
+  if (tag != generationTag(generation_, tag)) return false;  // an older program's event
+  if ((tag & 1u) == kMarker) {
+    circuit_.scheduleSet(peak_marker_, now, true);
+    circuit_.scheduleSet(peak_marker_, now + cfg_.marker_pulse_s, false);
+  } else {
+    slotBoundary(now, (slot_ + 1) % cfg_.steps);
+  }
+  return true;
+}
+
 void DelayLineModulator::slotBoundary(double now, int slot) {
+  slot_ = slot;
   current_tap_ = tapForSlot(slot);
   const double period = 1.0 / modulation_hz_;
   const double slot_width = period / static_cast<double>(cfg_.steps);
@@ -73,18 +85,9 @@ void DelayLineModulator::slotBoundary(double now, int slot) {
     // Equivalent input *frequency* deviation peaks where the phase program
     // has its maximum upward slope — the period start, plus the half-slot
     // ZOH lag of the staircase.
-    const unsigned generation = generation_;
-    circuit_.scheduleCallback(now + 0.5 * slot_width, [this, generation](double t) {
-      if (generation != generation_) return;
-      circuit_.scheduleSet(peak_marker_, t, true);
-      circuit_.scheduleSet(peak_marker_, t + cfg_.marker_pulse_s, false);
-    });
+    circuit_.scheduleEvent(now + 0.5 * slot_width, handler_, generationTag(generation_, kMarker));
   }
-  const unsigned generation = generation_;
-  circuit_.scheduleCallback(now + slot_width, [this, generation, slot](double t) {
-    if (generation != generation_) return;
-    slotBoundary(t, (slot + 1) % cfg_.steps);
-  });
+  circuit_.scheduleEvent(now + slot_width, handler_, generationTag(generation_, kSlot));
 }
 
 }  // namespace pllbist::bist

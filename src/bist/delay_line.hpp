@@ -23,7 +23,7 @@ namespace pllbist::bist {
 /// A marker pulse is emitted at the crest of the equivalent input
 /// *frequency* deviation (the phase program's maximum upward slope), so
 /// the phase counter measures the same quantity as in the FM test.
-class DelayLineModulator : public sim::Component {
+class DelayLineModulator : public sim::Component, private sim::Circuit::Handler {
  public:
   struct Config {
     int taps = 16;              ///< number of selectable taps (>= 2)
@@ -49,16 +49,23 @@ class DelayLineModulator : public sim::Component {
   [[nodiscard]] int tapForSlot(int slot) const;
 
  private:
+  /// Slot boundaries (kind 0) and crest markers (kind 1), tagged with
+  /// generationTag(generation_, kind): starting or stopping a program
+  /// supersedes every event of the previous one.
+  enum Kind : uint32_t { kSlot = 0, kMarker = 1 };
+  bool onEvent(uint32_t tag, double now) override;
   void slotBoundary(double now, int slot);
 
   sim::Circuit& circuit_;
+  sim::Circuit::HandlerId handler_;
   sim::SignalId out_;
   sim::SignalId peak_marker_;
   Config cfg_;
   double modulation_hz_ = 0.0;
   int current_tap_ = 0;
   bool running_ = false;
-  unsigned generation_ = 0;
+  uint32_t generation_ = 0;
+  int slot_ = 0;  ///< program slot the tap is currently set to
 };
 
 }  // namespace pllbist::bist

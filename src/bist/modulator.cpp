@@ -16,7 +16,7 @@ void FskModulator::Config::validate() const {
 }
 
 FskModulator::FskModulator(sim::Circuit& c, Dco& dco, sim::SignalId peak_marker, const Config& cfg)
-    : circuit_(c), dco_(dco), peak_marker_(peak_marker), cfg_(cfg) {
+    : circuit_(c), handler_(c.addHandler(*this)), dco_(dco), peak_marker_(peak_marker), cfg_(cfg) {
   cfg_.validate();
   dco_.setFrequency(cfg_.nominal_hz);
 }
@@ -53,7 +53,19 @@ void FskModulator::park() {
   dco_.setFrequency(cfg_.nominal_hz + cfg_.deviation_hz);
 }
 
+bool FskModulator::onEvent(uint32_t tag, double now) {
+  if (tag != generationTag(generation_, tag)) return false;  // an older program's event
+  if ((tag & 1u) == kMarker) {
+    circuit_.scheduleSet(peak_marker_, now, true);
+    circuit_.scheduleSet(peak_marker_, now + cfg_.marker_pulse_s, false);
+  } else {
+    slotBoundary(now, (slot_ + 1) % cfg_.steps);
+  }
+  return true;
+}
+
 void FskModulator::slotBoundary(double now, int slot) {
+  slot_ = slot;
   dco_.setFrequency(programFrequency(slot));
   const double period = 1.0 / modulation_hz_;
   const double slot_width_now = period / static_cast<double>(cfg_.steps);
@@ -62,20 +74,11 @@ void FskModulator::slotBoundary(double now, int slot) {
     // sine by half a slot, so the crest marker fires at a quarter period
     // plus half a slot — the centre of the maximal step. Without this the
     // phase plot carries a systematic 180/steps-degree error.
-    const unsigned generation = generation_;
-    circuit_.scheduleCallback(now + 0.25 * period + 0.5 * slot_width_now,
-                              [this, generation](double t) {
-      if (generation != generation_) return;
-      circuit_.scheduleSet(peak_marker_, t, true);
-      circuit_.scheduleSet(peak_marker_, t + cfg_.marker_pulse_s, false);
-    });
+    circuit_.scheduleEvent(now + 0.25 * period + 0.5 * slot_width_now, handler_,
+                           generationTag(generation_, kMarker));
   }
-  const unsigned generation = generation_;
   const double slot_width = period / static_cast<double>(cfg_.steps);
-  circuit_.scheduleCallback(now + slot_width, [this, generation, slot](double t) {
-    if (generation != generation_) return;
-    slotBoundary(t, (slot + 1) % cfg_.steps);
-  });
+  circuit_.scheduleEvent(now + slot_width, handler_, generationTag(generation_, kSlot));
 }
 
 }  // namespace pllbist::bist

@@ -22,7 +22,7 @@ enum class StimulusWaveform {
 /// A marker pulse is emitted on `peak_marker` when the *program* crosses its
 /// positive crest (slot = steps/4 boundary) — the mux-control decode the
 /// Table 2 sequence starts its phase counter from.
-class FskModulator : public sim::Component {
+class FskModulator : public sim::Component, private sim::Circuit::Handler {
  public:
   struct Config {
     StimulusWaveform waveform = StimulusWaveform::MultiToneFsk;
@@ -54,15 +54,22 @@ class FskModulator : public sim::Component {
   [[nodiscard]] double programFrequency(int slot) const;
 
  private:
+  /// Slot boundaries (kind 0) and crest markers (kind 1), tagged with
+  /// generationTag(generation_, kind): starting or stopping a program
+  /// supersedes every event of the previous one.
+  enum Kind : uint32_t { kSlot = 0, kMarker = 1 };
+  bool onEvent(uint32_t tag, double now) override;
   void slotBoundary(double now, int slot);
 
   sim::Circuit& circuit_;
+  sim::Circuit::HandlerId handler_;
   Dco& dco_;
   sim::SignalId peak_marker_;
   Config cfg_;
   double modulation_hz_ = 0.0;
   bool running_ = false;
-  unsigned generation_ = 0;  ///< invalidates scheduled slots of old programs
+  uint32_t generation_ = 0;  ///< invalidates scheduled slots of old programs
+  int slot_ = 0;             ///< program slot the DCO is currently set to
 };
 
 }  // namespace pllbist::bist

@@ -24,6 +24,7 @@ void SineFmSource::Config::validate() const {
 SineFmSource::SineFmSource(sim::Circuit& c, sim::SignalId out, sim::SignalId peak_marker,
                            const Config& cfg)
     : circuit_(c),
+      handler_(c.addHandler(*this)),
       out_(out),
       peak_marker_(peak_marker),
       cfg_(cfg),
@@ -31,7 +32,7 @@ SineFmSource::SineFmSource(sim::Circuit& c, sim::SignalId out, sim::SignalId pea
       jitter_rng_(cfg.jitter_seed) {
   cfg_.validate();
   PLLBIST_ASSERT(cfg.start_time_s >= c.now());
-  circuit_.scheduleCallback(cfg.start_time_s, [this](double now) { toggle(now); });
+  circuit_.scheduleEvent(cfg.start_time_s, handler_, kToggle);
   if (cfg_.modulation_hz > 0.0) schedulePeakMarker(cfg.start_time_s);
 }
 
@@ -53,6 +54,18 @@ double SineFmSource::jitteredEmissionTime(double clean_time) {
   return clean_time + 3.0 * sigma + j;
 }
 
+bool SineFmSource::onEvent(uint32_t tag, double now) {
+  if (tag == kToggle) {
+    toggle(now);
+    return true;
+  }
+  if (tag != markerTag()) return false;  // scheduled under an older program
+  circuit_.scheduleSet(peak_marker_, now, true);
+  circuit_.scheduleSet(peak_marker_, now + cfg_.marker_pulse_s, false);
+  circuit_.scheduleEvent(now + 1.0 / cfg_.modulation_hz, handler_, tag);
+  return true;
+}
+
 void SineFmSource::toggle(double now) {
   // Track the output polarity internally: with jitter, the previous
   // emission may still be queued, so reading the net's current value would
@@ -60,7 +73,7 @@ void SineFmSource::toggle(double now) {
   out_state_ = !out_state_;
   circuit_.scheduleSet(out_, jitteredEmissionTime(now), out_state_);
   const double f = instantaneousFrequency(now);
-  circuit_.scheduleCallback(now + 0.5 / f, [this](double t) { toggle(t); });
+  circuit_.scheduleEvent(now + 0.5 / f, handler_, kToggle);
 }
 
 void SineFmSource::setModulation(double modulation_hz, double deviation_hz) {
@@ -91,21 +104,7 @@ void SineFmSource::schedulePeakMarker(double from_time) {
   double wait = period * 0.25 - phase_time;
   const double kMinWait = 1e-12;
   while (wait < kMinWait) wait += period;
-  scheduleMarkerAt(from_time + wait, period);
-}
-
-void SineFmSource::scheduleMarkerAt(double t, double period) {
-  const unsigned generation = marker_generation_;
-  circuit_.scheduleCallback(t, [this, generation, t, period](double now) {
-    if (generation != marker_generation_) return;
-    emitPeakMarker(now);
-    scheduleMarkerAt(t + period, period);
-  });
-}
-
-void SineFmSource::emitPeakMarker(double now) {
-  circuit_.scheduleSet(peak_marker_, now, true);
-  circuit_.scheduleSet(peak_marker_, now + cfg_.marker_pulse_s, false);
+  circuit_.scheduleEvent(from_time + wait, handler_, markerTag());
 }
 
 }  // namespace pllbist::pll

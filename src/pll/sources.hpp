@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <random>
 
 #include "sim/circuit.hpp"
@@ -19,7 +20,7 @@ namespace pllbist::pll {
 /// A one-master-clock-tick pulse is emitted on `peak_marker` each time the
 /// modulation passes its positive crest — the "known stimulus peak" the
 /// phase counter is started from (Table 2 stage 1).
-class SineFmSource : public sim::Component {
+class SineFmSource : public sim::Component, private sim::Circuit::Handler {
  public:
   struct Config {
     double nominal_hz = 0.0;
@@ -50,19 +51,25 @@ class SineFmSource : public sim::Component {
   [[nodiscard]] const Config& config() const { return cfg_; }
 
  private:
+  /// Carrier toggles carry tag 0; crest markers carry
+  /// generationTag(marker generation, 1), so a re-programmed source
+  /// recognises the markers of its old program as stale.
+  static constexpr uint32_t kToggle = 0;
+  [[nodiscard]] uint32_t markerTag() const { return generationTag(marker_generation_, 1); }
+
+  bool onEvent(uint32_t tag, double now) override;
   void toggle(double now);
-  void emitPeakMarker(double now);
   void schedulePeakMarker(double from_time);
-  void scheduleMarkerAt(double t, double period);
 
   [[nodiscard]] double jitteredEmissionTime(double clean_time);
 
   sim::Circuit& circuit_;
+  sim::Circuit::HandlerId handler_;
   sim::SignalId out_;
   sim::SignalId peak_marker_;
   Config cfg_;
   double mod_epoch_ = 0.0;  ///< time at which modulation phase is zero
-  unsigned marker_generation_ = 0;  ///< invalidates stale marker callbacks
+  uint32_t marker_generation_ = 0;  ///< invalidates stale marker events
   bool out_state_ = false;          ///< internal output polarity tracker
   std::mt19937 jitter_rng_;
   std::normal_distribution<double> jitter_dist_{0.0, 1.0};

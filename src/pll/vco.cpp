@@ -23,22 +23,37 @@ double VcoConfig::frequencyAt(double control_v) const {
 
 Vco::Vco(sim::Circuit& c, PumpFilter& filter, sim::SignalId out, const VcoConfig& cfg,
          double start_time_s)
-    : circuit_(c), filter_(filter), out_(out), cfg_(cfg) {
+    : circuit_(c), handler_(c.addHandler(*this)), filter_(filter), out_(out), cfg_(cfg) {
   cfg_.validate();
   PLLBIST_ASSERT(start_time_s >= c.now());
-  circuit_.scheduleCallback(start_time_s, [this](double now) {
-    started_ = true;
-    last_t_ = now;
-    frequency_hz_ = cfg_.frequencyAt(filter_.controlVoltage(now));
-    circuit_.scheduleSet(out_, now, true);  // phase 0: first rising edge
-    retarget(now);
-  });
+  circuit_.scheduleEvent(start_time_s, handler_, 0);
   // Re-integrate across every pump pulse edge.
   filter.onDriveChange([this](double now) {
     if (!started_) return;
     integrateTo(now);
     retarget(now);
   });
+}
+
+bool Vco::onEvent(uint32_t tag, double now) {
+  if (!started_) {
+    start(now);
+    return true;
+  }
+  if (tag != generation_) return false;  // superseded by a pump edge
+  integrateTo(now);
+  circuit_.scheduleSet(out_, now, !circuit_.value(out_));
+  next_toggle_phase_ += 0.5;
+  retarget(now);
+  return true;
+}
+
+void Vco::start(double now) {
+  started_ = true;
+  last_t_ = now;
+  frequency_hz_ = cfg_.frequencyAt(filter_.controlVoltage(now));
+  circuit_.scheduleSet(out_, now, true);  // phase 0: first rising edge
+  retarget(now);
 }
 
 void Vco::integrateTo(double t) {
@@ -54,17 +69,7 @@ void Vco::retarget(double now) {
   frequency_hz_ = cfg_.frequencyAt(filter_.controlVoltage(now));
   const double remaining_cycles = next_toggle_phase_ - phase_cycles_;
   const double wait = std::max(remaining_cycles, 0.0) / frequency_hz_;
-  const unsigned generation = ++generation_;
-  circuit_.scheduleCallback(now + wait,
-                            [this, generation](double t) { toggleReached(t, generation); });
-}
-
-void Vco::toggleReached(double now, unsigned generation) {
-  if (generation != generation_) return;  // superseded by a pump edge
-  integrateTo(now);
-  circuit_.scheduleSet(out_, now, !circuit_.value(out_));
-  next_toggle_phase_ += 0.5;
-  retarget(now);
+  circuit_.scheduleEvent(now + wait, handler_, ++generation_);
 }
 
 }  // namespace pllbist::pll

@@ -29,7 +29,7 @@ struct VcoConfig {
 /// phase — crucial, because in lock the pump pulses are synchronised with
 /// the VCO edges and a sample-and-hold VCO would alias them away entirely
 /// (producing a spurious static frequency offset).
-class Vco : public sim::Component {
+class Vco : public sim::Component, private sim::Circuit::Handler {
  public:
   Vco(sim::Circuit& c, PumpFilter& filter, sim::SignalId out, const VcoConfig& cfg,
       double start_time_s = 0.0);
@@ -41,11 +41,15 @@ class Vco : public sim::Component {
   [[nodiscard]] const VcoConfig& config() const { return cfg_; }
 
  private:
+  /// The first event starts the oscillator; every later one is a toggle
+  /// tagged with the generation that aimed it.
+  bool onEvent(uint32_t tag, double now) override;
+  void start(double now);
   void integrateTo(double t);
   void retarget(double now);
-  void toggleReached(double now, unsigned generation);
 
   sim::Circuit& circuit_;
+  sim::Circuit::HandlerId handler_;
   PumpFilter& filter_;
   sim::SignalId out_;
   VcoConfig cfg_;
@@ -54,7 +58,7 @@ class Vco : public sim::Component {
   double next_toggle_phase_ = 0.5;
   double last_t_ = 0.0;
   double frequency_hz_ = 0.0;   ///< frequency over the current segment
-  unsigned generation_ = 0;     ///< invalidates superseded toggle events
+  uint32_t generation_ = 0;     ///< invalidates superseded toggle events
 };
 
 }  // namespace pllbist::pll

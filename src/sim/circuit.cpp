@@ -47,59 +47,85 @@ void Circuit::onFallingEdge(SignalId id, EdgeCallback cb) {
 void Circuit::scheduleSet(SignalId id, double t, bool value) {
   checkId(id);
   PLLBIST_ASSERT(t >= now_);
-  Event ev;
-  ev.time = t;
-  ev.seq = next_seq_++;
-  ev.signal = id;
-  ev.value = value;
-  enqueue(std::move(ev));
+  enqueue(t, Target::Signal, id, 0, value);
+}
+
+Circuit::HandlerId Circuit::addHandler(Handler& handler) {
+  handlers_.push_back(&handler);
+  return static_cast<HandlerId>(handlers_.size()) - 1;
+}
+
+void Circuit::scheduleEvent(double t, HandlerId id, uint32_t tag) {
+  PLLBIST_ASSERT(id >= 0 && id < static_cast<HandlerId>(handlers_.size()));
+  PLLBIST_ASSERT(t >= now_);
+  enqueue(t, Target::Handler, id, tag);
 }
 
 void Circuit::scheduleCallback(double t, EdgeCallback cb) {
   PLLBIST_ASSERT(t >= now_);
-  Event ev;
-  ev.time = t;
-  ev.seq = next_seq_++;
-  ev.signal = kNoSignal;
-  ev.callback = std::move(cb);
-  enqueue(std::move(ev));
+  int32_t slot;
+  if (free_closures_.empty()) {
+    slot = static_cast<int32_t>(closures_.size());
+    closures_.push_back(std::move(cb));
+  } else {
+    slot = free_closures_.back();
+    free_closures_.pop_back();
+    closures_[static_cast<size_t>(slot)] = std::move(cb);
+  }
+  enqueue(t, Target::Closure, slot);
 }
 
-void Circuit::execute(Event& ev) {
+void Circuit::execute(const Event& ev) {
   now_ = ev.time;
   ++processed_events_;
-  if (ev.signal == kNoSignal) {
-    ++delivered_events_;
-    ev.callback(now_);
-    return;
+  switch (ev.kind) {
+    case Target::Handler:
+      if (handlers_[static_cast<size_t>(ev.target)]->onEvent(ev.tag, now_))
+        ++delivered_events_;
+      else
+        ++swallowed_events_;
+      return;
+    case Target::Closure:
+      ++delivered_events_;
+      runClosure(ev.target);
+      return;
+    case Target::Signal:
+      applySignal(ev);
+      return;
   }
+}
+
+void Circuit::runClosure(int32_t slot) {
+  // Move the closure out and free its slot before calling it: the closure
+  // may schedule more closures, which can grow (reallocate) the slab, and a
+  // closure that reschedules itself then reuses its own slot.
+  EdgeCallback cb = std::move(closures_[static_cast<size_t>(slot)]);
+  closures_[static_cast<size_t>(slot)] = nullptr;
+  free_closures_.push_back(slot);
+  cb(now_);
+}
+
+void Circuit::applySignal(const Event& ev) {
   if (interceptor_ && !ev.intercepted) {
-    const InterceptVerdict verdict = interceptor_(ev.signal, now_, ev.value);
+    const InterceptVerdict verdict = interceptor_(ev.target, now_, ev.value);
     switch (verdict.action) {
       case InterceptVerdict::Action::Deliver:
         break;
       case InterceptVerdict::Action::Drop:
         ++dropped_events_;
         return;
-      case InterceptVerdict::Action::Delay: {
+      case InterceptVerdict::Action::Delay:
         PLLBIST_ASSERT(verdict.delay_s > 0.0);
         ++delayed_events_;
         // Re-enqueue marked intercepted: the postponed edge is delivered
         // exactly once instead of passing through the interceptor again
         // (a persistent delay rule would otherwise chase it forever and
         // double-count fault statistics).
-        Event delayed;
-        delayed.time = now_ + verdict.delay_s;
-        delayed.seq = next_seq_++;
-        delayed.signal = ev.signal;
-        delayed.value = ev.value;
-        delayed.intercepted = true;
-        enqueue(std::move(delayed));
+        enqueue(now_ + verdict.delay_s, Target::Signal, ev.target, 0, ev.value, true);
         return;
-      }
     }
   }
-  SignalState& sig = signals_[static_cast<size_t>(ev.signal)];
+  SignalState& sig = signals_[static_cast<size_t>(ev.target)];
   if (sig.value == ev.value) {
     ++swallowed_events_;
     return;  // swallowed (no change)
@@ -117,8 +143,7 @@ bool Circuit::step() {
     return false;
   }
   if (queue_.empty()) return false;
-  Event ev = popNext();
-  execute(ev);
+  execute(popNext());
   return true;
 }
 
@@ -132,8 +157,7 @@ bool Circuit::run(double t_end) {
     return false;
   }
   while (!queue_.empty() && queue_.front().time <= t_end) {
-    Event ev = popNext();
-    execute(ev);
+    execute(popNext());
     if (stop_requested_) {
       stop_requested_ = false;
       return false;

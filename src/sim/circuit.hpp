@@ -1,9 +1,10 @@
 #pragma once
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace pllbist::sim {
@@ -22,19 +23,48 @@ inline constexpr SignalId kNoSignal = -1;
 ///
 /// Semantics:
 ///  - Transport delay: every scheduled transition is delivered in time order
-///    (ties broken by insertion order). Glitches propagate, which is exactly
-///    what the paper's dead-zone-glitch-clocked peak detector requires.
+///    (ties broken by insertion order across signal, handler and closure
+///    events alike). Glitches propagate, which is exactly what the paper's
+///    dead-zone-glitch-clocked peak detector requires.
 ///  - A delivered transition that does not change the signal value is
 ///    swallowed (no callbacks fire).
 ///  - Callbacks run at the event's timestamp and may schedule further events
 ///    at any time >= now.
+///
+/// Queue entries are plain data (see Event): a signal transition, a
+/// (handler id, tag) pair dispatched to a registered Handler, or the slot
+/// of a cold closure parked in a free-listed slab outside the heap.
 class Circuit {
  public:
   using EdgeCallback = std::function<void(double now)>;
   using ChangeCallback = std::function<void(double now, bool value)>;
+  using HandlerId = int32_t;
+
+  /// Typed event target for hot, self-rescheduling components. A component
+  /// registers once (addHandler) and schedules (handler id, tag) events;
+  /// the tag is the component's own 32-bit payload — typically an event
+  /// kind and/or a generation that lets it recognise superseded events.
+  /// The handler must outlive every event scheduled for it, exactly like a
+  /// Component's signal callbacks.
+  class Handler {
+   public:
+    /// Handle one event at its timestamp. Return true when it did work,
+    /// false when it was superseded (a stale generation, a stopped source):
+    /// the kernel counts the former delivered and the latter swallowed.
+    virtual bool onEvent(uint32_t tag, double now) = 0;
+
+   protected:
+    ~Handler() = default;
+    /// The usual tag layout: a one-bit event kind in bit 0, the scheduling
+    /// generation (mod 2^31) above it. An event is current iff its tag
+    /// equals generationTag(current generation, its kind).
+    static constexpr uint32_t generationTag(uint32_t generation, uint32_t kind) {
+      return (generation << 1) | (kind & 1u);
+    }
+  };
 
   /// Verdict returned by an installed event interceptor for one scheduled
-  /// signal transition (pure callback events are never intercepted).
+  /// signal transition (handler and closure events are never intercepted).
   struct InterceptVerdict {
     enum class Action {
       Deliver,  ///< apply the transition normally
@@ -78,7 +108,16 @@ class Circuit {
   /// Schedule signal id to take `value` at time t (>= now).
   void scheduleSet(SignalId id, double t, bool value);
 
-  /// Schedule an arbitrary callback at time t (>= now).
+  /// Register a typed event target; returns its id for scheduleEvent().
+  HandlerId addHandler(Handler& handler);
+
+  /// Schedule handler `id` to receive `tag` at time t (>= now). The hot
+  /// path: the queue entry is plain data, no closure is built.
+  void scheduleEvent(double t, HandlerId id, uint32_t tag);
+
+  /// Schedule an arbitrary callback at time t (>= now). For cold callers
+  /// (sequencer stages, probes, fault pulses, tests): the closure waits in
+  /// a free-listed slab and the queue entry carries only its slot.
   void scheduleCallback(double t, EdgeCallback cb);
 
   /// Immediately force a signal at the current time. Insertion order makes
@@ -108,58 +147,94 @@ class Circuit {
 
   /// Total events dequeued (delivered + dropped + delayed + swallowed).
   [[nodiscard]] uint64_t processedEventCount() const { return processed_events_; }
-  /// Events that actually did work: pure callbacks executed plus signal
-  /// transitions applied (value changed, change callbacks fired). This is
-  /// the honest event-throughput number; drops/swallows are bookkeeping.
+  /// Events that actually did work: closures executed, handler events that
+  /// returned true, plus signal transitions applied (value changed, change
+  /// callbacks fired). This is the honest event-throughput number;
+  /// drops/swallows are bookkeeping.
   [[nodiscard]] uint64_t deliveredEventCount() const { return delivered_events_; }
   /// Transitions swallowed by an interceptor Drop verdict.
   [[nodiscard]] uint64_t droppedEventCount() const { return dropped_events_; }
   /// Transitions postponed by an interceptor Delay verdict (each counted
   /// once at the verdict; the re-delivery lands in delivered/swallowed).
   [[nodiscard]] uint64_t delayedEventCount() const { return delayed_events_; }
-  /// No-change transitions swallowed by the kernel.
+  /// Events dequeued without effect: no-change transitions and superseded
+  /// handler events.
   [[nodiscard]] uint64_t swallowedEventCount() const { return swallowed_events_; }
 
+  /// Slots allocated in the closure slab (live closures plus free slots).
+  /// Bounded by the peak number of simultaneously pending closures.
+  [[nodiscard]] std::size_t closureSlotCount() const { return closures_.size(); }
+
  private:
+  enum class Target : uint8_t { Signal, Handler, Closure };
+  /// One queue entry: plain data, so heap sifts copy 32 bytes and never
+  /// touch a closure manager.
   struct Event {
     double time = 0.0;
     uint64_t seq = 0;
-    SignalId signal = kNoSignal;  // kNoSignal => pure callback event
-    bool value = false;
-    bool intercepted = false;     // already saw the interceptor (Delay re-enqueue)
-    EdgeCallback callback;        // only for callback events
+    int32_t target = 0;        // SignalId, HandlerId or closure slot, per `kind`
+    uint32_t tag = 0;          // handler events: the component's payload
+    Target kind = Target::Signal;
+    bool value = false;        // signal events: the new value
+    bool intercepted = false;  // already saw the interceptor (Delay re-enqueue)
   };
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
+  static_assert(std::is_trivially_copyable_v<Event> && sizeof(Event) <= 32);
+  /// Strict total order (time, then insertion sequence): the heap pops
+  /// events in exactly one order whatever its internal layout.
+  static bool later(const Event& a, const Event& b) {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
+  }
   struct SignalState {
     std::string name;
     bool value = false;
     std::vector<ChangeCallback> change_callbacks;
   };
 
-  void enqueue(Event ev) {
-    queue_.push_back(std::move(ev));
-    std::push_heap(queue_.begin(), queue_.end(), EventLater{});
+  // Binary min-heap sifts written out by hand: the new event is stored
+  // field by field straight into its final slot and every other move is a
+  // whole-struct copy, so no sift ever reloads a half-written entry.
+  void enqueue(double t, Target kind, int32_t target, uint32_t tag = 0, bool value = false,
+               bool intercepted = false) {
+    const Event ev{t, next_seq_++, target, tag, kind, value, intercepted};
+    std::size_t hole = queue_.size();
+    queue_.emplace_back();
+    while (hole > 0) {
+      const std::size_t parent = (hole - 1) / 2;
+      if (!later(queue_[parent], ev)) break;
+      queue_[hole] = queue_[parent];
+      hole = parent;
+    }
+    queue_[hole] = ev;
   }
-  /// Move the earliest event out of the heap. Safe to move: the heap
-  /// sift-down only reads time/seq, which moving leaves intact.
   Event popNext() {
-    std::pop_heap(queue_.begin(), queue_.end(), EventLater{});
-    Event ev = std::move(queue_.back());
+    const Event top = queue_.front();
+    const Event last = queue_.back();
     queue_.pop_back();
-    return ev;
+    const std::size_t n = queue_.size();
+    if (n == 0) return top;
+    std::size_t hole = 0;
+    for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+      if (child + 1 < n && later(queue_[child], queue_[child + 1])) ++child;
+      if (!later(last, queue_[child])) break;
+      queue_[hole] = queue_[child];
+      hole = child;
+    }
+    queue_[hole] = last;
+    return top;
   }
 
-  void execute(Event& ev);
+  void execute(const Event& ev);
+  void runClosure(int32_t slot);
+  void applySignal(const Event& ev);
   void checkId(SignalId id) const;
 
   std::vector<SignalState> signals_;
+  std::vector<Handler*> handlers_;
+  std::vector<EdgeCallback> closures_;  // closure slab, indexed by slot
+  std::vector<int32_t> free_closures_;  // free slab slots, reused LIFO
   EventInterceptor interceptor_;
-  std::vector<Event> queue_;  // binary heap (EventLater), earliest at front
+  std::vector<Event> queue_;  // binary min-heap under later(), earliest at front
   double now_ = 0.0;
   uint64_t next_seq_ = 0;
   uint64_t processed_events_ = 0;

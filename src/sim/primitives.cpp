@@ -83,18 +83,17 @@ DLatch::DLatch(Circuit& c, SignalId d, SignalId enable, SignalId q, double delay
 }
 
 ClockSource::ClockSource(Circuit& c, SignalId out, double period_s, double start_time_s)
-    : circuit_(c), out_(out), period_(period_s) {
+    : circuit_(c), handler_(c.addHandler(*this)), out_(out), period_(period_s) {
   if (period_s <= 0.0) throw std::invalid_argument("ClockSource: period must be positive");
   PLLBIST_ASSERT(start_time_s >= c.now());
-  scheduleNext(start_time_s);
+  circuit_.scheduleEvent(start_time_s, handler_, 0);
 }
 
-void ClockSource::scheduleNext(double t) {
-  circuit_.scheduleCallback(t, [this](double now) {
-    if (!running_) return;
-    circuit_.scheduleSet(out_, now, !circuit_.value(out_));
-    scheduleNext(now + period_ / 2.0);
-  });
+bool ClockSource::onEvent(uint32_t, double now) {
+  if (!running_) return false;
+  circuit_.scheduleSet(out_, now, !circuit_.value(out_));
+  circuit_.scheduleEvent(now + period_ / 2.0, handler_, 0);
+  return true;
 }
 
 ToggleDivider::ToggleDivider(Circuit& c, SignalId in, SignalId out, int modulus, double delay_s)

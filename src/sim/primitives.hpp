@@ -8,8 +8,9 @@ namespace pllbist::sim {
 
 /// Digital building blocks used to assemble the on-chip test circuitry at
 /// the same granularity as the paper's FPGA implementation. Every primitive
-/// registers callbacks on construction; instances must therefore outlive the
-/// Circuit's run and are pinned in memory (non-copyable, non-movable).
+/// registers callbacks (self-scheduling sources: a Circuit::Handler) on
+/// construction; instances must therefore outlive the Circuit's run and are
+/// pinned in memory (non-copyable, non-movable).
 class Component {
  public:
   Component() = default;
@@ -83,15 +84,17 @@ class DLatch : public Component {
 
 /// Free-running square-wave source: toggles its output with the given
 /// period starting at start_time. stop() freezes the output.
-class ClockSource : public Component {
+class ClockSource : public Component, private Circuit::Handler {
  public:
   ClockSource(Circuit& c, SignalId out, double period_s, double start_time_s = 0.0);
   void stop() { running_ = false; }
   [[nodiscard]] double period() const { return period_; }
 
  private:
-  void scheduleNext(double t);
+  /// Every event is the next half-period toggle (the tag is unused).
+  bool onEvent(uint32_t tag, double now) override;
   Circuit& circuit_;
+  Circuit::HandlerId handler_;
   SignalId out_;
   double period_;
   bool running_ = true;

@@ -123,5 +123,26 @@ TEST(Vco, ClampsAtTuningRangeEdge) {
   EXPECT_NEAR(b.measuredFrequency(1e-3, 5e-3), 10e3, 100.0);
 }
 
+TEST(Vco, SupersededTogglesCountAsSwallowed) {
+  // Every pump drive change re-aims the pending toggle; the superseded one
+  // is still dequeued, does nothing, and must land in the swallowed bucket
+  // rather than in delivered.
+  VcoBench b;
+  b.c.run(1e-3);
+  EXPECT_EQ(b.c.swallowedEventCount(), 0u);
+  const uint64_t delivered_before = b.c.deliveredEventCount();
+  const int kPulses = 5;
+  for (int i = 0; i < kPulses; ++i) {
+    const double t = 1.1e-3 + i * 37.3e-6;
+    b.c.scheduleSet(b.up, t, true);
+    b.c.scheduleSet(b.up, t + 1.7e-6, false);
+  }
+  b.c.run(2e-3);
+  const uint64_t superseded = 2 * kPulses;  // one retarget per up edge
+  EXPECT_EQ(b.c.swallowedEventCount(), superseded);
+  EXPECT_EQ(b.c.processedEventCount(), b.c.deliveredEventCount() + b.c.swallowedEventCount());
+  EXPECT_GT(b.c.deliveredEventCount(), delivered_before);
+}
+
 }  // namespace
 }  // namespace pllbist::pll

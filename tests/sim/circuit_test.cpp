@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <utility>
+#include <vector>
+
 #include "common/assert.hpp"
 
 namespace pllbist::sim {
@@ -319,6 +324,132 @@ TEST(Circuit, StoppedRunKeepsNowAtLastDeliveredEvent) {
   EXPECT_TRUE(c.run(5.0));
   EXPECT_TRUE(c.value(a));
   EXPECT_DOUBLE_EQ(c.now(), 5.0);
+}
+
+/// Test handler: records (tag, time) and runs an optional hook; returns
+/// `result` so the kernel's delivered/swallowed split can be checked.
+struct RecordingHandler : Circuit::Handler {
+  std::vector<std::pair<uint32_t, double>> seen;
+  std::function<void(uint32_t, double)> hook;
+  bool result = true;
+  bool onEvent(uint32_t tag, double now) override {
+    seen.emplace_back(tag, now);
+    if (hook) hook(tag, now);
+    return result;
+  }
+};
+
+TEST(Circuit, HandlerReceivesTagAtItsTime) {
+  Circuit c;
+  RecordingHandler h;
+  const Circuit::HandlerId id = c.addHandler(h);
+  c.scheduleEvent(2.0, id, 7u);
+  c.scheduleEvent(1.0, id, 0xffffffffu);
+  c.run(3.0);
+  using Seen = std::vector<std::pair<uint32_t, double>>;
+  EXPECT_EQ(h.seen, (Seen{{0xffffffffu, 1.0}, {7u, 2.0}}));
+  EXPECT_EQ(c.deliveredEventCount(), 2u);
+}
+
+TEST(Circuit, HandlerReturningFalseCountsAsSwallowed) {
+  Circuit c;
+  RecordingHandler h;
+  h.result = false;  // a superseded event: dequeued, no effect
+  const Circuit::HandlerId id = c.addHandler(h);
+  c.scheduleEvent(1.0, id, 1u);
+  c.scheduleEvent(2.0, id, 2u);
+  c.scheduleCallback(3.0, [](double) {});
+  c.run(4.0);
+  EXPECT_EQ(h.seen.size(), 2u);
+  EXPECT_EQ(c.swallowedEventCount(), 2u);
+  EXPECT_EQ(c.deliveredEventCount(), 1u);
+  EXPECT_EQ(c.processedEventCount(),
+            c.deliveredEventCount() + c.droppedEventCount() + c.delayedEventCount() +
+                c.swallowedEventCount());
+}
+
+TEST(Circuit, HandlerClosureAndSignalEventsKeepGlobalInsertionOrder) {
+  Circuit c;
+  SignalId a = c.addSignal("a");
+  RecordingHandler h;
+  const Circuit::HandlerId id = c.addHandler(h);
+  std::vector<int> order;
+  h.hook = [&](uint32_t tag, double) { order.push_back(static_cast<int>(tag)); };
+  c.onChange(a, [&](double, bool) { order.push_back(3); });
+  c.scheduleEvent(1.0, id, 1u);
+  c.scheduleCallback(1.0, [&](double) { order.push_back(2); });
+  c.scheduleSet(a, 1.0, true);
+  c.scheduleEvent(1.0, id, 4u);
+  c.scheduleCallback(1.0, [&](double) { order.push_back(5); });
+  c.run(2.0);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+TEST(Circuit, HandlerEventsBypassTheInterceptor) {
+  Circuit c;
+  SignalId a = c.addSignal("a");
+  RecordingHandler h;
+  const Circuit::HandlerId id = c.addHandler(h);
+  int interceptor_calls = 0;
+  c.setEventInterceptor([&](SignalId, double, bool) {
+    ++interceptor_calls;
+    Circuit::InterceptVerdict v;
+    v.action = Circuit::InterceptVerdict::Action::Drop;
+    return v;
+  });
+  c.scheduleEvent(1.0, id, 0u);
+  c.scheduleCallback(1.5, [](double) {});
+  c.scheduleSet(a, 2.0, true);
+  c.run(3.0);
+  EXPECT_EQ(h.seen.size(), 1u);
+  EXPECT_EQ(interceptor_calls, 1);  // only the signal transition
+  EXPECT_EQ(c.droppedEventCount(), 1u);
+  EXPECT_EQ(c.deliveredEventCount(), 2u);
+}
+
+TEST(Circuit, RequestStopInsideHandlerIsHonoured) {
+  Circuit c;
+  SignalId a = c.addSignal("a");
+  RecordingHandler h;
+  h.hook = [&](uint32_t, double) { c.requestStop(); };
+  const Circuit::HandlerId id = c.addHandler(h);
+  c.scheduleEvent(1.0, id, 0u);
+  c.scheduleSet(a, 2.0, true);
+  EXPECT_FALSE(c.run(5.0));
+  EXPECT_DOUBLE_EQ(c.now(), 1.0);
+  EXPECT_FALSE(c.value(a));
+  EXPECT_TRUE(c.run(5.0));
+  EXPECT_TRUE(c.value(a));
+}
+
+TEST(Circuit, ClosureSchedulingManyClosuresWhileRunningIsSafe) {
+  // The running closure grows (and reallocates) the slab it was stored in;
+  // the kernel moved it out first, so its captures stay valid throughout.
+  Circuit c;
+  int fired = 0;
+  std::vector<int> payload(64, 1);
+  c.scheduleCallback(1.0, [&c, &fired, payload](double now) {
+    for (int i = 0; i < 1000; ++i)
+      c.scheduleCallback(now + 1.0 + i * 1e-3, [&fired, payload](double) { fired += payload[0]; });
+    fired += payload[63];
+  });
+  c.run(10.0);
+  EXPECT_EQ(fired, 1001);
+  EXPECT_EQ(c.deliveredEventCount(), 1001u);
+  EXPECT_LE(c.closureSlotCount(), 1001u);
+}
+
+TEST(Circuit, SelfReschedulingClosureKeepsTheSlabBounded) {
+  Circuit c;
+  int remaining = 100000;
+  std::function<void(double)> tick = [&](double now) {
+    if (--remaining > 0) c.scheduleCallback(now + 1e-6, tick);
+  };
+  c.scheduleCallback(0.0, tick);
+  c.run(1.0);
+  EXPECT_EQ(remaining, 0);
+  EXPECT_EQ(c.deliveredEventCount(), 100000u);
+  EXPECT_LE(c.closureSlotCount(), 2u);
 }
 
 }  // namespace

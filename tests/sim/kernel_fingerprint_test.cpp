@@ -1,0 +1,139 @@
+// Differential fingerprint of the event kernel: three farm sweeps whose
+// every kernel count and measured double is pinned to the values the
+// closure-per-event kernel produced. The typed-event kernel must replay the
+// same event sequence, so each figure below matches bit for bit. The one
+// bucket that legitimately moved is delivered vs swallowed (superseded
+// handler events now count as swallowed), so only their sum is pinned.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "bist/parallel_sweep.hpp"
+#include "bist/testbench.hpp"
+#include "pll/config.hpp"
+#include "support/test_configs.hpp"
+
+namespace pllbist::bist {
+namespace {
+
+struct Fingerprint {
+  uint64_t processed = 0;
+  uint64_t dropped = 0;
+  uint64_t delayed = 0;
+  uint64_t delivered_plus_swallowed = 0;
+  double sim_time_s = 0.0;
+  double nominal_vco_hz = 0.0;
+  double static_reference_deviation_hz = 0.0;
+  /// Per point: modulation_hz, deviation_hz, phase_deg, unity_gain_deviation_hz.
+  std::vector<double> points;
+};
+
+Fingerprint fingerprintOf(const ResilientResponse& r) {
+  Fingerprint f;
+  f.processed = r.bench.events_processed;
+  f.dropped = r.bench.events_dropped;
+  f.delayed = r.bench.events_delayed;
+  f.delivered_plus_swallowed = r.bench.events_delivered + r.bench.events_swallowed;
+  f.sim_time_s = r.report.sim_time_s;
+  f.nominal_vco_hz = r.response.nominal_vco_hz;
+  f.static_reference_deviation_hz = r.response.static_reference_deviation_hz;
+  for (const MeasuredPoint& p : r.response.points) {
+    f.points.push_back(p.modulation_hz);
+    f.points.push_back(p.deviation_hz);
+    f.points.push_back(p.phase_deg);
+    f.points.push_back(p.unity_gain_deviation_hz);
+  }
+  return f;
+}
+
+/// The fingerprint in the initializer form used below, for re-pinning.
+std::string describe(const Fingerprint& f) {
+  char buf[128];
+  std::string s = "{" + std::to_string(f.processed) + "u, " + std::to_string(f.dropped) + "u, " +
+                  std::to_string(f.delayed) + "u, " + std::to_string(f.delivered_plus_swallowed) +
+                  "u, ";
+  std::snprintf(buf, sizeof buf, "%a, %a, %a,\n {", f.sim_time_s, f.nominal_vco_hz,
+                f.static_reference_deviation_hz);
+  s += buf;
+  for (double d : f.points) {
+    std::snprintf(buf, sizeof buf, "%a, ", d);
+    s += buf;
+  }
+  return s + "}}";
+}
+
+void expectFingerprint(const ResilientResponse& r, const Fingerprint& want) {
+  const Fingerprint got = fingerprintOf(r);
+  SCOPED_TRACE("actual fingerprint: " + describe(got));
+  EXPECT_EQ(got.processed, want.processed);
+  EXPECT_EQ(got.dropped, want.dropped);
+  EXPECT_EQ(got.delayed, want.delayed);
+  EXPECT_EQ(got.delivered_plus_swallowed, want.delivered_plus_swallowed);
+  // EXPECT_EQ, not NEAR: the kernel change must not move a single bit.
+  EXPECT_EQ(got.sim_time_s, want.sim_time_s);
+  EXPECT_EQ(got.nominal_vco_hz, want.nominal_vco_hz);
+  EXPECT_EQ(got.static_reference_deviation_hz, want.static_reference_deviation_hz);
+  ASSERT_EQ(got.points.size(), want.points.size());
+  for (std::size_t i = 0; i < got.points.size(); ++i)
+    EXPECT_EQ(got.points[i], want.points[i]) << "point " << i / 4 << " field " << i % 4;
+}
+
+ResilientResponse runFarm(const pll::PllConfig& config, const SweepOptions& sweep,
+                          std::function<void(std::size_t, SweepTestbench&)> hook = nullptr) {
+  ParallelSweepOptions popt;
+  popt.jobs = 2;
+  ParallelSweep engine(config, sweep, popt);
+  if (hook) engine.onPointTestbench(std::move(hook));
+  return engine.run();
+}
+
+TEST(KernelFingerprint, ReferenceDeviceTwoPointSweep) {
+  const pll::ReferenceStimulus stim = pll::referenceStimulus();
+  SweepOptions sweep;
+  sweep.stimulus = StimulusKind::MultiToneFsk;
+  sweep.fm_steps = stim.fm_steps;
+  sweep.deviation_hz = stim.max_deviation_hz;
+  sweep.master_clock_hz = stim.master_clock_hz;
+  sweep.modulation_frequencies_hz = SweepOptions::defaultSweep(8.0, 2);
+  const ResilientResponse r = runFarm(pll::referenceConfig(), sweep);
+  expectFingerprint(r, Fingerprint{3282496u, 0u, 0u, 3282496u, 0x1.bb6687ff126f4p+3, 0x1.86ap+15,
+                                   0x1.f9p+8,
+                                   {0x1p+1, 0x1.e5p+8, -0x1.ac3e963dc486ap+2, 0x0p+0,  //
+                                    0x1.4p+5, 0x1.8p+2, -0x1.8c3a535ecd2cbp+7, 0x0p+0}});
+}
+
+TEST(KernelFingerprint, FastDeviceMultiToneWithFaultInjector) {
+  const SweepOptions sweep = testing::fastSweepOptions(StimulusKind::MultiToneFsk, 3);
+  const ResilientResponse r =
+      runFarm(testing::fastTestConfig(), sweep, [](std::size_t index, SweepTestbench& bench) {
+        sim::FaultInjector& inj = bench.faultInjector(pointSeed(17, index));
+        inj.dropEdges(bench.stimulusMarker(), 0.2);
+        inj.delayEdges(bench.stimulusOut(), 0.05, 1e-6, 5e-6);
+      });
+  EXPECT_GT(r.bench.events_dropped, 0u);
+  EXPECT_GT(r.bench.events_delayed, 0u);
+  expectFingerprint(
+      r, Fingerprint{776477u, 49u, 1014u, 775414u, 0x1.03e3f5a649e9ap+0, 0x1.86b3fffffffffp+16,
+                     0x1.eap+9,
+                     {0x1.8ffffffffffffp+5, 0x1.ep+7, -0x1.22fca61f96f12p+8, 0x0p+0,  //
+                      0x1.bf36ae31d6e46p+7, 0x1.09p+10, -0x1.c5478069cd953p+6, 0x0p+0,  //
+                      0x1.f3fffffffffffp+9, -0x1.4p+5, -0x1.ba5fcc95353ep+7, 0x0p+0}});
+}
+
+TEST(KernelFingerprint, DelayLinePmSweep) {
+  const SweepOptions sweep = testing::fastSweepOptions(StimulusKind::DelayLinePm, 3);
+  const ResilientResponse r = runFarm(testing::fastTestConfig(), sweep);
+  expectFingerprint(
+      r, Fingerprint{4897237u, 0u, 0u, 4897237u, 0x1.8c53ca80ff457p+2, 0x1.869ffffffffffp+16,
+                     0x0p+0,
+                     {0x1.8ffffffffffffp+5, 0x0p+0, 0x0p+0, 0x0p+0,  //
+                      0x1.bf36ae31d6e46p+7, 0x1.fep+9, -0x1.cbabb8df78e3ep+6, 0x1.b70d09236a6f4p+9,  //
+                      0x1.f3fffffffffffp+9, 0x1.18p+7, -0x1.90c083126e978p+7, 0x1.eadfb4c5d390bp+11}});
+}
+
+}  // namespace
+}  // namespace pllbist::bist
