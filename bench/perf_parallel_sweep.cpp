@@ -74,6 +74,15 @@ bool bitIdentical(const bist::ResilientResponse& a, const bist::ResilientRespons
   return same;
 }
 
+void printRun(int jobs, const bist::ResilientResponse& r) {
+  const double wall = r.report.wall_time_s;
+  std::printf("  jobs=%d: %6.2f s wall  (%.1f s simulated, %zu points, %s)\n", jobs, wall,
+              r.report.sim_time_s, r.response.points.size(), r.report.summary().c_str());
+  if (wall > 0.0)
+    std::printf("          %.1f points/s, %.1f simulated s per wall s\n",
+                static_cast<double>(r.response.points.size()) / wall, r.report.sim_time_s / wall);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -111,14 +120,13 @@ int main(int argc, char** argv) {
   std::printf("parallel point-farm bench: %s device, %d points\n", device.c_str(), points);
 
   const bist::ResilientResponse serial = runFarm(cfg, sweep, 1);
-  std::printf("  jobs=1: %6.2f s wall  (%.1f s simulated, %zu points, %s)\n",
-              serial.report.wall_time_s, serial.report.sim_time_s, serial.response.points.size(),
-              serial.report.summary().c_str());
-
+  printRun(1, serial);
   const bist::ResilientResponse parallel = runFarm(cfg, sweep, jobs);
-  std::printf("  jobs=%d: %6.2f s wall  (%.1f s simulated, %zu points, %s)\n", jobs,
-              parallel.report.wall_time_s, parallel.report.sim_time_s,
-              parallel.response.points.size(), parallel.report.summary().c_str());
+  printRun(jobs, parallel);
+  std::printf("kernel: %.0f events per point (%llu events; the same at every --jobs)\n",
+              static_cast<double>(serial.bench.events_processed) /
+                  static_cast<double>(serial.response.points.size()),
+              static_cast<unsigned long long>(serial.bench.events_processed));
 
   const double speedup = parallel.report.wall_time_s > 0.0
                              ? serial.report.wall_time_s / parallel.report.wall_time_s

@@ -4,22 +4,42 @@
 #include <stdexcept>
 
 #include "common/assert.hpp"
+#include "pll/cppll.hpp"
+#include "pll/vco.hpp"
 
 namespace pllbist::bist {
 
 FrequencyCounter::FrequencyCounter(sim::Circuit& c, sim::SignalId in)
-    : circuit_(c), counter_(c, in) {}
+    : circuit_(c), gated_(std::in_place, c, in) {}
+
+FrequencyCounter::FrequencyCounter(sim::Circuit& c, const pll::Vco& vco)
+    : circuit_(c), vco_(&vco) {}
+
+FrequencyCounter FrequencyCounter::forSignal(sim::Circuit& c, pll::CpPll& pll, sim::SignalId in) {
+  if (in == pll.vcoOut()) return FrequencyCounter(c, pll.vco());
+  return FrequencyCounter(c, in);
+}
 
 void FrequencyCounter::measure(double gate_s, std::function<void(Result)> done) {
   if (gate_s <= 0.0) throw std::invalid_argument("FrequencyCounter: gate must be positive");
   if (busy_) throw std::logic_error("FrequencyCounter: measurement already in flight");
   busy_ = true;
-  counter_.start();
+  if (gated_)
+    gated_->start();
+  else
+    edges_at_open_ = vco_->risingEdgesBy(circuit_.now());
   circuit_.scheduleCallback(circuit_.now() + gate_s,
-                            [this, gate_s, done = std::move(done)](double) {
-                              counter_.stop();
+                            [this, gate_s, done = std::move(done)](double now) {
+                              long count;
+                              if (gated_) {
+                                gated_->stop();
+                                count = gated_->count();
+                              } else {
+                                count = static_cast<long>(vco_->risingEdgesBy(now) -
+                                                          edges_at_open_);
+                              }
                               busy_ = false;
-                              done(Result{counter_.count(), gate_s});
+                              done(Result{count, gate_s});
                             });
 }
 

@@ -62,7 +62,7 @@ TestSequencer::TestSequencer(sim::Circuit& c, pll::CpPll& pll, StimulusHooks sti
     : circuit_(c),
       pll_(pll),
       stimulus_(std::move(stimulus)),
-      freq_counter_(c, counted_signal),
+      freq_counter_(FrequencyCounter::forSignal(c, pll, counted_signal)),
       phase_counter_(test_clock_hz),
       options_(options) {
   options_.validate();

@@ -72,7 +72,8 @@ class TestSequencer {
   enum class Stage { Idle, Settle, PhaseMeasure, AwaitPeakForHold, HoldCount };
 
   /// `counted_signal` is what the frequency counter watches (normally the
-  /// raw VCO output for resolution; the divided output also works).
+  /// raw VCO output for resolution, counted analytically so nothing observes
+  /// it; the divided output also works, through a gated counter).
   TestSequencer(sim::Circuit& c, pll::CpPll& pll, StimulusHooks stimulus,
                 PeakDetector& peak_detector, sim::SignalId stimulus_peak_marker,
                 sim::SignalId counted_signal, double test_clock_hz, Options options);

@@ -66,7 +66,7 @@ StepTestResult runStepTest(const pll::PllConfig& config, const StepTestOptions& 
   pll::CpPll pll(c, ext, stim, config);
   pll.setTestMode(true);
   PeakDetector detector(c, pll.ref(), pll.feedback(), config.pfd, PeakDetectorDelays{});
-  FrequencyCounter counter(c, pll.vcoOut());
+  FrequencyCounter counter(c, pll.vco());
   pll::LockDetector lock(c, pll.pfdUp(), pll.pfdDn(), lock_threshold, options.lock_cycles);
 
   StepTestResult result;

@@ -27,8 +27,9 @@ CpPll::CpPll(sim::Circuit& c, sim::SignalId external_ref, sim::SignalId test_sti
                                            pllref_, kMuxDelay);
   pfd_ = std::make_unique<Pfd>(c, pllref_, pfd_fb_in_, cfg_.pfd, prefix + ".pfd");
   filter_ = std::make_unique<PumpFilter>(c, pfd_->up(), pfd_->dn(), cfg_.pump);
-  vco_ = std::make_unique<Vco>(c, *filter_, vco_out_, cfg_.vco, c.now());
-  divider_ = std::make_unique<sim::DivideByN>(c, vco_out_, pllfb_, cfg_.divider_n, kMuxDelay);
+  // The feedback divider is fused into the VCO, which writes PLLFB itself.
+  vco_ = std::make_unique<Vco>(c, *filter_, vco_out_, cfg_.vco, c.now(),
+                               VcoDivider{pllfb_, cfg_.divider_n, kMuxDelay});
   // M2: feedback path into the PFD; selecting PLLREF for both inputs holds
   // the loop. Both PFD inputs then share the same mux-delay budget.
   hold_mux_ = std::make_unique<sim::Mux2>(c, pllfb_, pllref_, hold_sel_, pfd_fb_in_, kMuxDelay);

@@ -39,6 +39,9 @@ class CpPll {
   [[nodiscard]] sim::SignalId ref() const { return pllref_; }
   /// PLLFB: the divided VCO output (pre-M2).
   [[nodiscard]] sim::SignalId feedback() const { return pllfb_; }
+  /// The raw VCO output: an observation tap that toggles only while it has
+  /// observers. The loop never reads it (the VCO drives PLLFB itself), so a
+  /// fault rule on it reaches its observers but not the divider.
   [[nodiscard]] sim::SignalId vcoOut() const { return vco_out_; }
   [[nodiscard]] sim::SignalId pfdUp() const { return pfd_->up(); }
   [[nodiscard]] sim::SignalId pfdDn() const { return pfd_->dn(); }
@@ -75,7 +78,6 @@ class CpPll {
   std::unique_ptr<Pfd> pfd_;
   std::unique_ptr<PumpFilter> filter_;
   std::unique_ptr<Vco> vco_;
-  std::unique_ptr<sim::DivideByN> divider_;
 };
 
 }  // namespace pllbist::pll

@@ -66,6 +66,11 @@ class PumpFilter : public sim::Component {
   /// the paper's "loop hold" measurement trick (section 4, point 3).
   [[nodiscard]] bool isHighZ() const { return !up_active_ && !dn_active_; }
 
+  /// True while the control voltage cannot move: no pump or leak current
+  /// flows, so the capacitor holds (regime Hold). It changes only at a
+  /// drive change, which every onDriveChange listener hears about.
+  [[nodiscard]] bool frozen() const { return regime_ == Regime::Hold; }
+
   /// Notify `cb(now)` whenever the drive state (and hence the output-node
   /// voltage, discontinuously) changes. The VCO subscribes so its phase
   /// accumulator re-integrates across every pump pulse — even ones much

@@ -32,6 +32,11 @@ void Circuit::onChange(SignalId id, ChangeCallback cb) {
   signals_[static_cast<size_t>(id)].change_callbacks.push_back(std::move(cb));
 }
 
+bool Circuit::hasObservers(SignalId id) const {
+  checkId(id);
+  return !signals_[static_cast<size_t>(id)].change_callbacks.empty();
+}
+
 void Circuit::onRisingEdge(SignalId id, EdgeCallback cb) {
   onChange(id, [cb = std::move(cb)](double now, bool value) {
     if (value) cb(now);

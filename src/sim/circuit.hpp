@@ -105,6 +105,11 @@ class Circuit {
   void onRisingEdge(SignalId id, EdgeCallback cb);
   void onFallingEdge(SignalId id, EdgeCallback cb);
 
+  /// True when the signal has change callbacks: something would see a
+  /// transition of it. Lazily materialised outputs (the VCO's) check this
+  /// before scheduling transitions nobody receives.
+  [[nodiscard]] bool hasObservers(SignalId id) const;
+
   /// Schedule signal id to take `value` at time t (>= now).
   void scheduleSet(SignalId id, double t, bool value);
 

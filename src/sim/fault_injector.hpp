@@ -29,6 +29,11 @@ namespace pllbist::sim {
 /// matches, so a given (seed, rules, workload) triple replays bit-exactly —
 /// a hard requirement for debugging a failure the campaign found.
 ///
+/// Rules act on scheduled transitions, so they only touch signals that are
+/// written. A PLL's VCO output (pll::CpPll::vcoOut()) is an observation
+/// tap: the VCO drives PLLFB directly and writes the tap only while it has
+/// observers, so a rule on it reaches those observers but not the divider.
+///
 /// Only one FaultInjector may be installed per Circuit at a time, and it
 /// must outlive all circuit activity (it does not unregister pending glitch
 /// callbacks). Destroying it uninstalls the interceptor.

@@ -35,8 +35,11 @@ using bist::StimulusKind;
 using pllbist::testing::fastSweepOptions;
 using pllbist::testing::fastTestConfig;
 
+// Per process: ctest runs this binary twice at once (the per-test entries
+// and campaign_single_core), and a shared journal path would race.
 std::string tempPath(const char* name) {
-  return ::testing::TempDir() + "pllbist_campaign_" + name + ".jsonl";
+  return ::testing::TempDir() + "pllbist_campaign_" + std::to_string(getpid()) + "_" + name +
+         ".jsonl";
 }
 
 std::string slurp(const std::string& path) {

@@ -1,9 +1,15 @@
 // Differential fingerprint of the event kernel: three farm sweeps whose
-// every kernel count and measured double is pinned to the values the
-// closure-per-event kernel produced. The typed-event kernel must replay the
-// same event sequence, so each figure below matches bit for bit. The one
-// bucket that legitimately moved is delivered vs swallowed (superseded
-// handler events now count as swallowed), so only their sum is pinned.
+// every kernel count and measured double is pinned bit for bit.
+//
+// The committed values come from the closure-per-event kernel, which
+// simulated every VCO half-cycle and ran a standalone feedback divider.
+// They stay the "observed" variant: with a dummy observer on the VCO
+// output the VCO materialises every half-cycle again, so each sweep must
+// replay the committed event sequence exactly. Unobserved, the VCO skips
+// the half-cycles nobody sees; only the event counts may differ then, and
+// every measured double, sim_s, dropped and delayed count stays bit-equal.
+// Delivered vs swallowed moved once (superseded handler events count as
+// swallowed), so only their sum is pinned.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -82,16 +88,30 @@ void expectFingerprint(const ResilientResponse& r, const Fingerprint& want) {
     EXPECT_EQ(got.points[i], want.points[i]) << "point " << i / 4 << " field " << i % 4;
 }
 
+/// The same fingerprint with other event counts: what the unobserved run
+/// may change.
+Fingerprint withCounts(Fingerprint f, uint64_t processed, uint64_t delivered_plus_swallowed) {
+  f.processed = processed;
+  f.delivered_plus_swallowed = delivered_plus_swallowed;
+  return f;
+}
+
+using BenchHook = std::function<void(std::size_t, SweepTestbench&)>;
+
+/// `observe_vco` hangs a dummy observer on every point's VCO output.
 ResilientResponse runFarm(const pll::PllConfig& config, const SweepOptions& sweep,
-                          std::function<void(std::size_t, SweepTestbench&)> hook = nullptr) {
+                          bool observe_vco, BenchHook hook = nullptr) {
   ParallelSweepOptions popt;
   popt.jobs = 2;
   ParallelSweep engine(config, sweep, popt);
-  if (hook) engine.onPointTestbench(std::move(hook));
+  engine.onPointTestbench([observe_vco, hook](std::size_t index, SweepTestbench& bench) {
+    if (observe_vco) bench.circuit().onChange(bench.pll().vcoOut(), [](double, bool) {});
+    if (hook) hook(index, bench);
+  });
   return engine.run();
 }
 
-TEST(KernelFingerprint, ReferenceDeviceTwoPointSweep) {
+ResilientResponse referenceTwoPointSweep(bool observe_vco) {
   const pll::ReferenceStimulus stim = pll::referenceStimulus();
   SweepOptions sweep;
   sweep.stimulus = StimulusKind::MultiToneFsk;
@@ -99,40 +119,68 @@ TEST(KernelFingerprint, ReferenceDeviceTwoPointSweep) {
   sweep.deviation_hz = stim.max_deviation_hz;
   sweep.master_clock_hz = stim.master_clock_hz;
   sweep.modulation_frequencies_hz = SweepOptions::defaultSweep(8.0, 2);
-  const ResilientResponse r = runFarm(pll::referenceConfig(), sweep);
-  expectFingerprint(r, Fingerprint{3282496u, 0u, 0u, 3282496u, 0x1.bb6687ff126f4p+3, 0x1.86ap+15,
-                                   0x1.f9p+8,
-                                   {0x1p+1, 0x1.e5p+8, -0x1.ac3e963dc486ap+2, 0x0p+0,  //
-                                    0x1.4p+5, 0x1.8p+2, -0x1.8c3a535ecd2cbp+7, 0x0p+0}});
+  return runFarm(pll::referenceConfig(), sweep, observe_vco);
 }
 
-TEST(KernelFingerprint, FastDeviceMultiToneWithFaultInjector) {
+const Fingerprint kReferenceTwoPoint{3282496u, 0u, 0u, 3282496u, 0x1.bb6687ff126f4p+3,
+                                     0x1.86ap+15, 0x1.f9p+8,
+                                     {0x1p+1, 0x1.e5p+8, -0x1.ac3e963dc486ap+2, 0x0p+0,  //
+                                      0x1.4p+5, 0x1.8p+2, -0x1.8c3a535ecd2cbp+7, 0x0p+0}};
+
+TEST(KernelFingerprint, ReferenceDeviceTwoPointSweep) {
+  expectFingerprint(referenceTwoPointSweep(true), kReferenceTwoPoint);
+}
+
+TEST(KernelFingerprint, ReferenceDeviceTwoPointSweepUnobserved) {
+  expectFingerprint(referenceTwoPointSweep(false),
+                    withCounts(kReferenceTwoPoint, 541140u, 541140u));
+}
+
+ResilientResponse fastMultiToneWithFaultInjector(bool observe_vco) {
   const SweepOptions sweep = testing::fastSweepOptions(StimulusKind::MultiToneFsk, 3);
-  const ResilientResponse r =
-      runFarm(testing::fastTestConfig(), sweep, [](std::size_t index, SweepTestbench& bench) {
+  const ResilientResponse r = runFarm(
+      testing::fastTestConfig(), sweep, observe_vco, [](std::size_t index, SweepTestbench& bench) {
         sim::FaultInjector& inj = bench.faultInjector(pointSeed(17, index));
         inj.dropEdges(bench.stimulusMarker(), 0.2);
         inj.delayEdges(bench.stimulusOut(), 0.05, 1e-6, 5e-6);
       });
   EXPECT_GT(r.bench.events_dropped, 0u);
   EXPECT_GT(r.bench.events_delayed, 0u);
-  expectFingerprint(
-      r, Fingerprint{776477u, 49u, 1014u, 775414u, 0x1.03e3f5a649e9ap+0, 0x1.86b3fffffffffp+16,
-                     0x1.eap+9,
-                     {0x1.8ffffffffffffp+5, 0x1.ep+7, -0x1.22fca61f96f12p+8, 0x0p+0,  //
-                      0x1.bf36ae31d6e46p+7, 0x1.09p+10, -0x1.c5478069cd953p+6, 0x0p+0,  //
-                      0x1.f3fffffffffffp+9, -0x1.4p+5, -0x1.ba5fcc95353ep+7, 0x0p+0}});
+  return r;
 }
 
-TEST(KernelFingerprint, DelayLinePmSweep) {
+const Fingerprint kFastMultiTone{
+    776477u, 49u, 1014u, 775414u, 0x1.03e3f5a649e9ap+0, 0x1.86b3fffffffffp+16, 0x1.eap+9,
+    {0x1.8ffffffffffffp+5, 0x1.ep+7, -0x1.22fca61f96f12p+8, 0x0p+0,  //
+     0x1.bf36ae31d6e46p+7, 0x1.09p+10, -0x1.c5478069cd953p+6, 0x0p+0,  //
+     0x1.f3fffffffffffp+9, -0x1.4p+5, -0x1.ba5fcc95353ep+7, 0x0p+0}};
+
+TEST(KernelFingerprint, FastDeviceMultiToneWithFaultInjector) {
+  expectFingerprint(fastMultiToneWithFaultInjector(true), kFastMultiTone);
+}
+
+TEST(KernelFingerprint, FastDeviceMultiToneWithFaultInjectorUnobserved) {
+  expectFingerprint(fastMultiToneWithFaultInjector(false),
+                    withCounts(kFastMultiTone, 389725u, 388662u));
+}
+
+ResilientResponse delayLinePmSweep(bool observe_vco) {
   const SweepOptions sweep = testing::fastSweepOptions(StimulusKind::DelayLinePm, 3);
-  const ResilientResponse r = runFarm(testing::fastTestConfig(), sweep);
-  expectFingerprint(
-      r, Fingerprint{4897237u, 0u, 0u, 4897237u, 0x1.8c53ca80ff457p+2, 0x1.869ffffffffffp+16,
-                     0x0p+0,
-                     {0x1.8ffffffffffffp+5, 0x0p+0, 0x0p+0, 0x0p+0,  //
-                      0x1.bf36ae31d6e46p+7, 0x1.fep+9, -0x1.cbabb8df78e3ep+6, 0x1.b70d09236a6f4p+9,  //
-                      0x1.f3fffffffffffp+9, 0x1.18p+7, -0x1.90c083126e978p+7, 0x1.eadfb4c5d390bp+11}});
+  return runFarm(testing::fastTestConfig(), sweep, observe_vco);
+}
+
+const Fingerprint kDelayLinePm{
+    4897237u, 0u, 0u, 4897237u, 0x1.8c53ca80ff457p+2, 0x1.869ffffffffffp+16, 0x0p+0,
+    {0x1.8ffffffffffffp+5, 0x0p+0, 0x0p+0, 0x0p+0,  //
+     0x1.bf36ae31d6e46p+7, 0x1.fep+9, -0x1.cbabb8df78e3ep+6, 0x1.b70d09236a6f4p+9,  //
+     0x1.f3fffffffffffp+9, 0x1.18p+7, -0x1.90c083126e978p+7, 0x1.eadfb4c5d390bp+11}};
+
+TEST(KernelFingerprint, DelayLinePmSweep) {
+  expectFingerprint(delayLinePmSweep(true), kDelayLinePm);
+}
+
+TEST(KernelFingerprint, DelayLinePmSweepUnobserved) {
+  expectFingerprint(delayLinePmSweep(false), withCounts(kDelayLinePm, 2544077u, 2544077u));
 }
 
 }  // namespace

@@ -15,6 +15,10 @@
 //      beheaded or digest-corrupted, and the loader must either accept it
 //      with unique in-range indices (exactly-once resume) or fail closed
 //      as InvalidArgument — never crash, never accept garbage.
+//   6. observing the VCO output changes no result: on a seeded quarter of
+//      the sweeps the case runs again with a dummy observer on the VCO
+//      output (so every half-cycle is simulated instead of skipped), and
+//      the points, statuses and quality report must be bit-identical.
 //
 // Built two ways:
 //   - standalone driver (always): fuzz_sweep --seed N --runs N
@@ -65,6 +69,7 @@ struct FuzzStats {
   uint64_t rejected = 0;  ///< option mutations refused as InvalidArgument
   uint64_t faulted = 0;   ///< runs with the injector attached
   uint64_t journals = 0;  ///< journal-mutation iterations
+  uint64_t observed = 0;  ///< sweeps re-run with an observed VCO output
 };
 
 [[noreturn]] void fail(uint64_t seed, const char* invariant, const std::string& detail) {
@@ -83,6 +88,43 @@ void requireTaxonomy(uint64_t seed, const Status& s, const char* where) {
   const char* name = Status::kindName(s.kind());
   if (name == nullptr || *name == '\0' || std::strcmp(name, "unknown") == 0)
     fail(seed, "status-taxonomy", std::string(where) + ": unnamed status kind");
+}
+
+bool sameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+bool sameStatus(const Status& a, const Status& b) {
+  return a.kind() == b.kind() && a.toString() == b.toString();
+}
+
+// Invariant 6: the first difference between two runs of one case in
+// points, statuses or quality report (timing fields excluded); empty when
+// they are bit-identical.
+std::string measurementDiff(const pllbist::bist::ResilientResponse& a,
+                            const pllbist::bist::ResilientResponse& b) {
+  if (!sameStatus(a.status, b.status)) return "sweep status";
+  if (!sameBits(a.response.nominal_vco_hz, b.response.nominal_vco_hz)) return "nominal_vco_hz";
+  if (!sameBits(a.response.static_reference_deviation_hz,
+                b.response.static_reference_deviation_hz))
+    return "static_reference_deviation_hz";
+  if (a.response.points.size() != b.response.points.size()) return "point count";
+  for (std::size_t i = 0; i < a.response.points.size(); ++i) {
+    const pllbist::bist::MeasuredPoint& p = a.response.points[i];
+    const pllbist::bist::MeasuredPoint& q = b.response.points[i];
+    if (!sameBits(p.modulation_hz, q.modulation_hz) || !sameBits(p.deviation_hz, q.deviation_hz) ||
+        !sameBits(p.phase_deg, q.phase_deg) ||
+        !sameBits(p.unity_gain_deviation_hz, q.unity_gain_deviation_hz) ||
+        p.timed_out != q.timed_out || p.quality != q.quality || p.attempts != q.attempts ||
+        !sameStatus(p.status, q.status))
+      return "point " + std::to_string(i);
+  }
+  const pllbist::bist::SweepQualityReport& r = a.report;
+  const pllbist::bist::SweepQualityReport& t = b.report;
+  if (r.points_total != t.points_total || r.ok != t.ok || r.retried != t.retried ||
+      r.degraded != t.degraded || r.dropped != t.dropped || r.attempts_total != t.attempts_total ||
+      r.relocks != t.relocks || r.relock_failures != t.relock_failures ||
+      !sameBits(r.sim_time_s, t.sim_time_s))
+    return "quality report: " + r.summary() + " vs " + t.summary();
+  return "";
 }
 
 // Invariant 5: journal-mutation fuzz. Synthesize a valid checkpoint
@@ -288,26 +330,35 @@ void fuzzOne(const uint8_t* data, size_t size, FuzzStats& st) {
 
   pllbist::bist::ResilientSweepOptions resilience;
   resilience.max_attempts = 2;
-  pllbist::bist::ResilientSweep engine(config, sweep, resilience);
 
   // Fault choreography on a slice of the runs: drop or stick the divided
   // output under the sweep and require the taxonomy to absorb it.
   const uint64_t fault_draw = splitmix64(state);
   const bool inject = (fault_draw & 0x03) == 0;  // ~25% of valid runs
+  double drop_p = 0.0;
+  uint64_t inj_seed = 0;
   if (inject) {
     ++st.faulted;
-    const double drop_p = 0.05 + 0.30 * unitInterval(splitmix64(state));
-    const uint64_t inj_seed = splitmix64(state) | 1;
-    engine.onTestbench([drop_p, inj_seed, fault_draw](pllbist::bist::SweepTestbench& tb) {
+    drop_p = 0.05 + 0.30 * unitInterval(splitmix64(state));
+    inj_seed = splitmix64(state) | 1;
+  }
+  const bool observer_check = (splitmix64(state) & 0x03) == 0;  // ~25% of valid runs
+
+  auto sweepOnce = [&](bool observe_vco) {
+    pllbist::bist::ResilientSweep engine(config, sweep, resilience);
+    engine.onTestbench([=](pllbist::bist::SweepTestbench& tb) {
+      if (observe_vco) tb.circuit().onChange(tb.pll().vcoOut(), [](double, bool) {});
+      if (!inject) return;
       pllbist::sim::FaultInjector& inj = tb.faultInjector(inj_seed);
       if ((fault_draw & 0x04) != 0)
         inj.dropEdges(tb.mfreq(), drop_p);
       else
         inj.delayEdges(tb.mfreq(), drop_p, 1e-7, 1e-5);
     });
-  }
+    return engine.run();
+  };
 
-  const pllbist::bist::ResilientResponse result = engine.run();
+  const pllbist::bist::ResilientResponse result = sweepOnce(false);
   ++st.swept;
 
   // Invariant 2 (result path): every status the stack produced is named.
@@ -364,6 +415,14 @@ void fuzzOne(const uint8_t* data, size_t size, FuzzStats& st) {
   pllbist::obs::stripTimingFields(again);
   if (!pllbist::obs::validateRunReportJson(again).ok())
     fail(seed, "report-roundtrip", "stripped report no longer validates");
+
+  // Invariant 6: the materialised VCO output is the slow path of the
+  // skipped one; only kernel event counts may tell them apart.
+  if (observer_check) {
+    ++st.observed;
+    const std::string diff = measurementDiff(result, sweepOnce(true));
+    if (!diff.empty()) fail(seed, "observer-invariance", diff);
+  }
 }
 
 }  // namespace
@@ -432,11 +491,11 @@ int main(int argc, char** argv) {
     if (elapsed > max_seconds) break;
   }
   std::printf(
-      "fuzz_sweep: %llu runs (%llu swept, %llu rejected, %llu faulted, %llu journals), "
-      "0 violations\n",
+      "fuzz_sweep: %llu runs (%llu swept, %llu rejected, %llu faulted, %llu journals, "
+      "%llu observer-checked), 0 violations\n",
       static_cast<unsigned long long>(st.runs), static_cast<unsigned long long>(st.swept),
       static_cast<unsigned long long>(st.rejected), static_cast<unsigned long long>(st.faulted),
-      static_cast<unsigned long long>(st.journals));
+      static_cast<unsigned long long>(st.journals), static_cast<unsigned long long>(st.observed));
   if (st.swept == 0) {
     std::fprintf(stderr, "fuzz_sweep: no iteration exercised a sweep — widen the budget\n");
     return 1;
