@@ -15,31 +15,13 @@
 #include <string>
 
 #include "bist/parallel_sweep.hpp"
+#include "farm_ledger.hpp"
 #include "obs/metrics.hpp"
 #include "pll/config.hpp"
 
 namespace {
 
 using namespace pllbist;
-
-bist::SweepOptions referenceSweepOptions(int points) {
-  const pll::ReferenceStimulus stim = pll::referenceStimulus();
-  bist::SweepOptions opt;
-  opt.stimulus = bist::StimulusKind::MultiToneFsk;
-  opt.fm_steps = stim.fm_steps;
-  opt.deviation_hz = stim.max_deviation_hz;
-  opt.master_clock_hz = stim.master_clock_hz;
-  opt.modulation_frequencies_hz = bist::SweepOptions::defaultSweep(8.0, points);
-  return opt;
-}
-
-bist::ResilientResponse runFarm(const pll::PllConfig& cfg, const bist::SweepOptions& sweep,
-                                int jobs) {
-  bist::ParallelSweepOptions popt;
-  popt.jobs = jobs;
-  bist::ParallelSweep engine(cfg, sweep, popt);
-  return engine.run();
-}
 
 bool bitIdentical(const bist::ResilientResponse& a, const bist::ResilientResponse& b) {
   bool same = true;
@@ -74,13 +56,14 @@ bool bitIdentical(const bist::ResilientResponse& a, const bist::ResilientRespons
   return same;
 }
 
-void printRun(int jobs, const bist::ResilientResponse& r) {
-  const double wall = r.report.wall_time_s;
-  std::printf("  jobs=%d: %6.2f s wall  (%.1f s simulated, %zu points, %s)\n", jobs, wall,
-              r.report.sim_time_s, r.response.points.size(), r.report.summary().c_str());
-  if (wall > 0.0)
-    std::printf("          %.1f points/s, %.1f simulated s per wall s\n",
-                static_cast<double>(r.response.points.size()) / wall, r.report.sim_time_s / wall);
+void printRun(int jobs, const bench::FarmRun& run) {
+  const bist::ResilientResponse& r = run.result;
+  std::printf("  jobs=%d: %6.2f s wall  (%.1f s simulated, %zu points, %s)\n", jobs,
+              r.report.wall_time_s, r.report.sim_time_s, r.response.points.size(),
+              r.report.summary().c_str());
+  const bench::FarmFigures f(run, jobs);
+  std::printf("          %.1f points/s, %.1f simulated s per wall s, worker utilisation %.2f\n",
+              f.points_per_s, f.sim_s_per_wall_s, f.worker_utilisation);
 }
 
 }  // namespace
@@ -111,7 +94,7 @@ int main(int argc, char** argv) {
   bist::SweepOptions sweep;
   if (device == "reference") {
     cfg = pll::referenceConfig();
-    sweep = referenceSweepOptions(points);
+    sweep = bench::referenceSweepOptions(points);
   } else {
     cfg = pll::scaledTestConfig();
     sweep = bist::quickSweepOptions(cfg, bist::StimulusKind::MultiToneFsk, points);
@@ -119,14 +102,17 @@ int main(int argc, char** argv) {
 
   std::printf("parallel point-farm bench: %s device, %d points\n", device.c_str(), points);
 
-  const bist::ResilientResponse serial = runFarm(cfg, sweep, 1);
-  printRun(1, serial);
-  const bist::ResilientResponse parallel = runFarm(cfg, sweep, jobs);
-  printRun(jobs, parallel);
-  std::printf("kernel: %.0f events per point (%llu events; the same at every --jobs)\n",
-              static_cast<double>(serial.bench.events_processed) /
-                  static_cast<double>(serial.response.points.size()),
-              static_cast<unsigned long long>(serial.bench.events_processed));
+  const bench::FarmRun serial_run = bench::runFarm(cfg, sweep, 1);
+  printRun(1, serial_run);
+  const bench::FarmRun parallel_run = bench::runFarm(cfg, sweep, jobs);
+  printRun(jobs, parallel_run);
+  const bist::ResilientResponse& serial = serial_run.result;
+  const bist::ResilientResponse& parallel = parallel_run.result;
+  const bench::FarmFigures exact(serial_run, 1);
+  std::printf("kernel: %.0f events per point (%llu events), %.4f simulated s per point; the "
+              "same at every --jobs\n",
+              exact.events_per_point, static_cast<unsigned long long>(serial.bench.events_processed),
+              exact.sim_s_per_point);
 
   const double speedup = parallel.report.wall_time_s > 0.0
                              ? serial.report.wall_time_s / parallel.report.wall_time_s

@@ -5,6 +5,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "bist/resilient_sweep.hpp"
 #include "bist/telemetry.hpp"
 #include "bist/testbench.hpp"
 #include "common/assert.hpp"
@@ -234,7 +235,7 @@ MeasuredResponse BistController::run() {
     t.point_wall.observe(p.wall_time_s);
     if (progress_) progress_(p);
   }
-  publishBenchCounters(bench);
+  publishBenchCounters(BenchStats::of(bench));
   return result;
 }
 

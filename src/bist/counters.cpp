@@ -43,6 +43,14 @@ void FrequencyCounter::measure(double gate_s, std::function<void(Result)> done) 
                             });
 }
 
+void FrequencyCounter::copyStateFrom(const FrequencyCounter& source) {
+  if (gated_.has_value() != source.gated_.has_value())
+    throw std::logic_error("FrequencyCounter::copyStateFrom: counters of different modes");
+  if (gated_) gated_->copyStateFrom(*source.gated_);
+  edges_at_open_ = source.edges_at_open_;
+  busy_ = source.busy_;
+}
+
 PhaseCounter::PhaseCounter(double test_clock_hz) : test_clock_hz_(test_clock_hz) {
   if (test_clock_hz <= 0.0) throw std::invalid_argument("PhaseCounter: clock must be positive");
 }

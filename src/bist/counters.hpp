@@ -43,6 +43,9 @@ class FrequencyCounter : public sim::Component {
 
   [[nodiscard]] bool busy() const { return busy_; }
 
+  /// Fork support (see sim::Circuit::copyStateFrom): take `source`'s state.
+  void copyStateFrom(const FrequencyCounter& source);
+
  private:
   sim::Circuit& circuit_;
   std::optional<sim::GatedCounter> gated_;

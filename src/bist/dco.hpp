@@ -52,6 +52,13 @@ class Dco : public sim::Component, private sim::Circuit::Handler {
 
   [[nodiscard]] const Config& config() const { return cfg_; }
 
+  /// Fork support (see sim::Circuit::copyStateFrom): take `source`'s state.
+  void copyStateFrom(const Dco& source) {
+    tick_ = source.tick_;
+    modulus_ = source.modulus_;
+    pending_modulus_ = source.pending_modulus_;
+  }
+
   /// Paper eqn (2): achievable resolution at a nominal input frequency
   /// given the master reference:  Fres = Fin^2 / (Fref + Fin).
   static double resolutionEq2(double fin_nominal_hz, double fref_master_hz);

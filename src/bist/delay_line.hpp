@@ -48,6 +48,15 @@ class DelayLineModulator : public sim::Component, private sim::Circuit::Handler 
   /// Tap selected for program slot k (sampled sine centred mid-line).
   [[nodiscard]] int tapForSlot(int slot) const;
 
+  /// Fork support (see sim::Circuit::copyStateFrom): take `source`'s state.
+  void copyStateFrom(const DelayLineModulator& source) {
+    modulation_hz_ = source.modulation_hz_;
+    current_tap_ = source.current_tap_;
+    running_ = source.running_;
+    generation_ = source.generation_;
+    slot_ = source.slot_;
+  }
+
  private:
   /// Slot boundaries (kind 0) and crest markers (kind 1), tagged with
   /// generationTag(generation_, kind): starting or stopping a program

@@ -53,6 +53,15 @@ class FskModulator : public sim::Component, private sim::Circuit::Handler {
   /// The ideal (pre-quantisation) program frequency at slot k.
   [[nodiscard]] double programFrequency(int slot) const;
 
+  /// Fork support (see sim::Circuit::copyStateFrom): take `source`'s
+  /// state. The DCO copies its own.
+  void copyStateFrom(const FskModulator& source) {
+    modulation_hz_ = source.modulation_hz_;
+    running_ = source.running_;
+    generation_ = source.generation_;
+    slot_ = source.slot_;
+  }
+
  private:
   /// Slot boundaries (kind 0) and crest markers (kind 1), tagged with
   /// generationTag(generation_, kind): starting or stopping a program

@@ -2,12 +2,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "bist/telemetry.hpp"
 #include "bist/testbench.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
@@ -68,6 +70,17 @@ ResilientResponse ParallelSweep::run() {
   for (std::size_t i = 0; i < n; ++i)
     if (!results_[i]) pending.push_back(i);
 
+  // The prelude (lock wait, nominal count, DC reference) depends only on
+  // the configuration, so it runs once, on the source bench, and every
+  // point forks the locked bench. A fully preloaded sweep runs it too: the
+  // merged result adds its cost and takes its nominal exactly once.
+  ResilientSweep source_engine(config_, singlePointOptions(sweep_, 0), options_.resilience);
+  source_engine.attachStop(&stop_);
+  const std::unique_ptr<SweepTestbench> source = source_engine.makeBench();
+  const ResilientSweep::Prelude prelude = source_engine.runPrelude(*source);
+  publishBenchCounters(prelude.end.bench);
+  if (!prelude.status.ok()) pending.clear();
+
   // results_, breaker, decided and sink_error are guarded by `mutex` while
   // the workers run. Every finished result holds exactly one point.
   std::mutex mutex;
@@ -96,27 +109,22 @@ ResilientResponse ParallelSweep::run() {
       try {
         ResilientSweep engine(config_, singlePointOptions(sweep_, i), options_.resilience);
         engine.attachStop(&stop_);
-        if (on_point_testbench_)
-          engine.onTestbench([this, i](SweepTestbench& bench) { on_point_testbench_(i, bench); });
-        r = engine.run();
+        const std::unique_ptr<SweepTestbench> bench = engine.makeBench();
+        bench->copyStateFrom(*source);
+        if (on_point_testbench_) on_point_testbench_(i, *bench);
+        r = engine.runPoints(*bench, prelude, prelude.end);
       } catch (const std::exception& e) {
         r.status = Status::makef(Status::Kind::Internal,
                                  "point %zu (fm = %g Hz): engine threw: %s", i, freqs[i], e.what());
       }
-      // The engine never produced its point (a stall during the nominal/DC
-      // prelude, or a throw): synthesise a Dropped point carrying the reason.
+      // The engine threw before producing its point: synthesise a Dropped
+      // point carrying the reason.
       const bool measured = !r.response.points.empty();
-      if (!measured)
-        appendDroppedPoint(r, freqs[i],
-                           r.status.ok() ? Status::makef(Status::Kind::Internal,
-                                                         "point %zu (fm = %g Hz): engine "
-                                                         "produced no point",
-                                                         i, freqs[i])
-                                         : r.status);
+      if (!measured) appendDroppedPoint(r, freqs[i], r.status);
 
       std::lock_guard<std::mutex> guard(mutex);
-      // The merged view of a point is exactly its bench-local point (see
-      // the isolation model in the header), so it can be committed and
+      // The merged view of a point is exactly its fork-local point (see
+      // the fork model in the header), so it can be committed and
       // reported as soon as it lands — possibly out of point order.
       const MeasuredPoint& p = r.response.points.front();
       if (measured && sink_ && sink_error.ok() && p.status.kind() != Status::Kind::Cancelled) {
@@ -146,8 +154,8 @@ ResilientResponse ParallelSweep::run() {
     for (std::thread& t : pool) t.join();
   }
 
-  // A point no worker claimed was either stopped or lies past an open
-  // breaker (where the merge below replaces it anyway).
+  // A point no worker claimed was stopped, lost its prelude (a stall), or
+  // lies past an open breaker (where the merge below replaces it anyway).
   const bool stopped = stop_.stopRequested();
   for (std::size_t i = 0; i < n; ++i) {
     if (results_[i]) continue;
@@ -156,23 +164,25 @@ ResilientResponse ParallelSweep::run() {
                                                "point %zu (fm = %g Hz): stop requested before a "
                                                "worker claimed the point",
                                                i, freqs[i])
-                               : breaker.skipStatus(i, freqs[i]));
+                       : !prelude.status.ok() ? prelude.status
+                                              : breaker.skipStatus(i, freqs[i]));
   }
   advance();
 
   // Deterministic merge, strictly in point-index order regardless of which
   // worker finished when; points past an open breaker count as skipped.
+  // The prelude's cost is counted once, before the points'.
   ResilientResponse out;
+  out.response.nominal_vco_hz = prelude.nominal_vco_hz;
+  out.response.static_reference_deviation_hz = prelude.static_reference_deviation_hz;
+  out.report.sim_time_s = prelude.end.sim_time_s;
+  out.bench = prelude.end.bench;
   for (std::size_t i = 0; i < n; ++i) {
     if (i >= decided) {
       appendDroppedPoint(out, freqs[i], breaker.skipStatus(i, freqs[i]));
       continue;
     }
     ResilientResponse& r = *results_[i];
-    if (out.response.nominal_vco_hz == 0.0 && r.response.nominal_vco_hz != 0.0) {
-      out.response.nominal_vco_hz = r.response.nominal_vco_hz;
-      out.response.static_reference_deviation_hz = r.response.static_reference_deviation_hz;
-    }
     out.report.points_total += r.report.points_total;
     out.report.ok += r.report.ok;
     out.report.retried += r.report.retried;
@@ -195,6 +205,8 @@ ResilientResponse ParallelSweep::run() {
   else if (stopped && out.status.ok())
     out.status = Status::makef(Status::Kind::Cancelled,
                                "stop requested; %d of %zu points measured", out.report.usable(), n);
+  else if (out.status.ok())
+    out.status = prelude.status;
   out.report.wall_time_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
   return out;

@@ -29,34 +29,41 @@ struct ParallelSweepOptions {
 };
 
 /// Deterministic per-point seed derivation (splitmix64 over the base seed
-/// and the point index). The farm re-seeds each point's stimulus jitter
-/// RNG with this, and test/campaign hooks are expected to use it for
+/// and the point index). The farm runs the shared prelude with the jitter
+/// seed of point 0 and re-seeds each fork's stimulus jitter RNG with its
+/// own point's seed; test/campaign hooks are expected to use it for
 /// per-point FaultInjector seeds, so results never depend on which worker
 /// ran a point or in what order.
 [[nodiscard]] uint64_t pointSeed(uint64_t base_seed, std::size_t point_index);
 
 /// The base sweep restricted to point `index`: one modulation frequency,
-/// jitter RNG re-seeded via pointSeed(). This is the options recipe every
-/// farm worker runs; exposed so tests can reproduce a single point of a
-/// parallel sweep in isolation, bit-exactly.
+/// jitter RNG re-seeded via pointSeed(). This is the options recipe of
+/// every farm point's bench. A standalone ResilientSweep on it runs the
+/// same prelude as the farm's source and then the same point, so without
+/// jitter it reproduces the farm's point bit-exactly (see ParallelSweep).
 [[nodiscard]] SweepOptions singlePointOptions(const SweepOptions& base, std::size_t index);
 
-/// Parallel point-farm sweep executor. A full closed-loop sweep simulates
-/// one independent locked-loop measurement per FM frequency point; since
-/// every point starts from its own lock acquisition they are embarrassingly
-/// parallel. The farm builds one SweepTestbench (own sim::Circuit, own
-/// ResilientSweep engine, own per-point RNG seeds) per frequency point and
-/// runs them on a worker pool, then merges per-point results into one
-/// order-stable MeasuredResponse + combined SweepQualityReport.
+/// Parallel point-farm sweep executor. Like the paper's monitor, the farm
+/// locks the loop and takes the nominal count and the eqn (7) DC reference
+/// once per device — the prelude, simulated once on a source
+/// SweepTestbench — and then measures every FM frequency point on its own
+/// fork of that locked bench (SweepTestbench::copyStateFrom: own
+/// sim::Circuit, own per-point jitter seed). The forks run the
+/// ResilientSweep retry/relock point loop on a worker pool, and their
+/// results merge into one order-stable MeasuredResponse + combined
+/// SweepQualityReport.
 ///
-/// Isolation model: each point measures its own nominal carrier and eqn (7)
-/// DC reference inside its own circuit, and its deviation is referenced to
-/// that same bench's nominal — so a point's numbers are independent of
-/// every other point. The merged response carries point 0's nominal and
-/// static reference (all benches are identical up to the per-point jitter
-/// seed). Note this differs from the shared-bench ResilientSweep, where
-/// later points inherit the loop state their predecessors left behind; the
-/// farm's contract is instead jobs-count invariance:
+/// Fork model: every point starts from the same locked state and is
+/// referenced to the shared nominal, so a point's numbers are independent
+/// of every other point. Without jitter a point is bit-identical to a
+/// standalone ResilientSweep on singlePointOptions(), whose own prelude
+/// is the same simulation. Each point's sim_time_s and BenchStats count
+/// only its work after the fork; the merged result adds the prelude's
+/// once. A stall or stop during the prelude labels every pending point
+/// with that status. Note this differs from the shared-bench
+/// ResilientSweep, where later points inherit the loop state their
+/// predecessors left behind; the farm's contract is instead jobs-count
+/// invariance:
 ///
 /// Determinism: for a fixed configuration and seed set, run() produces
 /// bit-identical points, report counters and statuses for every value of
@@ -74,10 +81,11 @@ class ParallelSweep {
   ParallelSweep(const pll::PllConfig& config, SweepOptions sweep,
                 ParallelSweepOptions options = {});
 
-  /// Fired on the owning worker's thread once a point's bench is
-  /// assembled, before its lock wait: (point_index, bench). Attach
+  /// Fired on the owning worker's thread on the point's forked bench, after
+  /// the shared prelude and before attempt 0: (point_index, bench). Attach
   /// per-point fault injection here, seeding with pointSeed() to keep the
-  /// jobs-count invariance. The callback must only touch that bench.
+  /// jobs-count invariance; it covers the measurement, not the lock
+  /// acquisition. The callback must only touch that bench.
   void onPointTestbench(std::function<void(std::size_t, SweepTestbench&)> cb) {
     on_point_testbench_ = std::move(cb);
   }
@@ -99,9 +107,10 @@ class ParallelSweep {
   }
 
   /// Supply point `index` as already complete (e.g. replayed from a
-  /// checkpoint journal): a single-point result, exactly one point and one
-  /// raw entry. It is merged in index order like an executed point and
-  /// never re-run, nor passed to the sink. Call before run().
+  /// checkpoint journal): a single-point result as the sink received it —
+  /// exactly one point and one raw entry, counting only the work after the
+  /// fork. It is merged in index order like an executed point and never
+  /// re-run, nor passed to the sink. Call before run().
   void preload(std::size_t index, ResilientResponse result);
 
   /// Cooperative stop, callable from any thread (including a progress

@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include "bist/telemetry.hpp"
 #include "bist/testbench.hpp"
@@ -104,7 +105,28 @@ Status RelockBreaker::skipStatus(std::size_t index, double modulation_hz) const 
                        index, modulation_hz, limit_);
 }
 
+BenchStats BenchStats::of(const SweepTestbench& bench) {
+  const sim::Circuit& c = bench.circuit();
+  BenchStats s;
+  s.events_processed = c.processedEventCount();
+  s.events_delivered = c.deliveredEventCount();
+  s.events_dropped = c.droppedEventCount();
+  s.events_delayed = c.delayedEventCount();
+  s.events_swallowed = c.swallowedEventCount();
+  if (const sim::FaultInjector* injector = bench.installedFaultInjector()) {
+    const sim::FaultInjector::Stats& f = injector->stats();
+    s.fault_benches = 1;
+    s.faults_considered = f.considered;
+    s.faults_dropped = f.dropped;
+    s.faults_delayed = f.delayed;
+    s.faults_glitches = f.glitches;
+  }
+  return s;
+}
+
 namespace {
+
+using Clock = std::chrono::steady_clock;
 
 TestSequencer::Options escalated(const TestSequencer::Options& base,
                                  const ResilientSweepOptions& r, int attempt) {
@@ -120,6 +142,79 @@ TestSequencer::Options escalated(const TestSequencer::Options& base,
   return opt;
 }
 
+enum class StepOutcome { Done, Deadline, Stall, Stopped, OverBudget };
+constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
+
+/// Cooperative interruption of one bench's circuit: the stop token and the
+/// per-point wall budget are polled every kInterruptStride kernel steps
+/// (and between sim-time slices of the blocking waits), so a stop or an
+/// expired budget takes effect within a bounded number of events — never
+/// at the mercy of a wedged loop.
+class Stepper {
+ public:
+  Stepper(sim::Circuit& c, const StopSource* stop) : c_(c), stop_(stop) {}
+
+  /// Budget the steps from now on to `budget_s` of wall time (0 = none).
+  void startBudget(double budget_s) {
+    wall_deadline_ = budget_s > 0.0 ? Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                                                         std::chrono::duration<double>(budget_s))
+                                    : kNoWallDeadline;
+  }
+
+  /// Step until `done()`, a sim deadline, an interruption, or a dry queue.
+  /// The predicate is a template parameter (generic lambda), not a
+  /// std::function: this is the per-event loop.
+  template <class Done>
+  StepOutcome stepUntil(Done done, double deadline_s) {
+    int countdown = kInterruptStride;
+    while (!done()) {
+      if (c_.now() >= deadline_s) return StepOutcome::Deadline;
+      if (--countdown <= 0) {
+        countdown = kInterruptStride;
+        if (const StepOutcome o = interrupted(); o != StepOutcome::Done) return o;
+      }
+      if (!c_.step()) return StepOutcome::Stall;
+    }
+    return StepOutcome::Done;
+  }
+
+  /// Stop-aware replacement for c.run(t_end): advance in bounded sim-time
+  /// slices so an interruption takes effect mid-wait, not at its end.
+  StepOutcome advanceTo(double t_end) {
+    const double slice = std::max((t_end - c_.now()) / 64.0, 1e-12);
+    while (c_.now() < t_end) {
+      if (const StepOutcome o = interrupted(); o != StepOutcome::Done) return o;
+      c_.run(std::min(c_.now() + slice, t_end));
+    }
+    return StepOutcome::Done;
+  }
+
+ private:
+  static constexpr int kInterruptStride = 2048;
+  static constexpr Clock::time_point kNoWallDeadline = Clock::time_point::max();
+
+  StepOutcome interrupted() const {
+    if (stop_ != nullptr && stop_->stopRequested()) return StepOutcome::Stopped;
+    if (wall_deadline_ != kNoWallDeadline && Clock::now() >= wall_deadline_)
+      return StepOutcome::OverBudget;
+    return StepOutcome::Done;
+  }
+
+  sim::Circuit& c_;
+  const StopSource* stop_;
+  Clock::time_point wall_deadline_ = kNoWallDeadline;
+};
+
+/// Close a run's accounting: simulated time, wall time and bench counters
+/// since `since`, re-homed onto the metrics registry exactly once.
+void stamp(const SweepTestbench& bench, const ResilientSweep::Mark& since,
+           Clock::time_point wall_start, ResilientResponse& out) {
+  out.report.sim_time_s = bench.circuit().now() - since.sim_time_s;
+  out.report.wall_time_s = std::chrono::duration<double>(Clock::now() - wall_start).count();
+  out.bench = BenchStats::of(bench).since(since.bench);
+  publishBenchCounters(out.bench);
+}
+
 }  // namespace
 
 ResilientSweep::ResilientSweep(const pll::PllConfig& config, SweepOptions sweep,
@@ -130,89 +225,104 @@ ResilientSweep::ResilientSweep(const pll::PllConfig& config, SweepOptions sweep,
   resilience_.check().throwIfError();
 }
 
+std::unique_ptr<SweepTestbench> ResilientSweep::makeBench() const {
+  return std::make_unique<SweepTestbench>(config_, sweep_, resilience_.lock_threshold_s,
+                                          resilience_.lock_cycles);
+}
+
 ResilientResponse ResilientSweep::run() {
   if (used_) throw std::logic_error("ResilientSweep::run: engine already used");
   used_ = true;
   PLLBIST_SPAN("sweep.run");
-  const auto wall_start = std::chrono::steady_clock::now();
+  const auto wall_start = Clock::now();
 
-  const auto bench_ptr = std::make_unique<SweepTestbench>(
-      config_, sweep_, resilience_.lock_threshold_s, resilience_.lock_cycles);
-  SweepTestbench& bench = *bench_ptr;
-  if (on_testbench_) on_testbench_(bench);
+  const std::unique_ptr<SweepTestbench> bench = makeBench();
+  if (on_testbench_) on_testbench_(*bench);
+  const Prelude prelude = runPrelude(*bench);
+  if (prelude.status.ok()) {
+    ResilientResponse out = runPoints(*bench, prelude, Mark{});
+    out.report.wall_time_s = std::chrono::duration<double>(Clock::now() - wall_start).count();
+    return out;
+  }
+
+  // Nothing downstream is measurable: a stall ends the sweep with no
+  // points, a stop labels every point as cancelled.
+  ResilientResponse out;
+  out.response.nominal_vco_hz = prelude.nominal_vco_hz;
+  out.response.static_reference_deviation_hz = prelude.static_reference_deviation_hz;
+  out.status = prelude.status;
+  if (prelude.status.kind() == Status::Kind::Cancelled) {
+    const std::vector<double>& freqs = sweep_.modulation_frequencies_hz;
+    for (std::size_t i = 0; i < freqs.size(); ++i) {
+      appendDroppedPoint(out, freqs[i],
+                         Status::makef(Status::Kind::Cancelled,
+                                       "point %zu (fm = %g Hz): stop requested %s", i, freqs[i],
+                                       prelude.status.context().c_str()));
+      telemetry().points_dropped.increment();
+      if (progress_) progress_(out.response.points.back());
+    }
+    out.status = Status::makef(Status::Kind::Cancelled,
+                               "stop requested at t = %g s; 0 of %zu points completed",
+                               bench->circuit().now(), freqs.size());
+  }
+  stamp(*bench, Mark{}, wall_start, out);
+  return out;
+}
+
+ResilientSweep::Prelude ResilientSweep::runPrelude(SweepTestbench& bench) {
+  PLLBIST_SPAN("sweep.prelude");
+  sim::Circuit& c = bench.circuit();
+  TestSequencer& seq = bench.sequencer();
+  Stepper step(c, stop_);
+  Prelude out;
+  // Classify a prelude stage that did not finish; true when it did. These
+  // are fatal (nothing downstream is measurable), but a dead loop merely
+  // yields a meaningless nominal — the point loop still labels every point.
+  auto finished = [&](StepOutcome o, const char* stage) {
+    if (o == StepOutcome::Stall) {
+      out.status = Status::makef(Status::Kind::SimulationStall,
+                                 "event queue ran dry at t = %g s during %s", c.now(), stage);
+      telemetry().stalls.increment();
+    } else if (o == StepOutcome::Stopped) {
+      out.status = Status::makef(Status::Kind::Cancelled, "during %s", stage);
+    }
+    return out.status.ok();
+  };
+
+  bool ok = finished(step.advanceTo(sweep_.lock_wait_s), "the initial lock wait");
+  if (ok) {
+    bool nominal_done = false;
+    seq.measureNominal([&](double hz) {
+      out.nominal_vco_hz = hz;
+      nominal_done = true;
+    });
+    ok = finished(step.stepUntil([&] { return nominal_done; }, kNoDeadline), "the nominal count");
+  }
+  if (ok && sweep_.stimulus != StimulusKind::DelayLinePm) {
+    bool ref_done = false;
+    seq.measureStaticReference(sweep_.static_settle_s, [&](double hz) {
+      out.static_reference_deviation_hz = hz - out.nominal_vco_hz;
+      ref_done = true;
+    });
+    finished(step.stepUntil([&] { return ref_done; }, kNoDeadline), "the DC reference");
+  }
+  out.end = Mark{c.now(), BenchStats::of(bench)};
+  return out;
+}
+
+ResilientResponse ResilientSweep::runPoints(SweepTestbench& bench, const Prelude& prelude,
+                                            const Mark& since) {
+  const auto wall_start = Clock::now();
   sim::Circuit& c = bench.circuit();
   TestSequencer& seq = bench.sequencer();
   pll::LockDetector& lock = bench.lockDetector();
   const double fn_hz = radPerSecToHz(config_.secondOrder().omega_n_rad_per_s);
+  Stepper step(c, stop_);
+  auto locked = [&] { return lock.isLocked(); };
 
   ResilientResponse out;
-  // stamp runs exactly once per exit path, so it also re-homes the bench's
-  // kernel/fault counters onto the metrics registry exactly once. It also
-  // captures the same counters into out.bench, the per-engine (and thus
-  // deterministic) view the campaign journal records per point.
-  auto stamp = [&] {
-    out.report.sim_time_s = c.now();
-    out.report.wall_time_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-    out.bench.events_processed = c.processedEventCount();
-    out.bench.events_delivered = c.deliveredEventCount();
-    out.bench.events_dropped = c.droppedEventCount();
-    out.bench.events_delayed = c.delayedEventCount();
-    out.bench.events_swallowed = c.swallowedEventCount();
-    if (const sim::FaultInjector* injector = bench.installedFaultInjector()) {
-      const sim::FaultInjector::Stats& s = injector->stats();
-      out.bench.fault_benches = 1;
-      out.bench.faults_considered = s.considered;
-      out.bench.faults_dropped = s.dropped;
-      out.bench.faults_delayed = s.delayed;
-      out.bench.faults_glitches = s.glitches;
-    }
-    publishBenchCounters(bench);
-  };
-
-  // Cooperative interruption: the stop token and the per-point wall budget
-  // are polled every kInterruptStride kernel steps (and between sim-time
-  // slices of the blocking waits), so a stop or an expired budget takes
-  // effect within a bounded number of events — never at the mercy of a
-  // wedged loop.
-  enum class StepOutcome { Done, Deadline, Stall, Stopped, OverBudget };
-  constexpr int kInterruptStride = 2048;
-  constexpr auto kNoWallDeadline = std::chrono::steady_clock::time_point::max();
-  std::chrono::steady_clock::time_point point_wall_deadline = kNoWallDeadline;
-  auto interrupted = [&]() -> StepOutcome {
-    if (stop_ != nullptr && stop_->stopRequested()) return StepOutcome::Stopped;
-    if (point_wall_deadline != kNoWallDeadline &&
-        std::chrono::steady_clock::now() >= point_wall_deadline)
-      return StepOutcome::OverBudget;
-    return StepOutcome::Done;
-  };
-  // Step until `done()`, a sim deadline, an interruption, or a dry queue.
-  // The predicate is a template parameter (generic lambda), not a
-  // std::function: this is the per-event loop.
-  auto stepUntil = [&](auto done, double deadline_s) {
-    int countdown = kInterruptStride;
-    while (!done()) {
-      if (c.now() >= deadline_s) return StepOutcome::Deadline;
-      if (--countdown <= 0) {
-        countdown = kInterruptStride;
-        if (const StepOutcome o = interrupted(); o != StepOutcome::Done) return o;
-      }
-      if (!c.step()) return StepOutcome::Stall;
-    }
-    return StepOutcome::Done;
-  };
-  auto locked = [&] { return lock.isLocked(); };
-  // Stop-aware replacement for c.run(t_end): advance in bounded sim-time
-  // slices so an interruption takes effect mid-wait, not at its end.
-  auto advanceTo = [&](double t_end) {
-    const double slice = std::max((t_end - c.now()) / 64.0, 1e-12);
-    while (c.now() < t_end) {
-      if (const StepOutcome o = interrupted(); o != StepOutcome::Done) return o;
-      c.run(std::min(c.now() + slice, t_end));
-    }
-    return StepOutcome::Done;
-  };
-  constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
+  out.response.nominal_vco_hz = prelude.nominal_vco_hz;
+  out.response.static_reference_deviation_hz = prelude.static_reference_deviation_hz;
 
   const std::vector<double>& freqs = sweep_.modulation_frequencies_hz;
   // Record an unattempted point (stop or open breaker): Dropped, zero
@@ -223,66 +333,6 @@ ResilientResponse ResilientSweep::run() {
     telemetry().points_dropped.increment();
     if (progress_) progress_(out.response.points.back());
   };
-  auto cancelAllFrom = [&](std::size_t first, const char* where) {
-    for (std::size_t i = first; i < freqs.size(); ++i)
-      skipPoint(i, Status::makef(Status::Kind::Cancelled,
-                                 "point %zu (fm = %g Hz): stop requested %s", i, freqs[i], where));
-    if (out.status.ok())
-      out.status = Status::makef(Status::Kind::Cancelled,
-                                 "stop requested at t = %g s; %zu of %zu points completed", c.now(),
-                                 first, freqs.size());
-  };
-
-  // Initial acquisition, nominal carrier, and the eqn (7) DC reference.
-  // These are fatal if they stall (nothing downstream is measurable), but a
-  // dead loop merely yields a meaningless nominal — the per-point machinery
-  // below still runs and labels every point.
-  if (advanceTo(sweep_.lock_wait_s) == StepOutcome::Stopped) {
-    cancelAllFrom(0, "during the initial lock wait");
-    stamp();
-    return out;
-  }
-
-  bool nominal_done = false;
-  seq.measureNominal([&](double hz) {
-    out.response.nominal_vco_hz = hz;
-    nominal_done = true;
-  });
-  switch (stepUntil([&] { return nominal_done; }, kNoDeadline)) {
-    case StepOutcome::Stall:
-      out.status = Status::makef(Status::Kind::SimulationStall,
-                                 "event queue ran dry at t = %g s during the nominal count", c.now());
-      telemetry().stalls.increment();
-      stamp();
-      return out;
-    case StepOutcome::Stopped:
-      cancelAllFrom(0, "during the nominal count");
-      stamp();
-      return out;
-    default: break;
-  }
-
-  if (sweep_.stimulus != StimulusKind::DelayLinePm) {
-    bool ref_done = false;
-    seq.measureStaticReference(sweep_.static_settle_s, [&](double hz) {
-      out.response.static_reference_deviation_hz = hz - out.response.nominal_vco_hz;
-      ref_done = true;
-    });
-    switch (stepUntil([&] { return ref_done; }, kNoDeadline)) {
-      case StepOutcome::Stall:
-        out.status =
-            Status::makef(Status::Kind::SimulationStall,
-                          "event queue ran dry at t = %g s during the DC reference", c.now());
-        telemetry().stalls.increment();
-        stamp();
-        return out;
-      case StepOutcome::Stopped:
-        cancelAllFrom(0, "during the DC reference");
-        stamp();
-        return out;
-      default: break;
-    }
-  }
 
   const TestSequencer::Options base = seq.options();
   const double relock_wait_s = resilience_.relock_wait_periods / fn_hz;
@@ -302,11 +352,8 @@ ResilientResponse ResilientSweep::run() {
       continue;
     }
     obs::ScopedSpan point_span("point.measure");
-    const auto point_start = std::chrono::steady_clock::now();
-    if (resilience_.point_budget_s > 0.0)
-      point_wall_deadline =
-          point_start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                            std::chrono::duration<double>(resilience_.point_budget_s));
+    const auto point_start = Clock::now();
+    step.startBudget(resilience_.point_budget_s);
     MeasuredPoint p;
     p.modulation_hz = fm;
     TestSequencer::PointResult last;
@@ -332,7 +379,7 @@ ResilientResponse ResilientSweep::run() {
         last = std::move(r);
         done = true;
       });
-      const StepOutcome measure = stepUntil([&] { return done; }, kNoDeadline);
+      const StepOutcome measure = step.stepUntil([&] { return done; }, kNoDeadline);
       if (measure == StepOutcome::Stall) {
         last.timed_out = true;
         last.status = Status::makef(Status::Kind::SimulationStall,
@@ -361,7 +408,7 @@ ResilientResponse ResilientSweep::run() {
       bench.stopStimulus();
       lock.reset();
       const StepOutcome grace =
-          stepUntil(locked, c.now() + resilience_.relock_grace_periods / fn_hz);
+          step.stepUntil(locked, c.now() + resilience_.relock_grace_periods / fn_hz);
       if (grace == StepOutcome::Stall) {
         fatal_stall = true;
         break;
@@ -376,7 +423,7 @@ ResilientResponse ResilientSweep::run() {
       }
       if (grace == StepOutcome::Deadline) {
         // Declared lock loss: bounded relock-and-resume.
-        const StepOutcome relock = stepUntil(locked, c.now() + relock_wait_s);
+        const StepOutcome relock = step.stepUntil(locked, c.now() + relock_wait_s);
         if (relock == StepOutcome::Stall) {
           fatal_stall = true;
           break;
@@ -403,8 +450,7 @@ ResilientResponse ResilientSweep::run() {
         }
       }
     }
-    point_wall_deadline = kNoWallDeadline;
-
+    step.startBudget(0.0);
     p.attempts = attempts_used;
     if (measured) {
       p.deviation_hz = last.held_frequency_hz - out.response.nominal_vco_hz;
@@ -477,7 +523,7 @@ ResilientResponse ResilientSweep::run() {
         Status::makef(Status::Kind::Cancelled, "stop requested at t = %g s; %d of %zu points "
                       "measured", c.now(), out.report.usable(), freqs.size());
   out.breaker_open = breaker.open();
-  stamp();
+  stamp(bench, since, wall_start, out);
   return out;
 }
 

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 
 #include "bist/controller.hpp"
@@ -87,12 +88,13 @@ struct SweepQualityReport {
   [[nodiscard]] std::string summary() const;
 };
 
-/// Per-engine simulator statistics, read off the bench at the end of
-/// run(): the private circuit's event-kernel counters plus the fault
-/// injector's rule statistics when one was attached. Deterministic for a
-/// fixed configuration and seed set, so the campaign journal records them
-/// per point and a resumed merge reproduces the uninterrupted totals
-/// exactly — without consulting the (history-dependent) global registry.
+/// Per-engine simulator statistics, read off the bench at the end of a
+/// run: the circuit's event-kernel counters plus the fault injector's rule
+/// statistics when one was attached, counted from where the run started
+/// (a farm point counts from its fork). Deterministic for a fixed
+/// configuration and seed set, so the campaign journal records them per
+/// point and a resumed merge reproduces the uninterrupted totals exactly —
+/// without consulting the (history-dependent) global registry.
 struct BenchStats {
   uint64_t events_processed = 0;
   uint64_t events_delivered = 0;
@@ -116,6 +118,25 @@ struct BenchStats {
     faults_dropped += other.faults_dropped;
     faults_delayed += other.faults_delayed;
     faults_glitches += other.faults_glitches;
+  }
+
+  /// The counters of `bench` now.
+  [[nodiscard]] static BenchStats of(const SweepTestbench& bench);
+  /// What accrued since `base` was read off the same bench (or the bench
+  /// it was forked from).
+  [[nodiscard]] BenchStats since(const BenchStats& base) const {
+    BenchStats d = *this;
+    d.events_processed -= base.events_processed;
+    d.events_delivered -= base.events_delivered;
+    d.events_dropped -= base.events_dropped;
+    d.events_delayed -= base.events_delayed;
+    d.events_swallowed -= base.events_swallowed;
+    d.fault_benches -= base.fault_benches;
+    d.faults_considered -= base.faults_considered;
+    d.faults_dropped -= base.faults_dropped;
+    d.faults_delayed -= base.faults_delayed;
+    d.faults_glitches -= base.faults_glitches;
+    return d;
   }
 };
 
@@ -203,6 +224,43 @@ class ResilientSweep {
 
   /// Run the sweep. May be called once per instance.
   ResilientResponse run();
+
+  // run() is makeBench(), the onTestbench hook, runPrelude() and
+  // runPoints(). The halves are public for engines that share one prelude
+  // between several point loops: ParallelSweep runs the prelude once and
+  // forks the bench (SweepTestbench::copyStateFrom) for every point.
+
+  /// Where a run's accounting starts: the bench's simulated time and
+  /// counters at that moment.
+  struct Mark {
+    double sim_time_s = 0.0;
+    BenchStats bench;
+  };
+
+  /// What the prelude measured, shared by every point that follows it.
+  struct Prelude {
+    double nominal_vco_hz = 0.0;
+    double static_reference_deviation_hz = 0.0;  ///< 0 for DelayLinePm
+    /// SimulationStall when the queue ran dry, Cancelled (context: the
+    /// stage it stopped in) on a stop; no point can be measured then.
+    Status status;
+    Mark end;  ///< the bench at the end of the prelude
+  };
+
+  /// A bench built the way run() builds its own.
+  [[nodiscard]] std::unique_ptr<SweepTestbench> makeBench() const;
+
+  /// The lock wait, the nominal count and the eqn (7) DC reference (none
+  /// for DelayLinePm) on `bench`. Polls the attached stop token.
+  [[nodiscard]] Prelude runPrelude(SweepTestbench& bench);
+
+  /// The retry/relock point loop over this engine's frequencies on
+  /// `bench`, which has run `prelude` (itself or through a fork). Fires
+  /// onAttemptStart and onPointMeasured. The result's sim_time_s and
+  /// bench counters count from `since`; its nominal and DC reference are
+  /// the prelude's.
+  [[nodiscard]] ResilientResponse runPoints(SweepTestbench& bench, const Prelude& prelude,
+                                            const Mark& since);
 
  private:
   pll::PllConfig config_;

@@ -56,6 +56,18 @@ void TestSequencer::setOptions(const Options& options) {
   options_ = options;
 }
 
+void TestSequencer::copyStateFrom(const TestSequencer& source) {
+  if (source.stage_ != Stage::Idle)
+    throw std::logic_error("TestSequencer::copyStateFrom: the source has a point in flight");
+  freq_counter_.copyStateFrom(source.freq_counter_);
+  phase_counter_ = source.phase_counter_;
+  options_ = source.options_;
+  sequence_id_ = source.sequence_id_;
+  current_ = source.current_;
+  waiting_for_output_peak_ = source.waiting_for_output_peak_;
+  mfreq_rise_time_ = source.mfreq_rise_time_;
+}
+
 TestSequencer::TestSequencer(sim::Circuit& c, pll::CpPll& pll, StimulusHooks stimulus,
                              PeakDetector& peak_detector, sim::SignalId stimulus_peak_marker,
                              sim::SignalId counted_signal, double test_clock_hz, Options options)

@@ -104,6 +104,11 @@ class TestSequencer {
   /// point is in flight, std::invalid_argument on bad options.
   void setOptions(const Options& options);
 
+  /// Fork support (see sim::Circuit::copyStateFrom): take `source`'s state,
+  /// counters included. Throws std::logic_error when `source` has a point
+  /// in flight.
+  void copyStateFrom(const TestSequencer& source);
+
  private:
   void handleStimulusPeak(double now);
   void handleOutputPeak(double now);

@@ -1,8 +1,6 @@
 #include "bist/telemetry.hpp"
 
-#include "bist/testbench.hpp"
-#include "sim/circuit.hpp"
-#include "sim/fault_injector.hpp"
+#include "bist/resilient_sweep.hpp"
 
 namespace pllbist::bist {
 
@@ -11,22 +9,20 @@ SweepTelemetry& sweepTelemetry() {
   return *t;
 }
 
-void publishBenchCounters(SweepTestbench& bench) {
+void publishBenchCounters(const BenchStats& stats) {
   if constexpr (!obs::kEnabled) return;
   SweepTelemetry& t = sweepTelemetry();
-  const sim::Circuit& c = bench.circuit();
-  t.kernel_processed.add(c.processedEventCount());
-  t.kernel_delivered.add(c.deliveredEventCount());
-  t.kernel_dropped.add(c.droppedEventCount());
-  t.kernel_delayed.add(c.delayedEventCount());
-  t.kernel_swallowed.add(c.swallowedEventCount());
-  if (const sim::FaultInjector* injector = bench.installedFaultInjector()) {
-    const sim::FaultInjector::Stats& s = injector->stats();
-    t.faults_benches.increment();
-    t.faults_considered.add(s.considered);
-    t.faults_dropped.add(s.dropped);
-    t.faults_delayed.add(s.delayed);
-    t.faults_glitches.add(s.glitches);
+  t.kernel_processed.add(stats.events_processed);
+  t.kernel_delivered.add(stats.events_delivered);
+  t.kernel_dropped.add(stats.events_dropped);
+  t.kernel_delayed.add(stats.events_delayed);
+  t.kernel_swallowed.add(stats.events_swallowed);
+  if (stats.fault_benches > 0) {
+    t.faults_benches.add(stats.fault_benches);
+    t.faults_considered.add(stats.faults_considered);
+    t.faults_dropped.add(stats.faults_dropped);
+    t.faults_delayed.add(stats.faults_delayed);
+    t.faults_glitches.add(stats.faults_glitches);
   }
 }
 

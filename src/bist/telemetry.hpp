@@ -4,7 +4,7 @@
 
 namespace pllbist::bist {
 
-class SweepTestbench;
+struct BenchStats;
 
 /// Handles into the global MetricsRegistry for the sweep engines, registered
 /// once per process. Naming follows the layer.component.name convention
@@ -38,11 +38,12 @@ struct SweepTelemetry {
 /// The process-wide handle set (leaked, like the registry it points into).
 SweepTelemetry& sweepTelemetry();
 
-/// Re-home a bench's ad-hoc statistics — the circuit's kernel event
-/// counters and the fault injector's rule statistics — onto the registry,
-/// so RunReport and the Prometheus export read everything from one place.
-/// Each engine owns a fresh circuit, so adding the totals once at the end
-/// of a run is exact. Call exactly once per bench.
-void publishBenchCounters(SweepTestbench& bench);
+/// Re-home a run's bench statistics — the circuit's kernel event counters
+/// and the fault injector's rule statistics (BenchStats) — onto the
+/// registry, so RunReport and the Prometheus export read everything from
+/// one place. Every run counts only its own work (a farm point from its
+/// fork, the farm's prelude once), so adding each run's stats once at its
+/// end is exact.
+void publishBenchCounters(const BenchStats& stats);
 
 }  // namespace pllbist::bist

@@ -1,6 +1,7 @@
 #include "bist/testbench.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "common/units.hpp"
 
@@ -89,6 +90,22 @@ SweepTestbench::SweepTestbench(const pll::PllConfig& config, const SweepOptions&
   sequencer_ = std::make_unique<TestSequencer>(circuit_, *pll_, hooks_, *peak_detector_,
                                                stim_marker_, pll_->vcoOut(),
                                                options_.master_clock_hz, options_.sequencer);
+}
+
+void SweepTestbench::copyStateFrom(const SweepTestbench& source) {
+  if (source.options_.stimulus != options_.stimulus)
+    throw std::logic_error("SweepTestbench::copyStateFrom: benches of different stimulus kinds");
+  if (source.sequencer_->stage() != TestSequencer::Stage::Idle)
+    throw std::logic_error("SweepTestbench::copyStateFrom: the source has a point in flight");
+  circuit_.copyStateFrom(source.circuit_);
+  if (dco_) dco_->copyStateFrom(*source.dco_);
+  if (modulator_) modulator_->copyStateFrom(*source.modulator_);
+  if (sine_source_) sine_source_->copyStateFrom(*source.sine_source_);
+  if (pm_clock_) pm_clock_->copyStateFrom(*source.pm_clock_);
+  if (delay_line_) delay_line_->copyStateFrom(*source.delay_line_);
+  pll_->copyStateFrom(*source.pll_);
+  lock_->copyStateFrom(*source.lock_);
+  sequencer_->copyStateFrom(*source.sequencer_);
 }
 
 sim::FaultInjector& SweepTestbench::faultInjector(uint64_t seed) {

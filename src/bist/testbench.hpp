@@ -28,7 +28,8 @@ namespace pllbist::bist {
 /// bench *construction*, and so tests can reach into the circuit — attach a
 /// sim::FaultInjector, drop MAXFREQ edges, storm the reference — before any
 /// measurement starts. Non-copyable, non-movable: components capture
-/// `this`-stable references into circuit callbacks.
+/// `this`-stable references into circuit callbacks. A bench is forked
+/// instead: build a second one the same way, then copyStateFrom().
 class SweepTestbench {
  public:
   /// `lock_threshold_s` = 0 selects the conventional auto threshold (2% of
@@ -41,6 +42,7 @@ class SweepTestbench {
   SweepTestbench& operator=(const SweepTestbench&) = delete;
 
   [[nodiscard]] sim::Circuit& circuit() { return circuit_; }
+  [[nodiscard]] const sim::Circuit& circuit() const { return circuit_; }
   [[nodiscard]] pll::CpPll& pll() { return *pll_; }
   [[nodiscard]] TestSequencer& sequencer() { return *sequencer_; }
   [[nodiscard]] PeakDetector& peakDetector() { return *peak_detector_; }
@@ -71,6 +73,16 @@ class SweepTestbench {
   /// Park the stimulus back at the unmodulated nominal carrier (between
   /// points, before relock waits).
   void stopStimulus() { hooks_.stop(); }
+
+  /// Fork: continue from `source`'s simulated state — the circuit's queue,
+  /// time and signal values and every component's state — as if this bench
+  /// had run `source`'s history itself. Both benches must be built from the
+  /// same configuration and options; only the modulation frequencies and
+  /// the jitter seed may differ, and a pure-sine source restarts its jitter
+  /// stream from this bench's seed. Throws std::logic_error when `source`
+  /// has a point in flight, a pending closure, a fault injector, or a
+  /// different structure.
+  void copyStateFrom(const SweepTestbench& source);
 
   /// Step the circuit until `flag` becomes true. Returns SimulationStall
   /// (with the stall time) instead of throwing when the event queue runs

@@ -12,7 +12,10 @@
 namespace pllbist::core {
 
 /// Schema identifier of the checkpoint journal (first line of every file).
-inline constexpr const char* kCheckpointSchema = "pllbist.checkpoint/1";
+/// Version 2: a record's sim_time_s and bench counters cover only its
+/// point's work after the farm's shared prelude (version 1 records each
+/// included a prelude of their own, so mixing them would count it twice).
+inline constexpr const char* kCheckpointSchema = "pllbist.checkpoint/2";
 
 /// Journal header: identifies the campaign the records belong to. The
 /// config digest (FNV-1a over core::canonicalConfigString) is the identity
@@ -39,8 +42,8 @@ struct CheckpointRecord {
   double static_reference_deviation_hz = 0.0;
   int relocks = 0;          ///< this point's engine-run relock count
   int relock_failures = 0;  ///< this point's engine-run relock failures
-  double sim_time_s = 0.0;  ///< simulated seconds this point's engine consumed
-  bist::BenchStats bench;   ///< this point's engine kernel/fault counters
+  double sim_time_s = 0.0;  ///< simulated seconds of this point after the fork
+  bist::BenchStats bench;   ///< this point's kernel/fault counters after the fork
 };
 
 /// Result of loading a journal: header, the unique committed records

@@ -41,6 +41,12 @@ void CpPll::setHold(bool enabled) { circuit_.setNow(hold_sel_, enabled); }
 
 bool CpPll::holdAsserted() const { return circuit_.value(hold_sel_); }
 
+void CpPll::copyStateFrom(const CpPll& source) {
+  ref_divider_->copyStateFrom(*source.ref_divider_);
+  filter_->copyStateFrom(*source.filter_);
+  vco_->copyStateFrom(*source.vco_);
+}
+
 double CpPll::controlVoltageNow() { return filter_->controlVoltage(circuit_.now()); }
 
 double CpPll::vcoFrequencyNowHz() {

@@ -60,6 +60,10 @@ class CpPll {
   [[nodiscard]] PumpFilter& filter() { return *filter_; }
   [[nodiscard]] Vco& vco() { return *vco_; }
 
+  /// Fork support (see sim::Circuit::copyStateFrom): take the state of
+  /// `source`'s stateful blocks (reference divider, pump filter, VCO).
+  void copyStateFrom(const CpPll& source);
+
  private:
   sim::Circuit& circuit_;
   PllConfig cfg_;

@@ -52,6 +52,14 @@ class LockDetector : public sim::Component {
   [[nodiscard]] double lockTime() const { return lock_time_; }
   void reset() { consecutive_ok_ = 0; }
 
+  /// Fork support (see sim::Circuit::copyStateFrom): take `source`'s state.
+  void copyStateFrom(const LockDetector& source) {
+    consecutive_ok_ = source.consecutive_ok_;
+    lock_time_ = source.lock_time_;
+    up_rise_ = source.up_rise_;
+    dn_rise_ = source.dn_rise_;
+  }
+
  private:
   void pulseFinished(double now, double width);
   double threshold_;

@@ -44,6 +44,19 @@ PumpFilter::PumpFilter(sim::Circuit& c, sim::SignalId up, sim::SignalId dn,
   });
 }
 
+void PumpFilter::copyStateFrom(const PumpFilter& source) {
+  up_active_ = source.up_active_;
+  dn_active_ = source.dn_active_;
+  vc_ = source.vc_;
+  last_t_ = source.last_t_;
+  regime_ = source.regime_;
+  asym_v_ = source.asym_v_;
+  tau_s_ = source.tau_s_;
+  slope_vps_ = source.slope_vps_;
+  out_a_ = source.out_a_;
+  out_b_ = source.out_b_;
+}
+
 void PumpFilter::recomputeRegime() {
   const double g2 = 1.0 / cfg_.r2_ohm;
   const double gl = std::isinf(cfg_.leak_ohm) ? 0.0 : 1.0 / cfg_.leak_ohm;

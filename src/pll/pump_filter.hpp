@@ -79,6 +79,9 @@ class PumpFilter : public sim::Component {
 
   [[nodiscard]] const PumpFilterConfig& config() const { return cfg_; }
 
+  /// Fork support (see sim::Circuit::copyStateFrom): take `source`'s state.
+  void copyStateFrom(const PumpFilter& source);
+
  private:
   enum class Regime { Hold, Exponential, Ramp };
 

@@ -94,6 +94,17 @@ void SineFmSource::setCarrier(double nominal_hz) {
   cfg_.nominal_hz = nominal_hz;
 }
 
+void SineFmSource::copyStateFrom(const SineFmSource& source) {
+  const unsigned own_seed = cfg_.jitter_seed;
+  cfg_ = source.cfg_;
+  cfg_.jitter_seed = own_seed;
+  mod_epoch_ = source.mod_epoch_;
+  marker_generation_ = source.marker_generation_;
+  out_state_ = source.out_state_;
+  jitter_rng_.seed(own_seed);
+  jitter_dist_.reset();
+}
+
 void SineFmSource::schedulePeakMarker(double from_time) {
   // Positive crest: modulation phase = pi/2 (mod 2*pi). Subsequent markers
   // advance by exactly one period (re-deriving the phase with fmod would

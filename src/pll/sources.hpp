@@ -50,6 +50,11 @@ class SineFmSource : public sim::Component, private sim::Circuit::Handler {
   [[nodiscard]] double instantaneousFrequency(double t) const;
   [[nodiscard]] const Config& config() const { return cfg_; }
 
+  /// Fork support (see sim::Circuit::copyStateFrom): take `source`'s
+  /// program and timeline, but restart the jitter stream from this
+  /// source's own `jitter_seed`, so every fork draws its own jitter.
+  void copyStateFrom(const SineFmSource& source);
+
  private:
   /// Carrier toggles carry tag 0; crest markers carry
   /// generationTag(marker generation, 1), so a re-programmed source

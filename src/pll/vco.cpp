@@ -116,6 +116,16 @@ uint64_t Vco::passedHalves(double t) const {
   return std::clamp(crossed, next_half_, aim_half_);
 }
 
+void Vco::copyStateFrom(const Vco& source) {
+  started_ = source.started_;
+  phase_cycles_ = source.phase_cycles_;
+  next_half_ = source.next_half_;
+  aim_half_ = source.aim_half_;
+  last_t_ = source.last_t_;
+  frequency_hz_ = source.frequency_hz_;
+  generation_ = source.generation_;
+}
+
 uint64_t Vco::risingEdgesBy(double t) const {
   if (!started_) return 0;
   PLLBIST_ASSERT(t >= last_t_);

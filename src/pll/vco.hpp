@@ -73,6 +73,9 @@ class Vco : public sim::Component, private sim::Circuit::Handler {
 
   [[nodiscard]] const VcoConfig& config() const { return cfg_; }
 
+  /// Fork support (see sim::Circuit::copyStateFrom): take `source`'s state.
+  void copyStateFrom(const Vco& source);
+
  private:
   /// The first event starts the oscillator; every later one is the aimed
   /// half-cycle, tagged with the generation that aimed it.

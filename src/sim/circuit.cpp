@@ -142,6 +142,31 @@ void Circuit::applySignal(const Event& ev) {
   for (size_t i = 0; i < sig.change_callbacks.size(); ++i) sig.change_callbacks[i](now_, ev.value);
 }
 
+void Circuit::copyStateFrom(const Circuit& source) {
+  if (source.interceptor_)
+    throw std::logic_error("Circuit::copyStateFrom: the source has an installed interceptor");
+  if (source.closures_.size() != source.free_closures_.size())
+    throw std::logic_error("Circuit::copyStateFrom: the source has a pending closure");
+  if (source.signals_.size() != signals_.size() || source.handlers_.size() != handlers_.size())
+    throw std::logic_error("Circuit::copyStateFrom: circuits were not built the same way");
+  for (size_t i = 0; i < signals_.size(); ++i)
+    if (source.signals_[i].name != signals_[i].name)
+      throw std::logic_error("Circuit::copyStateFrom: signal " + std::to_string(i) + " is '" +
+                             signals_[i].name + "' here but '" + source.signals_[i].name +
+                             "' in the source");
+  for (size_t i = 0; i < signals_.size(); ++i) signals_[i].value = source.signals_[i].value;
+  closures_.assign(source.closures_.size(), nullptr);
+  free_closures_ = source.free_closures_;
+  queue_ = source.queue_;
+  now_ = source.now_;
+  next_seq_ = source.next_seq_;
+  processed_events_ = source.processed_events_;
+  delivered_events_ = source.delivered_events_;
+  dropped_events_ = source.dropped_events_;
+  delayed_events_ = source.delayed_events_;
+  swallowed_events_ = source.swallowed_events_;
+}
+
 bool Circuit::step() {
   if (stop_requested_) {
     stop_requested_ = false;

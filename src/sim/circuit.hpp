@@ -170,6 +170,15 @@ class Circuit {
   /// Bounded by the peak number of simultaneously pending closures.
   [[nodiscard]] std::size_t closureSlotCount() const { return closures_.size(); }
 
+  /// Continue from `source`'s dynamic state: its queue, time, insertion
+  /// sequence, signal values and event counters replace this circuit's.
+  /// Callbacks and handlers stay this circuit's own, so both circuits must
+  /// have been built the same way (same signals and handlers registered in
+  /// the same order); the components then copy their own state. Throws
+  /// std::logic_error when they were not, or when `source` has a pending
+  /// closure or an installed interceptor — neither can be carried over.
+  void copyStateFrom(const Circuit& source);
+
  private:
   enum class Target : uint8_t { Signal, Handler, Closure };
   /// One queue entry: plain data, so heap sifts copy 32 bytes and never

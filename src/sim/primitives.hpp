@@ -89,6 +89,8 @@ class ClockSource : public Component, private Circuit::Handler {
   ClockSource(Circuit& c, SignalId out, double period_s, double start_time_s = 0.0);
   void stop() { running_ = false; }
   [[nodiscard]] double period() const { return period_; }
+  /// Fork support (see Circuit::copyStateFrom): take `source`'s state.
+  void copyStateFrom(const ClockSource& source) { running_ = source.running_; }
 
  private:
   /// Every event is the next half-period toggle (the tag is unused).
@@ -126,6 +128,8 @@ class DivideByN : public Component {
  public:
   DivideByN(Circuit& c, SignalId in, SignalId out, int n, double delay_s);
   [[nodiscard]] int n() const { return n_; }
+  /// Fork support (see Circuit::copyStateFrom): take `source`'s state.
+  void copyStateFrom(const DivideByN& source) { count_ = source.count_; }
 
  private:
   Circuit& circuit_;
@@ -144,6 +148,11 @@ class GatedCounter : public Component {
   void stop() { running_ = false; }
   [[nodiscard]] bool running() const { return running_; }
   [[nodiscard]] long count() const { return count_; }
+  /// Fork support (see Circuit::copyStateFrom): take `source`'s state.
+  void copyStateFrom(const GatedCounter& source) {
+    count_ = source.count_;
+    running_ = source.running_;
+  }
 
  private:
   long count_ = 0;

@@ -1,0 +1,114 @@
+// SweepTestbench::copyStateFrom: a fork of a bench must continue exactly
+// as the bench it was forked from would have.
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <stdexcept>
+
+#include "bist/resilient_sweep.hpp"
+#include "bist/testbench.hpp"
+#include "support/test_configs.hpp"
+
+namespace pllbist::bist {
+namespace {
+
+using pllbist::testing::fastSweepOptions;
+using pllbist::testing::fastTestConfig;
+
+class BenchFork : public ::testing::TestWithParam<StimulusKind> {};
+
+TEST_P(BenchFork, ForkMeasuresExactlyWhatTheSourceWould) {
+  const SweepOptions sweep = fastSweepOptions(GetParam(), 2);
+  ResilientSweep engine(fastTestConfig(), sweep);
+  const std::unique_ptr<SweepTestbench> source = engine.makeBench();
+  const ResilientSweep::Prelude prelude = engine.runPrelude(*source);
+  ASSERT_TRUE(prelude.status.ok());
+  const std::unique_ptr<SweepTestbench> fork = engine.makeBench();
+  fork->copyStateFrom(*source);
+  EXPECT_EQ(fork->circuit().now(), source->circuit().now());
+  EXPECT_EQ(fork->lockDetector().isLocked(), source->lockDetector().isLocked());
+
+  const ResilientResponse from_fork = engine.runPoints(*fork, prelude, prelude.end);
+  const ResilientResponse from_source = engine.runPoints(*source, prelude, prelude.end);
+  ASSERT_EQ(from_fork.response.points.size(), 2u);
+  ASSERT_EQ(from_source.response.points.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const MeasuredPoint& f = from_fork.response.points[i];
+    const MeasuredPoint& s = from_source.response.points[i];
+    EXPECT_EQ(f.deviation_hz, s.deviation_hz) << "point " << i;
+    EXPECT_EQ(f.phase_deg, s.phase_deg) << "point " << i;
+    EXPECT_EQ(f.quality, s.quality) << "point " << i;
+    EXPECT_EQ(f.attempts, s.attempts) << "point " << i;
+  }
+  EXPECT_GT(from_fork.bench.events_processed, 0u);
+  EXPECT_EQ(from_fork.bench.events_processed, from_source.bench.events_processed);
+  EXPECT_EQ(from_fork.bench.events_delivered, from_source.bench.events_delivered);
+  EXPECT_EQ(from_fork.bench.events_swallowed, from_source.bench.events_swallowed);
+  EXPECT_EQ(from_fork.report.sim_time_s, from_source.report.sim_time_s);
+  EXPECT_EQ(fork->circuit().now(), source->circuit().now());
+}
+
+INSTANTIATE_TEST_SUITE_P(Stimuli, BenchFork,
+                         ::testing::Values(StimulusKind::MultiToneFsk, StimulusKind::TwoToneFsk,
+                                           StimulusKind::PureSineFm, StimulusKind::DelayLinePm),
+                         [](const ::testing::TestParamInfo<StimulusKind>& info) {
+                           switch (info.param) {
+                             case StimulusKind::MultiToneFsk: return "MultiToneFsk";
+                             case StimulusKind::TwoToneFsk: return "TwoToneFsk";
+                             case StimulusKind::PureSineFm: return "PureSineFm";
+                             case StimulusKind::DelayLinePm: return "DelayLinePm";
+                           }
+                           return "Unknown";
+                         });
+
+TEST(BenchForkJitter, EachForkDrawsFromItsOwnSeed) {
+  SweepOptions sweep = fastSweepOptions(StimulusKind::PureSineFm, 1);
+  sweep.ref_edge_jitter_rms_s = 1e-6;
+  sweep.jitter_seed = 11;
+  ResilientSweep engine(fastTestConfig(), sweep);
+  const std::unique_ptr<SweepTestbench> source = engine.makeBench();
+  const ResilientSweep::Prelude prelude = engine.runPrelude(*source);
+  ASSERT_TRUE(prelude.status.ok());
+  auto measureFork = [&](unsigned seed) {
+    SweepOptions options = sweep;
+    options.jitter_seed = seed;
+    SweepTestbench fork(fastTestConfig(), options);
+    fork.copyStateFrom(*source);
+    return engine.runPoints(fork, prelude, prelude.end).response.points.front();
+  };
+  const MeasuredPoint a = measureFork(12);
+  const MeasuredPoint again = measureFork(12);
+  const MeasuredPoint b = measureFork(13);
+  EXPECT_EQ(a.deviation_hz, again.deviation_hz);
+  EXPECT_EQ(a.phase_deg, again.phase_deg);
+  EXPECT_TRUE(a.deviation_hz != b.deviation_hz || a.phase_deg != b.phase_deg);
+}
+
+TEST(BenchForkRejects, PointInFlight) {
+  const SweepOptions sweep = fastSweepOptions(StimulusKind::MultiToneFsk, 2);
+  SweepTestbench source(fastTestConfig(), sweep);
+  source.circuit().run(0.01);
+  source.sequencer().measurePoint(sweep.modulation_frequencies_hz[0],
+                                  [](TestSequencer::PointResult) {});
+  SweepTestbench fork(fastTestConfig(), sweep);
+  EXPECT_THROW(fork.copyStateFrom(source), std::logic_error);
+}
+
+TEST(BenchForkRejects, FaultInjectorOnTheSource) {
+  const SweepOptions sweep = fastSweepOptions(StimulusKind::MultiToneFsk, 2);
+  SweepTestbench source(fastTestConfig(), sweep);
+  source.faultInjector(1);
+  SweepTestbench fork(fastTestConfig(), sweep);
+  EXPECT_THROW(fork.copyStateFrom(source), std::logic_error);
+}
+
+TEST(BenchForkRejects, BenchesBuiltDifferently) {
+  SweepTestbench source(fastTestConfig(), fastSweepOptions(StimulusKind::MultiToneFsk, 2));
+  SweepTestbench pm(fastTestConfig(), fastSweepOptions(StimulusKind::DelayLinePm, 2));
+  EXPECT_THROW(pm.copyStateFrom(source), std::logic_error);
+  SweepTestbench fork(fastTestConfig(), fastSweepOptions(StimulusKind::MultiToneFsk, 2));
+  EXPECT_NO_THROW(fork.copyStateFrom(source));
+}
+
+}  // namespace
+}  // namespace pllbist::bist

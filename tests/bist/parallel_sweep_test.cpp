@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <string>
@@ -117,12 +118,24 @@ TEST(ParallelSweep, FaultInjectionDeterministicAcrossJobCounts) {
 }
 
 TEST(ParallelSweep, JitterSeedsDeriveFromPointIndex) {
-  SweepOptions sweep = fastSweepOptions(StimulusKind::MultiToneFsk, 4);
-  sweep.ref_edge_jitter_rms_s = 2e-7;
+  // Only the pure-sine source applies reference edge jitter.
+  SweepOptions sweep = fastSweepOptions(StimulusKind::PureSineFm, 4);
   sweep.jitter_seed = 7;
+  const ResilientResponse clean = runFarm(sweep, 1);
+  sweep.ref_edge_jitter_rms_s = 1e-6;
   const ResilientResponse serial = runFarm(sweep, 1);
   const ResilientResponse parallel = runFarm(sweep, 4);
   expectBitIdentical(serial, parallel);
+  // The jitter reaches every fork (each re-seeds its own stream), so no
+  // jittered point measures exactly what the jitter-free sweep did.
+  ASSERT_EQ(serial.response.points.size(), clean.response.points.size());
+  for (std::size_t i = 0; i < clean.response.points.size(); ++i) {
+    const MeasuredPoint& jittered = serial.response.points[i];
+    const MeasuredPoint& reference = clean.response.points[i];
+    EXPECT_TRUE(jittered.deviation_hz != reference.deviation_hz ||
+                jittered.phase_deg != reference.phase_deg)
+        << "point " << i;
+  }
 }
 
 TEST(ParallelSweep, PointSeedIsStableAndDistinct) {
@@ -217,13 +230,18 @@ TEST(ParallelSweep, RequestStopMidCampaignDrainsWorkersWithoutDoubleCounting) {
 
 TEST(ParallelSweep, PreloadedPointsMergeInPlaceAndNeverRun) {
   const SweepOptions sweep = fastSweepOptions(StimulusKind::MultiToneFsk, 4);
-  const ResilientResponse reference = runFarm(sweep, 1);
   ParallelSweepOptions popt;
+  popt.jobs = 1;
+  ParallelSweep reference_engine(fastTestConfig(), sweep, popt);
+  ResilientResponse point1;  // point 1 exactly as the reference's sink got it
+  reference_engine.onPointResult([&](std::size_t index, const ResilientResponse& r) {
+    if (index == 1) point1 = r;
+    return Status();
+  });
+  const ResilientResponse reference = reference_engine.run();
   popt.jobs = 2;
   ParallelSweep engine(fastTestConfig(), sweep, popt);
-  // Preload point 1 exactly as the reference measured it (a single-point
-  // engine run of the same recipe).
-  engine.preload(1, ResilientSweep(fastTestConfig(), singlePointOptions(sweep, 1)).run());
+  engine.preload(1, point1);
   std::set<std::size_t> built;
   std::mutex built_mutex;
   engine.onPointTestbench([&](std::size_t index, SweepTestbench&) {
@@ -240,6 +258,46 @@ TEST(ParallelSweep, PreloadedPointsMergeInPlaceAndNeverRun) {
   EXPECT_EQ(sunk, (std::set<std::size_t>{0, 2, 3}));
   expectBitIdentical(r, reference);
   EXPECT_THROW(engine.preload(0, reference), std::logic_error);
+}
+
+TEST(ParallelSweep, FullyPreloadedSweepStillCountsThePreludeOnce) {
+  // A fully resumed campaign: every point comes from the sink of an
+  // earlier run, and the merge still adds the shared prelude exactly once.
+  const SweepOptions sweep = fastSweepOptions(StimulusKind::MultiToneFsk, 3);
+  ParallelSweepOptions popt;
+  popt.jobs = 1;
+  ParallelSweep reference_engine(fastTestConfig(), sweep, popt);
+  std::vector<ResilientResponse> sunk(3);
+  reference_engine.onPointResult([&](std::size_t index, const ResilientResponse& r) {
+    sunk[index] = r;
+    return Status();
+  });
+  const ResilientResponse reference = reference_engine.run();
+  ParallelSweep engine(fastTestConfig(), sweep, popt);
+  for (std::size_t i = 0; i < 3; ++i) engine.preload(i, sunk[i]);
+  const ResilientResponse r = engine.run();
+  expectBitIdentical(r, reference);
+  EXPECT_EQ(r.bench.events_processed, reference.bench.events_processed);
+  EXPECT_EQ(r.bench.events_delivered, reference.bench.events_delivered);
+}
+
+TEST(ParallelSweep, StopDuringThePreludeLabelsEveryPendingPointOnce) {
+  const SweepOptions sweep = fastSweepOptions(StimulusKind::MultiToneFsk, 4);
+  ParallelSweepOptions popt;
+  popt.jobs = 2;
+  ParallelSweep engine(fastTestConfig(), sweep, popt);
+  std::atomic<int> forked{0};
+  engine.onPointTestbench([&](std::size_t, SweepTestbench&) { ++forked; });
+  engine.requestStop();  // trips during the lock wait, before any fork
+  const ResilientResponse r = engine.run();
+  EXPECT_EQ(forked.load(), 0);
+  EXPECT_EQ(r.status.kind(), Status::Kind::Cancelled);
+  ASSERT_EQ(r.response.points.size(), 4u);
+  EXPECT_EQ(r.report.points_total, 4);
+  EXPECT_EQ(r.report.dropped, 4);
+  EXPECT_EQ(r.report.attempts_total, 0);
+  for (const MeasuredPoint& p : r.response.points)
+    EXPECT_EQ(p.status.kind(), Status::Kind::Cancelled);
 }
 
 TEST(ParallelSweep, PreloadRejectsMalformedResults) {
@@ -273,6 +331,101 @@ TEST(ParallelSweep, SinkRunsBeforeProgressAndAnErrorStopsTheFarm) {
   ASSERT_EQ(r.response.points.size(), 4u);
   for (std::size_t i = 2; i < 4; ++i)
     EXPECT_EQ(r.response.points[i].status.kind(), Status::Kind::Cancelled) << "point " << i;
+}
+
+// Differential test of the fork against the slow path it replaces: every
+// farm point must equal a standalone single-point engine that runs its own
+// prelude, with the farm's bench hook fired at attempt 0 (the moment the
+// farm forks). Counts must satisfy farm = P + sum(S_i - P), where P is the
+// prelude alone and S_i the standalone run of point i.
+using BenchHook = std::function<void(std::size_t, SweepTestbench&)>;
+
+void expectForkMatchesStandalone(const SweepOptions& sweep, const BenchHook& hook) {
+  const pll::PllConfig config = fastTestConfig();
+  ParallelSweepOptions popt;
+  popt.jobs = 2;
+  ParallelSweep farm(config, sweep, popt);
+  if (hook) farm.onPointTestbench(hook);
+  const ResilientResponse merged = farm.run();
+  ASSERT_TRUE(merged.status.ok()) << merged.status.toString();
+
+  ResilientSweep source(config, singlePointOptions(sweep, 0));
+  const std::unique_ptr<SweepTestbench> source_bench = source.makeBench();
+  const ResilientSweep::Prelude prelude = source.runPrelude(*source_bench);
+  ASSERT_TRUE(prelude.status.ok());
+  EXPECT_EQ(merged.response.nominal_vco_hz, prelude.nominal_vco_hz);
+  EXPECT_EQ(merged.response.static_reference_deviation_hz,
+            prelude.static_reference_deviation_hz);
+
+  BenchStats want = prelude.end.bench;
+  double want_sim_s = prelude.end.sim_time_s;
+  SweepQualityReport want_report;
+  ASSERT_EQ(merged.response.points.size(), sweep.modulation_frequencies_hz.size());
+  for (std::size_t i = 0; i < merged.response.points.size(); ++i) {
+    ResilientSweep engine(config, singlePointOptions(sweep, i));
+    if (hook)
+      engine.onAttemptStart([&](std::size_t, int attempt, SweepTestbench& bench) {
+        if (attempt == 0) hook(i, bench);
+      });
+    const ResilientResponse alone = engine.run();
+    ASSERT_EQ(alone.response.points.size(), 1u);
+    EXPECT_EQ(alone.response.nominal_vco_hz, prelude.nominal_vco_hz);
+    const MeasuredPoint& f = merged.response.points[i];
+    const MeasuredPoint& s = alone.response.points.front();
+    EXPECT_EQ(f.modulation_hz, s.modulation_hz) << "point " << i;
+    EXPECT_EQ(f.deviation_hz, s.deviation_hz) << "point " << i;
+    EXPECT_EQ(f.phase_deg, s.phase_deg) << "point " << i;
+    EXPECT_EQ(f.unity_gain_deviation_hz, s.unity_gain_deviation_hz) << "point " << i;
+    EXPECT_EQ(f.quality, s.quality) << "point " << i;
+    EXPECT_EQ(f.attempts, s.attempts) << "point " << i;
+    EXPECT_EQ(f.timed_out, s.timed_out) << "point " << i;
+    EXPECT_EQ(f.status.toString(), s.status.toString()) << "point " << i;
+    want.add(alone.bench.since(prelude.end.bench));
+    want_sim_s += alone.report.sim_time_s - prelude.end.sim_time_s;
+    want_report.count(s);
+    want_report.relocks += alone.report.relocks;
+    want_report.relock_failures += alone.report.relock_failures;
+  }
+  EXPECT_EQ(merged.bench.events_processed, want.events_processed);
+  EXPECT_EQ(merged.bench.events_delivered, want.events_delivered);
+  EXPECT_EQ(merged.bench.events_dropped, want.events_dropped);
+  EXPECT_EQ(merged.bench.events_delayed, want.events_delayed);
+  EXPECT_EQ(merged.bench.events_swallowed, want.events_swallowed);
+  EXPECT_EQ(merged.bench.fault_benches, want.fault_benches);
+  EXPECT_EQ(merged.bench.faults_considered, want.faults_considered);
+  EXPECT_EQ(merged.bench.faults_dropped, want.faults_dropped);
+  EXPECT_EQ(merged.bench.faults_delayed, want.faults_delayed);
+  EXPECT_EQ(merged.bench.faults_glitches, want.faults_glitches);
+  EXPECT_EQ(merged.report.sim_time_s, want_sim_s);
+  EXPECT_EQ(merged.report.points_total, want_report.points_total);
+  EXPECT_EQ(merged.report.ok, want_report.ok);
+  EXPECT_EQ(merged.report.retried, want_report.retried);
+  EXPECT_EQ(merged.report.degraded, want_report.degraded);
+  EXPECT_EQ(merged.report.dropped, want_report.dropped);
+  EXPECT_EQ(merged.report.attempts_total, want_report.attempts_total);
+  EXPECT_EQ(merged.report.relocks, want_report.relocks);
+  EXPECT_EQ(merged.report.relock_failures, want_report.relock_failures);
+}
+
+TEST(ParallelSweep, ForkMatchesStandaloneMultiToneFsk) {
+  expectForkMatchesStandalone(fastSweepOptions(StimulusKind::MultiToneFsk, 4), nullptr);
+}
+
+TEST(ParallelSweep, ForkMatchesStandaloneTwoToneFsk) {
+  expectForkMatchesStandalone(fastSweepOptions(StimulusKind::TwoToneFsk, 4), nullptr);
+}
+
+TEST(ParallelSweep, ForkMatchesStandaloneDelayLinePm) {
+  expectForkMatchesStandalone(fastSweepOptions(StimulusKind::DelayLinePm, 4), nullptr);
+}
+
+TEST(ParallelSweep, ForkMatchesStandaloneWithFaultInjector) {
+  expectForkMatchesStandalone(
+      fastSweepOptions(StimulusKind::MultiToneFsk, 4), [](std::size_t index, SweepTestbench& bench) {
+        sim::FaultInjector& inj = bench.faultInjector(pointSeed(23, index));
+        inj.dropEdges(bench.stimulusMarker(), 0.2);
+        inj.delayEdges(bench.stimulusOut(), 0.05, 1e-6, 5e-6);
+      });
 }
 
 TEST(TestbenchFactory, BenchesAreIndependent) {

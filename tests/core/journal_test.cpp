@@ -186,6 +186,21 @@ TEST(Journal, MissingOrBogusHeaderFailsClosed) {
   EXPECT_EQ(parseJournal(beheaded, loaded).kind(), Status::Kind::InvalidArgument);
 }
 
+TEST(Journal, PreviousSchemaFailsClosedNamingBothSchemas) {
+  // A version-1 journal's records each carry a prelude of their own;
+  // merging them into a version-2 run would count it several times.
+  std::string header = JournalWriter::headerLine(testHeader());
+  const std::string current = kCheckpointSchema;
+  ASSERT_EQ(current, "pllbist.checkpoint/2");
+  header.replace(header.find(current), current.size(), "pllbist.checkpoint/1");
+  const std::string text = header + "\n" + JournalWriter::recordLine(testRecord(0)) + "\n";
+  JournalLoadResult loaded;
+  const Status s = parseJournal(text, loaded);
+  EXPECT_EQ(s.kind(), Status::Kind::InvalidArgument);
+  EXPECT_NE(s.context().find("pllbist.checkpoint/1"), std::string::npos) << s.toString();
+  EXPECT_NE(s.context().find("pllbist.checkpoint/2"), std::string::npos) << s.toString();
+}
+
 TEST(Journal, OutOfRangeIndexFailsClosed) {
   CheckpointRecord rogue = testRecord(0);
   rogue.index = 9;  // header says points_total = 4

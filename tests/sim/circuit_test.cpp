@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "sim/primitives.hpp"
 
 namespace pllbist::sim {
 namespace {
@@ -450,6 +451,85 @@ TEST(Circuit, SelfReschedulingClosureKeepsTheSlabBounded) {
   EXPECT_EQ(remaining, 0);
   EXPECT_EQ(c.deliveredEventCount(), 100000u);
   EXPECT_LE(c.closureSlotCount(), 2u);
+}
+
+/// A clock into a divide-by-3, with every transition of the divided net
+/// recorded: built twice the same way for the fork tests.
+struct ForkableDesign {
+  Circuit c;
+  SignalId clk = c.addSignal("clk");
+  SignalId div = c.addSignal("div");
+  ClockSource clock{c, clk, 1e-4};
+  DivideByN divider{c, clk, div, 3, 1e-6};
+  std::vector<std::pair<double, bool>> edges;
+  ForkableDesign() {
+    c.onChange(div, [this](double now, bool v) { edges.emplace_back(now, v); });
+  }
+  void copyStateFrom(const ForkableDesign& source) {
+    c.copyStateFrom(source.c);
+    clock.copyStateFrom(source.clock);
+    divider.copyStateFrom(source.divider);
+  }
+};
+
+TEST(Circuit, CopyStateFromContinuesTheSourceHistory) {
+  ForkableDesign source;
+  source.c.run(1.05e-3);  // mid-count: the divider holds a partial count
+  ForkableDesign fork;
+  fork.copyStateFrom(source);
+  EXPECT_EQ(fork.c.now(), source.c.now());
+  EXPECT_EQ(fork.c.value(fork.div), source.c.value(source.div));
+  EXPECT_EQ(fork.c.processedEventCount(), source.c.processedEventCount());
+  source.edges.clear();
+  source.c.run(3e-3);
+  fork.c.run(3e-3);
+  EXPECT_FALSE(fork.edges.empty());
+  EXPECT_EQ(fork.edges, source.edges);
+  EXPECT_EQ(fork.c.processedEventCount(), source.c.processedEventCount());
+  EXPECT_EQ(fork.c.deliveredEventCount(), source.c.deliveredEventCount());
+  EXPECT_EQ(fork.c.swallowedEventCount(), source.c.swallowedEventCount());
+}
+
+TEST(Circuit, CopyStateFromKeepsTheInsertionOrder) {
+  // Same-time events deliver in insertion order; an event scheduled after
+  // the fork must still come after one queued before it.
+  ForkableDesign source;
+  source.c.run(1e-3);
+  source.c.scheduleSet(source.div, 5e-3, true);
+  ForkableDesign fork;
+  fork.copyStateFrom(source);
+  for (ForkableDesign* d : {&source, &fork}) {
+    d->c.scheduleSet(d->div, 5e-3, false);
+    d->c.run(5e-3);
+  }
+  EXPECT_FALSE(source.c.value(source.div));
+  EXPECT_FALSE(fork.c.value(fork.div));
+}
+
+TEST(Circuit, CopyStateFromRejectsPendingClosuresAndInterceptors) {
+  ForkableDesign source;
+  ForkableDesign fork;
+  source.c.scheduleCallback(1e-3, [](double) {});
+  EXPECT_THROW(fork.c.copyStateFrom(source.c), std::logic_error);
+  source.c.run(2e-3);  // the closure ran: nothing pending any more
+  EXPECT_NO_THROW(fork.c.copyStateFrom(source.c));
+  source.c.setEventInterceptor([](SignalId, double, bool) { return Circuit::InterceptVerdict{}; });
+  EXPECT_THROW(fork.c.copyStateFrom(source.c), std::logic_error);
+}
+
+TEST(Circuit, CopyStateFromRequiresTheSameStructure) {
+  Circuit a;
+  a.addSignal("x");
+  Circuit b;
+  b.addSignal("y");
+  EXPECT_THROW(b.copyStateFrom(a), std::logic_error);  // names differ
+  b.addSignal("x");
+  EXPECT_THROW(b.copyStateFrom(a), std::logic_error);  // counts differ
+  Circuit c;
+  c.addSignal("x");
+  RecordingHandler h;
+  c.addHandler(h);
+  EXPECT_THROW(c.copyStateFrom(a), std::logic_error);  // handlers differ
 }
 
 }  // namespace

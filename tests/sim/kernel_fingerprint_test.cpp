@@ -1,15 +1,19 @@
 // Differential fingerprint of the event kernel: three farm sweeps whose
 // every kernel count and measured double is pinned bit for bit.
 //
-// The committed values come from the closure-per-event kernel, which
-// simulated every VCO half-cycle and ran a standalone feedback divider.
-// They stay the "observed" variant: with a dummy observer on the VCO
-// output the VCO materialises every half-cycle again, so each sweep must
-// replay the committed event sequence exactly. Unobserved, the VCO skips
-// the half-cycles nobody sees; only the event counts may differ then, and
-// every measured double, sim_s, dropped and delayed count stays bit-equal.
-// Delivered vs swallowed moved once (superseded handler events count as
-// swallowed), so only their sum is pinned.
+// The measured doubles of the hook-free sweeps come from the
+// closure-per-event kernel, which simulated every VCO half-cycle, ran a
+// standalone feedback divider and re-ran the lock/nominal/DC prelude on
+// every point. The farm now runs the prelude once and forks it per point,
+// so the counts and sim_s cover one prelude plus each point's work after
+// the fork. In the "observed" variant a dummy observer on each fork's VCO
+// output makes the VCO materialise every half-cycle after the prelude.
+// Unobserved, the VCO skips the half-cycles nobody sees; only the event
+// counts may differ then, and every measured double, sim_s, dropped and
+// delayed count stays bit-equal. Delivered vs swallowed moved once
+// (superseded handler events count as swallowed), so only their sum is
+// pinned. The fault-injector sweep's faults now start at the fork, so its
+// values were pinned afresh.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -122,7 +126,7 @@ ResilientResponse referenceTwoPointSweep(bool observe_vco) {
   return runFarm(pll::referenceConfig(), sweep, observe_vco);
 }
 
-const Fingerprint kReferenceTwoPoint{3282496u, 0u, 0u, 3282496u, 0x1.bb6687ff126f4p+3,
+const Fingerprint kReferenceTwoPoint{1538145u, 0u, 0u, 1538145u, 0x1.3b6687ff126f4p+3,
                                      0x1.86ap+15, 0x1.f9p+8,
                                      {0x1p+1, 0x1.e5p+8, -0x1.ac3e963dc486ap+2, 0x0p+0,  //
                                       0x1.4p+5, 0x1.8p+2, -0x1.8c3a535ecd2cbp+7, 0x0p+0}};
@@ -133,7 +137,7 @@ TEST(KernelFingerprint, ReferenceDeviceTwoPointSweep) {
 
 TEST(KernelFingerprint, ReferenceDeviceTwoPointSweepUnobserved) {
   expectFingerprint(referenceTwoPointSweep(false),
-                    withCounts(kReferenceTwoPoint, 541140u, 541140u));
+                    withCounts(kReferenceTwoPoint, 387771u, 387771u));
 }
 
 ResilientResponse fastMultiToneWithFaultInjector(bool observe_vco) {
@@ -150,10 +154,10 @@ ResilientResponse fastMultiToneWithFaultInjector(bool observe_vco) {
 }
 
 const Fingerprint kFastMultiTone{
-    776477u, 49u, 1014u, 775414u, 0x1.03e3f5a649e9ap+0, 0x1.86b3fffffffffp+16, 0x1.eap+9,
-    {0x1.8ffffffffffffp+5, 0x1.ep+7, -0x1.22fca61f96f12p+8, 0x0p+0,  //
-     0x1.bf36ae31d6e46p+7, 0x1.09p+10, -0x1.c5478069cd953p+6, 0x0p+0,  //
-     0x1.f3fffffffffffp+9, -0x1.4p+5, -0x1.ba5fcc95353ep+7, 0x0p+0}};
+    372686u, 38u, 379u, 372269u, 0x1.2cbe4fc3a430fp-1, 0x1.869ffffffffffp+16, 0x1.f4p+9,
+    {0x1.8ffffffffffffp+5, 0x1.4p+8, -0x1.442c5940f92bfp+8, 0x0p+0,  //
+     0x1.bf36ae31d6e46p+7, 0x1.0ep+10, -0x1.c9c4779bad2c7p+6, 0x0p+0,  //
+     0x1.f3fffffffffffp+9, 0x1.4p+5, -0x1.de597a7248712p+7, 0x0p+0}};
 
 TEST(KernelFingerprint, FastDeviceMultiToneWithFaultInjector) {
   expectFingerprint(fastMultiToneWithFaultInjector(true), kFastMultiTone);
@@ -161,7 +165,7 @@ TEST(KernelFingerprint, FastDeviceMultiToneWithFaultInjector) {
 
 TEST(KernelFingerprint, FastDeviceMultiToneWithFaultInjectorUnobserved) {
   expectFingerprint(fastMultiToneWithFaultInjector(false),
-                    withCounts(kFastMultiTone, 389725u, 388662u));
+                    withCounts(kFastMultiTone, 225585u, 225168u));
 }
 
 ResilientResponse delayLinePmSweep(bool observe_vco) {
@@ -170,7 +174,7 @@ ResilientResponse delayLinePmSweep(bool observe_vco) {
 }
 
 const Fingerprint kDelayLinePm{
-    4897237u, 0u, 0u, 4897237u, 0x1.8c53ca80ff457p+2, 0x1.869ffffffffffp+16, 0x0p+0,
+    4701217u, 0u, 0u, 4701217u, 0x1.7f86fdb43278ap+2, 0x1.869ffffffffffp+16, 0x0p+0,
     {0x1.8ffffffffffffp+5, 0x0p+0, 0x0p+0, 0x0p+0,  //
      0x1.bf36ae31d6e46p+7, 0x1.fep+9, -0x1.cbabb8df78e3ep+6, 0x1.b70d09236a6f4p+9,  //
      0x1.f3fffffffffffp+9, 0x1.18p+7, -0x1.90c083126e978p+7, 0x1.eadfb4c5d390bp+11}};
@@ -180,7 +184,7 @@ TEST(KernelFingerprint, DelayLinePmSweep) {
 }
 
 TEST(KernelFingerprint, DelayLinePmSweepUnobserved) {
-  expectFingerprint(delayLinePmSweep(false), withCounts(kDelayLinePm, 2544077u, 2544077u));
+  expectFingerprint(delayLinePmSweep(false), withCounts(kDelayLinePm, 2462051u, 2462051u));
 }
 
 }  // namespace

@@ -19,6 +19,13 @@
 //      the sweeps the case runs again with a dummy observer on the VCO
 //      output (so every half-cycle is simulated instead of skipped), and
 //      the points, statuses and quality report must be bit-identical.
+//   7. the point farm's fork is exact: on a seeded quarter of the sweeps
+//      the case also runs on the ParallelSweep farm (one shared prelude,
+//      forked per point, fault hook on each fork), and every point is
+//      re-run as a standalone ResilientSweep(singlePointOptions(base, i))
+//      with the same hook fired at attempt 0. Points, statuses and quality
+//      counts must be bit-identical, and the farm's kernel counts and
+//      sim_time_s must equal P + sum(S_i - P), P being the prelude alone.
 //
 // Built two ways:
 //   - standalone driver (always): fuzz_sweep --seed N --runs N
@@ -36,10 +43,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <chrono>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bist/controller.hpp"
+#include "bist/parallel_sweep.hpp"
 #include "bist/resilient_sweep.hpp"
 #include "bist/testbench.hpp"
 #include "core/journal.hpp"
@@ -70,6 +80,7 @@ struct FuzzStats {
   uint64_t faulted = 0;   ///< runs with the injector attached
   uint64_t journals = 0;  ///< journal-mutation iterations
   uint64_t observed = 0;  ///< sweeps re-run with an observed VCO output
+  uint64_t forked = 0;    ///< sweeps re-run on the farm and point by point
 };
 
 [[noreturn]] void fail(uint64_t seed, const char* invariant, const std::string& detail) {
@@ -96,6 +107,22 @@ bool sameStatus(const Status& a, const Status& b) {
   return a.kind() == b.kind() && a.toString() == b.toString();
 }
 
+bool samePoint(const pllbist::bist::MeasuredPoint& p, const pllbist::bist::MeasuredPoint& q) {
+  return sameBits(p.modulation_hz, q.modulation_hz) && sameBits(p.deviation_hz, q.deviation_hz) &&
+         sameBits(p.phase_deg, q.phase_deg) &&
+         sameBits(p.unity_gain_deviation_hz, q.unity_gain_deviation_hz) &&
+         p.timed_out == q.timed_out && p.quality == q.quality && p.attempts == q.attempts &&
+         sameStatus(p.status, q.status);
+}
+
+bool sameQualityCounts(const pllbist::bist::SweepQualityReport& r,
+                       const pllbist::bist::SweepQualityReport& t) {
+  return r.points_total == t.points_total && r.ok == t.ok && r.retried == t.retried &&
+         r.degraded == t.degraded && r.dropped == t.dropped &&
+         r.attempts_total == t.attempts_total && r.relocks == t.relocks &&
+         r.relock_failures == t.relock_failures;
+}
+
 // Invariant 6: the first difference between two runs of one case in
 // points, statuses or quality report (timing fields excluded); empty when
 // they are bit-identical.
@@ -107,23 +134,66 @@ std::string measurementDiff(const pllbist::bist::ResilientResponse& a,
                 b.response.static_reference_deviation_hz))
     return "static_reference_deviation_hz";
   if (a.response.points.size() != b.response.points.size()) return "point count";
-  for (std::size_t i = 0; i < a.response.points.size(); ++i) {
-    const pllbist::bist::MeasuredPoint& p = a.response.points[i];
-    const pllbist::bist::MeasuredPoint& q = b.response.points[i];
-    if (!sameBits(p.modulation_hz, q.modulation_hz) || !sameBits(p.deviation_hz, q.deviation_hz) ||
-        !sameBits(p.phase_deg, q.phase_deg) ||
-        !sameBits(p.unity_gain_deviation_hz, q.unity_gain_deviation_hz) ||
-        p.timed_out != q.timed_out || p.quality != q.quality || p.attempts != q.attempts ||
-        !sameStatus(p.status, q.status))
+  for (std::size_t i = 0; i < a.response.points.size(); ++i)
+    if (!samePoint(a.response.points[i], b.response.points[i]))
       return "point " + std::to_string(i);
+  if (!sameQualityCounts(a.report, b.report) || !sameBits(a.report.sim_time_s, b.report.sim_time_s))
+    return "quality report: " + a.report.summary() + " vs " + b.report.summary();
+  return "";
+}
+
+using BenchHook = std::function<void(std::size_t, pllbist::bist::SweepTestbench&)>;
+
+// Invariant 7: the first difference between the farm and its slow path —
+// each point as a standalone single-point engine that runs the prelude
+// itself, with `hook` fired at attempt 0 where the farm fires it on the
+// fork; empty when they agree bit for bit.
+std::string forkDiff(const pllbist::pll::PllConfig& config,
+                     const pllbist::bist::SweepOptions& sweep,
+                     const pllbist::bist::ResilientSweepOptions& resilience, const BenchHook& hook) {
+  namespace bist = pllbist::bist;
+  bist::ParallelSweepOptions popt;
+  popt.jobs = 1;
+  popt.resilience = resilience;
+  bist::ParallelSweep farm(config, sweep, popt);
+  farm.onPointTestbench(hook);
+  const bist::ResilientResponse merged = farm.run();
+
+  bist::ResilientSweep source(config, bist::singlePointOptions(sweep, 0), resilience);
+  const std::unique_ptr<bist::SweepTestbench> source_bench = source.makeBench();
+  const bist::ResilientSweep::Prelude prelude = source.runPrelude(*source_bench);
+  if (!sameBits(merged.response.nominal_vco_hz, prelude.nominal_vco_hz)) return "nominal_vco_hz";
+  bist::BenchStats want = prelude.end.bench;
+  double want_sim_s = prelude.end.sim_time_s;
+  bist::SweepQualityReport want_report;
+  const std::size_t n = sweep.modulation_frequencies_hz.size();
+  if (merged.response.points.size() != n) return "farm point count";
+  for (std::size_t i = 0; i < n; ++i) {
+    bist::ResilientSweep engine(config, bist::singlePointOptions(sweep, i), resilience);
+    engine.onAttemptStart([&](std::size_t, int attempt, bist::SweepTestbench& tb) {
+      if (attempt == 0) hook(i, tb);
+    });
+    const bist::ResilientResponse alone = engine.run();
+    if (alone.response.points.size() != 1) return "standalone point " + std::to_string(i);
+    const bist::MeasuredPoint& p = alone.response.points.front();
+    if (!samePoint(merged.response.points[i], p)) return "point " + std::to_string(i);
+    want.add(alone.bench.since(prelude.end.bench));
+    want_sim_s += alone.report.sim_time_s - prelude.end.sim_time_s;
+    want_report.count(p);
+    want_report.relocks += alone.report.relocks;
+    want_report.relock_failures += alone.report.relock_failures;
   }
-  const pllbist::bist::SweepQualityReport& r = a.report;
-  const pllbist::bist::SweepQualityReport& t = b.report;
-  if (r.points_total != t.points_total || r.ok != t.ok || r.retried != t.retried ||
-      r.degraded != t.degraded || r.dropped != t.dropped || r.attempts_total != t.attempts_total ||
-      r.relocks != t.relocks || r.relock_failures != t.relock_failures ||
-      !sameBits(r.sim_time_s, t.sim_time_s))
-    return "quality report: " + r.summary() + " vs " + t.summary();
+  if (!sameQualityCounts(merged.report, want_report))
+    return "quality counts: " + merged.report.summary() + " vs " + want_report.summary();
+  if (merged.bench.events_processed != want.events_processed ||
+      merged.bench.events_delivered != want.events_delivered ||
+      merged.bench.events_dropped != want.events_dropped ||
+      merged.bench.events_delayed != want.events_delayed ||
+      merged.bench.events_swallowed != want.events_swallowed ||
+      merged.bench.faults_considered != want.faults_considered)
+    return "kernel counts: farm processed " + std::to_string(merged.bench.events_processed) +
+           ", P + sum(S_i - P) = " + std::to_string(want.events_processed);
+  if (!sameBits(merged.report.sim_time_s, want_sim_s)) return "sim_time_s";
   return "";
 }
 
@@ -343,17 +413,21 @@ void fuzzOne(const uint8_t* data, size_t size, FuzzStats& st) {
     inj_seed = splitmix64(state) | 1;
   }
   const bool observer_check = (splitmix64(state) & 0x03) == 0;  // ~25% of valid runs
+  const bool fork_check = (splitmix64(state) & 0x03) == 0;      // ~25% of valid runs
 
+  auto attachFaults = [=](pllbist::bist::SweepTestbench& tb, uint64_t injector_seed) {
+    if (!inject) return;
+    pllbist::sim::FaultInjector& inj = tb.faultInjector(injector_seed);
+    if ((fault_draw & 0x04) != 0)
+      inj.dropEdges(tb.mfreq(), drop_p);
+    else
+      inj.delayEdges(tb.mfreq(), drop_p, 1e-7, 1e-5);
+  };
   auto sweepOnce = [&](bool observe_vco) {
     pllbist::bist::ResilientSweep engine(config, sweep, resilience);
     engine.onTestbench([=](pllbist::bist::SweepTestbench& tb) {
       if (observe_vco) tb.circuit().onChange(tb.pll().vcoOut(), [](double, bool) {});
-      if (!inject) return;
-      pllbist::sim::FaultInjector& inj = tb.faultInjector(inj_seed);
-      if ((fault_draw & 0x04) != 0)
-        inj.dropEdges(tb.mfreq(), drop_p);
-      else
-        inj.delayEdges(tb.mfreq(), drop_p, 1e-7, 1e-5);
+      attachFaults(tb, inj_seed);
     });
     return engine.run();
   };
@@ -422,6 +496,17 @@ void fuzzOne(const uint8_t* data, size_t size, FuzzStats& st) {
     ++st.observed;
     const std::string diff = measurementDiff(result, sweepOnce(true));
     if (!diff.empty()) fail(seed, "observer-invariance", diff);
+  }
+
+  // Invariant 7: the fork is the standalone point minus a shared prelude.
+  // The sweep has no jitter, so the prelude is one simulation for all.
+  if (fork_check) {
+    ++st.forked;
+    const std::string diff =
+        forkDiff(config, sweep, resilience, [=](std::size_t i, pllbist::bist::SweepTestbench& tb) {
+          attachFaults(tb, pllbist::bist::pointSeed(inj_seed, i));
+        });
+    if (!diff.empty()) fail(seed, "fork-equivalence", diff);
   }
 }
 
@@ -492,10 +577,11 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "fuzz_sweep: %llu runs (%llu swept, %llu rejected, %llu faulted, %llu journals, "
-      "%llu observer-checked), 0 violations\n",
+      "%llu observer-checked, %llu fork-checked), 0 violations\n",
       static_cast<unsigned long long>(st.runs), static_cast<unsigned long long>(st.swept),
       static_cast<unsigned long long>(st.rejected), static_cast<unsigned long long>(st.faulted),
-      static_cast<unsigned long long>(st.journals), static_cast<unsigned long long>(st.observed));
+      static_cast<unsigned long long>(st.journals), static_cast<unsigned long long>(st.observed),
+      static_cast<unsigned long long>(st.forked));
   if (st.swept == 0) {
     std::fprintf(stderr, "fuzz_sweep: no iteration exercised a sweep — widen the budget\n");
     return 1;

@@ -4,9 +4,10 @@
 //
 //   pllbist.run_report/1     the consolidated sweep report (sweep_cli --report)
 //   pllbist.golden_report/1  the golden-model differential report
-//   pllbist.checkpoint/1     the campaign checkpoint journal (JSONL; the
+//   pllbist.checkpoint/2     the campaign checkpoint journal (JSONL; the
 //                            schema lives on the header line, so dispatch
-//                            parses the first line before the whole file)
+//                            parses the first line before the whole file;
+//                            an older checkpoint version is rejected)
 //
 // Pure C++, no external tooling — CI and the obs test suite use it to
 // round-trip reports the tools emit.
@@ -58,13 +59,16 @@ Status validateBySchema(const obs::JsonValue& doc, const char** schema_out) {
 
 // Checkpoint journals are JSONL, so the file as a whole is not one JSON
 // document — detect them by parsing the first line and reading its schema.
+// Any checkpoint version counts, so the journal loader names the version
+// mismatch of an old one.
 bool looksLikeJournal(const std::string& text) {
   const std::size_t eol = text.find('\n');
   const std::string first = text.substr(0, eol);
   obs::JsonValue doc;
   if (!obs::parseJson(first, doc).ok()) return false;
   const obs::JsonValue* schema = doc.find("schema");
-  return schema != nullptr && schema->isString() && schema->string == core::kCheckpointSchema;
+  return schema != nullptr && schema->isString() &&
+         schema->string.rfind("pllbist.checkpoint/", 0) == 0;
 }
 
 int checkJournalFile(const char* path, const std::string& text) {
@@ -373,6 +377,18 @@ int journalSelftest() {
   core::JournalLoadResult corrupt_loaded;
   if (core::parseJournal(corrupt, corrupt_loaded).ok()) {
     std::fprintf(stderr, "journal selftest: corrupt interior line was accepted\n");
+    return 1;
+  }
+
+  // Previous schema version: its records each include a prelude, so it is
+  // refused, never merged.
+  std::string old = text;
+  const std::string current = core::kCheckpointSchema;
+  old.replace(old.find(current), current.size(), "pllbist.checkpoint/1");
+  core::JournalLoadResult old_loaded;
+  if (!looksLikeJournal(old) ||
+      core::parseJournal(old, old_loaded).kind() != Status::Kind::InvalidArgument) {
+    std::fprintf(stderr, "journal selftest: a pllbist.checkpoint/1 journal was not refused\n");
     return 1;
   }
 
