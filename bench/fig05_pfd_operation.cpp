@@ -1,5 +1,6 @@
 // Figure 5: graphical illustration of the PFD/charge-pump operation —
-// reproduced as measured waveform statistics from the structural PFD model
+// reproduced as measured waveform statistics from the PFD model (the gate
+// netlist's transitions, every gate delay included)
 // for the three cases the paper annotates:
 //   (1) feedback leads  -> DN pulses, LF voltage falls
 //   (2) reference leads -> UP pulses, LF voltage rises

@@ -30,6 +30,11 @@ int main() {
   pll::CpPll pll(c, ext, stim, cfg);
   pll.setTestMode(true);
   bist::PeakDetector det(c, pll.ref(), pll.feedback(), cfg.pfd, bist::PeakDetectorDelays{});
+  // The monitor PFD writes UP/DN only while they are observed, so the
+  // recorders watch from the start and are cleared when the capture begins.
+  sim::EdgeRecorder up(c, det.monitorUp());
+  sim::EdgeRecorder dn(c, det.monitorDn());
+  sim::EdgeRecorder mfreq(c, det.mfreq());
 
   c.run(1.0);  // lock
   const double fm = 8.0;
@@ -40,9 +45,7 @@ int main() {
   sim::Trace vcap("vcap");
   pll::AnalogProbe probe(c, [&] { return pll.filter().capVoltage(c.now()); }, vcap, 2.5e-4,
                          c.now());
-  sim::EdgeRecorder up(c, det.monitorUp());
-  sim::EdgeRecorder dn(c, det.monitorDn());
-  sim::EdgeRecorder mfreq(c, det.mfreq());
+  for (sim::EdgeRecorder* rec : {&up, &dn, &mfreq}) rec->clear();
   const double t0 = c.now();
   c.run(t0 + 2.0 / fm);
   probe.stop();

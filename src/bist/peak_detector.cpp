@@ -1,5 +1,6 @@
 #include "bist/peak_detector.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace pllbist::bist {
@@ -17,15 +18,17 @@ PeakDetector::PeakDetector(sim::Circuit& c, sim::SignalId ref, sim::SignalId fb,
                            const pll::PfdDelays& pfd_delays, const PeakDetectorDelays& delays,
                            const std::string& prefix)
     : circuit_(c),
-      clk_delayed_(c.addSignal(prefix + ".clk")),
-      dn_inverted_(c.addSignal(prefix + ".dnb", true)),
+      handler_(c.addHandler(*this)),
+      pfd_delays_(pfd_delays),
+      delays_(delays),
+      up_(c.addSignal(prefix + ".pfd.up")),
+      dn_(c.addSignal(prefix + ".pfd.dn")),
+      rst_(c.addSignal(prefix + ".pfd.rst")),
       mfreq_(c.addSignal(prefix + ".mfreq")) {
-  delays.validate();
-  pfd_ = std::make_unique<pll::Pfd>(c, ref, fb, pfd_delays, prefix + ".pfd");
-  clock_buffer_ = std::make_unique<sim::Buffer>(c, pfd_->up(), clk_delayed_, delays.clock_delay_s);
-  data_inverter_ = std::make_unique<sim::Inverter>(c, pfd_->dn(), dn_inverted_, delays.inverter_delay_s);
-  sampler_ = std::make_unique<sim::DFlipFlop>(c, clk_delayed_, dn_inverted_, mfreq_,
-                                              delays.latch_delay_s);
+  pfd_delays_.validate();
+  delays_.validate();
+  c.onRisingEdge(ref, [this](double now) { input(false, now); });
+  c.onRisingEdge(fb, [this](double now) { input(true, now); });
 }
 
 void PeakDetector::onMaxFrequency(sim::Circuit::EdgeCallback cb) {
@@ -34,6 +37,77 @@ void PeakDetector::onMaxFrequency(sim::Circuit::EdgeCallback cb) {
 
 void PeakDetector::onMinFrequency(sim::Circuit::EdgeCallback cb) {
   circuit_.onRisingEdge(mfreq_, std::move(cb));
+}
+
+bool PeakDetector::onEvent(uint32_t, double now) {
+  advanceTo(now);
+  return true;
+}
+
+void PeakDetector::input(bool dn, double now) {
+  advanceTo(now);
+  const double q_time = now + pfd_delays_.ff_clk_to_q_s;
+  if (!reset_.held(now)) push(q_time, dn, true);
+  // Later input edges write no earlier than q_time: everything up to it is
+  // settled, and an UP rise in it schedules its sample now.
+  advanceTo(q_time);
+}
+
+void PeakDetector::advanceTo(double t) {
+  const auto earlier = [](const Write& a, const Write& b) {
+    return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+  };
+  while (!pending_.empty()) {
+    const auto next = std::min_element(pending_.begin(), pending_.end(), earlier);
+    if (next->time > t) return;
+    const Write w = *next;
+    pending_.erase(next);
+    apply(w);
+  }
+}
+
+void PeakDetector::push(double t, bool dn, bool value) {
+  pending_.push_back({t, next_seq_++, dn, value});
+  const sim::SignalId q = dn ? dn_ : up_;
+  if (circuit_.hasObservers(q)) circuit_.scheduleSet(q, t, value);
+}
+
+void PeakDetector::apply(const Write& w) {
+  bool& q = w.dn ? dn_q_ : up_q_;
+  if (q == w.value) return;  // the netlist swallows it
+  q = w.value;
+  if (w.dn) dn_edges_.push_back({w.time, w.value});
+  const bool both = up_q_ && dn_q_;
+  const double t = w.time + pfd_delays_.and_delay_s;
+  // A falling write is applied lazily, possibly after t, unless a wake-up
+  // was scheduled for it; an observer attached since then misses this one.
+  if (t >= circuit_.now() && circuit_.hasObservers(rst_)) circuit_.scheduleSet(rst_, t, both);
+  if (reset_.drive(t, both)) {
+    const double t_reset = t + pfd_delays_.ff_reset_to_q_s;
+    push(t_reset, false, false);
+    push(t_reset, true, false);
+    if (circuit_.hasObservers(rst_)) circuit_.scheduleEvent(t_reset, handler_, 0);
+  }
+  if (!w.dn && w.value) sample(w.time);
+}
+
+void PeakDetector::sample(double up_rise) {
+  const double clk = up_rise + delays_.clock_delay_s;
+  std::size_t seen = 0;
+  while (seen < dn_edges_.size() && dn_edges_[seen].time + delays_.inverter_delay_s <= clk)
+    dn_looked_back_ = dn_edges_[seen++].value;
+  dn_edges_.erase(dn_edges_.begin(), dn_edges_.begin() + static_cast<std::ptrdiff_t>(seen));
+  circuit_.scheduleSet(mfreq_, clk + delays_.latch_delay_s, !dn_looked_back_);
+}
+
+void PeakDetector::copyStateFrom(const PeakDetector& source) {
+  up_q_ = source.up_q_;
+  dn_q_ = source.dn_q_;
+  reset_ = source.reset_;
+  pending_ = source.pending_;
+  next_seq_ = source.next_seq_;
+  dn_edges_ = source.dn_edges_;
+  dn_looked_back_ = source.dn_looked_back_;
 }
 
 }  // namespace pllbist::bist

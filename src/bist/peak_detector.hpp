@@ -1,7 +1,8 @@
 #pragma once
 
-#include <memory>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "pll/pfd.hpp"
 #include "sim/circuit.hpp"
@@ -31,7 +32,21 @@ struct PeakDetectorDelays {
 /// rising); its falling edge marks the output-frequency *maximum*, the
 /// rising edge the minimum. Subscribers use those edges to stop the phase
 /// counter and trigger loop hold (Table 2 stages 2-3).
-class PeakDetector : public sim::Component {
+///
+/// The monitor PFD, the clock buffer, the inverter and the sampling flop
+/// run as one state machine with the gate netlist's transitions. It
+/// advances on PLLREF/PLLFB rising edges: an input edge at t can change the
+/// monitor's UP or DN no earlier than t + clk-to-q, so everything before
+/// that is already determined. Each UP rise derives its sampling clock
+/// (UP rise + clock delay) and looks up the delayed, inverted DN in a short
+/// history of DN transitions; the only event it schedules is the MFREQ
+/// write, one per sampling clock even when it changes nothing (so fault
+/// rules on MFREQ see every write the flop makes). The monitor's UP, DN and
+/// reset nets are written only while something observes them
+/// (Circuit::hasObservers), like the VCO's output; a fault rule on them
+/// reaches those observers but not the state machine. An observer attached
+/// mid-run sees the nets from their next write on.
+class PeakDetector : public sim::Component, private sim::Circuit::Handler {
  public:
   PeakDetector(sim::Circuit& c, sim::SignalId ref, sim::SignalId fb,
                const pll::PfdDelays& pfd_delays, const PeakDetectorDelays& delays,
@@ -39,23 +54,60 @@ class PeakDetector : public sim::Component {
 
   /// High while PLLREF leads (output frequency increasing).
   [[nodiscard]] sim::SignalId mfreq() const { return mfreq_; }
-  /// Monitor-PFD outputs, exposed for the Figure 8 waveform dumps.
-  [[nodiscard]] sim::SignalId monitorUp() const { return pfd_->up(); }
-  [[nodiscard]] sim::SignalId monitorDn() const { return pfd_->dn(); }
+  /// Monitor-PFD outputs and reset net, written only while observed (the
+  /// Figure 8 waveform dumps).
+  [[nodiscard]] sim::SignalId monitorUp() const { return up_; }
+  [[nodiscard]] sim::SignalId monitorDn() const { return dn_; }
+  [[nodiscard]] sim::SignalId monitorReset() const { return rst_; }
 
   /// Subscribe to output-frequency extremum events.
   void onMaxFrequency(sim::Circuit::EdgeCallback cb);
   void onMinFrequency(sim::Circuit::EdgeCallback cb);
 
+  /// Fork support (see sim::Circuit::copyStateFrom): take `source`'s state.
+  void copyStateFrom(const PeakDetector& source);
+
  private:
+  /// A monitor-flop output write: the flop's clock or its reset.
+  struct Write {
+    double time;
+    uint64_t seq;  ///< orders writes at the same time, like the kernel's
+    bool dn;       ///< DN flop, else UP flop
+    bool value;
+  };
+  struct DnEdge {
+    double time;
+    bool value;
+  };
+
+  /// Wakes the machine at a flop reset while the reset net is observed, so
+  /// its falling write is made on time.
+  bool onEvent(uint32_t tag, double now) override;
+  /// A rising edge on PLLREF (dn = false) or PLLFB (dn = true).
+  void input(bool dn, double now);
+  /// Apply every pending write at or before t, in (time, seq) order.
+  void advanceTo(double t);
+  void push(double t, bool dn, bool value);
+  void apply(const Write& w);
+  /// The sampling flop clocked by the UP rise at `up_rise`.
+  void sample(double up_rise);
+
   sim::Circuit& circuit_;
-  sim::SignalId clk_delayed_;
-  sim::SignalId dn_inverted_;
+  sim::Circuit::HandlerId handler_;
+  pll::PfdDelays pfd_delays_;
+  PeakDetectorDelays delays_;
+  sim::SignalId up_;
+  sim::SignalId dn_;
+  sim::SignalId rst_;
   sim::SignalId mfreq_;
-  std::unique_ptr<pll::Pfd> pfd_;
-  std::unique_ptr<sim::Buffer> clock_buffer_;
-  std::unique_ptr<sim::Inverter> data_inverter_;
-  std::unique_ptr<sim::DFlipFlop> sampler_;
+
+  bool up_q_ = false;  ///< monitor UP after every applied write
+  bool dn_q_ = false;  ///< monitor DN after every applied write
+  pll::PfdResetLine reset_;
+  std::vector<Write> pending_;  ///< pushed, not yet applied
+  uint64_t next_seq_ = 0;
+  std::vector<DnEdge> dn_edges_;  ///< DN changes no sample has looked past yet
+  bool dn_looked_back_ = false;   ///< DN as of the last sample's look-back
 };
 
 }  // namespace pllbist::bist

@@ -104,6 +104,7 @@ void SweepTestbench::copyStateFrom(const SweepTestbench& source) {
   if (pm_clock_) pm_clock_->copyStateFrom(*source.pm_clock_);
   if (delay_line_) delay_line_->copyStateFrom(*source.delay_line_);
   pll_->copyStateFrom(*source.pll_);
+  peak_detector_->copyStateFrom(*source.peak_detector_);
   lock_->copyStateFrom(*source.lock_);
   sequencer_->copyStateFrom(*source.sequencer_);
 }

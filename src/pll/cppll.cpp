@@ -43,6 +43,7 @@ bool CpPll::holdAsserted() const { return circuit_.value(hold_sel_); }
 
 void CpPll::copyStateFrom(const CpPll& source) {
   ref_divider_->copyStateFrom(*source.ref_divider_);
+  pfd_->copyStateFrom(*source.pfd_);
   filter_->copyStateFrom(*source.filter_);
   vco_->copyStateFrom(*source.vco_);
 }

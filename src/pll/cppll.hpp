@@ -45,6 +45,8 @@ class CpPll {
   [[nodiscard]] sim::SignalId vcoOut() const { return vco_out_; }
   [[nodiscard]] sim::SignalId pfdUp() const { return pfd_->up(); }
   [[nodiscard]] sim::SignalId pfdDn() const { return pfd_->dn(); }
+  /// The in-loop PFD's reset net, written only while observed.
+  [[nodiscard]] sim::SignalId pfdReset() const { return pfd_->resetNet(); }
 
   /// Drive the M1/M2 selects (take effect immediately at circuit time).
   void setTestMode(bool enabled);
@@ -61,7 +63,7 @@ class CpPll {
   [[nodiscard]] Vco& vco() { return *vco_; }
 
   /// Fork support (see sim::Circuit::copyStateFrom): take the state of
-  /// `source`'s stateful blocks (reference divider, pump filter, VCO).
+  /// `source`'s stateful blocks (reference divider, PFD, pump filter, VCO).
   void copyStateFrom(const CpPll& source);
 
  private:

@@ -30,9 +30,12 @@ namespace pllbist::sim {
 /// a hard requirement for debugging a failure the campaign found.
 ///
 /// Rules act on scheduled transitions, so they only touch signals that are
-/// written. A PLL's VCO output (pll::CpPll::vcoOut()) is an observation
-/// tap: the VCO drives PLLFB directly and writes the tap only while it has
-/// observers, so a rule on it reaches those observers but not the divider.
+/// written. Some nets are observation taps, written only while they have
+/// observers: a PLL's VCO output (pll::CpPll::vcoOut(); the VCO drives
+/// PLLFB directly), the loop PFD's reset net (pll::Pfd::resetNet()) and the
+/// peak detector's monitor UP/DN/reset (bist::PeakDetector). A rule on a
+/// tap reaches it only while it is observed, and then reaches those
+/// observers but not the component that owns the tap.
 ///
 /// Only one FaultInjector may be installed per Circuit at a time, and it
 /// must outlive all circuit activity (it does not unregister pending glitch

@@ -51,8 +51,12 @@ Mux2::Mux2(Circuit& c, SignalId a, SignalId b, SignalId sel, SignalId out, doubl
   auto update = [&c, a, b, sel, out, delay_s](double now, bool) {
     c.scheduleSet(out, now + delay_s, c.value(sel) ? c.value(b) : c.value(a));
   };
-  c.onChange(a, update);
-  c.onChange(b, update);
+  c.onChange(a, [&c, sel, out, delay_s](double now, bool v) {
+    if (!c.value(sel)) c.scheduleSet(out, now + delay_s, v);
+  });
+  c.onChange(b, [&c, sel, out, delay_s](double now, bool v) {
+    if (c.value(sel)) c.scheduleSet(out, now + delay_s, v);
+  });
   c.onChange(sel, update);
   update(c.now(), false);
 }

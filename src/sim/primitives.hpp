@@ -44,7 +44,9 @@ class OrGate : public Component {
   OrGate(Circuit& c, SignalId a, SignalId b, SignalId out, double delay_s);
 };
 
-/// out = sel ? b : a after delay. Also re-evaluates when sel changes.
+/// out = sel ? b : a after delay. Re-drives the output when sel or the
+/// selected input changes; a change of the unselected input writes nothing
+/// (the netlist would re-write the value the output already carries).
 class Mux2 : public Component {
  public:
   Mux2(Circuit& c, SignalId a, SignalId b, SignalId sel, SignalId out, double delay_s);

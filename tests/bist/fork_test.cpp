@@ -61,6 +61,46 @@ INSTANTIATE_TEST_SUITE_P(Stimuli, BenchFork,
                            return "Unknown";
                          });
 
+/// A fork taken while both phase detectors are mid-pulse, inside the loop
+/// PFD's reset window, must carry their state: a REF edge aimed into that
+/// window (the loop PFD ignores it) and the monitor's pending resets then
+/// play out in the fork exactly as in the source. A fork at the prelude's
+/// end, as the farm takes it, finds both detectors idle.
+TEST(BenchForkMidPulse, ForkInsideAResetWindowMeasuresExactlyWhatTheSourceWould) {
+  const SweepOptions sweep = fastSweepOptions(StimulusKind::MultiToneFsk, 1);
+  ResilientSweep engine(fastTestConfig(), sweep);
+  const std::unique_ptr<SweepTestbench> source = engine.makeBench();
+  const ResilientSweep::Prelude prelude = engine.runPrelude(*source);
+  ASSERT_TRUE(prelude.status.ok());
+  sim::Circuit& c = source->circuit();
+  const sim::SignalId up = source->pll().pfdUp();
+  const sim::SignalId dn = source->pll().pfdDn();
+  // Step to the instant both loop outputs are high: the reset AND has just
+  // seen them and its window opens and_delay later.
+  while (!(c.value(up) && c.value(dn))) ASSERT_TRUE(c.step());
+  const pll::PfdDelays& d = fastTestConfig().pfd;
+  // A stimulus glitch whose rising edge reaches PLLREF (one mux delay on)
+  // midway through the window.
+  const double t_ref = c.now() + d.and_delay_s + 0.5 * d.ff_reset_to_q_s;
+  const sim::SignalId stim = source->stimulusOut();
+  const bool level = c.value(stim);
+  const double t_rise = t_ref - 1e-9;
+  c.scheduleSet(stim, level ? t_rise - 2e-9 : t_rise, !level);
+  c.scheduleSet(stim, level ? t_rise : t_rise + 2e-9, level);
+
+  const std::unique_ptr<SweepTestbench> fork = engine.makeBench();
+  fork->copyStateFrom(*source);
+  const ResilientResponse from_fork = engine.runPoints(*fork, prelude, prelude.end);
+  const ResilientResponse from_source = engine.runPoints(*source, prelude, prelude.end);
+  ASSERT_EQ(from_fork.response.points.size(), 1u);
+  ASSERT_EQ(from_source.response.points.size(), 1u);
+  EXPECT_EQ(from_fork.response.points[0].deviation_hz, from_source.response.points[0].deviation_hz);
+  EXPECT_EQ(from_fork.response.points[0].phase_deg, from_source.response.points[0].phase_deg);
+  EXPECT_EQ(from_fork.bench.events_processed, from_source.bench.events_processed);
+  EXPECT_EQ(from_fork.bench.events_delivered, from_source.bench.events_delivered);
+  EXPECT_EQ(from_fork.bench.events_swallowed, from_source.bench.events_swallowed);
+}
+
 TEST(BenchForkJitter, EachForkDrawsFromItsOwnSeed) {
   SweepOptions sweep = fastSweepOptions(StimulusKind::PureSineFm, 1);
   sweep.ref_edge_jitter_rms_s = 1e-6;

@@ -1,19 +1,23 @@
-// Differential fingerprint of the event kernel: three farm sweeps whose
-// every kernel count and measured double is pinned bit for bit.
+// Differential fingerprint of the event kernel: three farm sweeps and one
+// shared-bench sweep whose every kernel count and measured double is pinned
+// bit for bit.
 //
 // The measured doubles of the hook-free sweeps come from the
 // closure-per-event kernel, which simulated every VCO half-cycle, ran a
-// standalone feedback divider and re-ran the lock/nominal/DC prelude on
-// every point. The farm now runs the prelude once and forks it per point,
-// so the counts and sim_s cover one prelude plus each point's work after
-// the fork. In the "observed" variant a dummy observer on each fork's VCO
-// output makes the VCO materialise every half-cycle after the prelude.
-// Unobserved, the VCO skips the half-cycles nobody sees; only the event
-// counts may differ then, and every measured double, sim_s, dropped and
-// delayed count stays bit-equal. Delivered vs swallowed moved once
-// (superseded handler events count as swallowed), so only their sum is
-// pinned. The fault-injector sweep's faults now start at the fork, so its
-// values were pinned afresh.
+// standalone feedback divider, built both phase detectors from gates and
+// re-ran the lock/nominal/DC prelude on every point. The farm now runs the
+// prelude once and forks it per point, so the counts and sim_s cover one
+// prelude plus each point's work after the fork. In the "observed" variant
+// a dummy observer on each fork's VCO output makes the VCO materialise
+// every half-cycle after the prelude; in the "detectors observed" variant
+// dummy observers on the monitor PFD's UP/DN and the loop PFD's reset net
+// make the detectors write them. Unobserved, nothing nobody sees is
+// simulated. Only the event counts may differ between the variants: every
+// measured double, sim_s, dropped and delayed count stays bit-equal.
+// Delivered vs swallowed moved once (superseded handler events count as
+// swallowed), so only their sum is pinned. The farm fault-injector sweep's
+// faults start at the fork; the shared-bench sweep puts faults into the
+// lock wait, and its values were pinned with the gate-level detectors.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,6 +27,7 @@
 #include <vector>
 
 #include "bist/parallel_sweep.hpp"
+#include "bist/resilient_sweep.hpp"
 #include "bist/testbench.hpp"
 #include "pll/config.hpp"
 #include "support/test_configs.hpp"
@@ -102,20 +107,29 @@ Fingerprint withCounts(Fingerprint f, uint64_t processed, uint64_t delivered_plu
 
 using BenchHook = std::function<void(std::size_t, SweepTestbench&)>;
 
-/// `observe_vco` hangs a dummy observer on every point's VCO output.
+/// What each fork's dummy observers watch: nothing, the VCO output, or the
+/// phase detectors' internal nets (the monitor PFD's UP/DN and the loop
+/// PFD's reset), which the detectors then write.
+enum class Observe { Nothing, VcoOut, DetectorNets };
+
 ResilientResponse runFarm(const pll::PllConfig& config, const SweepOptions& sweep,
-                          bool observe_vco, BenchHook hook = nullptr) {
+                          Observe observe, BenchHook hook = nullptr) {
   ParallelSweepOptions popt;
   popt.jobs = 2;
   ParallelSweep engine(config, sweep, popt);
-  engine.onPointTestbench([observe_vco, hook](std::size_t index, SweepTestbench& bench) {
-    if (observe_vco) bench.circuit().onChange(bench.pll().vcoOut(), [](double, bool) {});
+  engine.onPointTestbench([observe, hook](std::size_t index, SweepTestbench& bench) {
+    std::vector<sim::SignalId> nets;
+    if (observe == Observe::VcoOut) nets = {bench.pll().vcoOut()};
+    if (observe == Observe::DetectorNets)
+      nets = {bench.peakDetector().monitorUp(), bench.peakDetector().monitorDn(),
+              bench.pll().pfdReset()};
+    for (const sim::SignalId net : nets) bench.circuit().onChange(net, [](double, bool) {});
     if (hook) hook(index, bench);
   });
   return engine.run();
 }
 
-ResilientResponse referenceTwoPointSweep(bool observe_vco) {
+ResilientResponse referenceTwoPointSweep(Observe observe) {
   const pll::ReferenceStimulus stim = pll::referenceStimulus();
   SweepOptions sweep;
   sweep.stimulus = StimulusKind::MultiToneFsk;
@@ -123,27 +137,32 @@ ResilientResponse referenceTwoPointSweep(bool observe_vco) {
   sweep.deviation_hz = stim.max_deviation_hz;
   sweep.master_clock_hz = stim.master_clock_hz;
   sweep.modulation_frequencies_hz = SweepOptions::defaultSweep(8.0, 2);
-  return runFarm(pll::referenceConfig(), sweep, observe_vco);
+  return runFarm(pll::referenceConfig(), sweep, observe);
 }
 
-const Fingerprint kReferenceTwoPoint{1538145u, 0u, 0u, 1538145u, 0x1.3b6687ff126f4p+3,
+const Fingerprint kReferenceTwoPoint{1360336u, 0u, 0u, 1360336u, 0x1.3b6687ff126f4p+3,
                                      0x1.86ap+15, 0x1.f9p+8,
                                      {0x1p+1, 0x1.e5p+8, -0x1.ac3e963dc486ap+2, 0x0p+0,  //
                                       0x1.4p+5, 0x1.8p+2, -0x1.8c3a535ecd2cbp+7, 0x0p+0}};
 
 TEST(KernelFingerprint, ReferenceDeviceTwoPointSweep) {
-  expectFingerprint(referenceTwoPointSweep(true), kReferenceTwoPoint);
+  expectFingerprint(referenceTwoPointSweep(Observe::VcoOut), kReferenceTwoPoint);
 }
 
 TEST(KernelFingerprint, ReferenceDeviceTwoPointSweepUnobserved) {
-  expectFingerprint(referenceTwoPointSweep(false),
-                    withCounts(kReferenceTwoPoint, 387771u, 387771u));
+  expectFingerprint(referenceTwoPointSweep(Observe::Nothing),
+                    withCounts(kReferenceTwoPoint, 209962u, 209962u));
 }
 
-ResilientResponse fastMultiToneWithFaultInjector(bool observe_vco) {
+TEST(KernelFingerprint, ReferenceDeviceTwoPointSweepDetectorsObserved) {
+  expectFingerprint(referenceTwoPointSweep(Observe::DetectorNets),
+                    withCounts(kReferenceTwoPoint, 256813u, 256813u));
+}
+
+ResilientResponse fastMultiToneWithFaultInjector(Observe observe) {
   const SweepOptions sweep = testing::fastSweepOptions(StimulusKind::MultiToneFsk, 3);
   const ResilientResponse r = runFarm(
-      testing::fastTestConfig(), sweep, observe_vco, [](std::size_t index, SweepTestbench& bench) {
+      testing::fastTestConfig(), sweep, observe, [](std::size_t index, SweepTestbench& bench) {
         sim::FaultInjector& inj = bench.faultInjector(pointSeed(17, index));
         inj.dropEdges(bench.stimulusMarker(), 0.2);
         inj.delayEdges(bench.stimulusOut(), 0.05, 1e-6, 5e-6);
@@ -154,37 +173,76 @@ ResilientResponse fastMultiToneWithFaultInjector(bool observe_vco) {
 }
 
 const Fingerprint kFastMultiTone{
-    372686u, 38u, 379u, 372269u, 0x1.2cbe4fc3a430fp-1, 0x1.869ffffffffffp+16, 0x1.f4p+9,
+    266760u, 38u, 379u, 266343u, 0x1.2cbe4fc3a430fp-1, 0x1.869ffffffffffp+16, 0x1.f4p+9,
     {0x1.8ffffffffffffp+5, 0x1.4p+8, -0x1.442c5940f92bfp+8, 0x0p+0,  //
      0x1.bf36ae31d6e46p+7, 0x1.0ep+10, -0x1.c9c4779bad2c7p+6, 0x0p+0,  //
      0x1.f3fffffffffffp+9, 0x1.4p+5, -0x1.de597a7248712p+7, 0x0p+0}};
 
 TEST(KernelFingerprint, FastDeviceMultiToneWithFaultInjector) {
-  expectFingerprint(fastMultiToneWithFaultInjector(true), kFastMultiTone);
+  expectFingerprint(fastMultiToneWithFaultInjector(Observe::VcoOut), kFastMultiTone);
 }
 
 TEST(KernelFingerprint, FastDeviceMultiToneWithFaultInjectorUnobserved) {
-  expectFingerprint(fastMultiToneWithFaultInjector(false),
-                    withCounts(kFastMultiTone, 225585u, 225168u));
+  expectFingerprint(fastMultiToneWithFaultInjector(Observe::Nothing),
+                    withCounts(kFastMultiTone, 119659u, 119242u));
 }
 
-ResilientResponse delayLinePmSweep(bool observe_vco) {
+TEST(KernelFingerprint, FastDeviceMultiToneWithFaultInjectorDetectorsObserved) {
+  expectFingerprint(fastMultiToneWithFaultInjector(Observe::DetectorNets),
+                    withCounts(kFastMultiTone, 150643u, 150226u));
+}
+
+ResilientResponse delayLinePmSweep(Observe observe) {
   const SweepOptions sweep = testing::fastSweepOptions(StimulusKind::DelayLinePm, 3);
-  return runFarm(testing::fastTestConfig(), sweep, observe_vco);
+  return runFarm(testing::fastTestConfig(), sweep, observe);
 }
 
 const Fingerprint kDelayLinePm{
-    4701217u, 0u, 0u, 4701217u, 0x1.7f86fdb43278ap+2, 0x1.869ffffffffffp+16, 0x0p+0,
+    3622512u, 0u, 0u, 3622512u, 0x1.7f86fdb43278ap+2, 0x1.869ffffffffffp+16, 0x0p+0,
     {0x1.8ffffffffffffp+5, 0x0p+0, 0x0p+0, 0x0p+0,  //
      0x1.bf36ae31d6e46p+7, 0x1.fep+9, -0x1.cbabb8df78e3ep+6, 0x1.b70d09236a6f4p+9,  //
      0x1.f3fffffffffffp+9, 0x1.18p+7, -0x1.90c083126e978p+7, 0x1.eadfb4c5d390bp+11}};
 
 TEST(KernelFingerprint, DelayLinePmSweep) {
-  expectFingerprint(delayLinePmSweep(true), kDelayLinePm);
+  expectFingerprint(delayLinePmSweep(Observe::VcoOut), kDelayLinePm);
 }
 
 TEST(KernelFingerprint, DelayLinePmSweepUnobserved) {
-  expectFingerprint(delayLinePmSweep(false), withCounts(kDelayLinePm, 2462051u, 2462051u));
+  expectFingerprint(delayLinePmSweep(Observe::Nothing), withCounts(kDelayLinePm, 1383346u, 1383346u));
+}
+
+TEST(KernelFingerprint, DelayLinePmSweepDetectorsObserved) {
+  expectFingerprint(delayLinePmSweep(Observe::DetectorNets), withCounts(kDelayLinePm, 1854767u, 1854767u));
+}
+
+// The shared-bench sweep with faults during the lock wait: dropped and
+// delayed reference edges make the loop slip cycles, and a storm of narrow
+// glitches puts reference edges inside the PFD's reset window while the
+// loop acquires lock. The faults stop early enough in the lock wait for the
+// loop to relock before the nominal count.
+ResilientResponse fastSweepWithLockAcquisitionFaults() {
+  const SweepOptions sweep = testing::fastSweepOptions(StimulusKind::MultiToneFsk, 3);
+  ResilientSweep engine(testing::fastTestConfig(), sweep);
+  engine.onTestbench([until_s = 0.3 * sweep.lock_wait_s](SweepTestbench& bench) {
+    sim::FaultInjector& inj = bench.faultInjector(23);
+    inj.dropEdges(bench.stimulusOut(), 0.05, 0.0, until_s);
+    inj.delayEdges(bench.stimulusOut(), 0.1, 1e-6, 5e-6, 0.0, until_s);
+    inj.injectGlitchStorm(bench.stimulusOut(), 0.0, until_s, 200e-6, 5e-9);
+  });
+  const ResilientResponse r = engine.run();
+  EXPECT_GT(r.bench.events_dropped, 0u);
+  EXPECT_GT(r.bench.events_delayed, 0u);
+  return r;
+}
+
+const Fingerprint kLockAcquisitionFaults{
+    112683u, 19u, 48u, 112616u, 0x1.14e3c73a3bbb2p-1, 0x1.869ffffffffffp+16, 0x1.f4p+9,
+    {0x1.8ffffffffffffp+5, 0x1.eap+9, -0x1.0f86c226809d4p+3, 0x0p+0,  //
+     0x1.bf36ae31d6e46p+7, 0x1.0ep+10, -0x1.d66eaba29c023p+6, 0x0p+0,  //
+     0x1.f3fffffffffffp+9, 0x1.4p+6, -0x1.cdf3de6c7039fp+7, 0x0p+0}};
+
+TEST(KernelFingerprint, SharedBenchFaultsDuringLockAcquisition) {
+  expectFingerprint(fastSweepWithLockAcquisitionFaults(), kLockAcquisitionFaults);
 }
 
 }  // namespace

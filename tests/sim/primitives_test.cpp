@@ -92,6 +92,37 @@ TEST(Mux2, SelectsAndFollowsInputs) {
   EXPECT_TRUE(c.value(out));
 }
 
+TEST(Mux2, UnselectedInputQueuesNothingAndSelectRedrives) {
+  Circuit c;
+  SignalId a = c.addSignal("a");
+  SignalId b = c.addSignal("b");
+  SignalId sel = c.addSignal("sel");
+  SignalId out = c.addSignal("out");
+  Mux2 mux(c, a, b, sel, out, kD);
+  c.run(1e-8);
+  // sel = 0: toggling b queues nothing past its own transition.
+  uint64_t before = c.processedEventCount();
+  c.setNow(b, true);
+  c.run(2e-8);
+  EXPECT_EQ(c.processedEventCount(), before + 1);
+  EXPECT_FALSE(c.value(out));
+  // A select change re-drives the output from the newly selected input.
+  before = c.processedEventCount();
+  c.setNow(sel, true);
+  c.run(3e-8);
+  EXPECT_EQ(c.processedEventCount(), before + 2);
+  EXPECT_TRUE(c.value(out));
+  // sel = 1: toggling a queues nothing; toggling b re-drives.
+  before = c.processedEventCount();
+  c.setNow(a, true);
+  c.run(4e-8);
+  EXPECT_EQ(c.processedEventCount(), before + 1);
+  c.setNow(b, false);
+  c.run(5e-8);
+  EXPECT_EQ(c.processedEventCount(), before + 3);
+  EXPECT_FALSE(c.value(out));
+}
+
 TEST(DFlipFlop, CapturesOnRisingEdgeOnly) {
   Circuit c;
   SignalId clk = c.addSignal("clk");

@@ -26,6 +26,11 @@
 //      with the same hook fired at attempt 0. Points, statuses and quality
 //      counts must be bit-identical, and the farm's kernel counts and
 //      sim_time_s must equal P + sum(S_i - P), P being the prelude alone.
+//   8. observing the phase detectors' internal nets changes no result: on
+//      a seeded quarter of the sweeps the case runs again with dummy
+//      observers on the monitor PFD's UP/DN and the loop PFD's reset net
+//      (so the detectors write them), and the points, statuses and
+//      quality report must be bit-identical.
 //
 // Built two ways:
 //   - standalone driver (always): fuzz_sweep --seed N --runs N
@@ -81,6 +86,7 @@ struct FuzzStats {
   uint64_t journals = 0;  ///< journal-mutation iterations
   uint64_t observed = 0;  ///< sweeps re-run with an observed VCO output
   uint64_t forked = 0;    ///< sweeps re-run on the farm and point by point
+  uint64_t detector_observed = 0;  ///< sweeps re-run with observed detector nets
 };
 
 [[noreturn]] void fail(uint64_t seed, const char* invariant, const std::string& detail) {
@@ -414,6 +420,7 @@ void fuzzOne(const uint8_t* data, size_t size, FuzzStats& st) {
   }
   const bool observer_check = (splitmix64(state) & 0x03) == 0;  // ~25% of valid runs
   const bool fork_check = (splitmix64(state) & 0x03) == 0;      // ~25% of valid runs
+  const bool detector_check = (splitmix64(state) & 0x03) == 0;  // ~25% of valid runs
 
   auto attachFaults = [=](pllbist::bist::SweepTestbench& tb, uint64_t injector_seed) {
     if (!inject) return;
@@ -423,16 +430,23 @@ void fuzzOne(const uint8_t* data, size_t size, FuzzStats& st) {
     else
       inj.delayEdges(tb.mfreq(), drop_p, 1e-7, 1e-5);
   };
-  auto sweepOnce = [&](bool observe_vco) {
+  enum class Observe { Nothing, VcoOut, DetectorNets };
+  auto sweepOnce = [&](Observe observe) {
     pllbist::bist::ResilientSweep engine(config, sweep, resilience);
     engine.onTestbench([=](pllbist::bist::SweepTestbench& tb) {
-      if (observe_vco) tb.circuit().onChange(tb.pll().vcoOut(), [](double, bool) {});
+      std::vector<pllbist::sim::SignalId> nets;
+      if (observe == Observe::VcoOut) nets = {tb.pll().vcoOut()};
+      if (observe == Observe::DetectorNets)
+        nets = {tb.peakDetector().monitorUp(), tb.peakDetector().monitorDn(),
+                tb.pll().pfdReset()};
+      for (const pllbist::sim::SignalId net : nets)
+        tb.circuit().onChange(net, [](double, bool) {});
       attachFaults(tb, inj_seed);
     });
     return engine.run();
   };
 
-  const pllbist::bist::ResilientResponse result = sweepOnce(false);
+  const pllbist::bist::ResilientResponse result = sweepOnce(Observe::Nothing);
   ++st.swept;
 
   // Invariant 2 (result path): every status the stack produced is named.
@@ -494,7 +508,7 @@ void fuzzOne(const uint8_t* data, size_t size, FuzzStats& st) {
   // skipped one; only kernel event counts may tell them apart.
   if (observer_check) {
     ++st.observed;
-    const std::string diff = measurementDiff(result, sweepOnce(true));
+    const std::string diff = measurementDiff(result, sweepOnce(Observe::VcoOut));
     if (!diff.empty()) fail(seed, "observer-invariance", diff);
   }
 
@@ -507,6 +521,14 @@ void fuzzOne(const uint8_t* data, size_t size, FuzzStats& st) {
           attachFaults(tb, pllbist::bist::pointSeed(inj_seed, i));
         });
     if (!diff.empty()) fail(seed, "fork-equivalence", diff);
+  }
+
+  // Invariant 8: the detectors' internal nets are observation taps; only
+  // kernel event counts may tell a written one from an unwritten one.
+  if (detector_check) {
+    ++st.detector_observed;
+    const std::string diff = measurementDiff(result, sweepOnce(Observe::DetectorNets));
+    if (!diff.empty()) fail(seed, "detector-observer-invariance", diff);
   }
 }
 
@@ -577,11 +599,13 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "fuzz_sweep: %llu runs (%llu swept, %llu rejected, %llu faulted, %llu journals, "
-      "%llu observer-checked, %llu fork-checked), 0 violations\n",
+      "%llu observer-checked, %llu fork-checked, %llu detector-observer-checked), "
+      "0 violations\n",
       static_cast<unsigned long long>(st.runs), static_cast<unsigned long long>(st.swept),
       static_cast<unsigned long long>(st.rejected), static_cast<unsigned long long>(st.faulted),
       static_cast<unsigned long long>(st.journals), static_cast<unsigned long long>(st.observed),
-      static_cast<unsigned long long>(st.forked));
+      static_cast<unsigned long long>(st.forked),
+      static_cast<unsigned long long>(st.detector_observed));
   if (st.swept == 0) {
     std::fprintf(stderr, "fuzz_sweep: no iteration exercised a sweep — widen the budget\n");
     return 1;
