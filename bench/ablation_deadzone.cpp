@@ -7,7 +7,7 @@
 
 #include <cstdio>
 
-#include "bist/controller.hpp"
+#include "bist/resilient_sweep.hpp"
 #include "common/units.hpp"
 #include "pll/config.hpp"
 #include "pll/faults.hpp"
@@ -29,8 +29,8 @@ int main() {
   for (double scale : {0.25, 1.0, 4.0, 16.0, 64.0, 256.0}) {
     const pll::PllConfig cfg =
         pll::applyFault(golden, {pll::FaultSpec::Kind::PfdDeadZone, scale});
-    bist::BistController controller(cfg, opt);
-    const bist::MeasuredResponse r = controller.run();
+    const bist::MeasuredResponse r =
+        bist::ResilientSweep(cfg, opt, {.max_attempts = 1}).run().response;
     int timeouts = 0;
     for (const auto& p : r.points) timeouts += p.timed_out ? 1 : 0;
     const auto& mid = r.points[1];  // fm = 8 Hz

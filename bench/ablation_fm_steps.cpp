@@ -7,7 +7,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "bist/controller.hpp"
+#include "bist/resilient_sweep.hpp"
 #include "common/units.hpp"
 #include "pll/config.hpp"
 #include "support/bench_util.hpp"
@@ -26,20 +26,24 @@ int main() {
   bist::SweepOptions sine_opt = base;
   sine_opt.stimulus = bist::StimulusKind::PureSineFm;
   std::printf("\nrunning pure-sine reference sweep...\n");
-  const control::BodeResponse reference = bist::BistController(cfg, sine_opt).run().toBode();
+  const control::BodeResponse reference =
+      bist::ResilientSweep(cfg, sine_opt, {.max_attempts = 1}).run().response.toBode();
 
   std::printf("\n%8s %14s %16s %10s\n", "steps", "mag RMS (dB)", "phase RMS (deg)", "points");
   for (int steps : {2, 4, 6, 10, 20, 40}) {
     bist::SweepOptions opt = base;
     opt.stimulus = bist::StimulusKind::MultiToneFsk;
     opt.fm_steps = steps;
-    const control::BodeResponse measured = bist::BistController(cfg, opt).run().toBode();
+    const control::BodeResponse measured =
+        bist::ResilientSweep(cfg, opt, {.max_attempts = 1}).run().response.toBode();
 
     double mag_ss = 0.0, ph_ss = 0.0;
     int n = 0;
-    for (size_t i = 0; i < measured.size() && i < reference.size(); ++i) {
-      const double dm = measured.points()[i].magnitude_db - reference.points()[i].magnitude_db;
-      double dp = measured.points()[i].phase_deg - reference.points()[i].phase_deg;
+    for (const control::BodePoint& m : measured.points()) {
+      const control::BodePoint* r = reference.pointAt(m.omega_rad_per_s);
+      if (r == nullptr) continue;
+      const double dm = m.magnitude_db - r->magnitude_db;
+      double dp = m.phase_deg - r->phase_deg;
       while (dp > 180.0) dp -= 360.0;
       while (dp <= -180.0) dp += 360.0;
       mag_ss += dm * dm;

@@ -6,7 +6,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "bist/controller.hpp"
+#include "bist/resilient_sweep.hpp"
 #include "common/units.hpp"
 #include "pll/config.hpp"
 #include "support/bench_util.hpp"
@@ -25,13 +25,15 @@ int main() {
   bist::SweepOptions fm_opt = base;
   fm_opt.stimulus = bist::StimulusKind::MultiToneFsk;
   std::printf("\nrunning multi-tone FM sweep...\n");
-  const bist::MeasuredResponse fm = bist::BistController(cfg, fm_opt).run();
+  const bist::MeasuredResponse fm =
+      bist::ResilientSweep(cfg, fm_opt, {.max_attempts = 1}).run().response;
 
   bist::SweepOptions pm_opt = base;
   pm_opt.stimulus = bist::StimulusKind::DelayLinePm;
   pm_opt.pm_taps = 16;  // auto tap delay: line span Tref/8 -> theta_dev = pi/8
   std::printf("running delay-line PM sweep...\n");
-  const bist::MeasuredResponse pm = bist::BistController(cfg, pm_opt).run();
+  const bist::MeasuredResponse pm =
+      bist::ResilientSweep(cfg, pm_opt, {.max_attempts = 1}).run().response;
 
   const control::BodeResponse fm_bode = fm.toBode();
   const control::BodeResponse pm_bode = pm.toBode();
@@ -39,24 +41,32 @@ int main() {
 
   std::printf("\n%9s | %9s %9s %9s | %10s %10s %10s\n", "f (Hz)", "FM dB", "PM dB", "thry dB",
               "FM deg", "PM deg", "thry deg");
-  for (size_t i = 0; i < fm_bode.size(); ++i) {
-    const double w = fm_bode.points()[i].omega_rad_per_s;
-    const double pm_mag = i < pm_bode.size() ? pm_bode.points()[i].magnitude_db : -999.0;
-    const double pm_ph = i < pm_bode.size() ? pm_bode.points()[i].phase_deg : 0.0;
-    std::printf("%9.3f | %9.2f %9.2f %9.2f | %10.1f %10.1f %10.1f\n", radPerSecToHz(w),
-                fm_bode.points()[i].magnitude_db, pm_mag, cap.magnitudeDbAt(w),
-                fm_bode.points()[i].phase_deg, pm_ph, cap.phaseDegAt(w));
+  // Rows are paired by modulation frequency: a point that timed out is
+  // missing from its Bode response and prints as such.
+  for (double f : base.modulation_frequencies_hz) {
+    const double w = hzToRadPerSec(f);
+    const control::BodePoint* fp = fm_bode.pointAt(w);
+    const control::BodePoint* pp = pm_bode.pointAt(w);
+    std::printf("%9.3f |", f);
+    benchutil::printBodeCell(fp, &control::BodePoint::magnitude_db, 9, 2);
+    benchutil::printBodeCell(pp, &control::BodePoint::magnitude_db, 9, 2);
+    std::printf(" %9.2f |", cap.magnitudeDbAt(w));
+    benchutil::printBodeCell(fp, &control::BodePoint::phase_deg, 10, 1);
+    benchutil::printBodeCell(pp, &control::BodePoint::phase_deg, 10, 1);
+    std::printf(" %10.1f\n", cap.phaseDegAt(w));
   }
 
   benchutil::printSubHeader("trade-offs observed");
   // Where does each stimulus give the better (smaller) error vs theory?
   double fm_err_lo = 0.0, pm_err_lo = 0.0, fm_err_hi = 0.0, pm_err_hi = 0.0;
   int n_lo = 0, n_hi = 0;
-  for (size_t i = 0; i < fm_bode.size() && i < pm_bode.size(); ++i) {
-    const double w = fm_bode.points()[i].omega_rad_per_s;
+  for (const control::BodePoint& fp : fm_bode.points()) {
+    const double w = fp.omega_rad_per_s;
+    const control::BodePoint* pp = pm_bode.pointAt(w);
+    if (pp == nullptr) continue;  // compare both stimuli at the same frequencies only
     const double f = radPerSecToHz(w);
-    const double fe = std::abs(fm_bode.points()[i].magnitude_db - cap.magnitudeDbAt(w));
-    const double pe = std::abs(pm_bode.points()[i].magnitude_db - cap.magnitudeDbAt(w));
+    const double fe = std::abs(fp.magnitude_db - cap.magnitudeDbAt(w));
+    const double pe = std::abs(pp->magnitude_db - cap.magnitudeDbAt(w));
     if (f <= 8.0) {
       fm_err_lo += fe;
       pm_err_lo += pe;

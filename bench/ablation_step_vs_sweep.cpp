@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "bist/analysis.hpp"
-#include "bist/controller.hpp"
+#include "bist/resilient_sweep.hpp"
 #include "bist/step_test.hpp"
 #include "common/units.hpp"
 #include "pll/config.hpp"
@@ -28,8 +28,8 @@ int main() {
 
     // Sweep method.
     bist::SweepOptions sopt = bist::quickSweepOptions(cfg, bist::StimulusKind::MultiToneFsk, 12);
-    bist::BistController controller(cfg, sopt);
-    const bist::MeasuredResponse sweep = controller.run();
+    const bist::MeasuredResponse sweep =
+        bist::ResilientSweep(cfg, sopt, {.max_attempts = 1}).run().response;
     const bist::ExtractedParameters sp = bist::extractParameters(sweep.toBode());
     // Simulated test time: lock + static ref + per-point (settle+avg+gate).
     double sweep_time = sopt.lock_wait_s + sopt.static_settle_s + sopt.sequencer.freq_gate_s;

@@ -38,13 +38,12 @@ int main() {
 
   std::printf("\n%9s | %10s %10s %10s | %9s %9s\n", "f (Hz)", "pure sine", "two-tone",
               "multi-10", "cap thry", "eqn4");
-  for (size_t i = 0; i < sine.size(); ++i) {
-    const double w = sine.points()[i].omega_rad_per_s;
-    auto at = [&](const control::BodeResponse& r) {
-      return i < r.size() ? r.points()[i].magnitude_db : -999.0;
-    };
-    std::printf("%9.3f | %10.2f %10.2f %10.2f | %9.2f %9.2f\n", radPerSecToHz(w), at(sine),
-                at(two), at(multi), cap.magnitudeDbAt(w), eqn4.magnitudeDbAt(w));
+  for (double f : sweeps.frequencies_hz) {
+    const double w = hzToRadPerSec(f);
+    std::printf("%9.3f |", radPerSecToHz(w));
+    for (const control::BodeResponse* r : {&sine, &two, &multi})
+      benchutil::printBodeCell(r->pointAt(w), &control::BodePoint::magnitude_db, 10, 2);
+    std::printf(" | %9.2f %9.2f\n", cap.magnitudeDbAt(w), eqn4.magnitudeDbAt(w));
   }
 
   benchutil::printSubHeader("anchors");
@@ -62,11 +61,14 @@ int main() {
   for (double fmax : {16.0, 1e9}) {
     double rms_multi = 0.0, rms_two = 0.0;
     int n = 0;
-    for (size_t i = 0; i < sine.size() && i < two.size() && i < multi.size(); ++i) {
-      if (radPerSecToHz(sine.points()[i].omega_rad_per_s) > fmax) break;
-      const double s = sine.points()[i].magnitude_db;
-      rms_multi += (multi.points()[i].magnitude_db - s) * (multi.points()[i].magnitude_db - s);
-      rms_two += (two.points()[i].magnitude_db - s) * (two.points()[i].magnitude_db - s);
+    for (const control::BodePoint& sp : sine.points()) {
+      if (radPerSecToHz(sp.omega_rad_per_s) > fmax) break;
+      const control::BodePoint* m = multi.pointAt(sp.omega_rad_per_s);
+      const control::BodePoint* t = two.pointAt(sp.omega_rad_per_s);
+      if (m == nullptr || t == nullptr) continue;
+      const double s = sp.magnitude_db;
+      rms_multi += (m->magnitude_db - s) * (m->magnitude_db - s);
+      rms_two += (t->magnitude_db - s) * (t->magnitude_db - s);
       ++n;
     }
     std::printf("RMS deviation from pure sine (%s): multi-tone %.2f dB, two-tone %.2f dB\n",

@@ -30,13 +30,12 @@ int main() {
 
   std::printf("\n%9s | %10s %10s %10s | %9s %9s\n", "f (Hz)", "pure sine", "two-tone",
               "multi-10", "cap thry", "eqn4");
-  for (size_t i = 0; i < sine.size(); ++i) {
-    const double w = sine.points()[i].omega_rad_per_s;
-    auto at = [&](const control::BodeResponse& r) {
-      return i < r.size() ? r.points()[i].phase_deg : 0.0;
-    };
-    std::printf("%9.3f | %10.1f %10.1f %10.1f | %9.1f %9.1f\n", radPerSecToHz(w), at(sine),
-                at(two), at(multi), cap.phaseDegAt(w), eqn4.phaseDegAt(w));
+  for (double f : sweeps.frequencies_hz) {
+    const double w = hzToRadPerSec(f);
+    std::printf("%9.3f |", radPerSecToHz(w));
+    for (const control::BodeResponse* r : {&sine, &two, &multi})
+      benchutil::printBodeCell(r->pointAt(w), &control::BodePoint::phase_deg, 10, 1);
+    std::printf(" | %9.1f %9.1f\n", cap.phaseDegAt(w), eqn4.phaseDegAt(w));
   }
 
   benchutil::printSubHeader("anchors");
@@ -51,11 +50,14 @@ int main() {
   for (double fmax : {16.0, 1e9}) {
     double rms_multi = 0.0, rms_two = 0.0;
     int n = 0;
-    for (size_t i = 0; i < sine.size() && i < two.size() && i < multi.size(); ++i) {
-      if (radPerSecToHz(sine.points()[i].omega_rad_per_s) > fmax) break;
-      const double s = sine.points()[i].phase_deg;
-      rms_multi += (multi.points()[i].phase_deg - s) * (multi.points()[i].phase_deg - s);
-      rms_two += (two.points()[i].phase_deg - s) * (two.points()[i].phase_deg - s);
+    for (const control::BodePoint& sp : sine.points()) {
+      if (radPerSecToHz(sp.omega_rad_per_s) > fmax) break;
+      const control::BodePoint* m = multi.pointAt(sp.omega_rad_per_s);
+      const control::BodePoint* t = two.pointAt(sp.omega_rad_per_s);
+      if (m == nullptr || t == nullptr) continue;
+      const double s = sp.phase_deg;
+      rms_multi += (m->phase_deg - s) * (m->phase_deg - s);
+      rms_two += (t->phase_deg - s) * (t->phase_deg - s);
       ++n;
     }
     std::printf("RMS deviation from pure sine (%s): multi-tone %.1f deg, two-tone %.1f deg\n",

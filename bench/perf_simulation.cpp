@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "bist/controller.hpp"
+#include "bist/resilient_sweep.hpp"
 #include "pll/config.hpp"
 #include "pll/cppll.hpp"
 #include "pll/sources.hpp"
@@ -110,8 +110,8 @@ void BM_BistPoint(benchmark::State& state) {
     const pll::PllConfig cfg = pll::scaledTestConfig();
     bist::SweepOptions opt = bist::quickSweepOptions(cfg, bist::StimulusKind::MultiToneFsk, 10);
     opt.modulation_frequencies_hz = {200.0};
-    bist::BistController controller(cfg, opt);
-    benchmark::DoNotOptimize(controller.run().points.size());
+    bist::ResilientSweep sweep(cfg, opt, {.max_attempts = 1});
+    benchmark::DoNotOptimize(sweep.run().response.points.size());
   }
 }
 BENCHMARK(BM_BistPoint)->Unit(benchmark::kMillisecond);
@@ -123,8 +123,8 @@ void BM_ReferenceSweep(benchmark::State& state) {
     bist::SweepOptions opt;
     opt.stimulus = bist::StimulusKind::MultiToneFsk;
     opt.modulation_frequencies_hz = bist::SweepOptions::defaultSweep(8.0, 6);
-    bist::BistController controller(cfg, opt);
-    benchmark::DoNotOptimize(controller.run().points.size());
+    bist::ResilientSweep sweep(cfg, opt, {.max_attempts = 1});
+    benchmark::DoNotOptimize(sweep.run().response.points.size());
   }
 }
 BENCHMARK(BM_ReferenceSweep)->Unit(benchmark::kMillisecond)->Iterations(1);

@@ -6,7 +6,19 @@
 #include <string>
 #include <vector>
 
+#include "control/bode.hpp"
+
 namespace pllbist::benchutil {
+
+/// Print " <field of p>" right-aligned in `width` columns, or " timed out"
+/// when the point is missing from its response (BodeResponse::pointAt).
+inline void printBodeCell(const control::BodePoint* p, double control::BodePoint::*field,
+                          int width, int precision) {
+  if (p != nullptr)
+    std::printf(" %*.*f", width, precision, p->*field);
+  else
+    std::printf(" %*s", width, "timed out");
+}
 
 /// One plotted series: (x, y) points drawn with `symbol`.
 struct Series {

@@ -3,7 +3,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "bist/controller.hpp"
+#include "bist/resilient_sweep.hpp"
 #include "pll/config.hpp"
 
 namespace pllbist::benchutil {
@@ -36,8 +36,7 @@ inline SweepSet runReferenceSweeps(int points = 13) {
     opt.stimulus = kind;
     std::printf("running %s sweep (%d points)...\n", to_string(kind), points);
     std::fflush(stdout);
-    bist::BistController controller(cfg, opt);
-    bist::MeasuredResponse r = controller.run();
+    bist::MeasuredResponse r = bist::ResilientSweep(cfg, opt, {.max_attempts = 1}).run().response;
     switch (kind) {
       case bist::StimulusKind::PureSineFm: out.pure_sine = std::move(r); break;
       case bist::StimulusKind::TwoToneFsk: out.two_tone = std::move(r); break;

@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "baseline/bench_measurement.hpp"
-#include "bist/controller.hpp"
+#include "bist/resilient_sweep.hpp"
 #include "common/units.hpp"
 #include "pll/config.hpp"
 
@@ -27,8 +27,8 @@ int main() {
   bist::SweepOptions bopt = bist::quickSweepOptions(cfg, bist::StimulusKind::MultiToneFsk, 9);
   std::printf("running on-chip BIST sweep (%zu points, multi-tone FSK)...\n",
               bopt.modulation_frequencies_hz.size());
-  bist::BistController controller(cfg, bopt);
-  const bist::MeasuredResponse bist_result = controller.run();
+  const bist::MeasuredResponse bist_result =
+      bist::ResilientSweep(cfg, bopt, {.max_attempts = 1}).run().response;
   const control::BodeResponse bist_bode = bist_result.toBode();
 
   // Conventional bench sweep over the same frequencies.
@@ -45,20 +45,23 @@ int main() {
 
   std::printf("%9s | %10s %10s | %10s %10s | %11s %11s\n", "fm (Hz)", "bench dB", "BIST dB",
               "bench deg", "BIST deg", "H thry dB", "cap thry dB");
-  for (size_t i = 0; i < bist_bode.size() && i < bench_bode.size(); ++i) {
-    const double w = bist_bode.points()[i].omega_rad_per_s;
+  for (const control::BodePoint& b : bist_bode.points()) {
+    const double w = b.omega_rad_per_s;
+    const control::BodePoint* bench = bench_bode.pointAt(w);
+    if (bench == nullptr) continue;
     std::printf("%9.1f | %10.2f %10.2f | %10.1f %10.1f | %11.2f %11.2f\n", radPerSecToHz(w),
-                bench_bode.points()[i].magnitude_db, bist_bode.points()[i].magnitude_db,
-                bench_bode.points()[i].phase_deg, bist_bode.points()[i].phase_deg,
+                bench->magnitude_db, b.magnitude_db, bench->phase_deg, b.phase_deg,
                 eqn4.magnitudeDbAt(w), cap.magnitudeDbAt(w));
   }
 
   // Where do the two methods diverge? Quantify the zero's phase lead.
   std::printf("\nmethod difference vs theory difference (phase at each point):\n");
   std::printf("%9s %18s %22s\n", "fm (Hz)", "bench-BIST (deg)", "argH - argHcap (deg)");
-  for (size_t i = 0; i < bist_bode.size() && i < bench_bode.size(); ++i) {
-    const double w = bist_bode.points()[i].omega_rad_per_s;
-    double d_meas = bench_bode.points()[i].phase_deg - bist_bode.points()[i].phase_deg;
+  for (const control::BodePoint& b : bist_bode.points()) {
+    const double w = b.omega_rad_per_s;
+    const control::BodePoint* bench = bench_bode.pointAt(w);
+    if (bench == nullptr) continue;
+    double d_meas = bench->phase_deg - b.phase_deg;
     while (d_meas <= -180.0) d_meas += 360.0;
     while (d_meas > 180.0) d_meas -= 360.0;
     const double d_theory = eqn4.phaseDegAt(w) - cap.phaseDegAt(w);

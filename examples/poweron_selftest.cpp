@@ -72,7 +72,7 @@ void runSelfTest(const char* name, const pll::PllConfig& cfg, const SelfTestPoli
   // that rather than hang or crash the diagnosis.
   core::TransferFunctionMeasurement meas(cfg);
   const core::MeasurementResult diag =
-      meas.runResilient(bist::quickSweepOptions(cfg, bist::StimulusKind::MultiToneFsk, 9));
+      meas.measure(bist::quickSweepOptions(cfg, bist::StimulusKind::MultiToneFsk, 9));
   std::printf("tier 2 quality: %s\n", diag.quality.summary().c_str());
   if (!diag.status.ok()) {
     std::printf("tier 2 verdict: FAIL (%s)\n\n", diag.status.toString().c_str());

@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "bist/analysis.hpp"
-#include "bist/controller.hpp"
+#include "bist/resilient_sweep.hpp"
 #include "common/units.hpp"
 #include "control/bode.hpp"
 #include "pll/config.hpp"
@@ -33,12 +33,14 @@ int main() {
   std::printf("Measuring %zu points (%s stimulus)...\n", opt.modulation_frequencies_hz.size(),
               to_string(opt.stimulus));
 
-  bist::BistController controller(cfg, opt);
-  controller.onPointMeasured([](const bist::MeasuredPoint& p) {
+  // One attempt per point, as the paper's sequence runs; the default
+  // ResilientSweepOptions would retry a timed-out point.
+  bist::ResilientSweep sweep(cfg, opt, {.max_attempts = 1});
+  sweep.onPointMeasured([](const bist::MeasuredPoint& p) {
     std::printf("  fm = %7.3f Hz   deviation = %8.2f Hz   phase = %8.2f deg%s\n",
                 p.modulation_hz, p.deviation_hz, p.phase_deg, p.timed_out ? "  TIMEOUT" : "");
   });
-  const bist::MeasuredResponse measured = controller.run();
+  const bist::MeasuredResponse measured = sweep.run().response;
   std::printf("Nominal VCO output: %.2f Hz, DC reference deviation: %.2f Hz\n\n",
               measured.nominal_vco_hz, measured.static_reference_deviation_hz);
 

@@ -1,17 +1,10 @@
 #include "bist/controller.hpp"
 
-#include <chrono>
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 
-#include "bist/resilient_sweep.hpp"
-#include "bist/telemetry.hpp"
-#include "bist/testbench.hpp"
-#include "common/assert.hpp"
 #include "common/units.hpp"
 #include "control/grid.hpp"
-#include "obs/tracer.hpp"
 
 namespace pllbist::bist {
 
@@ -159,84 +152,6 @@ std::vector<double> MeasuredResponse::modulationFrequencies() const {
   out.reserve(points.size());
   for (const MeasuredPoint& p : points) out.push_back(p.modulation_hz);
   return out;
-}
-
-BistController::BistController(const pll::PllConfig& pll_config, SweepOptions options)
-    : pll_config_(pll_config), options_(std::move(options)) {
-  pll_config_.validate();
-  options_.check(pll_config_).throwIfError();
-}
-
-MeasuredResponse BistController::run() {
-  if (used_) throw std::logic_error("BistController::run: controller already used");
-  used_ = true;
-  PLLBIST_SPAN("sweep.run");
-
-  SweepTestbench bench(pll_config_, options_);
-  if (on_testbench_) on_testbench_(bench);
-  sim::Circuit& c = bench.circuit();
-  TestSequencer& sequencer = bench.sequencer();
-
-  // Let the loop acquire lock before measuring anything.
-  c.run(options_.lock_wait_s);
-
-  auto waitFor = [&bench](bool& flag) {
-    const Status s = bench.runUntil(flag);
-    if (!s.ok()) throw AssertionError("BistController: " + s.toString());
-  };
-
-  MeasuredResponse result;
-  bool nominal_done = false;
-  sequencer.measureNominal([&](double hz) {
-    result.nominal_vco_hz = hz;
-    nominal_done = true;
-  });
-  waitFor(nominal_done);
-
-  // PM has no DC reference (a parked phase offset yields no steady output
-  // deviation); its points are normalised absolutely instead.
-  if (options_.stimulus != StimulusKind::DelayLinePm) {
-    bool ref_done = false;
-    sequencer.measureStaticReference(options_.static_settle_s, [&](double hz) {
-      result.static_reference_deviation_hz = hz - result.nominal_vco_hz;
-      ref_done = true;
-    });
-    waitFor(ref_done);
-  }
-
-  for (double fm : options_.modulation_frequencies_hz) {
-    obs::ScopedSpan point_span("point.measure");
-    const auto point_start = std::chrono::steady_clock::now();
-    bool point_done = false;
-    sequencer.measurePoint(fm, [&](TestSequencer::PointResult r) {
-      MeasuredPoint p;
-      p.modulation_hz = r.modulation_hz;
-      p.deviation_hz = r.held_frequency_hz - result.nominal_vco_hz;
-      p.phase_deg = r.phase_deg;
-      p.timed_out = r.timed_out;
-      p.quality = r.timed_out ? PointQuality::Dropped : PointQuality::Ok;
-      p.status = r.status;
-      if (options_.stimulus == StimulusKind::DelayLinePm) {
-        // Input frequency deviation of PM: theta_dev * fm (Hz).
-        p.unity_gain_deviation_hz =
-            bench.pmThetaDevRad() * fm * static_cast<double>(pll_config_.divider_n);
-      }
-      result.points.push_back(p);
-      result.raw.push_back(std::move(r));
-      point_done = true;
-    });
-    waitFor(point_done);
-    MeasuredPoint& p = result.points.back();
-    p.wall_time_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - point_start).count();
-    SweepTelemetry& t = sweepTelemetry();
-    t.attempts.increment();
-    (p.timed_out ? t.points_dropped : t.points_ok).increment();
-    t.point_wall.observe(p.wall_time_s);
-    if (progress_) progress_(p);
-  }
-  publishBenchCounters(BenchStats::of(bench));
-  return result;
 }
 
 }  // namespace pllbist::bist

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "bist/sequencer.hpp"
@@ -9,8 +8,6 @@
 #include "pll/config.hpp"
 
 namespace pllbist::bist {
-
-class SweepTestbench;
 
 /// How the reference modulation is produced.
 enum class StimulusKind {
@@ -61,9 +58,9 @@ struct SweepOptions {
 SweepOptions quickSweepOptions(const pll::PllConfig& config, StimulusKind stimulus,
                                int points = 10);
 
-/// Per-point outcome classification of the reliability layer. A plain
-/// BistController sweep only produces Ok and Dropped (its points get one
-/// attempt); ResilientSweep fills in the full ladder.
+/// Per-point outcome classification of ResilientSweep. A one-attempt sweep
+/// (max_attempts = 1) only produces Ok and Dropped; retries fill in the
+/// rest of the ladder.
 enum class PointQuality {
   Ok,       ///< measured cleanly on the first attempt
   Retried,  ///< failed at least once, then measured successfully
@@ -111,32 +108,6 @@ struct MeasuredResponse {
 
   /// The swept modulation frequencies, in order.
   [[nodiscard]] std::vector<double> modulationFrequencies() const;
-};
-
-/// Builds the full testbench (PLL + Figure 6 BIST blocks) in a private
-/// Circuit and runs a complete transfer-function sweep synchronously.
-/// This is the top-level entry point the core library wraps.
-class BistController {
- public:
-  BistController(const pll::PllConfig& pll_config, SweepOptions options);
-
-  /// Optional progress hook, called after each completed point.
-  void onPointMeasured(std::function<void(const MeasuredPoint&)> cb) { progress_ = std::move(cb); }
-
-  /// Optional hook fired once the testbench is assembled, before the lock
-  /// wait. Tests and campaigns use it to attach sim-level fault injection
-  /// (testbench.faultInjector()) or extra probes to the private circuit.
-  void onTestbench(std::function<void(SweepTestbench&)> cb) { on_testbench_ = std::move(cb); }
-
-  /// Run the sweep. May be called once per controller instance.
-  MeasuredResponse run();
-
- private:
-  pll::PllConfig pll_config_;
-  SweepOptions options_;
-  std::function<void(const MeasuredPoint&)> progress_;
-  std::function<void(SweepTestbench&)> on_testbench_;
-  bool used_ = false;
 };
 
 }  // namespace pllbist::bist

@@ -183,9 +183,9 @@ class RelockBreaker {
   int consecutive_ = 0;
 };
 
-/// The retry/relock/degrade sweep engine. Runs the same Table 2 sequence
-/// as BistController but classifies every point Ok/Retried/Degraded/
-/// Dropped instead of giving each one attempt:
+/// The sweep engine: the Table 2 sequence (lock wait, nominal count, DC
+/// reference, then settle, phase count, hold and frequency count per point)
+/// with every point classified Ok/Retried/Degraded/Dropped:
 ///
 ///   - a timed-out point is retried with escalating settle/timeout
 ///     budgets, up to max_attempts;
@@ -196,6 +196,9 @@ class RelockBreaker {
 ///     is Dropped with a structured Status, and the sweep continues — a
 ///     catastrophic device yields a fully-labelled response, never a hang
 ///     or a throw.
+///
+/// max_attempts = 1 gives each point one attempt, as the paper runs it; a
+/// timed-out point is still followed by the park-and-relock check.
 class ResilientSweep {
  public:
   ResilientSweep(const pll::PllConfig& config, SweepOptions sweep,

@@ -64,7 +64,7 @@ struct StepTestResult {
 };
 
 /// Run the complete step test on a simulated device. Synchronous; builds a
-/// private circuit like BistController.
+/// private circuit like ResilientSweep.
 StepTestResult runStepTest(const pll::PllConfig& config, const StepTestOptions& options);
 
 }  // namespace pllbist::bist

@@ -8,9 +8,8 @@ struct BenchStats;
 
 /// Handles into the global MetricsRegistry for the sweep engines, registered
 /// once per process. Naming follows the layer.component.name convention
-/// (DESIGN.md §8). Shared by BistController, ResilientSweep and (through the
-/// inner engines) ParallelSweep, so every execution path re-homes the same
-/// counters.
+/// (DESIGN.md §8). Shared by ResilientSweep and (through its point loop)
+/// ParallelSweep, so every execution path re-homes the same counters.
 struct SweepTelemetry {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
   obs::Counter attempts = reg.counter("bist.resilient.attempts");

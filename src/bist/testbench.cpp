@@ -116,13 +116,4 @@ sim::FaultInjector& SweepTestbench::faultInjector(uint64_t seed) {
 
 sim::SignalId SweepTestbench::mfreq() const { return peak_detector_->mfreq(); }
 
-Status SweepTestbench::runUntil(const bool& flag) {
-  while (!flag) {
-    if (!circuit_.step())
-      return Status::makef(Status::Kind::SimulationStall,
-                           "event queue ran dry at t = %g s mid-measurement", circuit_.now());
-  }
-  return Status();
-}
-
 }  // namespace pllbist::bist

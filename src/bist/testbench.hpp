@@ -8,7 +8,6 @@
 #include "bist/modulator.hpp"
 #include "bist/peak_detector.hpp"
 #include "bist/sequencer.hpp"
-#include "common/status.hpp"
 #include "pll/config.hpp"
 #include "pll/cppll.hpp"
 #include "pll/probes.hpp"
@@ -23,8 +22,7 @@ namespace pllbist::bist {
 /// its M1/M2 test muxes, the peak detector, the Table 2 sequencer, and a
 /// lock detector on the in-loop PFD outputs.
 ///
-/// Extracted from BistController so the sweep *policy* (plain one-shot vs
-/// the retry/relock/degrade layer of ResilientSweep) is separate from the
+/// Kept apart from ResilientSweep so the sweep *policy* is separate from the
 /// bench *construction*, and so tests can reach into the circuit — attach a
 /// sim::FaultInjector, drop MAXFREQ edges, storm the reference — before any
 /// measurement starts. Non-copyable, non-movable: components capture
@@ -83,11 +81,6 @@ class SweepTestbench {
   /// has a point in flight, a pending closure, a fault injector, or a
   /// different structure.
   void copyStateFrom(const SweepTestbench& source);
-
-  /// Step the circuit until `flag` becomes true. Returns SimulationStall
-  /// (with the stall time) instead of throwing when the event queue runs
-  /// dry mid-measurement.
-  [[nodiscard]] Status runUntil(const bool& flag);
 
  private:
   pll::PllConfig config_;

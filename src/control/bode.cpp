@@ -74,6 +74,12 @@ double BodeResponse::phaseDegAt(double omega) const {
   return interpolateLogOmega(points_, omega, &BodePoint::phase_deg);
 }
 
+const BodePoint* BodeResponse::pointAt(double omega) const {
+  const auto it = std::find_if(points_.begin(), points_.end(),
+                               [omega](const BodePoint& p) { return p.omega_rad_per_s == omega; });
+  return it == points_.end() ? nullptr : &*it;
+}
+
 double BodeResponse::inBandMagnitudeDb() const {
   if (points_.empty()) throw std::domain_error("BodeResponse: empty response");
   return points_.front().magnitude_db;

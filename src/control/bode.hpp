@@ -47,6 +47,11 @@ class BodeResponse {
   /// Interpolated unwrapped phase (degrees) at omega.
   [[nodiscard]] double phaseDegAt(double omega) const;
 
+  /// The sampled point at exactly `omega`, or nullptr when there is none
+  /// (e.g. a measured point that timed out). Pairs the points of responses
+  /// swept over the same frequency list.
+  [[nodiscard]] const BodePoint* pointAt(double omega) const;
+
   /// Magnitude of the first (lowest-frequency) point; the paper's in-band
   /// 0 dB-asymptote reference (section 2).
   [[nodiscard]] double inBandMagnitudeDb() const;

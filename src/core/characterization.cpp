@@ -25,8 +25,9 @@ CharacterizationReport characterize(const pll::PllConfig& config,
   report.design_f3db_hz =
       radPerSecToHz(control::bandwidth3Db(design.omega_n_rad_per_s, design.zeta));
 
-  TransferFunctionMeasurement meas(config);
-  const MeasurementResult m = meas.runBist(options);
+  const MeasurementResult m =
+      TransferFunctionMeasurement(config).measure(options, {.max_attempts = 1});
+  m.status.throwIfError();
   report.measured_peaking_db = m.parameters.peaking_db;
   if (m.parameters.natural_frequency_hz) report.measured_fn_hz = *m.parameters.natural_frequency_hz;
   if (m.parameters.zeta) report.measured_zeta = *m.parameters.zeta;

@@ -22,16 +22,7 @@ bist::SweepOptions TransferFunctionMeasurement::defaultSweepOptions(bist::Stimul
   return opt;
 }
 
-MeasurementResult TransferFunctionMeasurement::runBist(const bist::SweepOptions& options) const {
-  bist::BistController controller(config_, options);
-  MeasurementResult result;
-  result.sweep = controller.run();
-  result.bode = result.sweep.toBode();
-  result.parameters = bist::extractParameters(result.bode);
-  return result;
-}
-
-MeasurementResult TransferFunctionMeasurement::runResilient(
+MeasurementResult TransferFunctionMeasurement::measure(
     const bist::SweepOptions& options, const bist::ResilientSweepOptions& resilience) const {
   bist::ResilientResponse resilient = bist::ResilientSweep(config_, options, resilience).run();
   // Fit what survived; record why when nothing did.

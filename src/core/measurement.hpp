@@ -2,7 +2,6 @@
 
 #include "baseline/bench_measurement.hpp"
 #include "bist/analysis.hpp"
-#include "bist/controller.hpp"
 #include "bist/resilient_sweep.hpp"
 #include "common/status.hpp"
 #include "control/bode.hpp"
@@ -11,18 +10,17 @@
 namespace pllbist::core {
 
 /// One complete transfer-function measurement: the raw sweep, the eqn (7)
-/// referenced Bode response, the extracted loop parameters, and — for
-/// resilient runs — the per-sweep quality accounting.
+/// referenced Bode response, the extracted loop parameters, and the
+/// per-sweep quality accounting.
 struct MeasurementResult {
   bist::MeasuredResponse sweep;
   control::BodeResponse bode;
   bist::ExtractedParameters parameters;
-  /// Retry/relock/drop accounting. All-zero for plain runBist() sweeps.
+  /// Retry/relock/drop accounting.
   bist::SweepQualityReport quality;
   /// Ok when the Bode response and parameters are populated; NoValidPoints
-  /// when too few points survived to form a response (resilient runs never
-  /// throw on a dead device), or the fatal sweep status. Plain runBist()
-  /// throws instead.
+  /// when too few points survived to form a response, or the fatal sweep
+  /// status (SimulationStall, Cancelled).
   Status status;
 };
 
@@ -34,15 +32,14 @@ class TransferFunctionMeasurement {
 
   [[nodiscard]] const pll::PllConfig& config() const { return config_; }
 
-  /// Run the on-chip BIST measurement (the paper's method).
-  [[nodiscard]] MeasurementResult runBist(const bist::SweepOptions& options) const;
-
-  /// Run the measurement through the retry/relock/degrade layer. Unlike
-  /// runBist this never throws on a sick device: dropped points are
+  /// Run the on-chip BIST measurement (the paper's method) through
+  /// ResilientSweep. Never throws on a sick device: dropped points are
   /// excluded from the Bode fit, the quality report records what happened,
-  /// and `status` is NoValidPoints when nothing usable survived.
-  [[nodiscard]] MeasurementResult runResilient(
-      const bist::SweepOptions& options, const bist::ResilientSweepOptions& resilience = {}) const;
+  /// and `status` is non-ok when the sweep ended early or nothing usable
+  /// survived. Throws only on invalid options. Pass {.max_attempts = 1} for
+  /// one attempt per point.
+  [[nodiscard]] MeasurementResult measure(const bist::SweepOptions& options,
+                                          const bist::ResilientSweepOptions& resilience = {}) const;
 
   /// Run the conventional bench measurement baseline (analog access).
   [[nodiscard]] baseline::BenchResult runBench(const baseline::BenchOptions& options) const;

@@ -11,11 +11,12 @@
 ///
 /// Layering (each usable on its own):
 ///   control/   rational transfer functions, Bode analysis, loop design math
-///   dsp/       FFT, sine fitting, statistics
+///   dsp/       sine fitting, interpolation, edge-timestamp frequency
 ///   sim/       discrete-event digital simulation kernel
 ///   pll/       behavioral CP-PLL models (PFD, pump+filter, VCO, dividers)
 ///   bist/      the paper's test hardware (DCO, modulator, peak detector,
-///              counters, sequencer, sweep controller)
+///              counters, sequencer) and the sweep engine (ResilientSweep,
+///              the ParallelSweep point farm)
 ///   baseline/  conventional bench measurement (analog access) comparator
 ///   core/      high-level facades: measurement, characterisation, test plan
 

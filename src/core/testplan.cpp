@@ -1,5 +1,6 @@
 #include "core/testplan.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -10,8 +11,9 @@ TestPlan::TestPlan(const pll::PllConfig& golden, const bist::SweepOptions& sweep
     : golden_(golden), sweep_(sweep) {
   if (tolerance <= 0.0 || tolerance >= 1.0)
     throw std::invalid_argument("TestPlan: tolerance must be in (0, 1)");
-  TransferFunctionMeasurement meas(golden_);
-  const MeasurementResult m = meas.runBist(sweep_);
+  const MeasurementResult m =
+      TransferFunctionMeasurement(golden_).measure(sweep_, {.max_attempts = 1});
+  m.status.throwIfError();
   golden_params_ = m.parameters;
   golden_nominal_hz_ = m.sweep.nominal_vco_hz;
   limits_ = bist::limitsFromGolden(golden_params_, tolerance);
@@ -19,15 +21,20 @@ TestPlan::TestPlan(const pll::PllConfig& golden, const bist::SweepOptions& sweep
 
 TestPlan::DutResult TestPlan::screen(const pll::PllConfig& dut) const {
   DutResult result;
+  MeasurementResult m;
   try {
-    TransferFunctionMeasurement meas(dut);
-    const MeasurementResult m = meas.runBist(sweep_);
-    for (const bist::MeasuredPoint& p : m.sweep.points) {
-      if (p.timed_out) {
-        result.measurement_failed = true;
-        break;
-      }
-    }
+    m = TransferFunctionMeasurement(dut).measure(sweep_, {.max_attempts = 1});
+  } catch (const std::exception& e) {
+    // A DUT configuration the sweep cannot even be set up for is itself a
+    // detection.
+    m.status = Status::make(Status::Kind::InvalidArgument, e.what());
+  }
+  // A sweep that ended early or left nothing to fit (e.g. no in-band
+  // reference because the loop is dead), or any timed-out point, fails.
+  result.measurement_failed =
+      !m.status.ok() || std::any_of(m.sweep.points.begin(), m.sweep.points.end(),
+                                    [](const bist::MeasuredPoint& p) { return p.timed_out; });
+  if (m.status.ok()) {
     result.parameters = m.parameters;
     result.verdict = bist::checkLimits(result.parameters, limits_);
     // Absolute output-frequency check: the transfer-function shape alone is
@@ -41,10 +48,6 @@ TestPlan::DutResult TestPlan::screen(const pll::PllConfig& dut) const {
                     m.sweep.nominal_vco_hz, golden_nominal_hz_);
       result.verdict.failures.emplace_back(buf);
     }
-  } catch (const std::exception&) {
-    // An unusable sweep (e.g. no in-band reference because the loop is
-    // dead) is itself a detection.
-    result.measurement_failed = true;
   }
   if (result.measurement_failed) {
     result.verdict.pass = false;

@@ -20,20 +20,6 @@ double interpolateAt(const std::vector<double>& times, const std::vector<double>
   return values[lo] + f * (values[hi] - values[lo]);
 }
 
-std::vector<double> resampleUniform(const std::vector<double>& times,
-                                    const std::vector<double>& values, double t0, double dt,
-                                    size_t n) {
-  if (times.size() != values.size() || times.empty())
-    throw std::invalid_argument("resampleUniform: bad inputs");
-  if (dt <= 0.0) throw std::invalid_argument("resampleUniform: dt must be positive");
-  const double t_end = t0 + dt * static_cast<double>(n - 1);
-  if (n > 0 && (t0 < times.front() || t_end > times.back()))
-    throw std::invalid_argument("resampleUniform: grid outside sampled span");
-  std::vector<double> out(n);
-  for (size_t i = 0; i < n; ++i) out[i] = interpolateAt(times, values, t0 + dt * static_cast<double>(i));
-  return out;
-}
-
 std::vector<TimedValue> frequencyFromEdges(const std::vector<double>& edges) {
   std::vector<TimedValue> out;
   if (edges.size() < 2) return out;

@@ -5,14 +5,6 @@
 
 namespace pllbist::dsp {
 
-/// Piecewise-linear interpolation of irregularly sampled (t, x) data onto a
-/// uniform grid [t0, t0 + (n-1)*dt]. Times must be strictly ascending; the
-/// grid must lie inside the sampled span. Used to turn edge-timestamped
-/// frequency estimates into uniform records for FFT analysis.
-std::vector<double> resampleUniform(const std::vector<double>& times,
-                                    const std::vector<double>& values, double t0, double dt,
-                                    size_t n);
-
 /// Linear interpolation at a single point; clamps to the end values outside
 /// the span. Times must be ascending and non-empty.
 double interpolateAt(const std::vector<double>& times, const std::vector<double>& values,

@@ -8,29 +8,6 @@
 
 namespace pllbist::dsp {
 
-std::complex<double> goertzel(const std::vector<double>& samples, double sample_rate_hz,
-                              double frequency_hz) {
-  if (sample_rate_hz <= 0.0 || frequency_hz < 0.0)
-    throw std::invalid_argument("goertzel: invalid rates");
-  const double w = kTwoPi * frequency_hz / sample_rate_hz;
-  const double coeff = 2.0 * std::cos(w);
-  double s_prev = 0.0, s_prev2 = 0.0;
-  for (double x : samples) {
-    const double s = x + coeff * s_prev - s_prev2;
-    s_prev2 = s_prev;
-    s_prev = s;
-  }
-  // The raw Goertzel terminal value carries a residual rotation of
-  // w*(N-1): it equals exp(-jw(N-1)) * sum(x[n] * exp(+jwn)). Undo the
-  // rotation and conjugate so the function returns exactly the documented
-  // correlation sum(x[n] * exp(-jwn)) — callers that read phase (not just
-  // magnitude) get the DFT-bin convention, with f = 0 reducing to the
-  // plain sum and f = fs/2 to the alternating sum.
-  const std::complex<double> terminal{s_prev - std::cos(w) * s_prev2, -std::sin(w) * s_prev2};
-  const double rot = w * static_cast<double>(samples.empty() ? 0 : samples.size() - 1);
-  return std::conj(std::polar(1.0, rot) * terminal);
-}
-
 namespace {
 
 /// Solve a symmetric 3x3 linear system via Gaussian elimination with partial

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <complex>
 #include <cstddef>
 #include <vector>
 
@@ -14,12 +13,6 @@ struct ToneFit {
   double offset = 0.0;
   double residual_rms = 0.0;  // RMS of (data - model)
 };
-
-/// Goertzel single-bin DFT of uniformly sampled data at a target frequency.
-/// Returns the complex correlation sum(x[n] * exp(-j*2*pi*f*n/fs)); useful
-/// when only one tone amplitude/phase is needed from a long record.
-std::complex<double> goertzel(const std::vector<double>& samples, double sample_rate_hz,
-                              double frequency_hz);
 
 /// Three-parameter least-squares sine fit at a *known* frequency to
 /// (time, value) samples (need not be uniform). This is the IEEE-1057-style

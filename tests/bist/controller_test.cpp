@@ -1,6 +1,7 @@
 #include "bist/controller.hpp"
 
 #include "bist/analysis.hpp"
+#include "bist/resilient_sweep.hpp"
 
 #include <gtest/gtest.h>
 
@@ -47,12 +48,22 @@ TEST(StimulusKind, Names) {
   EXPECT_STREQ(to_string(StimulusKind::PureSineFm), "pure-sine-fm");
 }
 
+MeasuredPoint point(double modulation_hz, double deviation_hz, double phase_deg = 0.0,
+                    bool timed_out = false) {
+  MeasuredPoint p;
+  p.modulation_hz = modulation_hz;
+  p.deviation_hz = deviation_hz;
+  p.phase_deg = phase_deg;
+  p.timed_out = timed_out;
+  return p;
+}
+
 TEST(MeasuredResponse, ToBodeReferencesStaticDeviation) {
   MeasuredResponse r;
   r.nominal_vco_hz = 100e3;
   r.static_reference_deviation_hz = 1000.0;
-  r.points.push_back({.modulation_hz = 50.0, .deviation_hz = 1000.0, .phase_deg = -5.0});
-  r.points.push_back({.modulation_hz = 100.0, .deviation_hz = 500.0, .phase_deg = -45.0});
+  r.points.push_back(point(50.0, 1000.0, -5.0));
+  r.points.push_back(point(100.0, 500.0, -45.0));
   const auto bode = r.toBode();
   ASSERT_EQ(bode.size(), 2u);
   EXPECT_DB_NEAR(bode.points()[0].magnitude_db, 0.0, 1e-9);
@@ -62,23 +73,24 @@ TEST(MeasuredResponse, ToBodeReferencesStaticDeviation) {
 TEST(MeasuredResponse, TimedOutPointsExcluded) {
   MeasuredResponse r;
   r.static_reference_deviation_hz = 1000.0;
-  r.points.push_back({.modulation_hz = 50.0, .deviation_hz = 1000.0, .phase_deg = -5.0});
-  r.points.push_back({.modulation_hz = 75.0, .deviation_hz = -1.0, .timed_out = true});
-  r.points.push_back({.modulation_hz = 100.0, .deviation_hz = 500.0, .phase_deg = -45.0});
+  r.points.push_back(point(50.0, 1000.0, -5.0));
+  r.points.push_back(point(75.0, -1.0, 0.0, /*timed_out=*/true));
+  r.points.push_back(point(100.0, 500.0, -45.0));
   EXPECT_EQ(r.toBode().size(), 2u);
 }
 
 TEST(MeasuredResponse, NoUsableReferenceThrows) {
   MeasuredResponse r;
   EXPECT_THROW(r.toBode(), std::domain_error);
-  r.points.push_back({.modulation_hz = 50.0, .deviation_hz = -10.0});
+  r.points.push_back(point(50.0, -10.0));
   EXPECT_THROW(r.toBode(), std::domain_error);  // negative reference
 }
 
-TEST(BistController, RunIsOneShot) {
-  BistController controller(fastTestConfig(), fastSweepOptions(StimulusKind::MultiToneFsk, 3));
-  (void)controller.run();
-  EXPECT_THROW(controller.run(), std::logic_error);
+TEST(ResilientSweepEngine, RunIsOneShot) {
+  ResilientSweep engine(fastTestConfig(), fastSweepOptions(StimulusKind::MultiToneFsk, 3),
+                        {.max_attempts = 1});
+  (void)engine.run();
+  EXPECT_THROW(engine.run(), std::logic_error);
 }
 
 /// End-to-end: the measured response must match the capacitor-node theory
@@ -88,8 +100,7 @@ class SweepAccuracy : public ::testing::TestWithParam<StimulusKind> {};
 TEST_P(SweepAccuracy, MatchesCapacitorNodeTheory) {
   const pll::PllConfig cfg = fastTestConfig();
   const SweepOptions opt = fastSweepOptions(GetParam(), 8);
-  BistController controller(cfg, opt);
-  const MeasuredResponse measured = controller.run();
+  const MeasuredResponse measured = ResilientSweep(cfg, opt, {.max_attempts = 1}).run().response;
 
   EXPECT_NEAR(measured.nominal_vco_hz, cfg.nominalVcoHz(), 25.0);
   EXPECT_NEAR(measured.static_reference_deviation_hz, 100.0 * cfg.divider_n, 60.0);
@@ -123,19 +134,21 @@ INSTANTIATE_TEST_SUITE_P(Stimuli, SweepAccuracy,
                          ::testing::Values(StimulusKind::MultiToneFsk, StimulusKind::TwoToneFsk,
                                            StimulusKind::PureSineFm));
 
-TEST(BistController, ProgressCallbackFiresPerPoint) {
+TEST(ResilientSweepEngine, ProgressCallbackFiresPerPoint) {
   const SweepOptions opt = fastSweepOptions(StimulusKind::MultiToneFsk, 4);
-  BistController controller(fastTestConfig(), opt);
+  ResilientSweep engine(fastTestConfig(), opt, {.max_attempts = 1});
   int calls = 0;
-  controller.onPointMeasured([&](const MeasuredPoint&) { ++calls; });
-  (void)controller.run();
+  engine.onPointMeasured([&](const MeasuredPoint&) { ++calls; });
+  (void)engine.run();
   EXPECT_EQ(calls, 4);
 }
 
-TEST(BistController, ExtractionRecoversDesignParameters) {
+TEST(ResilientSweepEngine, ExtractionRecoversDesignParameters) {
   const pll::PllConfig cfg = fastTestConfig();
-  BistController controller(cfg, fastSweepOptions(StimulusKind::MultiToneFsk, 10));
-  const auto bode = controller.run().toBode();
+  const auto bode =
+      ResilientSweep(cfg, fastSweepOptions(StimulusKind::MultiToneFsk, 10), {.max_attempts = 1})
+          .run()
+          .response.toBode();
   const ExtractedParameters p = extractParameters(bode);
   ASSERT_TRUE(p.zeta.has_value());
   ASSERT_TRUE(p.natural_frequency_hz.has_value());
@@ -151,8 +164,9 @@ class ExtractionGrid : public ::testing::TestWithParam<std::tuple<double, double
 TEST_P(ExtractionGrid, RecoversDesignAcrossDevices) {
   const auto [fn, zeta] = GetParam();
   const pll::PllConfig cfg = pll::scaledTestConfig(fn, zeta);
-  BistController controller(cfg, bist::quickSweepOptions(cfg, StimulusKind::MultiToneFsk, 9));
-  const ExtractedParameters p = extractParameters(controller.run().toBode());
+  ResilientSweep engine(cfg, bist::quickSweepOptions(cfg, StimulusKind::MultiToneFsk, 9),
+                        {.max_attempts = 1});
+  const ExtractedParameters p = extractParameters(engine.run().response.toBode());
   ASSERT_TRUE(p.natural_frequency_hz.has_value()) << fn << " " << zeta;
   EXPECT_NEAR(*p.natural_frequency_hz, fn, 0.15 * fn) << zeta;
   ASSERT_TRUE(p.zeta.has_value());

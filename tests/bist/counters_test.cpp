@@ -87,8 +87,8 @@ TEST(PhaseCounter, RearmsCleanly) {
 
 TEST(PhaseCounter, Validation) {
   EXPECT_THROW(PhaseCounter(0.0), std::invalid_argument);
-  EXPECT_THROW(PhaseCounter::phaseDelayDeg(10, 0.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(PhaseCounter::phaseDelayDeg(10, 1e6, -1.0), std::invalid_argument);
+  EXPECT_THROW((void)PhaseCounter::phaseDelayDeg(10, 0.0, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)PhaseCounter::phaseDelayDeg(10, 1e6, -1.0), std::invalid_argument);
 }
 
 TEST(PhaseCounter, Eqn8PhaseDelay) {

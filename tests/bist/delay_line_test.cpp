@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "bist/analysis.hpp"
-#include "bist/controller.hpp"
+#include "bist/resilient_sweep.hpp"
 #include "common/units.hpp"
 #include "sim/circuit.hpp"
 #include "sim/primitives.hpp"
@@ -130,8 +130,7 @@ TEST(DelayLinePmSweep, MatchesCapacitorNodeTheory) {
   const pll::PllConfig cfg = fastTestConfig();
   SweepOptions opt = fastSweepOptions(StimulusKind::DelayLinePm, 7);
   opt.stimulus = StimulusKind::DelayLinePm;
-  BistController controller(cfg, opt);
-  const MeasuredResponse measured = controller.run();
+  const MeasuredResponse measured = ResilientSweep(cfg, opt, {.max_attempts = 1}).run().response;
   EXPECT_DOUBLE_EQ(measured.static_reference_deviation_hz, 0.0);  // PM: no DC ref
 
   const control::BodeResponse bode = measured.toBode();
@@ -151,8 +150,8 @@ TEST(DelayLinePmSweep, ParameterExtractionStillWorks) {
   const pll::PllConfig cfg = fastTestConfig();
   SweepOptions opt = fastSweepOptions(StimulusKind::DelayLinePm, 9);
   opt.stimulus = StimulusKind::DelayLinePm;
-  BistController controller(cfg, opt);
-  const ExtractedParameters p = extractParameters(controller.run().toBode());
+  const ExtractedParameters p =
+      extractParameters(ResilientSweep(cfg, opt, {.max_attempts = 1}).run().response.toBode());
   ASSERT_TRUE(p.natural_frequency_hz.has_value());
   EXPECT_NEAR(*p.natural_frequency_hz, 200.0, 30.0);
 }

@@ -100,7 +100,7 @@ TEST(SweepOptionsValidation, RejectsDeviationExceedingReferenceFrequency) {
   opt.deviation_hz = cfg.ref_frequency_hz;  // exactly at the limit: rejected
   EXPECT_TRUE(opt.check().ok()) << "options-only check must pass";
   expectRejects(opt.check(cfg), "reference frequency");
-  EXPECT_THROW(BistController(cfg, opt), std::invalid_argument);
+  EXPECT_THROW(ResilientSweep(cfg, opt, {.max_attempts = 1}), std::invalid_argument);
 }
 
 TEST(SweepOptionsValidation, RejectsMasterClockTooSlowForReference) {

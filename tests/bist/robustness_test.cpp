@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "bist/controller.hpp"
 #include "bist/peak_detector.hpp"
 #include "bist/resilient_sweep.hpp"
 #include "bist/sequencer.hpp"
@@ -26,9 +25,10 @@ using pllbist::testing::fastTestConfig;
 /// across runs (a hard requirement for debugging and CI).
 TEST(Robustness, SweepIsDeterministic) {
   auto run = [] {
-    BistController controller(fastTestConfig(),
-                              fastSweepOptions(StimulusKind::MultiToneFsk, 5));
-    return controller.run();
+    return ResilientSweep(fastTestConfig(), fastSweepOptions(StimulusKind::MultiToneFsk, 5),
+                          {.max_attempts = 1})
+        .run()
+        .response;
   };
   const MeasuredResponse a = run();
   const MeasuredResponse b = run();
@@ -99,8 +99,8 @@ TEST(Robustness, OversizedStimulusTerminates) {
   const pll::PllConfig cfg = fastTestConfig();
   SweepOptions opt = fastSweepOptions(StimulusKind::MultiToneFsk, 3);
   opt.deviation_hz = 800.0;  // 8% of the reference: phase errors near the PFD limit
-  BistController controller(cfg, opt);
-  const MeasuredResponse r = controller.run();  // must not hang or throw
+  const MeasuredResponse r =
+      ResilientSweep(cfg, opt, {.max_attempts = 1}).run().response;  // must not hang or throw
   EXPECT_EQ(r.points.size(), 3u);
 }
 
@@ -108,10 +108,14 @@ TEST(Robustness, OversizedStimulusTerminates) {
 /// designed for the same (fn, zeta) must produce overlapping responses.
 TEST(Robustness, PumpTopologiesAgreeOnTheResponse) {
   const SweepOptions vopt = fastSweepOptions(StimulusKind::MultiToneFsk, 6);
-  BistController vcontroller(pll::scaledTestConfig(200.0, 0.43), vopt);
-  BistController ccontroller(pll::scaledCurrentPumpConfig(200.0, 0.43), vopt);
-  const control::BodeResponse v = vcontroller.run().toBode();
-  const control::BodeResponse i = ccontroller.run().toBode();
+  const control::BodeResponse v =
+      ResilientSweep(pll::scaledTestConfig(200.0, 0.43), vopt, {.max_attempts = 1})
+          .run()
+          .response.toBode();
+  const control::BodeResponse i =
+      ResilientSweep(pll::scaledCurrentPumpConfig(200.0, 0.43), vopt, {.max_attempts = 1})
+          .run()
+          .response.toBode();
   ASSERT_EQ(v.size(), i.size());
   for (size_t k = 0; k < v.size(); ++k) {
     const double f = radPerSecToHz(v.points()[k].omega_rad_per_s);
@@ -150,18 +154,48 @@ TEST(ResilientSweepEngine, CleanDeviceYieldsAllOkPoints) {
   EXPECT_NE(r.report.summary().find("2 points"), std::string::npos) << r.report.summary();
 }
 
-/// On a healthy device the resilient engine must measure the same response
-/// as the plain one-shot controller (attempt 0 runs with the base budgets).
+/// On a healthy device the retry budget is never touched: a plain
+/// one-attempt sweep measures the same response, bit for bit, as the
+/// default three-attempt one (attempt 0 runs with the base budgets).
 TEST(ResilientSweepEngine, MatchesPlainControllerOnHealthyDevice) {
-  BistController plain(fastTestConfig(), resilientTestOptions());
-  const MeasuredResponse a = plain.run();
-  ResilientSweep engine(fastTestConfig(), resilientTestOptions());
-  const MeasuredResponse b = engine.run().response;
-  ASSERT_EQ(a.points.size(), b.points.size());
-  for (size_t i = 0; i < a.points.size(); ++i) {
-    EXPECT_NEAR(a.points[i].deviation_hz, b.points[i].deviation_hz, 1e-6) << i;
-    EXPECT_PHASE_NEAR_DEG(a.points[i].phase_deg, b.points[i].phase_deg, 1e-6) << i;
+  const ResilientResponse a =
+      ResilientSweep(fastTestConfig(), resilientTestOptions(), {.max_attempts = 1}).run();
+  const ResilientResponse b = ResilientSweep(fastTestConfig(), resilientTestOptions()).run();
+  EXPECT_EQ(a.response.nominal_vco_hz, b.response.nominal_vco_hz);
+  EXPECT_EQ(a.response.static_reference_deviation_hz, b.response.static_reference_deviation_hz);
+  ASSERT_EQ(a.response.points.size(), b.response.points.size());
+  for (size_t i = 0; i < a.response.points.size(); ++i) {
+    EXPECT_EQ(a.response.points[i].deviation_hz, b.response.points[i].deviation_hz) << i;
+    EXPECT_EQ(a.response.points[i].phase_deg, b.response.points[i].phase_deg) << i;
+    EXPECT_EQ(a.response.points[i].attempts, 1) << i;
   }
+  EXPECT_EQ(a.bench.events_processed, b.bench.events_processed);
+}
+
+/// One attempt per point: a point whose MAXFREQ edges are all lost times
+/// out once and is Dropped with RetryExhausted. The stimulus is then parked
+/// and the loop checked for lock before the next point, which measures
+/// cleanly — the sweep goes on.
+TEST(ResilientSweepEngine, OneAttemptTimeoutDropsPointAndContinues) {
+  ResilientSweep engine(fastTestConfig(), resilientTestOptions(), {.max_attempts = 1});
+  engine.onAttemptStart([](std::size_t point, int /*attempt*/, SweepTestbench& tb) {
+    sim::FaultInjector& inj = tb.faultInjector(5);
+    inj.clearRules();
+    if (point == 0) inj.dropEdges(tb.mfreq(), 1.0, tb.circuit().now());
+  });
+  const ResilientResponse r = engine.run();
+  EXPECT_TRUE(r.status.ok()) << r.status.toString();
+  ASSERT_EQ(r.response.points.size(), 2u);
+  const MeasuredPoint& dropped = r.response.points[0];
+  EXPECT_EQ(dropped.quality, PointQuality::Dropped) << to_string(dropped.quality);
+  EXPECT_TRUE(dropped.timed_out);
+  EXPECT_EQ(dropped.attempts, 1);
+  EXPECT_EQ(dropped.status.kind(), Status::Kind::RetryExhausted) << dropped.status.toString();
+  EXPECT_EQ(r.response.points[1].quality, PointQuality::Ok);
+  EXPECT_TRUE(r.response.points[1].status.ok()) << r.response.points[1].status.toString();
+  EXPECT_EQ(r.report.attempts_total, 2);
+  EXPECT_EQ(r.report.relock_failures, 0);
+  EXPECT_EQ(r.response.toBode().size(), 1u);
 }
 
 /// A stuck peak detector for the first attempt of the first point (every
@@ -301,7 +335,7 @@ TEST(ResilientSweepEngine, CoreFacadeReportsNoValidPoints) {
   ResilientSweepOptions rs;
   rs.max_attempts = 1;
   rs.relock_wait_periods = 10.0;
-  const core::MeasurementResult result = meas.runResilient(resilientTestOptions(), rs);
+  const core::MeasurementResult result = meas.measure(resilientTestOptions(), rs);
   EXPECT_EQ(result.status.kind(), Status::Kind::NoValidPoints) << result.status.toString();
   EXPECT_EQ(result.quality.dropped, 2);
   EXPECT_EQ(result.quality.usable(), 0);

@@ -46,16 +46,26 @@ TEST(BodeResponse, InterpolationAtSamplePointsIsExact) {
   EXPECT_NEAR(r.phaseDegAt(p.omega_rad_per_s), p.phase_deg, 1e-9);
 }
 
+TEST(BodeResponse, PointAtPairsExactFrequenciesOnly) {
+  // A point missing from one response (a timed-out measurement) must not
+  // shift the pairing of the others.
+  const BodeResponse r = BodeResponse::fromPoints({{1.0, 0.0, -10.0}, {3.0, -6.0, -60.0}});
+  ASSERT_NE(r.pointAt(3.0), nullptr);
+  EXPECT_EQ(r.pointAt(3.0)->magnitude_db, -6.0);
+  EXPECT_EQ(r.pointAt(2.0), nullptr);
+  EXPECT_EQ(BodeResponse().pointAt(1.0), nullptr);
+}
+
 TEST(BodeResponse, InterpolationOutsideRangeThrows) {
   auto r = secondOrderResponse(100.0, 0.5, 50);
-  EXPECT_THROW(r.magnitudeDbAt(0.1), std::domain_error);
-  EXPECT_THROW(r.phaseDegAt(1e6), std::domain_error);
+  EXPECT_THROW((void)r.magnitudeDbAt(0.1), std::domain_error);
+  EXPECT_THROW((void)r.phaseDegAt(1e6), std::domain_error);
 }
 
 TEST(BodeResponse, EmptyResponseThrows) {
   BodeResponse r;
-  EXPECT_THROW(r.peak(), std::domain_error);
-  EXPECT_THROW(r.inBandMagnitudeDb(), std::domain_error);
+  EXPECT_THROW((void)r.peak(), std::domain_error);
+  EXPECT_THROW((void)r.inBandMagnitudeDb(), std::domain_error);
 }
 
 TEST(BodeResponse, PeakMatchesClosedFormLocation) {

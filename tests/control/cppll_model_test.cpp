@@ -49,7 +49,7 @@ TEST(LoopFilterTf, MatchesEqn3) {
 TEST(OpenLoopTf, IntegratorAtDc) {
   TransferFunction g = openLoopTf(paperLikeLoop());
   // One pole at the origin: |G| ~ K/w at low frequency.
-  EXPECT_THROW(g.dcGain(), std::domain_error);
+  EXPECT_THROW((void)g.dcGain(), std::domain_error);
   const double w = 1e-3;
   EXPECT_NEAR(std::abs(g.atFrequency(w)) * w, paperLikeLoop().loopGain(), 1.0);
 }

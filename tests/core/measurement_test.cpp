@@ -21,7 +21,9 @@ TEST(TransferFunctionMeasurement, ValidatesConfigOnConstruction) {
 
 TEST(TransferFunctionMeasurement, RunBistProducesConsistentResult) {
   TransferFunctionMeasurement meas(fastTestConfig());
-  const MeasurementResult r = meas.runBist(fastSweepOptions(bist::StimulusKind::MultiToneFsk, 6));
+  const MeasurementResult r =
+      meas.measure(fastSweepOptions(bist::StimulusKind::MultiToneFsk, 6), {.max_attempts = 1});
+  EXPECT_TRUE(r.status.ok()) << r.status.toString();
   EXPECT_EQ(r.sweep.points.size(), 6u);
   EXPECT_EQ(r.bode.size(), 6u);
   EXPECT_GT(r.parameters.peaking_db, 0.5);
@@ -53,7 +55,7 @@ TEST(TransferFunctionMeasurement, BistAndBenchSeeTheSamePeakLocation) {
   const pll::PllConfig cfg = fastTestConfig();
   TransferFunctionMeasurement meas(cfg);
   const MeasurementResult bist_result =
-      meas.runBist(fastSweepOptions(bist::StimulusKind::MultiToneFsk, 8));
+      meas.measure(fastSweepOptions(bist::StimulusKind::MultiToneFsk, 8), {.max_attempts = 1});
 
   baseline::BenchOptions bopt;
   bopt.deviation_hz = 100.0;

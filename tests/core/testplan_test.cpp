@@ -82,6 +82,22 @@ TEST(TestPlan, DividerCountFaultCaughtByNominalCheck) {
   EXPECT_TRUE(nominal_flagged);
 }
 
+TEST(TestPlan, DeadDeviceIsAStatusNotAnException) {
+  // Divider counting 25 instead of 10: the loop rails and never locks, so
+  // every point times out and no relock succeeds.
+  const pll::PllConfig dead =
+      pll::applyFault(fastTestConfig(), {pll::FaultSpec::Kind::DividerWrongN, 25.0});
+  MeasurementResult m;
+  EXPECT_NO_THROW(m = TransferFunctionMeasurement(dead).measure(planSweep(), {.max_attempts = 1}));
+  EXPECT_EQ(m.status.kind(), Status::Kind::NoValidPoints) << m.status.toString();
+  EXPECT_EQ(m.quality.dropped, static_cast<int>(planSweep().modulation_frequencies_hz.size()));
+
+  const TestPlan plan(fastTestConfig(), planSweep(), 0.25);
+  const TestPlan::DutResult r = plan.screen(dead);
+  EXPECT_TRUE(r.measurement_failed);
+  EXPECT_FALSE(r.verdict.pass);
+}
+
 TEST(TestPlan, GoldenNominalRecorded) {
   const TestPlan plan(fastTestConfig(), planSweep(), 0.25);
   EXPECT_NEAR(plan.goldenNominalHz(), fastTestConfig().nominalVcoHz(), 50.0);

@@ -22,22 +22,6 @@ TEST(InterpolateAt, Validation) {
   EXPECT_THROW(interpolateAt({0.0, 1.0}, {0.0}, 0.5), std::invalid_argument);
 }
 
-TEST(ResampleUniform, RecoversLinearRamp) {
-  std::vector<double> t{0.0, 0.5, 2.0};
-  std::vector<double> x{0.0, 1.0, 4.0};  // x = 2t
-  auto y = resampleUniform(t, x, 0.0, 0.25, 9);
-  ASSERT_EQ(y.size(), 9u);
-  for (size_t i = 0; i < y.size(); ++i) EXPECT_NEAR(y[i], 2.0 * 0.25 * static_cast<double>(i), 1e-12);
-}
-
-TEST(ResampleUniform, GridOutsideSpanThrows) {
-  std::vector<double> t{0.0, 1.0};
-  std::vector<double> x{0.0, 1.0};
-  EXPECT_THROW(resampleUniform(t, x, 0.5, 0.2, 10), std::invalid_argument);
-  EXPECT_THROW(resampleUniform(t, x, -0.1, 0.1, 5), std::invalid_argument);
-  EXPECT_THROW(resampleUniform(t, x, 0.0, 0.0, 5), std::invalid_argument);
-}
-
 TEST(FrequencyFromEdges, UniformEdges) {
   std::vector<double> edges{0.0, 0.01, 0.02, 0.03};
   auto f = frequencyFromEdges(edges);

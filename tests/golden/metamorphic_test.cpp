@@ -3,7 +3,7 @@
 #include <cmath>
 #include <vector>
 
-#include "bist/controller.hpp"
+#include "bist/resilient_sweep.hpp"
 #include "control/grid.hpp"
 #include "golden/linear_model.hpp"
 #include "pll/config.hpp"
@@ -71,8 +71,10 @@ TEST(Metamorphic, HalvingFmDepthHalvesMeasuredDeviation) {
   bist::SweepOptions halved = options;
   halved.deviation_hz = options.deviation_hz / 2.0;
 
-  const bist::MeasuredResponse full = bist::BistController(config, options).run();
-  const bist::MeasuredResponse half = bist::BistController(config, halved).run();
+  const bist::MeasuredResponse full =
+      bist::ResilientSweep(config, options, {.max_attempts = 1}).run().response;
+  const bist::MeasuredResponse half =
+      bist::ResilientSweep(config, halved, {.max_attempts = 1}).run().response;
   ASSERT_EQ(full.points.size(), half.points.size());
 
   for (size_t i = 0; i < full.points.size(); ++i) {

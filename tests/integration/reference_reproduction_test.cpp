@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "bist/analysis.hpp"
-#include "bist/controller.hpp"
+#include "bist/resilient_sweep.hpp"
 #include "common/units.hpp"
 #include "pll/config.hpp"
 
@@ -26,8 +26,7 @@ class ReferenceReproduction : public ::testing::Test {
       opt.deviation_hz = stim.max_deviation_hz;
       opt.master_clock_hz = stim.master_clock_hz;
       opt.modulation_frequencies_hz = bist::SweepOptions::defaultSweep(8.0, 10);
-      bist::BistController controller(cfg, opt);
-      return controller.run();
+      return bist::ResilientSweep(cfg, opt, {.max_attempts = 1}).run().response;
     }();
     return result;
   }

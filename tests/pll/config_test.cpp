@@ -81,8 +81,8 @@ TEST(PllConfig, KpdThrowsForCurrentPump) {
   PllConfig cfg = pllbist::testing::fastTestConfig();
   cfg.pump.kind = PumpKind::CurrentSteering;
   cfg.pump.pump_current_a = 100e-6;
-  EXPECT_THROW(cfg.kpdVPerRad(), std::domain_error);
-  EXPECT_THROW(cfg.linearized(), std::domain_error);
+  EXPECT_THROW((void)cfg.kpdVPerRad(), std::domain_error);
+  EXPECT_THROW((void)cfg.linearized(), std::domain_error);
 }
 
 TEST(PllConfig, CapacitorNodeIsPureTwoPole) {

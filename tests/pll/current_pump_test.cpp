@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "bist/analysis.hpp"
-#include "bist/controller.hpp"
+#include "bist/resilient_sweep.hpp"
 #include "bist/step_test.hpp"
 #include "common/units.hpp"
 #include "pll/config.hpp"
@@ -108,8 +108,8 @@ TEST(CurrentPumpLoop, PumpMismatchCreatesStaticPhaseOffset) {
 TEST(CurrentPumpBist, SweepMatchesCapacitorNodeTheory) {
   const PllConfig cfg = scaledCurrentPumpConfig();
   bist::SweepOptions opt = bist::quickSweepOptions(cfg, bist::StimulusKind::MultiToneFsk, 8);
-  bist::BistController controller(cfg, opt);
-  const bist::MeasuredResponse measured = controller.run();
+  const bist::MeasuredResponse measured =
+      bist::ResilientSweep(cfg, opt, {.max_attempts = 1}).run().response;
   const control::BodeResponse bode = measured.toBode();
   const control::TransferFunction cap = cfg.capacitorNodeTf();
   int compared = 0;
@@ -125,9 +125,9 @@ TEST(CurrentPumpBist, SweepMatchesCapacitorNodeTheory) {
 
 TEST(CurrentPumpBist, ExtractionRecoversDesign) {
   const PllConfig cfg = scaledCurrentPumpConfig(200.0, 0.43);
-  bist::BistController controller(
-      cfg, bist::quickSweepOptions(cfg, bist::StimulusKind::MultiToneFsk, 9));
-  const bist::ExtractedParameters p = bist::extractParameters(controller.run().toBode());
+  bist::ResilientSweep engine(
+      cfg, bist::quickSweepOptions(cfg, bist::StimulusKind::MultiToneFsk, 9), {.max_attempts = 1});
+  const bist::ExtractedParameters p = bist::extractParameters(engine.run().response.toBode());
   ASSERT_TRUE(p.zeta.has_value());
   ASSERT_TRUE(p.natural_frequency_hz.has_value());
   EXPECT_NEAR(*p.zeta, 0.43, 0.09);

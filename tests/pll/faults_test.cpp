@@ -60,9 +60,12 @@ TEST(Faults, PfdDeadZoneScalesAllDelays) {
 
 TEST(Faults, InvalidMagnitudesThrow) {
   const PllConfig golden = fastTestConfig();
-  EXPECT_THROW(applyFault(golden, {FaultSpec::Kind::VcoGainDrift, 0.0}), std::invalid_argument);
-  EXPECT_THROW(applyFault(golden, {FaultSpec::Kind::FilterLeak, -1.0}), std::invalid_argument);
-  EXPECT_THROW(applyFault(golden, {FaultSpec::Kind::PumpUpWeak, -0.5}), std::invalid_argument);
+  EXPECT_THROW((void)applyFault(golden, {FaultSpec::Kind::VcoGainDrift, 0.0}),
+               std::invalid_argument);
+  EXPECT_THROW((void)applyFault(golden, {FaultSpec::Kind::FilterLeak, -1.0}),
+               std::invalid_argument);
+  EXPECT_THROW((void)applyFault(golden, {FaultSpec::Kind::PumpUpWeak, -0.5}),
+               std::invalid_argument);
 }
 
 TEST(Faults, DescriptionsAreInformative) {
@@ -79,7 +82,7 @@ TEST(Faults, StandardSetIsValidAndDiverse) {
   EXPECT_GE(faults.size(), 6u);
   for (const FaultSpec& f : faults) {
     EXPECT_NE(f.kind, FaultSpec::Kind::None);
-    EXPECT_NO_THROW(applyFault(golden, f)) << f.describe();
+    EXPECT_NO_THROW((void)applyFault(golden, f)) << f.describe();
   }
 }
 
