@@ -250,12 +250,13 @@ int main(int argc, char** argv) {
   // Export telemetry before the pass/fail verdict so a failed sweep still
   // leaves its report and trace behind for diagnosis.
   if (!report_path.empty()) {
-    // Campaign reports come from the deterministic campaign builder (so a
-    // resumed run's report matches an uninterrupted one); engine runs keep
-    // the registry-backed builder.
+    // A campaign's report carries a metrics block derived from its points
+    // (so a resumed run's report matches an uninterrupted one); engine runs
+    // report the registry, which was reset before the run.
     const obs::RunReport report =
         campaign_report ? *campaign_report
-                        : core::buildRunReport("sweep_cli", device, cfg, sweep_opt, jobs, result);
+                        : core::buildRunReport("sweep_cli", device, cfg, sweep_opt, jobs, result,
+                                               obs::MetricsRegistry::global().snapshot());
     std::ofstream out(report_path);
     report.writeJson(out);
     std::printf("wrote %s (RunReport %s, digest 0x%016llx)\n", report_path.c_str(),

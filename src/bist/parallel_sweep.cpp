@@ -183,17 +183,9 @@ ResilientResponse ParallelSweep::run() {
       continue;
     }
     ResilientResponse& r = *results_[i];
-    out.report.points_total += r.report.points_total;
-    out.report.ok += r.report.ok;
-    out.report.retried += r.report.retried;
-    out.report.degraded += r.report.degraded;
-    out.report.dropped += r.report.dropped;
-    out.report.attempts_total += r.report.attempts_total;
-    out.report.relocks += r.report.relocks;
-    out.report.relock_failures += r.report.relock_failures;
-    // Total simulated seconds across the farm; with wall_time_s below this
+    // Simulated seconds add up across the farm; with wall_time_s below this
     // is the recorded sim-vs-wall speedup of the parallel execution.
-    out.report.sim_time_s += r.report.sim_time_s;
+    out.report.add(r.report);
     out.bench.add(r.bench);
     if (out.status.ok() && !r.status.ok()) out.status = r.status;
     out.response.points.push_back(std::move(r.response.points.front()));

@@ -30,24 +30,10 @@ Status ResilientSweepOptions::check() const {
   if (settle_backoff < 1.0)
     return Status::makef(K::InvalidArgument,
                          "ResilientSweepOptions: settle_backoff = %g, must be >= 1", settle_backoff);
-  if (gate_backoff < 1.0)
-    return Status::makef(K::InvalidArgument,
-                         "ResilientSweepOptions: gate_backoff = %g, must be >= 1", gate_backoff);
-  if (relock_grace_periods < 0.0)
-    return Status::makef(K::InvalidArgument,
-                         "ResilientSweepOptions: relock_grace_periods = %g, must be >= 0",
-                         relock_grace_periods);
   if (relock_wait_periods <= 0.0)
     return Status::makef(K::InvalidArgument,
                          "ResilientSweepOptions: relock_wait_periods = %g, must be positive",
                          relock_wait_periods);
-  if (lock_threshold_s < 0.0)
-    return Status::makef(K::InvalidArgument,
-                         "ResilientSweepOptions: lock_threshold_s = %g, must be >= 0",
-                         lock_threshold_s);
-  if (lock_cycles < 1)
-    return Status::makef(K::InvalidArgument, "ResilientSweepOptions: lock_cycles = %d, must be "
-                         ">= 1", lock_cycles);
   if (point_budget_s < 0.0)
     return Status::makef(K::InvalidArgument,
                          "ResilientSweepOptions: point_budget_s = %g, must be >= 0 (0 = unlimited)",
@@ -138,9 +124,14 @@ TestSequencer::Options escalated(const TestSequencer::Options& base,
   // scaled timeout for near-degenerate bases; keep the watchdog valid.
   opt.timeout_periods = std::max(
       opt.timeout_periods, static_cast<double>(opt.settle_periods + base.average_periods) + 1.0);
-  opt.freq_gate_s = base.freq_gate_s * std::pow(r.gate_backoff, attempt);
   return opt;
 }
+
+/// After a failed attempt the stimulus is parked and the lock detector
+/// reset; the loop gets this many natural periods of grace to report lock
+/// before a lock *loss* is declared. Modulation legitimately widens PFD
+/// pulses, so an unlocked reading right after stopping is not yet a loss.
+constexpr double kRelockGracePeriods = 2.0;
 
 enum class StepOutcome { Done, Deadline, Stall, Stopped, OverBudget };
 constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
@@ -226,8 +217,7 @@ ResilientSweep::ResilientSweep(const pll::PllConfig& config, SweepOptions sweep,
 }
 
 std::unique_ptr<SweepTestbench> ResilientSweep::makeBench() const {
-  return std::make_unique<SweepTestbench>(config_, sweep_, resilience_.lock_threshold_s,
-                                          resilience_.lock_cycles);
+  return std::make_unique<SweepTestbench>(config_, sweep_);
 }
 
 ResilientResponse ResilientSweep::run() {
@@ -408,7 +398,7 @@ ResilientResponse ResilientSweep::runPoints(SweepTestbench& bench, const Prelude
       bench.stopStimulus();
       lock.reset();
       const StepOutcome grace =
-          step.stepUntil(locked, c.now() + resilience_.relock_grace_periods / fn_hz);
+          step.stepUntil(locked, c.now() + kRelockGracePeriods / fn_hz);
       if (grace == StepOutcome::Stall) {
         fatal_stall = true;
         break;

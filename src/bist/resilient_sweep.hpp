@@ -24,24 +24,11 @@ struct ResilientSweepOptions {
   /// that timed out because the loop settled slowly gets progressively more
   /// modulation periods to respond.
   double settle_backoff = 2.0;
-  /// Escalation factor applied to the held-output frequency gate on each
-  /// retry (1.0 = keep the configured gate).
-  double gate_backoff = 1.0;
-  /// After a failed attempt the stimulus is parked and the lock detector
-  /// reset; the loop gets this many natural periods of grace to report lock
-  /// before a lock *loss* is declared. Modulation legitimately widens PFD
-  /// pulses, so an unlocked reading right after stopping is not yet a loss.
-  double relock_grace_periods = 2.0;
-  /// Natural periods to wait for re-lock once a loss is declared. If the
+  /// Natural periods to wait for re-lock once a lock loss is declared. If the
   /// loop re-locks the event counts as a relock and the point is retried
   /// (Degraded at best); if not, the point is Dropped with RelockFailed and
   /// the sweep moves on.
   double relock_wait_periods = 20.0;
-  /// PFD pulse-width lock threshold; 0 selects the conventional auto
-  /// threshold (2% of the reference period).
-  double lock_threshold_s = 0.0;
-  /// Consecutive quiet PFD cycles required to assert lock.
-  int lock_cycles = 8;
   /// Host wall-clock budget per point, all attempts and relock waits
   /// included; 0 disables. An over-budget point is Dropped with
   /// DeadlineExceeded and the sweep moves on — never a hang. Wall-clock
@@ -77,6 +64,19 @@ struct SweepQualityReport {
 
   /// Count one classified point: its quality and its attempts.
   void count(const MeasuredPoint& p);
+
+  /// Add another run's counts and simulated time; wall time is not summed.
+  void add(const SweepQualityReport& other) {
+    points_total += other.points_total;
+    ok += other.ok;
+    retried += other.retried;
+    degraded += other.degraded;
+    dropped += other.dropped;
+    attempts_total += other.attempts_total;
+    relocks += other.relocks;
+    relock_failures += other.relock_failures;
+    sim_time_s += other.sim_time_s;
+  }
 
   /// True when every point measured cleanly on its first attempt.
   [[nodiscard]] bool clean() const { return retried == 0 && degraded == 0 && dropped == 0; }

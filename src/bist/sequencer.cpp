@@ -87,20 +87,18 @@ TestSequencer::TestSequencer(sim::Circuit& c, pll::CpPll& pll, StimulusHooks sti
 
 void TestSequencer::enterStage(Stage stage) {
   stage_ = stage;
-  if constexpr (obs::kEnabled) {
-    obs::Tracer& tracer = obs::Tracer::global();
-    tracer.end(stage_span_);
-    stage_span_ = 0;
-    const char* span = nullptr;
-    switch (stage) {
-      case Stage::Idle: break;
-      case Stage::Settle: span = "sequencer.settle"; break;
-      case Stage::PhaseMeasure: span = "sequencer.phase_measure"; break;
-      case Stage::AwaitPeakForHold: span = "sequencer.await_peak"; break;
-      case Stage::HoldCount: span = "sequencer.hold_count"; break;
-    }
-    if (span != nullptr) stage_span_ = tracer.begin(span);
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.end(stage_span_);
+  stage_span_ = 0;
+  const char* span = nullptr;
+  switch (stage) {
+    case Stage::Idle: break;
+    case Stage::Settle: span = "sequencer.settle"; break;
+    case Stage::PhaseMeasure: span = "sequencer.phase_measure"; break;
+    case Stage::AwaitPeakForHold: span = "sequencer.await_peak"; break;
+    case Stage::HoldCount: span = "sequencer.hold_count"; break;
   }
+  if (span != nullptr) stage_span_ = tracer.begin(span);
 }
 
 void TestSequencer::measurePoint(double modulation_hz, std::function<void(PointResult)> done) {

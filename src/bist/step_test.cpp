@@ -29,13 +29,9 @@ Status StepTestOptions::check() const {
     return Status::makef(K::InvalidArgument,
                          "StepTestOptions: hold_to_gate_delay_s = %g, must be >= 0",
                          hold_to_gate_delay_s);
-  if (min_peak_run_s < 0.0 || lock_threshold_s < 0.0 || timeout_s < 0.0)
+  if (min_peak_run_s < 0.0 || timeout_s < 0.0)
     return Status::make(K::InvalidArgument,
-                        "StepTestOptions: auto parameters (min_peak_run_s, lock_threshold_s, "
-                        "timeout_s) must be >= 0");
-  if (lock_cycles < 1)
-    return Status::makef(K::InvalidArgument, "StepTestOptions: lock_cycles = %d, must be >= 1",
-                         lock_cycles);
+                        "StepTestOptions: auto parameters (min_peak_run_s, timeout_s) must be >= 0");
   return Status();
 }
 
@@ -48,8 +44,6 @@ StepTestResult runStepTest(const pll::PllConfig& config, const StepTestOptions& 
   const double tref = 1.0 / config.ref_frequency_hz;
   const double min_peak_run =
       options.min_peak_run_s > 0.0 ? options.min_peak_run_s : 5.0 * tref;
-  const double lock_threshold =
-      options.lock_threshold_s > 0.0 ? options.lock_threshold_s : 0.02 * tref;
   // Default watchdog: lock wait + two gates + a generous settling margin.
   const double timeout = options.timeout_s > 0.0
                              ? options.timeout_s
@@ -67,7 +61,7 @@ StepTestResult runStepTest(const pll::PllConfig& config, const StepTestOptions& 
   pll.setTestMode(true);
   PeakDetector detector(c, pll.ref(), pll.feedback(), config.pfd, PeakDetectorDelays{});
   FrequencyCounter counter(c, pll.vco());
-  pll::LockDetector lock(c, pll.pfdUp(), pll.pfdDn(), lock_threshold, options.lock_cycles);
+  pll::LockDetector lock(c, pll.pfdUp(), pll.pfdDn(), 0.02 * tref);  // 2% of Tref
 
   StepTestResult result;
   auto waitFor = [&c](bool& flag) {

@@ -30,8 +30,6 @@ struct StepTestOptions {
   /// the transient peak (rejects pre-step chatter). 0 = auto (5 reference
   /// cycles).
   double min_peak_run_s = 0.0;
-  double lock_threshold_s = 0.0;   ///< lock pulse-width threshold; 0 = auto (2% of Tref)
-  int lock_cycles = 8;
   double timeout_s = 0.0;          ///< watchdog; 0 = auto
 
   /// Structured check; Status::ok() when the options are usable.

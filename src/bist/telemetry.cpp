@@ -10,7 +10,6 @@ SweepTelemetry& sweepTelemetry() {
 }
 
 void publishBenchCounters(const BenchStats& stats) {
-  if constexpr (!obs::kEnabled) return;
   SweepTelemetry& t = sweepTelemetry();
   t.kernel_processed.add(stats.events_processed);
   t.kernel_delivered.add(stats.events_delivered);

@@ -37,12 +37,13 @@ struct SweepTelemetry {
 /// The process-wide handle set (leaked, like the registry it points into).
 SweepTelemetry& sweepTelemetry();
 
-/// Re-home a run's bench statistics — the circuit's kernel event counters
-/// and the fault injector's rule statistics (BenchStats) — onto the
-/// registry, so RunReport and the Prometheus export read everything from
-/// one place. Every run counts only its own work (a farm point from its
-/// fork, the farm's prelude once), so adding each run's stats once at its
-/// end is exact.
+/// Add a run's bench statistics — the circuit's kernel event counters and
+/// the fault injector's rule statistics (BenchStats) — to the registry's
+/// process-wide totals, which a registry snapshot then reports beside the
+/// sweep counters. Every run counts only its own work (a farm point from
+/// its fork, the farm's prelude once), so adding each run's stats once at
+/// its end is exact. RunReport's kernel and fault blocks do not read these
+/// totals: they come from the run's own ResilientResponse::bench.
 void publishBenchCounters(const BenchStats& stats);
 
 }  // namespace pllbist::bist

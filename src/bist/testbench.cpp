@@ -7,8 +7,7 @@
 
 namespace pllbist::bist {
 
-SweepTestbench::SweepTestbench(const pll::PllConfig& config, const SweepOptions& options,
-                               double lock_threshold_s, int lock_cycles)
+SweepTestbench::SweepTestbench(const pll::PllConfig& config, const SweepOptions& options)
     : config_(config), options_(options) {
   config_.validate();
   options_.check(config_).throwIfError();
@@ -83,10 +82,8 @@ SweepTestbench::SweepTestbench(const pll::PllConfig& config, const SweepOptions&
   // layer uses for relock-and-resume.
   peak_detector_ = std::make_unique<PeakDetector>(circuit_, pll_->ref(), pll_->feedback(),
                                                   config_.pfd, PeakDetectorDelays{});
-  const double threshold =
-      lock_threshold_s > 0.0 ? lock_threshold_s : 0.02 / config_.ref_frequency_hz;
-  lock_ = std::make_unique<pll::LockDetector>(circuit_, pll_->pfdUp(), pll_->pfdDn(), threshold,
-                                              lock_cycles);
+  lock_ = std::make_unique<pll::LockDetector>(circuit_, pll_->pfdUp(), pll_->pfdDn(),
+                                              0.02 / config_.ref_frequency_hz);
   sequencer_ = std::make_unique<TestSequencer>(circuit_, *pll_, hooks_, *peak_detector_,
                                                stim_marker_, pll_->vcoOut(),
                                                options_.master_clock_hz, options_.sequencer);

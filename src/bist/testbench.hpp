@@ -30,11 +30,9 @@ namespace pllbist::bist {
 /// instead: build a second one the same way, then copyStateFrom().
 class SweepTestbench {
  public:
-  /// `lock_threshold_s` = 0 selects the conventional auto threshold (2% of
-  /// the reference period); `lock_cycles` consecutive quiet PFD cycles
-  /// assert lock.
-  SweepTestbench(const pll::PllConfig& config, const SweepOptions& options,
-                 double lock_threshold_s = 0.0, int lock_cycles = 8);
+  /// The lock detector uses the conventional threshold (2% of the
+  /// reference period) and LockDetector's default quiet-cycle count.
+  SweepTestbench(const pll::PllConfig& config, const SweepOptions& options);
 
   SweepTestbench(const SweepTestbench&) = delete;
   SweepTestbench& operator=(const SweepTestbench&) = delete;

@@ -82,70 +82,16 @@ bist::ResilientResponse fromRecord(const CheckpointRecord& rec) {
   return r;
 }
 
-/// Deterministic campaign report: identical in shape to
-/// core::buildRunReport's output, but every section — kernel counters,
-/// fault statistics, the metrics block — is derived from the merged
-/// per-point data instead of the process-global registry, whose history
-/// depends on what else the process simulated. Resume then reproduces the
-/// uninterrupted report byte-for-byte (modulo stripTimingFields).
-obs::RunReport buildCampaignReport(const CheckpointHeader& header, int jobs,
-                                   const bist::ResilientResponse& result) {
-  obs::RunReport rep;
-  rep.tool = header.tool;
-  rep.device = header.device;
-  rep.stimulus = header.stimulus;
-  rep.config_digest = header.config_digest;
-  rep.jobs = jobs;
-  rep.sweep_status = Status::kindName(result.status.kind());
-
+/// The campaign report's metrics block: derived from the merged per-point
+/// data instead of the process-global registry, whose history depends on
+/// what else the process simulated, so a resumed campaign reproduces the
+/// uninterrupted report byte-for-byte (modulo stripTimingFields). Fixed
+/// order, mirroring the live counter names so downstream consumers read one
+/// vocabulary.
+obs::MetricsSnapshot campaignMetrics(const bist::ResilientResponse& result) {
+  obs::MetricsSnapshot metrics;
   const bist::SweepQualityReport& q = result.report;
-  rep.quality.points_total = q.points_total;
-  rep.quality.ok = q.ok;
-  rep.quality.retried = q.retried;
-  rep.quality.degraded = q.degraded;
-  rep.quality.dropped = q.dropped;
-  rep.quality.attempts_total = q.attempts_total;
-  rep.quality.relocks = q.relocks;
-  rep.quality.relock_failures = q.relock_failures;
-  rep.quality.sim_time_s = q.sim_time_s;
-  rep.quality.wall_time_s = q.wall_time_s;
-
-  rep.points.reserve(result.response.points.size());
-  for (const bist::MeasuredPoint& p : result.response.points) {
-    obs::RunReport::Point row;
-    row.fm_hz = p.modulation_hz;
-    row.deviation_hz = p.deviation_hz;
-    row.phase_deg = p.phase_deg;
-    row.quality = bist::to_string(p.quality);
-    row.attempts = p.attempts;
-    row.status = Status::kindName(p.status.kind());
-    row.status_context = p.status.context();
-    row.wall_time_s = p.wall_time_s;
-    rep.points.push_back(std::move(row));
-  }
-
-  rep.kernel.processed = result.bench.events_processed;
-  rep.kernel.delivered = result.bench.events_delivered;
-  rep.kernel.dropped = result.bench.events_dropped;
-  rep.kernel.delayed = result.bench.events_delayed;
-  rep.kernel.swallowed = result.bench.events_swallowed;
-  if (result.bench.fault_benches > 0) {
-    obs::RunReport::FaultStats f;
-    f.considered = result.bench.faults_considered;
-    f.dropped = result.bench.faults_dropped;
-    f.delayed = result.bench.faults_delayed;
-    f.glitches = result.bench.faults_glitches;
-    rep.faults = f;
-  }
-
-  // Synthesised metrics block, fixed order, mirroring the live counter
-  // names so downstream consumers read one vocabulary.
-  auto add = [&](const char* name, uint64_t value) {
-    obs::CounterValue c;
-    c.name = name;
-    c.value = value;
-    rep.metrics.counters.push_back(std::move(c));
-  };
+  auto add = [&](const char* name, uint64_t value) { metrics.counters.push_back({name, value}); };
   add("bist.resilient.attempts", static_cast<uint64_t>(q.attempts_total));
   add("bist.resilient.relocks", static_cast<uint64_t>(q.relocks));
   add("bist.resilient.relock_failures", static_cast<uint64_t>(q.relock_failures));
@@ -165,7 +111,7 @@ obs::RunReport buildCampaignReport(const CheckpointHeader& header, int jobs,
     add("sim.faults.delayed", result.bench.faults_delayed);
     add("sim.faults.glitches", result.bench.faults_glitches);
   }
-  return rep;
+  return metrics;
 }
 
 }  // namespace
@@ -327,7 +273,8 @@ CampaignResult Campaign::run() {
   }
   m.report.wall_time_s = secondsSince(wall_start);
   out.status = m.status;
-  out.report = buildCampaignReport(header, options_.jobs, m);
+  out.report = buildRunReport(options_.tool, options_.device, config_, sweep_, options_.jobs, m,
+                              campaignMetrics(m));
   return out;
 }
 

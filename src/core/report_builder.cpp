@@ -4,7 +4,6 @@
 
 #include "bist/controller.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 
 namespace pllbist::core {
 
@@ -70,7 +69,8 @@ std::string canonicalConfigString(const pll::PllConfig& config, const bist::Swee
 
 obs::RunReport buildRunReport(const std::string& tool, const std::string& device,
                               const pll::PllConfig& config, const bist::SweepOptions& sweep,
-                              int jobs, const bist::ResilientResponse& result) {
+                              int jobs, const bist::ResilientResponse& result,
+                              obs::MetricsSnapshot metrics) {
   obs::RunReport rep;
   rep.tool = tool;
   rep.device = device;
@@ -105,24 +105,16 @@ obs::RunReport buildRunReport(const std::string& tool, const std::string& device
     rep.points.push_back(std::move(row));
   }
 
-  rep.metrics = obs::MetricsRegistry::global().snapshot();
-  auto counter = [&](const char* name) -> uint64_t {
-    const obs::CounterValue* c = rep.metrics.findCounter(name);
-    return c ? c->value : 0;
-  };
-  rep.kernel.processed = counter("sim.kernel.events_processed");
-  rep.kernel.delivered = counter("sim.kernel.events_delivered");
-  rep.kernel.dropped = counter("sim.kernel.events_dropped");
-  rep.kernel.delayed = counter("sim.kernel.events_delayed");
-  rep.kernel.swallowed = counter("sim.kernel.events_swallowed");
-  if (counter("sim.faults.benches") > 0) {
-    obs::RunReport::FaultStats f;
-    f.considered = counter("sim.faults.considered");
-    f.dropped = counter("sim.faults.dropped");
-    f.delayed = counter("sim.faults.delayed");
-    f.glitches = counter("sim.faults.glitches");
-    rep.faults = f;
-  }
+  const bist::BenchStats& b = result.bench;
+  rep.kernel.processed = b.events_processed;
+  rep.kernel.delivered = b.events_delivered;
+  rep.kernel.dropped = b.events_dropped;
+  rep.kernel.delayed = b.events_delayed;
+  rep.kernel.swallowed = b.events_swallowed;
+  if (b.fault_benches > 0)
+    rep.faults = obs::RunReport::FaultStats{b.faults_considered, b.faults_dropped,
+                                            b.faults_delayed, b.faults_glitches};
+  rep.metrics = std::move(metrics);
   return rep;
 }
 

@@ -17,13 +17,14 @@ namespace pllbist::core {
 
 /// Assemble the consolidated obs::RunReport for one finished sweep: naming
 /// and digest from the configuration, per-point rows and quality accounting
-/// from the response, kernel/fault statistics and the full metrics snapshot
-/// read from the global obs::MetricsRegistry (reset the registry before the
-/// run if the report must cover only this run). `jobs` records how the
-/// sweep was executed: -1 = serial shared-bench engine, >= 0 = point farm.
+/// from the response, kernel/fault statistics from `result.bench` (this
+/// run's counts alone), and `metrics` as the report's metrics block. `jobs`
+/// records how the sweep was executed: -1 = serial shared-bench engine,
+/// >= 0 = point farm.
 [[nodiscard]] obs::RunReport buildRunReport(const std::string& tool, const std::string& device,
                                             const pll::PllConfig& config,
                                             const bist::SweepOptions& sweep, int jobs,
-                                            const bist::ResilientResponse& result);
+                                            const bist::ResilientResponse& result,
+                                            obs::MetricsSnapshot metrics);
 
 }  // namespace pllbist::core

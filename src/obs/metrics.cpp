@@ -1,13 +1,10 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
+#include <atomic>
 #include <deque>
 #include <limits>
-#include <memory>
 #include <mutex>
-#include <ostream>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -15,107 +12,50 @@ namespace pllbist::obs {
 
 namespace detail {
 
-namespace {
-/// Never-reused metric identity: the thread-local cell cache keys on this,
-/// so a stale cache entry from a destroyed registry can never alias a
-/// metric created later at the same address.
-std::atomic<uint64_t> g_next_metric_uid{1};
-}  // namespace
-
 enum class Kind { Counter, Gauge, Histogram };
 
 struct Metric {
-  uint64_t uid = g_next_metric_uid.fetch_add(1, std::memory_order_relaxed);
   std::string name;
   Kind kind = Kind::Counter;
-  std::vector<double> bounds;           // histograms only
-  std::atomic<uint64_t> gauge_clock{0};  // cross-thread last-writer ordering
-  std::mutex* registry_mutex = nullptr;
-  std::deque<Cell> cells;  // deque: growth never moves existing cells
+  std::atomic<uint64_t> count{0};  // counters
+  std::atomic<double> value{0.0};  // gauges
+  std::atomic<bool> ever_set{false};
+  std::mutex histogram_mutex;
+  HistogramValue histogram;  // histograms; guarded by histogram_mutex
 
-  Cell& cellForThisThread();
-};
-
-namespace {
-
-struct TlCache {
-  // metric uid -> this thread's cell. One entry per (thread, metric) pair.
-  std::unordered_map<uint64_t, Cell*> map;
-  // Single-entry fast path for tight loops hammering one metric.
-  uint64_t last_uid = 0;
-  Cell* last_cell = nullptr;
-};
-thread_local TlCache tl_cache;
-
-}  // namespace
-
-Cell& Metric::cellForThisThread() {
-  TlCache& tl = tl_cache;
-  if (tl.last_uid == uid) return *tl.last_cell;
-  auto it = tl.map.find(uid);
-  if (it == tl.map.end()) {
-    std::lock_guard<std::mutex> guard(*registry_mutex);
-    Cell& cell = cells.emplace_back();
-    if (kind == Kind::Histogram) {
-      // +1 overflow bucket; vector<atomic> is sized once here and never
-      // resized, so lock-free readers see a stable array. Zeroed explicitly:
-      // std::atomic's default constructor does not initialise the value on
-      // every standard library this builds against.
-      cell.buckets = std::vector<std::atomic<uint64_t>>(bounds.size() + 1);
-      for (std::atomic<uint64_t>& b : cell.buckets) b.store(0, std::memory_order_relaxed);
-    }
-    it = tl.map.emplace(uid, &cell).first;
+  void resetHistogram() {
+    histogram.buckets.assign(histogram.bounds.size() + 1, 0);  // +1 overflow bucket
+    histogram.count = 0;
+    histogram.sum = histogram.min = histogram.max = 0.0;
   }
-  tl.last_uid = uid;
-  tl.last_cell = it->second;
-  return *it->second;
-}
+};
 
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
-// Handles. All cell traffic is owner-thread relaxed stores; snapshot() does
-// relaxed loads. No fetch_add needed: a cell has exactly one writer.
+// Handles.
 
 void Counter::add(uint64_t delta) const {
-  if constexpr (!kEnabled) return;
-  if (metric_ == nullptr || delta == 0) return;
-  detail::Cell& c = metric_->cellForThisThread();
-  c.count.store(c.count.load(std::memory_order_relaxed) + delta, std::memory_order_relaxed);
+  if (metric_ != nullptr) metric_->count.fetch_add(delta, std::memory_order_relaxed);
 }
 
 void Gauge::set(double value) const {
-  if constexpr (!kEnabled) return;
   if (metric_ == nullptr) return;
-  detail::Cell& c = metric_->cellForThisThread();
-  c.sum.store(value, std::memory_order_relaxed);
-  c.gauge_seq.store(metric_->gauge_clock.fetch_add(1, std::memory_order_relaxed) + 1,
-                    std::memory_order_relaxed);
+  metric_->value.store(value, std::memory_order_relaxed);
+  metric_->ever_set.store(true, std::memory_order_release);
 }
 
 void Histogram::observe(double value) const {
-  if constexpr (!kEnabled) return;
   if (metric_ == nullptr) return;
-  detail::Cell& c = metric_->cellForThisThread();
-  const std::vector<double>& bounds = metric_->bounds;
-  std::size_t bucket = bounds.size();  // overflow by default
-  for (std::size_t i = 0; i < bounds.size(); ++i) {
-    if (value <= bounds[i]) {
-      bucket = i;
-      break;
-    }
-  }
-  auto relaxed_bump = [](std::atomic<uint64_t>& a) {
-    a.store(a.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-  };
-  const uint64_t n = c.count.load(std::memory_order_relaxed);
-  if (n == 0 || value < c.min.load(std::memory_order_relaxed))
-    c.min.store(value, std::memory_order_relaxed);
-  if (n == 0 || value > c.max.load(std::memory_order_relaxed))
-    c.max.store(value, std::memory_order_relaxed);
-  c.sum.store(c.sum.load(std::memory_order_relaxed) + value, std::memory_order_relaxed);
-  relaxed_bump(c.buckets[bucket]);
-  relaxed_bump(c.count);
+  std::lock_guard<std::mutex> guard(metric_->histogram_mutex);
+  HistogramValue& h = metric_->histogram;
+  const auto bound =
+      std::find_if(h.bounds.begin(), h.bounds.end(), [value](double b) { return value <= b; });
+  ++h.buckets[static_cast<std::size_t>(bound - h.bounds.begin())];  // end() = overflow
+  if (h.count == 0 || value < h.min) h.min = value;
+  if (h.count == 0 || value > h.max) h.max = value;
+  h.sum += value;
+  ++h.count;
 }
 
 // ---------------------------------------------------------------------------
@@ -123,7 +63,7 @@ void Histogram::observe(double value) const {
 
 struct MetricsRegistry::Impl {
   mutable std::mutex mutex;
-  std::deque<std::unique_ptr<detail::Metric>> metrics;  // registration order
+  std::deque<detail::Metric> metrics;  // registration order; growth never moves a metric
   std::unordered_map<std::string, detail::Metric*> by_name;
 
   detail::Metric* findOrCreate(std::string_view name, detail::Kind kind,
@@ -135,20 +75,19 @@ struct MetricsRegistry::Impl {
       if (m->kind != kind)
         throw std::invalid_argument("MetricsRegistry: metric '" + std::string(name) +
                                     "' re-registered with a different kind");
-      if (kind == detail::Kind::Histogram && m->bounds != bounds)
+      if (kind == detail::Kind::Histogram && m->histogram.bounds != bounds)
         throw std::invalid_argument("MetricsRegistry: histogram '" + std::string(name) +
                                     "' re-registered with different buckets");
       return m;
     }
-    auto m = std::make_unique<detail::Metric>();
-    m->name = std::string(name);
-    m->kind = kind;
-    m->bounds = std::move(bounds);
-    m->registry_mutex = &mutex;
-    detail::Metric* raw = m.get();
-    metrics.push_back(std::move(m));
-    by_name.emplace(raw->name, raw);
-    return raw;
+    detail::Metric& m = metrics.emplace_back();
+    m.name = std::string(name);
+    m.kind = kind;
+    m.histogram.name = m.name;
+    m.histogram.bounds = std::move(bounds);
+    m.resetHistogram();
+    by_name.emplace(m.name, &m);
+    return &m;
   }
 };
 
@@ -176,53 +115,19 @@ Histogram MetricsRegistry::histogram(std::string_view name, std::vector<double> 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot out;
   std::lock_guard<std::mutex> guard(impl_->mutex);
-  for (const auto& m : impl_->metrics) {
-    switch (m->kind) {
-      case detail::Kind::Counter: {
-        CounterValue v;
-        v.name = m->name;
-        for (const detail::Cell& c : m->cells)
-          v.value += c.count.load(std::memory_order_relaxed);
-        out.counters.push_back(std::move(v));
+  for (detail::Metric& m : impl_->metrics) {
+    switch (m.kind) {
+      case detail::Kind::Counter:
+        out.counters.push_back({m.name, m.count.load(std::memory_order_relaxed)});
         break;
-      }
       case detail::Kind::Gauge: {
-        GaugeValue v;
-        v.name = m->name;
-        uint64_t best_seq = 0;
-        for (const detail::Cell& c : m->cells) {
-          const uint64_t seq = c.gauge_seq.load(std::memory_order_relaxed);
-          if (seq > best_seq) {
-            best_seq = seq;
-            v.value = c.sum.load(std::memory_order_relaxed);
-          }
-        }
-        v.ever_set = best_seq > 0;
-        out.gauges.push_back(std::move(v));
+        const bool ever_set = m.ever_set.load(std::memory_order_acquire);
+        out.gauges.push_back({m.name, m.value.load(std::memory_order_relaxed), ever_set});
         break;
       }
       case detail::Kind::Histogram: {
-        HistogramValue v;
-        v.name = m->name;
-        v.bounds = m->bounds;
-        v.buckets.assign(m->bounds.size() + 1, 0);
-        v.min = std::numeric_limits<double>::infinity();
-        v.max = -std::numeric_limits<double>::infinity();
-        for (const detail::Cell& c : m->cells) {
-          const uint64_t n = c.count.load(std::memory_order_relaxed);
-          if (n == 0) continue;
-          v.count += n;
-          v.sum += c.sum.load(std::memory_order_relaxed);
-          v.min = std::min(v.min, c.min.load(std::memory_order_relaxed));
-          v.max = std::max(v.max, c.max.load(std::memory_order_relaxed));
-          for (std::size_t i = 0; i < c.buckets.size() && i < v.buckets.size(); ++i)
-            v.buckets[i] += c.buckets[i].load(std::memory_order_relaxed);
-        }
-        if (v.count == 0) {
-          v.min = 0.0;
-          v.max = 0.0;
-        }
-        out.histograms.push_back(std::move(v));
+        std::lock_guard<std::mutex> hist_guard(m.histogram_mutex);
+        out.histograms.push_back(m.histogram);
         break;
       }
     }
@@ -232,16 +137,12 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 
 void MetricsRegistry::reset() {
   std::lock_guard<std::mutex> guard(impl_->mutex);
-  for (const auto& m : impl_->metrics) {
-    m->gauge_clock.store(0, std::memory_order_relaxed);
-    for (detail::Cell& c : m->cells) {
-      c.count.store(0, std::memory_order_relaxed);
-      c.sum.store(0.0, std::memory_order_relaxed);
-      c.min.store(0.0, std::memory_order_relaxed);
-      c.max.store(0.0, std::memory_order_relaxed);
-      c.gauge_seq.store(0, std::memory_order_relaxed);
-      for (std::atomic<uint64_t>& b : c.buckets) b.store(0, std::memory_order_relaxed);
-    }
+  for (detail::Metric& m : impl_->metrics) {
+    m.count.store(0, std::memory_order_relaxed);
+    m.value.store(0.0, std::memory_order_relaxed);
+    m.ever_set.store(false, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> hist_guard(m.histogram_mutex);
+    m.resetHistogram();
   }
 }
 
@@ -255,7 +156,7 @@ std::vector<double> MetricsRegistry::latencyBucketsSeconds() {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot queries and exporters.
+// Snapshot queries.
 
 const CounterValue* MetricsSnapshot::findCounter(std::string_view name) const& {
   for (const CounterValue& c : counters)
@@ -296,55 +197,6 @@ double HistogramValue::quantile(double q) const {
     cumulative += in_bucket;
   }
   return max;
-}
-
-namespace {
-
-/// Prometheus metric names allow [a-zA-Z0-9_:]; our dotted convention maps
-/// '.' and '-' onto '_'.
-std::string promName(const std::string& name) {
-  std::string out = name;
-  for (char& c : out)
-    if (c == '.' || c == '-') c = '_';
-  return out;
-}
-
-void promValue(std::ostream& os, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  os << buf;
-}
-
-}  // namespace
-
-void MetricsSnapshot::writePrometheus(std::ostream& os) const {
-  for (const CounterValue& c : counters) {
-    const std::string n = promName(c.name);
-    os << "# TYPE " << n << " counter\n" << n << ' ' << c.value << '\n';
-  }
-  for (const GaugeValue& g : gauges) {
-    if (!g.ever_set) continue;
-    const std::string n = promName(g.name);
-    os << "# TYPE " << n << " gauge\n" << n << ' ';
-    promValue(os, g.value);
-    os << '\n';
-  }
-  for (const HistogramValue& h : histograms) {
-    const std::string n = promName(h.name);
-    os << "# TYPE " << n << " histogram\n";
-    uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < h.bounds.size(); ++i) {
-      cumulative += h.buckets[i];
-      os << n << "_bucket{le=\"";
-      promValue(os, h.bounds[i]);
-      os << "\"} " << cumulative << '\n';
-    }
-    cumulative += h.buckets.empty() ? 0 : h.buckets.back();
-    os << n << "_bucket{le=\"+Inf\"} " << cumulative << '\n';
-    os << n << "_sum ";
-    promValue(os, h.sum);
-    os << '\n' << n << "_count " << h.count << '\n';
-  }
 }
 
 }  // namespace pllbist::obs

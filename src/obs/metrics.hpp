@@ -1,8 +1,6 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -13,7 +11,7 @@ namespace pllbist::obs {
 
 class MetricsRegistry;
 
-/// Merged, immutable view of one histogram at snapshot time.
+/// Immutable view of one histogram at snapshot time.
 struct HistogramValue {
   std::string name;
   std::vector<double> bounds;     ///< ascending upper bounds; buckets = bounds+1
@@ -40,9 +38,8 @@ struct GaugeValue {
   bool ever_set = false;
 };
 
-/// Point-in-time merge of every per-thread shard in a registry. Metrics
-/// appear in registration order, so two snapshots of identically-driven
-/// registries serialise identically.
+/// Point-in-time view of a registry. Metrics appear in registration order,
+/// so two snapshots of identically-driven registries serialise identically.
 struct MetricsSnapshot {
   std::vector<CounterValue> counters;
   std::vector<GaugeValue> gauges;
@@ -57,34 +54,15 @@ struct MetricsSnapshot {
   const CounterValue* findCounter(std::string_view) const&& = delete;
   const GaugeValue* findGauge(std::string_view) const&& = delete;
   const HistogramValue* findHistogram(std::string_view) const&& = delete;
-
-  /// Prometheus text exposition format (counters as `# TYPE x counter`,
-  /// histograms with cumulative `_bucket{le=...}` series).
-  void writePrometheus(std::ostream& os) const;
 };
 
 namespace detail {
-
-/// One thread's slot for one metric. Written only by the owning thread
-/// (relaxed stores), read concurrently by snapshot() (relaxed loads), so
-/// recording is wait-free and contention-free after first touch.
-struct Cell {
-  std::atomic<uint64_t> count{0};          // counter value / histogram count
-  std::atomic<double> sum{0.0};            // gauge value / histogram sum
-  std::atomic<double> min{0.0};
-  std::atomic<double> max{0.0};
-  std::atomic<uint64_t> gauge_seq{0};      // last-writer-wins ordering for gauges
-  std::vector<std::atomic<uint64_t>> buckets;  // histograms only
-};
-
 struct Metric;
-
 }  // namespace detail
 
-/// Monotonically increasing counter handle. Copyable, trivially small;
-/// records through a thread-local cell so ParallelSweep workers never
-/// contend. All operations are no-ops on a default-constructed handle and
-/// compile to nothing when PLLBIST_OBS is off.
+/// Monotonically increasing counter handle. Copyable, trivially small; a
+/// record is one relaxed fetch_add on the metric's cell. All operations are
+/// no-ops on a default-constructed handle.
 class Counter {
  public:
   Counter() = default;
@@ -97,7 +75,7 @@ class Counter {
   detail::Metric* metric_ = nullptr;
 };
 
-/// Last-writer-wins gauge handle (cross-thread ordering by set() sequence).
+/// Last-writer-wins gauge handle.
 class Gauge {
  public:
   Gauge() = default;
@@ -123,11 +101,10 @@ class Histogram {
 
 /// Registry of named counters, gauges and fixed-bucket histograms.
 ///
-/// Shard model: each (thread, metric) pair gets a private Cell the first
-/// time that thread records; the slow path (one mutex acquisition) happens
-/// once per pair, after which recording is two relaxed atomic ops on
-/// thread-private cache lines. snapshot() merges all cells. Cells of
-/// finished threads persist, so a worker pool's counts survive the pool.
+/// One cell per metric, shared by every thread: a counter is an atomic
+/// fetch_add, a gauge an atomic store, a histogram an update under its own
+/// mutex. Instrumentation records a few values per sweep point, far too few
+/// for contention on a shared cell to show.
 ///
 /// Registering the same name twice returns the same metric (the kinds must
 /// match; a kind clash throws std::invalid_argument).
@@ -144,12 +121,12 @@ class MetricsRegistry {
   /// bucket is appended. Re-registration must repeat identical bounds.
   [[nodiscard]] Histogram histogram(std::string_view name, std::vector<double> bounds);
 
-  /// Merge every shard into an ordered snapshot. Safe to call while other
-  /// threads record (their in-flight updates may or may not be included).
+  /// Ordered copy of every metric. Safe to call while other threads record
+  /// (their in-flight updates may or may not be included).
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
-  /// Zero every cell of every metric (definitions stay registered). Used
-  /// between runs when one process performs several independent sweeps.
+  /// Zero every metric (definitions stay registered). Used between runs
+  /// when one process performs several independent sweeps.
   void reset();
 
   /// Process-wide default registry; what the built-in instrumentation and

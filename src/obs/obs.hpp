@@ -1,11 +1,8 @@
 #pragma once
 
-// Master switch of the telemetry subsystem. The build defines
-// PLLBIST_OBS_DISABLED (CMake option PLLBIST_OBS=OFF) to compile every
-// recording call — metric increments, span open/close, instants — down to
-// nothing. The registry/tracer/report *types* stay available either way, so
-// call sites never need #ifdef guards: they pay one `if constexpr` that the
-// compiler deletes.
+// Conventions of the telemetry subsystem: metrics (obs/metrics.hpp) and
+// spans (obs/tracer.hpp) are always compiled in. Metrics record a few values
+// per sweep point; the tracer records only once enabled.
 //
 // Naming convention for metrics (enforced by review, not code):
 //   layer.component.name        e.g. sim.kernel.events_delivered,
@@ -22,12 +19,3 @@
 //   farm.run / farm.worker      ParallelSweep executor / one worker thread
 //   campaign.run                one Campaign::run(); its points run in farm.run
 
-namespace pllbist::obs {
-
-#if defined(PLLBIST_OBS_DISABLED)
-inline constexpr bool kEnabled = false;
-#else
-inline constexpr bool kEnabled = true;
-#endif
-
-}  // namespace pllbist::obs

@@ -76,7 +76,6 @@ void Tracer::setEnabled(bool enabled) { impl_->enabled.store(enabled, std::memor
 bool Tracer::enabled() const { return impl_->enabled.load(std::memory_order_relaxed); }
 
 uint64_t Tracer::begin(std::string_view name) {
-  if constexpr (!kEnabled) return 0;
   if (!enabled()) return 0;
   uint64_t parent = 0;
   if (!tl_span_stack.empty() && tl_span_stack.back().tracer == this)
@@ -90,7 +89,6 @@ uint64_t Tracer::begin(std::string_view name) {
 }
 
 void Tracer::end(uint64_t id) {
-  if constexpr (!kEnabled) return;
   if (id == 0) return;
   const uint64_t now = impl_->nowNs();
   std::lock_guard<std::mutex> guard(impl_->mutex);
@@ -108,7 +106,6 @@ void Tracer::end(uint64_t id) {
 }
 
 void Tracer::instant(std::string_view name) {
-  if constexpr (!kEnabled) return;
   if (!enabled()) return;
   SpanRecord rec;
   rec.name = std::string(name);

@@ -24,8 +24,7 @@ struct SpanRecord {
 ///
 /// Disabled by default: begin()/end()/instant() cost one relaxed atomic
 /// load and return immediately, so instrumented hot paths stay cheap when
-/// nobody asked for a trace (and compile to nothing entirely when
-/// PLLBIST_OBS is off). Enable with setEnabled(true) before the run.
+/// nobody asked for a trace. Enable with setEnabled(true) before the run.
 ///
 /// Parent linkage: ScopedSpan (and the PLLBIST_SPAN macro) maintain a
 /// thread-local span stack; manual begin()/end() pairs — used for logical
@@ -81,13 +80,9 @@ class Tracer {
 /// RAII span on the global tracer (see PLLBIST_SPAN).
 class ScopedSpan {
  public:
-  explicit ScopedSpan(std::string_view name) {
-    if constexpr (kEnabled) scope_ = Tracer::global().beginScoped(name);
-  }
+  explicit ScopedSpan(std::string_view name) : scope_(Tracer::global().beginScoped(name)) {}
   ~ScopedSpan() {
-    if constexpr (kEnabled) {
-      if (scope_.tracer != nullptr) scope_.tracer->endScoped(scope_.id);
-    }
+    if (scope_.tracer != nullptr) scope_.tracer->endScoped(scope_.id);
   }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
@@ -98,16 +93,11 @@ class ScopedSpan {
 
 }  // namespace pllbist::obs
 
-#define PLLBIST_OBS_CONCAT2(a, b) a##b
-#define PLLBIST_OBS_CONCAT(a, b) PLLBIST_OBS_CONCAT2(a, b)
+#define PLLBIST_SPAN_CONCAT2(a, b) a##b
+#define PLLBIST_SPAN_CONCAT(a, b) PLLBIST_SPAN_CONCAT2(a, b)
 
-#if defined(PLLBIST_OBS_DISABLED)
-#define PLLBIST_SPAN(name) ((void)0)
-#define PLLBIST_INSTANT(name) ((void)0)
-#else
 /// Open a span covering the enclosing scope, e.g. PLLBIST_SPAN("point.measure").
 #define PLLBIST_SPAN(name) \
-  ::pllbist::obs::ScopedSpan PLLBIST_OBS_CONCAT(pllbist_span_, __LINE__)(name)
+  ::pllbist::obs::ScopedSpan PLLBIST_SPAN_CONCAT(pllbist_span_, __LINE__)(name)
 /// Record an instant marker, e.g. PLLBIST_INSTANT("resilience.relock").
 #define PLLBIST_INSTANT(name) ::pllbist::obs::Tracer::global().instant(name)
-#endif

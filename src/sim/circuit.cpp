@@ -168,33 +168,18 @@ void Circuit::copyStateFrom(const Circuit& source) {
 }
 
 bool Circuit::step() {
-  if (stop_requested_) {
-    stop_requested_ = false;
-    return false;
-  }
   if (queue_.empty()) return false;
   execute(popNext());
   return true;
 }
 
-bool Circuit::run(double t_end) {
+void Circuit::run(double t_end) {
   // One span per run() batch, never per event: the per-event path stays
   // untouched so kernel throughput is identical with tracing idle.
   PLLBIST_SPAN("sim.circuit.run");
   PLLBIST_ASSERT(t_end >= now_);
-  if (stop_requested_) {
-    stop_requested_ = false;
-    return false;
-  }
-  while (!queue_.empty() && queue_.front().time <= t_end) {
-    execute(popNext());
-    if (stop_requested_) {
-      stop_requested_ = false;
-      return false;
-    }
-  }
+  while (!queue_.empty() && queue_.front().time <= t_end) execute(popNext());
   now_ = t_end;
-  return true;
 }
 
 }  // namespace pllbist::sim

@@ -133,22 +133,10 @@ class Circuit {
   [[nodiscard]] double now() const { return now_; }
 
   /// Process all events with timestamp <= t_end, then advance now to t_end.
-  /// Returns false if the run was interrupted by requestStop(); on that
-  /// early return now() stays at the timestamp of the last delivered event
-  /// (it is NOT advanced to t_end), so a subsequent run()/step() resumes
-  /// exactly where the stop took effect.
-  bool run(double t_end);
+  void run(double t_end);
 
-  /// Process exactly one event if any is pending; returns false when idle
-  /// or when a stop request was pending (the request is consumed).
+  /// Process exactly one event if any is pending; returns false when idle.
   bool step();
-
-  /// Request that event processing pause at the next event boundary: the
-  /// current run() returns false after the in-flight event completes, or —
-  /// if no run is active — the next run()/step() call returns false
-  /// immediately without processing anything. The request is consumed when
-  /// honoured; it never leaks into a later call.
-  void requestStop() { stop_requested_ = true; }
 
   /// Total events dequeued (delivered + dropped + delayed + swallowed).
   [[nodiscard]] uint64_t processedEventCount() const { return processed_events_; }
@@ -256,7 +244,6 @@ class Circuit {
   uint64_t dropped_events_ = 0;
   uint64_t delayed_events_ = 0;
   uint64_t swallowed_events_ = 0;
-  bool stop_requested_ = false;
 };
 
 }  // namespace pllbist::sim

@@ -156,9 +156,6 @@ TEST(StepTestOptionsValidation, RejectsEachBadField) {
   opt = {};
   opt.freq_gate_s = 0.0;
   expectRejects(opt.check(), "freq_gate_s");
-  opt = {};
-  opt.lock_cycles = 0;
-  expectRejects(opt.check(), "lock_cycles");
 }
 
 TEST(ResilientSweepOptionsValidation, RejectsEachBadField) {
@@ -169,17 +166,8 @@ TEST(ResilientSweepOptionsValidation, RejectsEachBadField) {
   opt.settle_backoff = 0.5;
   expectRejects(opt.check(), "settle_backoff");
   opt = {};
-  opt.gate_backoff = 0.0;
-  expectRejects(opt.check(), "gate_backoff");
-  opt = {};
-  opt.relock_grace_periods = -1.0;
-  expectRejects(opt.check(), "relock_grace_periods");
-  opt = {};
   opt.relock_wait_periods = 0.0;
   expectRejects(opt.check(), "relock_wait_periods");
-  opt = {};
-  opt.lock_cycles = 0;
-  expectRejects(opt.check(), "lock_cycles");
 }
 
 TEST(StatusTaxonomy, FormatsKindAndContext) {

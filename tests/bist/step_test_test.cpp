@@ -32,9 +32,6 @@ TEST(StepTestOptions, Validation) {
   opt = fastOptions();
   opt.freq_gate_s = 0.0;
   EXPECT_THROW(opt.validate(), std::invalid_argument);
-  opt = fastOptions();
-  opt.lock_cycles = 0;
-  EXPECT_THROW(opt.validate(), std::invalid_argument);
 }
 
 TEST(StepTest, TracksTheReferenceStep) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "bist/parallel_sweep.hpp"
 #include "core/report_builder.hpp"
@@ -27,11 +28,12 @@ std::string runAndReport(int jobs, int points = 3) {
   popt.jobs = jobs;
   bist::ParallelSweep engine(cfg, sweep, popt);
   const bist::ResilientResponse result = engine.run();
-  return core::buildRunReport("report_test", "fast", cfg, sweep, jobs, result).toJson();
+  return core::buildRunReport("report_test", "fast", cfg, sweep, jobs, result,
+                              obs::MetricsRegistry::global().snapshot())
+      .toJson();
 }
 
 TEST(RunReport, RealSweepReportValidates) {
-  if constexpr (!obs::kEnabled) GTEST_SKIP() << "telemetry compiled out (PLLBIST_OBS=OFF)";
   const std::string text = runAndReport(/*jobs=*/2);
   EXPECT_TRUE(obs::validateRunReportText(text).ok()) << text;
 
@@ -39,7 +41,7 @@ TEST(RunReport, RealSweepReportValidates) {
   ASSERT_TRUE(obs::parseJson(text, doc).ok());
   EXPECT_EQ(doc.find("schema")->string, obs::kRunReportSchema);
   EXPECT_EQ(doc.find("points")->array.size(), 3u);
-  // Re-homed kernel counters made it into the report.
+  // The run's kernel counters made it into the report.
   EXPECT_GT(doc.find("kernel")->find("processed")->number, 0.0);
   // No fault injector was attached, so the faults section is absent.
   EXPECT_EQ(doc.find("faults"), nullptr);
@@ -77,6 +79,30 @@ TEST(RunReport, JobsCountInvariantModuloTimingFields) {
   ds.erase("metrics");
   df.erase("metrics");
   EXPECT_EQ(ds.dump(), df.dump());
+}
+
+// The kernel block comes from the run's own bench statistics, not from the
+// process-wide registry, so an earlier sweep in the same process (and no
+// registry reset in between) does not leak into a later report.
+TEST(RunReport, DescribesOnlyItsOwnSweep) {
+  const pll::PllConfig cfg = pll::scaledTestConfig();
+  auto sweepOnce = [&](int points) {
+    const bist::SweepOptions sweep =
+        bist::quickSweepOptions(cfg, bist::StimulusKind::MultiToneFsk, points);
+    const bist::ResilientResponse result = bist::ParallelSweep(cfg, sweep, {}).run();
+    return std::pair{result, core::buildRunReport("report_test", "fast", cfg, sweep, 0, result,
+                                                  obs::MetricsRegistry::global().snapshot())};
+  };
+  const auto first = sweepOnce(3);
+  const auto [result, report] = sweepOnce(2);
+  ASSERT_GT(first.first.bench.events_processed, 0u);
+  const bist::BenchStats& b = result.bench;
+  EXPECT_EQ(report.kernel.processed, b.events_processed);
+  EXPECT_EQ(report.kernel.delivered, b.events_delivered);
+  EXPECT_EQ(report.kernel.dropped, b.events_dropped);
+  EXPECT_EQ(report.kernel.delayed, b.events_delayed);
+  EXPECT_EQ(report.kernel.swallowed, b.events_swallowed);
+  EXPECT_FALSE(report.faults.has_value());
 }
 
 TEST(RunReport, StripTimingFieldsRemovesExactlyTheDocumentedPaths) {

@@ -115,17 +115,6 @@ TEST(Circuit, EventExactlyAtBoundaryIsProcessed) {
   EXPECT_TRUE(c.value(a));
 }
 
-TEST(Circuit, RequestStopAbortsRun) {
-  Circuit c;
-  SignalId a = c.addSignal("a");
-  c.scheduleCallback(1.0, [&](double) { c.requestStop(); });
-  c.scheduleSet(a, 2.0, true);
-  EXPECT_FALSE(c.run(5.0));
-  EXPECT_FALSE(c.value(a));        // later event not yet delivered
-  EXPECT_TRUE(c.run(5.0));         // resume
-  EXPECT_TRUE(c.value(a));
-}
-
 TEST(Circuit, StepProcessesSingleEvent) {
   Circuit c;
   SignalId a = c.addSignal("a");
@@ -291,42 +280,6 @@ TEST(Circuit, DelayedThenRedeliveredEventCountedInBothBuckets) {
   EXPECT_EQ(c.processedEventCount(), 2u);
 }
 
-TEST(Circuit, StepHonoursPendingStopRequest) {
-  Circuit c;
-  SignalId a = c.addSignal("a");
-  c.scheduleSet(a, 1.0, true);
-  c.requestStop();
-  EXPECT_FALSE(c.step());    // consumed the stop, processed nothing
-  EXPECT_FALSE(c.value(a));
-  EXPECT_TRUE(c.step());     // stop does not leak into the next call
-  EXPECT_TRUE(c.value(a));
-}
-
-TEST(Circuit, StopRequestedWhileIdleDoesNotLeak) {
-  Circuit c;
-  SignalId a = c.addSignal("a");
-  c.scheduleSet(a, 1.0, true);
-  c.requestStop();
-  EXPECT_FALSE(c.run(5.0));  // returns immediately, queue untouched
-  EXPECT_DOUBLE_EQ(c.now(), 0.0);
-  EXPECT_FALSE(c.value(a));
-  EXPECT_TRUE(c.run(5.0));   // consumed: this run completes normally
-  EXPECT_TRUE(c.value(a));
-  EXPECT_DOUBLE_EQ(c.now(), 5.0);
-}
-
-TEST(Circuit, StoppedRunKeepsNowAtLastDeliveredEvent) {
-  Circuit c;
-  SignalId a = c.addSignal("a");
-  c.scheduleCallback(1.0, [&](double) { c.requestStop(); });
-  c.scheduleSet(a, 2.0, true);
-  EXPECT_FALSE(c.run(5.0));
-  EXPECT_DOUBLE_EQ(c.now(), 1.0);  // not advanced to t_end on early return
-  EXPECT_TRUE(c.run(5.0));
-  EXPECT_TRUE(c.value(a));
-  EXPECT_DOUBLE_EQ(c.now(), 5.0);
-}
-
 /// Test handler: records (tag, time) and runs an optional hook; returns
 /// `result` so the kernel's delivered/swallowed split can be checked.
 struct RecordingHandler : Circuit::Handler {
@@ -406,21 +359,6 @@ TEST(Circuit, HandlerEventsBypassTheInterceptor) {
   EXPECT_EQ(interceptor_calls, 1);  // only the signal transition
   EXPECT_EQ(c.droppedEventCount(), 1u);
   EXPECT_EQ(c.deliveredEventCount(), 2u);
-}
-
-TEST(Circuit, RequestStopInsideHandlerIsHonoured) {
-  Circuit c;
-  SignalId a = c.addSignal("a");
-  RecordingHandler h;
-  h.hook = [&](uint32_t, double) { c.requestStop(); };
-  const Circuit::HandlerId id = c.addHandler(h);
-  c.scheduleEvent(1.0, id, 0u);
-  c.scheduleSet(a, 2.0, true);
-  EXPECT_FALSE(c.run(5.0));
-  EXPECT_DOUBLE_EQ(c.now(), 1.0);
-  EXPECT_FALSE(c.value(a));
-  EXPECT_TRUE(c.run(5.0));
-  EXPECT_TRUE(c.value(a));
 }
 
 TEST(Circuit, ClosureSchedulingManyClosuresWhileRunningIsSafe) {

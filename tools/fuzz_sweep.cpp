@@ -488,7 +488,8 @@ void fuzzOne(const uint8_t* data, size_t size, FuzzStats& st) {
   // Invariant 4: the consolidated report round-trips through the PR-3
   // parser and re-serialises to a fixpoint.
   const pllbist::obs::RunReport run =
-      pllbist::core::buildRunReport("fuzz_sweep", "fuzz", config, sweep, -1, result);
+      pllbist::core::buildRunReport("fuzz_sweep", "fuzz", config, sweep, -1, result,
+                                    pllbist::obs::MetricsRegistry::global().snapshot());
   const std::string text = run.toJson();
   pllbist::obs::JsonValue root;
   const Status parsed = pllbist::obs::parseJson(text, root);
