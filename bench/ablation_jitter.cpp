@@ -43,7 +43,7 @@ bist::TestSequencer::PointResult measure(double jitter_rms_s, unsigned seed, int
                                                 src.setModulation(0.0, 0.0);
                                                 src.setCarrier(cfg.ref_frequency_hz + 100.0);
                                               }},
-                          det, marker, pll.vcoOut(), 10e6, opt);
+                          det, marker, 10e6, opt);
   c.run(0.05);
   bool done = false;
   bist::TestSequencer::PointResult result;

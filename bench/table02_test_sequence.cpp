@@ -60,7 +60,7 @@ int main() {
       c, pll,
       bist::StimulusHooks{[&](double fm) { modulator.start(fm); }, [&] { modulator.stop(); },
                           [&] { modulator.park(); }},
-      detector, marker, pll.vcoOut(), 1e6, opt);
+      detector, marker, 1e6, opt);
 
   c.run(1.0);  // lock
 

@@ -70,9 +70,8 @@ void runSelfTest(const char* name, const pll::PllConfig& cfg, const SelfTestPoli
   // Tier 2 runs through the resilient engine: on a sick device a point may
   // need retries or fail outright, and a boot-time self-test must report
   // that rather than hang or crash the diagnosis.
-  core::TransferFunctionMeasurement meas(cfg);
   const core::MeasurementResult diag =
-      meas.measure(bist::quickSweepOptions(cfg, bist::StimulusKind::MultiToneFsk, 9));
+      core::measure(cfg, bist::quickSweepOptions(cfg, bist::StimulusKind::MultiToneFsk, 9));
   std::printf("tier 2 quality: %s\n", diag.quality.summary().c_str());
   if (!diag.status.ok()) {
     std::printf("tier 2 verdict: FAIL (%s)\n\n", diag.status.toString().c_str());

@@ -26,6 +26,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,15 +46,24 @@ int main(int argc, char** argv) {
   installStopSignalHandlers();
   int jobs = 1;
   std::string report_path;
+  auto usage = [&] {
+    std::fprintf(stderr, "usage: %s [--jobs N] [--report lot.json]\n", argv[0]);
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
-      if (jobs < 0) jobs = 0;
+      // A whole non-negative decimal number; atoi would read "abc" as 0
+      // (one job per hardware thread).
+      const char* text = argv[++i];
+      char* end = nullptr;
+      const long value = std::strtol(text, &end, 10);
+      if (end == text || *end != '\0' || value < 0 || value > std::numeric_limits<int>::max())
+        return usage();
+      jobs = static_cast<int>(value);
     } else if (std::strcmp(argv[i], "--report") == 0 && i + 1 < argc) {
       report_path = argv[++i];
     } else {
-      std::fprintf(stderr, "usage: %s [--jobs N] [--report lot.json]\n", argv[0]);
-      return 2;
+      return usage();
     }
   }
 

@@ -45,6 +45,7 @@
 #include <cstring>
 #include <fstream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "core/pllbist.hpp"
@@ -67,11 +68,27 @@ using namespace pllbist;
   std::exit(2);
 }
 
+// std::stoi/std::stod over the whole of `text`: "3x" is rejected, not read
+// as 3. Throws std::invalid_argument or std::out_of_range.
+int parseInt(const std::string& text) {
+  std::size_t used = 0;
+  const int value = std::stoi(text, &used);
+  if (used != text.size()) throw std::invalid_argument("not a whole number: " + text);
+  return value;
+}
+
+double parseDouble(const std::string& text) {
+  std::size_t used = 0;
+  const double value = std::stod(text, &used);
+  if (used != text.size()) throw std::invalid_argument("not a number: " + text);
+  return value;
+}
+
 pll::FaultSpec parseFault(const std::string& text) {
   const auto colon = text.find(':');
   if (colon == std::string::npos) throw std::invalid_argument("fault needs kind:magnitude");
   const std::string kind = text.substr(0, colon);
-  const double magnitude = std::stod(text.substr(colon + 1));
+  const double magnitude = parseDouble(text.substr(colon + 1));
   using K = pll::FaultSpec::Kind;
   for (K k : {K::VcoGainDrift, K::VcoCenterDrift, K::PumpUpWeak, K::PumpDownWeak,
               K::FilterR2Drift, K::FilterCDrift, K::FilterLeak, K::PfdDeadZone,
@@ -89,7 +106,6 @@ int main(int argc, char** argv) {
   std::string csv_path;
   std::string report_path;
   std::string trace_path;
-  std::string fault_text;
   std::string journal_path;
   std::string resume_path;
   double deadline_s = 0.0;
@@ -98,45 +114,53 @@ int main(int argc, char** argv) {
   int points = 10;
   int jobs = -1;  // -1 = serial shared-bench sweep; >= 0 = parallel point farm
   bool step_mode = false;
+  std::optional<pll::FaultSpec> fault;
 
   installStopSignalHandlers();
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--device") device = next();
-    else if (arg == "--stimulus") stimulus = next();
-    else if (arg == "--points") {
-      points = std::stoi(next());
-      if (points < 1) usage(argv[0]);
+  std::string arg;  // the option being parsed, for the error message
+  try {
+    for (int i = 1; i < argc; ++i) {
+      arg = argv[i];
+      auto next = [&]() -> std::string {
+        if (i + 1 >= argc) usage(argv[0]);
+        return argv[++i];
+      };
+      if (arg == "--device") device = next();
+      else if (arg == "--stimulus") stimulus = next();
+      else if (arg == "--points") {
+        points = parseInt(next());
+        if (points < 1) usage(argv[0]);
+      }
+      else if (arg == "--jobs") {
+        jobs = parseInt(next());
+        if (jobs < 0) usage(argv[0]);
+      }
+      else if (arg == "--csv") csv_path = next();
+      else if (arg == "--report") report_path = next();
+      else if (arg == "--trace") trace_path = next();
+      else if (arg == "--fault") fault = parseFault(next());
+      else if (arg == "--journal") journal_path = next();
+      else if (arg == "--resume") resume_path = next();
+      else if (arg == "--deadline") {
+        deadline_s = parseDouble(next());
+        if (deadline_s <= 0.0) usage(argv[0]);
+      }
+      else if (arg == "--point-budget") {
+        point_budget_s = parseDouble(next());
+        if (point_budget_s <= 0.0) usage(argv[0]);
+      }
+      else if (arg == "--breaker") {
+        breaker = parseInt(next());
+        if (breaker < 1) usage(argv[0]);
+      }
+      else if (arg == "--step") step_mode = true;
+      else usage(argv[0]);
     }
-    else if (arg == "--jobs") {
-      jobs = std::stoi(next());
-      if (jobs < 0) usage(argv[0]);
-    }
-    else if (arg == "--csv") csv_path = next();
-    else if (arg == "--report") report_path = next();
-    else if (arg == "--trace") trace_path = next();
-    else if (arg == "--fault") fault_text = next();
-    else if (arg == "--journal") journal_path = next();
-    else if (arg == "--resume") resume_path = next();
-    else if (arg == "--deadline") {
-      deadline_s = std::stod(next());
-      if (deadline_s <= 0.0) usage(argv[0]);
-    }
-    else if (arg == "--point-budget") {
-      point_budget_s = std::stod(next());
-      if (point_budget_s <= 0.0) usage(argv[0]);
-    }
-    else if (arg == "--breaker") {
-      breaker = std::stoi(next());
-      if (breaker < 1) usage(argv[0]);
-    }
-    else if (arg == "--step") step_mode = true;
-    else usage(argv[0]);
+  } catch (const std::logic_error& e) {
+    // parseInt/parseDouble (invalid_argument, out_of_range) and parseFault.
+    std::fprintf(stderr, "%s: invalid value for %s (%s)\n", argv[0], arg.c_str(), e.what());
+    usage(argv[0]);
   }
 
   pll::PllConfig cfg;
@@ -145,10 +169,9 @@ int main(int argc, char** argv) {
   else if (device == "current") cfg = pll::scaledCurrentPumpConfig();
   else usage(argv[0]);
 
-  if (!fault_text.empty()) {
-    const pll::FaultSpec fault = parseFault(fault_text);
-    cfg = pll::applyFault(cfg, fault);
-    std::printf("injected fault: %s\n", fault.describe().c_str());
+  if (fault) {
+    cfg = pll::applyFault(cfg, *fault);
+    std::printf("injected fault: %s\n", fault->describe().c_str());
   }
 
   const control::SecondOrderParams so = cfg.secondOrder();

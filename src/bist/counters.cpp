@@ -4,49 +4,28 @@
 #include <stdexcept>
 
 #include "common/assert.hpp"
-#include "pll/cppll.hpp"
 #include "pll/vco.hpp"
 
 namespace pllbist::bist {
 
-FrequencyCounter::FrequencyCounter(sim::Circuit& c, sim::SignalId in)
-    : circuit_(c), gated_(std::in_place, c, in) {}
-
 FrequencyCounter::FrequencyCounter(sim::Circuit& c, const pll::Vco& vco)
-    : circuit_(c), vco_(&vco) {}
-
-FrequencyCounter FrequencyCounter::forSignal(sim::Circuit& c, pll::CpPll& pll, sim::SignalId in) {
-  if (in == pll.vcoOut()) return FrequencyCounter(c, pll.vco());
-  return FrequencyCounter(c, in);
-}
+    : circuit_(c), vco_(vco) {}
 
 void FrequencyCounter::measure(double gate_s, std::function<void(Result)> done) {
   if (gate_s <= 0.0) throw std::invalid_argument("FrequencyCounter: gate must be positive");
   if (busy_) throw std::logic_error("FrequencyCounter: measurement already in flight");
   busy_ = true;
-  if (gated_)
-    gated_->start();
-  else
-    edges_at_open_ = vco_->risingEdgesBy(circuit_.now());
+  edges_at_open_ = vco_.risingEdgesBy(circuit_.now());
   circuit_.scheduleCallback(circuit_.now() + gate_s,
                             [this, gate_s, done = std::move(done)](double now) {
-                              long count;
-                              if (gated_) {
-                                gated_->stop();
-                                count = gated_->count();
-                              } else {
-                                count = static_cast<long>(vco_->risingEdgesBy(now) -
-                                                          edges_at_open_);
-                              }
+                              const auto count =
+                                  static_cast<long>(vco_.risingEdgesBy(now) - edges_at_open_);
                               busy_ = false;
                               done(Result{count, gate_s});
                             });
 }
 
 void FrequencyCounter::copyStateFrom(const FrequencyCounter& source) {
-  if (gated_.has_value() != source.gated_.has_value())
-    throw std::logic_error("FrequencyCounter::copyStateFrom: counters of different modes");
-  if (gated_) gated_->copyStateFrom(*source.gated_);
   edges_at_open_ = source.edges_at_open_;
   busy_ = source.busy_;
 }

@@ -2,34 +2,27 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 
 #include "sim/circuit.hpp"
 #include "sim/primitives.hpp"
 
 namespace pllbist::pll {
-class CpPll;
 class Vco;
 }  // namespace pllbist::pll
 
 namespace pllbist::bist {
 
-/// Gated frequency counter (Figure 6): counts rising edges of the monitored
-/// signal over a fixed gate interval and reports count / gate. The +/-1
+/// Gated frequency counter (Figure 6): counts rising edges of the VCO
+/// output over a fixed gate interval and reports count / gate. The +/-1
 /// count quantisation of the hardware is inherent in the integer count.
 ///
-/// Two modes give the same count. The gated mode runs a sim::GatedCounter
-/// on the signal. The analytic mode counts a VCO's output edges from its
-/// phase accumulator: risingEdgesBy(close) - risingEdgesBy(open). It needs
-/// no observer on the VCO output, so that output is never materialised.
+/// The count comes from the VCO's phase accumulator:
+/// risingEdgesBy(close) - risingEdgesBy(open), the edges a gated counter on
+/// the output would have seen. Nothing observes the VCO output, so it is
+/// never materialised.
 class FrequencyCounter : public sim::Component {
  public:
-  /// Gated mode on `in`.
-  FrequencyCounter(sim::Circuit& c, sim::SignalId in);
-  /// Analytic mode on `vco`'s output.
   FrequencyCounter(sim::Circuit& c, const pll::Vco& vco);
-  /// The analytic mode when `in` is pll.vcoOut(), the gated mode otherwise.
-  static FrequencyCounter forSignal(sim::Circuit& c, pll::CpPll& pll, sim::SignalId in);
 
   struct Result {
     long count = 0;
@@ -48,9 +41,8 @@ class FrequencyCounter : public sim::Component {
 
  private:
   sim::Circuit& circuit_;
-  std::optional<sim::GatedCounter> gated_;
-  const pll::Vco* vco_ = nullptr;
-  uint64_t edges_at_open_ = 0;  ///< analytic mode: vco_->risingEdgesBy(open)
+  const pll::Vco& vco_;
+  uint64_t edges_at_open_ = 0;  ///< vco_.risingEdgesBy(open)
   bool busy_ = false;
 };
 

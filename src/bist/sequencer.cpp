@@ -10,6 +10,13 @@
 namespace pllbist::bist {
 
 namespace {
+/// Fraction of the modulation period MFREQ must have been continuously high
+/// for its falling edge to count as the output peak. The discrete FSK steps
+/// excite loop transients whose phase-error zero crossings also flip MFREQ;
+/// only the fundamental produces a high run of ~half a period. A small
+/// counter implements this on chip.
+constexpr double kPeakQualifyFraction = 0.15;
+
 const char* stageName(TestSequencer::Stage stage) {
   switch (stage) {
     case TestSequencer::Stage::Idle: return "idle";
@@ -41,10 +48,6 @@ Status TestSequencer::Options::check() const {
     return Status::makef(K::InvalidArgument,
                          "TestSequencer: timeout_periods = %g must exceed settle+average = %d",
                          timeout_periods, settle_periods + average_periods);
-  if (peak_qualify_fraction < 0.0 || peak_qualify_fraction >= 0.5)
-    return Status::makef(K::InvalidArgument,
-                         "TestSequencer: peak_qualify_fraction = %g, must be in [0, 0.5)",
-                         peak_qualify_fraction);
   return Status();
 }
 
@@ -70,11 +73,11 @@ void TestSequencer::copyStateFrom(const TestSequencer& source) {
 
 TestSequencer::TestSequencer(sim::Circuit& c, pll::CpPll& pll, StimulusHooks stimulus,
                              PeakDetector& peak_detector, sim::SignalId stimulus_peak_marker,
-                             sim::SignalId counted_signal, double test_clock_hz, Options options)
+                             double test_clock_hz, Options options)
     : circuit_(c),
       pll_(pll),
       stimulus_(std::move(stimulus)),
-      freq_counter_(FrequencyCounter::forSignal(c, pll, counted_signal)),
+      freq_counter_(c, pll.vco()),
       phase_counter_(test_clock_hz),
       options_(options) {
   options_.validate();
@@ -149,8 +152,8 @@ void TestSequencer::handleMfreqRise(double now) { mfreq_rise_time_ = now; }
 void TestSequencer::handleOutputPeak(double now) {
   // Debounce: the output peak is the MFREQ fall after a sustained high run;
   // FSK step transients flip MFREQ only briefly.
-  if (options_.peak_qualify_fraction > 0.0 && current_.modulation_hz > 0.0) {
-    const double min_high = options_.peak_qualify_fraction / current_.modulation_hz;
+  if (current_.modulation_hz > 0.0) {
+    const double min_high = kPeakQualifyFraction / current_.modulation_hz;
     if (mfreq_rise_time_ < 0.0 || now - mfreq_rise_time_ < min_high) return;
   }
   if (stage_ == Stage::PhaseMeasure) {

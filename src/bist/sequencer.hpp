@@ -43,12 +43,6 @@ class TestSequencer {
     double freq_gate_s = 1.0;    ///< held-output frequency-count gate
     double hold_to_gate_delay_s = 2e-3;  ///< mux settling before the gate opens
     double timeout_periods = 40.0;       ///< watchdog, in modulation periods
-    /// Fraction of the modulation period MFREQ must have been continuously
-    /// high for its falling edge to count as the output peak. The discrete
-    /// FSK steps excite loop transients whose phase-error zero crossings
-    /// also flip MFREQ; only the fundamental produces a high run of ~half a
-    /// period. A small counter implements this on chip. 0 disables.
-    double peak_qualify_fraction = 0.15;
     /// Structured check; empty context on success.
     [[nodiscard]] Status check() const;
     /// check().throwIfError() — kept for the exception-based API.
@@ -71,12 +65,11 @@ class TestSequencer {
 
   enum class Stage { Idle, Settle, PhaseMeasure, AwaitPeakForHold, HoldCount };
 
-  /// `counted_signal` is what the frequency counter watches (normally the
-  /// raw VCO output for resolution, counted analytically so nothing observes
-  /// it; the divided output also works, through a gated counter).
+  /// The frequency counter counts the raw VCO output (for resolution),
+  /// analytically, so nothing observes it.
   TestSequencer(sim::Circuit& c, pll::CpPll& pll, StimulusHooks stimulus,
                 PeakDetector& peak_detector, sim::SignalId stimulus_peak_marker,
-                sim::SignalId counted_signal, double test_clock_hz, Options options);
+                double test_clock_hz, Options options);
 
   TestSequencer(const TestSequencer&) = delete;
   TestSequencer& operator=(const TestSequencer&) = delete;

@@ -14,11 +14,12 @@
 
 namespace pllbist::bist {
 
+namespace {
+constexpr double kStepFraction = 0.01;  ///< reference step as a fraction of fref
+}  // namespace
+
 Status StepTestOptions::check() const {
   using K = Status::Kind;
-  if (step_fraction <= 0.0 || step_fraction >= 0.2)
-    return Status::makef(K::InvalidArgument, "StepTestOptions: step_fraction = %g, must be in "
-                         "(0, 0.2)", step_fraction);
   if (lock_wait_s <= 0.0)
     return Status::makef(K::InvalidArgument, "StepTestOptions: lock_wait_s = %g, must be positive",
                          lock_wait_s);
@@ -29,9 +30,6 @@ Status StepTestOptions::check() const {
     return Status::makef(K::InvalidArgument,
                          "StepTestOptions: hold_to_gate_delay_s = %g, must be >= 0",
                          hold_to_gate_delay_s);
-  if (min_peak_run_s < 0.0 || timeout_s < 0.0)
-    return Status::make(K::InvalidArgument,
-                        "StepTestOptions: auto parameters (min_peak_run_s, timeout_s) must be >= 0");
   return Status();
 }
 
@@ -42,13 +40,10 @@ StepTestResult runStepTest(const pll::PllConfig& config, const StepTestOptions& 
   options.validate();
 
   const double tref = 1.0 / config.ref_frequency_hz;
-  const double min_peak_run =
-      options.min_peak_run_s > 0.0 ? options.min_peak_run_s : 5.0 * tref;
-  // Default watchdog: lock wait + two gates + a generous settling margin.
-  const double timeout = options.timeout_s > 0.0
-                             ? options.timeout_s
-                             : options.lock_wait_s + 2.0 * options.freq_gate_s + 200.0 * tref +
-                                   options.lock_wait_s;
+  const double min_peak_run = 5.0 * tref;
+  // Watchdog: lock wait + two gates + a generous settling margin.
+  const double timeout =
+      options.lock_wait_s + 2.0 * options.freq_gate_s + 200.0 * tref + options.lock_wait_s;
 
   sim::Circuit c;
   const auto ext = c.addSignal("ext");
@@ -80,7 +75,7 @@ StepTestResult runStepTest(const pll::PllConfig& config, const StepTestOptions& 
   waitFor(nominal_done);
 
   // 2. Apply the reference step and track the transient.
-  const double step_hz = config.ref_frequency_hz * options.step_fraction;
+  const double step_hz = config.ref_frequency_hz * kStepFraction;
   const double step_time = c.now();
   dco.setFrequency(config.ref_frequency_hz + step_hz);
   lock.reset();

@@ -21,16 +21,15 @@ namespace pllbist::bist {
 /// Because the held value is the capacitor-node peak, the overshoot maps to
 /// the textbook second-order formula exp(-pi*zeta/sqrt(1-zeta^2)) with *no
 /// zero correction*, so a single transient yields both zeta and fn.
+///
+/// The reference steps by 1% of fref. MFREQ must have been high for at
+/// least 5 reference cycles for its fall to count as the transient peak
+/// (rejects pre-step chatter), and the watchdog allows two lock waits, two
+/// gates and 200 reference cycles.
 struct StepTestOptions {
-  double step_fraction = 0.01;     ///< reference step as a fraction of fref
   double lock_wait_s = 1.0;        ///< initial lock acquisition time
   double freq_gate_s = 1.0;        ///< frequency-counter gate
   double hold_to_gate_delay_s = 2e-3;
-  /// MFREQ must have been high at least this long for its fall to count as
-  /// the transient peak (rejects pre-step chatter). 0 = auto (5 reference
-  /// cycles).
-  double min_peak_run_s = 0.0;
-  double timeout_s = 0.0;          ///< watchdog; 0 = auto
 
   /// Structured check; Status::ok() when the options are usable.
   [[nodiscard]] Status check() const;

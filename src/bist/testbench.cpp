@@ -85,8 +85,8 @@ SweepTestbench::SweepTestbench(const pll::PllConfig& config, const SweepOptions&
   lock_ = std::make_unique<pll::LockDetector>(circuit_, pll_->pfdUp(), pll_->pfdDn(),
                                               0.02 / config_.ref_frequency_hz);
   sequencer_ = std::make_unique<TestSequencer>(circuit_, *pll_, hooks_, *peak_detector_,
-                                               stim_marker_, pll_->vcoOut(),
-                                               options_.master_clock_hz, options_.sequencer);
+                                               stim_marker_, options_.master_clock_hz,
+                                               options_.sequencer);
 }
 
 void SweepTestbench::copyStateFrom(const SweepTestbench& source) {

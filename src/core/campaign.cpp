@@ -1,8 +1,8 @@
 #include "core/campaign.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -124,10 +124,6 @@ Status CampaignOptions::check() const {
     return Status::makef(K::InvalidArgument,
                          "CampaignOptions: deadline_s = %g, must be >= 0 (0 = unlimited)",
                          deadline_s);
-  if (supervision_tick_s <= 0.0)
-    return Status::makef(K::InvalidArgument,
-                         "CampaignOptions: supervision_tick_s = %g, must be positive",
-                         supervision_tick_s);
   return resilience.check();
 }
 
@@ -223,39 +219,39 @@ CampaignResult Campaign::run() {
     return Status();
   });
 
-  // Deadline supervisor: sleeps in ticks but never past the deadline, so
-  // the stop token trips at the deadline itself; the tick only bounds how
-  // long the supervisor lingers after a normal finish.
-  std::atomic<bool> finished{false};
-  std::atomic<bool> deadline_hit{false};
+  // Deadline supervisor: waits until the deadline or the farm's finish,
+  // whichever comes first, and trips the stop token at the deadline itself.
+  std::mutex supervisor_mutex;
+  std::condition_variable farm_finished;
+  bool finished = false;  // guarded by supervisor_mutex
+  bool deadline_hit = false;  // written by the supervisor, read after join
   std::thread supervisor;
   if (options_.deadline_s > 0.0 && loaded.records.size() < n) {
     supervisor = std::thread([&] {
       const auto deadline =
           wall_start + std::chrono::duration_cast<Clock::duration>(
                            std::chrono::duration<double>(options_.deadline_s));
-      const auto tick = std::chrono::duration_cast<Clock::duration>(
-          std::chrono::duration<double>(options_.supervision_tick_s));
-      while (!finished.load(std::memory_order_acquire)) {
-        const auto now = Clock::now();
-        if (now >= deadline) {
-          deadline_hit.store(true, std::memory_order_release);
-          telemetry().deadline_hits.increment();
-          PLLBIST_INSTANT("campaign.deadline");
-          stop_.requestStop();
-          return;
-        }
-        std::this_thread::sleep_until(std::min(deadline, now + tick));
+      {
+        std::unique_lock<std::mutex> lock(supervisor_mutex);
+        if (farm_finished.wait_until(lock, deadline, [&] { return finished; })) return;
       }
+      deadline_hit = true;
+      telemetry().deadline_hits.increment();
+      PLLBIST_INSTANT("campaign.deadline");
+      stop_.requestStop();
     });
   }
 
   out.merged = farm.run();
-  finished.store(true, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(supervisor_mutex);
+    finished = true;
+  }
+  farm_finished.notify_one();
   if (supervisor.joinable()) supervisor.join();
   writer.close();
 
-  out.deadline_hit = deadline_hit.load(std::memory_order_acquire);
+  out.deadline_hit = deadline_hit;
   out.stop_requested = stop_.stopRequested();
   bist::ResilientResponse& m = out.merged;
   if (m.breaker_open) telemetry().breaker_trips.increment();

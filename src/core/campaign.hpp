@@ -25,11 +25,9 @@ struct CampaignOptions {
   bist::ResilientSweepOptions resilience;
   /// Whole-campaign wall-clock budget, seconds; 0 disables. The supervisor
   /// trips the stop token at the deadline; the campaign terminates within
-  /// one supervision tick plus the engines' bounded drain, with every
-  /// unfinished point recorded as Dropped/DeadlineExceeded.
+  /// the engines' bounded drain, with every unfinished point recorded as
+  /// Dropped/DeadlineExceeded.
   double deadline_s = 0.0;
-  /// Supervisor poll period (it sleeps in ticks, never past the deadline).
-  double supervision_tick_s = 0.05;
   /// Write a checkpoint journal here ("" = none). With resume_path equal,
   /// the journal continues in place (torn tail repaired by truncation).
   std::string journal_path;

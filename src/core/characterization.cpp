@@ -25,8 +25,7 @@ CharacterizationReport characterize(const pll::PllConfig& config,
   report.design_f3db_hz =
       radPerSecToHz(control::bandwidth3Db(design.omega_n_rad_per_s, design.zeta));
 
-  const MeasurementResult m =
-      TransferFunctionMeasurement(config).measure(options, {.max_attempts = 1});
+  const MeasurementResult m = measure(config, options, {.max_attempts = 1});
   m.status.throwIfError();
   report.measured_peaking_db = m.parameters.peaking_db;
   if (m.parameters.natural_frequency_hz) report.measured_fn_hz = *m.parameters.natural_frequency_hz;

@@ -12,13 +12,16 @@
 /// Layering (each usable on its own):
 ///   control/   rational transfer functions, Bode analysis, loop design math
 ///   dsp/       sine fitting, interpolation, edge-timestamp frequency
-///   sim/       discrete-event digital simulation kernel
+///   sim/       discrete-event digital simulation kernel and the few net
+///              primitives the loop and benches wire (mux, clock, divider)
 ///   pll/       behavioral CP-PLL models (PFD, pump+filter, VCO, dividers)
 ///   bist/      the paper's test hardware (DCO, modulator, peak detector,
-///              counters, sequencer) and the sweep engine (ResilientSweep,
-///              the ParallelSweep point farm)
+///              analytic frequency counter, phase counter, sequencer) and
+///              the sweep engine (ResilientSweep, the ParallelSweep point
+///              farm)
 ///   baseline/  conventional bench measurement (analog access) comparator
-///   core/      high-level facades: measurement, characterisation, test plan
+///   core/      core::measure (one sweep to a Bode response), characterize,
+///              test plan, campaign runtime, run report
 
 #include "baseline/bench_measurement.hpp"
 #include "bist/analysis.hpp"

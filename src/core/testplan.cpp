@@ -11,8 +11,7 @@ TestPlan::TestPlan(const pll::PllConfig& golden, const bist::SweepOptions& sweep
     : golden_(golden), sweep_(sweep) {
   if (tolerance <= 0.0 || tolerance >= 1.0)
     throw std::invalid_argument("TestPlan: tolerance must be in (0, 1)");
-  const MeasurementResult m =
-      TransferFunctionMeasurement(golden_).measure(sweep_, {.max_attempts = 1});
+  const MeasurementResult m = measure(golden_, sweep_, {.max_attempts = 1});
   m.status.throwIfError();
   golden_params_ = m.parameters;
   golden_nominal_hz_ = m.sweep.nominal_vco_hz;
@@ -23,7 +22,7 @@ TestPlan::DutResult TestPlan::screen(const pll::PllConfig& dut) const {
   DutResult result;
   MeasurementResult m;
   try {
-    m = TransferFunctionMeasurement(dut).measure(sweep_, {.max_attempts = 1});
+    m = measure(dut, sweep_, {.max_attempts = 1});
   } catch (const std::exception& e) {
     // A DUT configuration the sweep cannot even be set up for is itself a
     // detection.

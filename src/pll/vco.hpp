@@ -68,7 +68,7 @@ class Vco : public sim::Component, private sim::Circuit::Handler {
 
   /// Rising edges of the output at or before t (t >= the VCO's last event
   /// or drive change, e.g. the circuit's now()), the start edge included:
-  /// what a sim::GatedCounter on an observed output would have counted.
+  /// what a gated edge counter on an observed output would have counted.
   [[nodiscard]] uint64_t risingEdgesBy(double t) const;
 
   [[nodiscard]] const VcoConfig& config() const { return cfg_; }

@@ -20,32 +20,6 @@ Inverter::Inverter(Circuit& c, SignalId in, SignalId out, double delay_s) {
   c.scheduleSet(out, c.now() + delay_s, !c.value(in));
 }
 
-Buffer::Buffer(Circuit& c, SignalId in, SignalId out, double delay_s) {
-  requirePositiveDelay(delay_s);
-  c.onChange(in, [&c, out, delay_s](double now, bool v) { c.scheduleSet(out, now + delay_s, v); });
-  c.scheduleSet(out, c.now() + delay_s, c.value(in));
-}
-
-AndGate::AndGate(Circuit& c, SignalId a, SignalId b, SignalId out, double delay_s) {
-  requirePositiveDelay(delay_s);
-  auto update = [&c, a, b, out, delay_s](double now, bool) {
-    c.scheduleSet(out, now + delay_s, c.value(a) && c.value(b));
-  };
-  c.onChange(a, update);
-  c.onChange(b, update);
-  update(c.now(), false);
-}
-
-OrGate::OrGate(Circuit& c, SignalId a, SignalId b, SignalId out, double delay_s) {
-  requirePositiveDelay(delay_s);
-  auto update = [&c, a, b, out, delay_s](double now, bool) {
-    c.scheduleSet(out, now + delay_s, c.value(a) || c.value(b));
-  };
-  c.onChange(a, update);
-  c.onChange(b, update);
-  update(c.now(), false);
-}
-
 Mux2::Mux2(Circuit& c, SignalId a, SignalId b, SignalId sel, SignalId out, double delay_s) {
   requirePositiveDelay(delay_s);
   auto update = [&c, a, b, sel, out, delay_s](double now, bool) {
@@ -59,31 +33,6 @@ Mux2::Mux2(Circuit& c, SignalId a, SignalId b, SignalId sel, SignalId out, doubl
   });
   c.onChange(sel, update);
   update(c.now(), false);
-}
-
-DFlipFlop::DFlipFlop(Circuit& c, SignalId clk, SignalId d, SignalId q, double clk_to_q_s,
-                     SignalId reset, double reset_to_q_s)
-    : circuit_(c), d_(d), q_(q), reset_(reset), clk_to_q_(clk_to_q_s), reset_to_q_(reset_to_q_s) {
-  requirePositiveDelay(clk_to_q_s);
-  if (reset != kNoSignal) requirePositiveDelay(reset_to_q_s);
-  c.onRisingEdge(clk, [this](double now) {
-    if (reset_ != kNoSignal && circuit_.value(reset_)) return;  // async reset dominates
-    circuit_.scheduleSet(q_, now + clk_to_q_, circuit_.value(d_));
-  });
-  if (reset != kNoSignal) {
-    c.onRisingEdge(reset, [this](double now) { circuit_.scheduleSet(q_, now + reset_to_q_, false); });
-  }
-}
-
-DLatch::DLatch(Circuit& c, SignalId d, SignalId enable, SignalId q, double delay_s)
-    : circuit_(c), d_(d), enable_(enable), q_(q), delay_(delay_s) {
-  requirePositiveDelay(delay_s);
-  c.onChange(d, [this](double now, bool v) {
-    if (circuit_.value(enable_)) circuit_.scheduleSet(q_, now + delay_, v);
-  });
-  c.onRisingEdge(enable, [this](double now) {
-    circuit_.scheduleSet(q_, now + delay_, circuit_.value(d_));
-  });
 }
 
 ClockSource::ClockSource(Circuit& c, SignalId out, double period_s, double start_time_s)
@@ -100,24 +49,6 @@ bool ClockSource::onEvent(uint32_t, double now) {
   return true;
 }
 
-ToggleDivider::ToggleDivider(Circuit& c, SignalId in, SignalId out, int modulus, double delay_s)
-    : circuit_(c), out_(out), delay_(delay_s), modulus_(modulus), pending_modulus_(modulus) {
-  requirePositiveDelay(delay_s);
-  if (modulus < 1) throw std::invalid_argument("ToggleDivider: modulus must be >= 1");
-  c.onRisingEdge(in, [this](double now) {
-    if (++count_ >= modulus_) {
-      count_ = 0;
-      modulus_ = pending_modulus_;  // frequency hops latch at toggle boundaries
-      circuit_.scheduleSet(out_, now + delay_, !circuit_.value(out_));
-    }
-  });
-}
-
-void ToggleDivider::setModulus(int modulus) {
-  if (modulus < 1) throw std::invalid_argument("ToggleDivider: modulus must be >= 1");
-  pending_modulus_ = modulus;
-}
-
 DivideByN::DivideByN(Circuit& c, SignalId in, SignalId out, int n, double delay_s)
     : circuit_(c), out_(out), delay_(delay_s), n_(n) {
   requirePositiveDelay(delay_s);
@@ -131,12 +62,6 @@ DivideByN::DivideByN(Circuit& c, SignalId in, SignalId out, int n, double delay_
     if (count_ == 0) circuit_.scheduleSet(out_, now + delay_, true);
     if (count_ == std::max(1, n_ / 2)) circuit_.scheduleSet(out_, now + delay_, false);
     if (++count_ >= n_) count_ = 0;
-  });
-}
-
-GatedCounter::GatedCounter(Circuit& c, SignalId in) {
-  c.onRisingEdge(in, [this](double) {
-    if (running_) ++count_;
   });
 }
 

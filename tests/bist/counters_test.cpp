@@ -2,66 +2,87 @@
 
 #include <gtest/gtest.h>
 
+#include "pll/cppll.hpp"
+#include "pll/sources.hpp"
 #include "sim/circuit.hpp"
-#include "sim/primitives.hpp"
+#include "support/test_configs.hpp"
 
 namespace pllbist::bist {
 namespace {
 
-TEST(FrequencyCounter, CountsOverGate) {
+/// The fast test PLL locked to an ideal reference, with a frequency counter
+/// on its VCO (nominal 100 kHz).
+struct LockedLoop {
   sim::Circuit c;
-  const auto clk = c.addSignal("clk");
-  sim::ClockSource src(c, clk, 1e-4);  // 10 kHz
-  FrequencyCounter counter(c, clk);
-  c.run(0.01);
+  sim::SignalId ext_ref, stim, marker;
+  pll::SineFmSource source;
+  pll::CpPll pll;
+  FrequencyCounter counter;
+
+  LockedLoop()
+      : ext_ref(c.addSignal("ext_ref")),
+        stim(c.addSignal("stim")),
+        marker(c.addSignal("marker")),
+        source(c, stim, marker, sourceConfig()),
+        pll(c, ext_ref, stim, testing::fastTestConfig()),
+        counter(c, pll.vco()) {
+    pll.setTestMode(true);
+  }
+
+  [[nodiscard]] double nominalHz() const { return pll.config().nominalVcoHz(); }
+
+  static pll::SineFmSource::Config sourceConfig() {
+    pll::SineFmSource::Config s;
+    s.nominal_hz = testing::fastTestConfig().ref_frequency_hz;
+    return s;
+  }
+};
+
+TEST(FrequencyCounter, CountsOverGate) {
+  LockedLoop b;
+  b.c.run(0.05);  // lock
   FrequencyCounter::Result result;
   bool done = false;
-  counter.measure(0.1, [&](FrequencyCounter::Result r) {
+  b.counter.measure(0.1, [&](FrequencyCounter::Result r) {
     result = r;
     done = true;
   });
-  EXPECT_TRUE(counter.busy());
-  c.run(0.2);
+  EXPECT_TRUE(b.counter.busy());
+  b.c.run(0.2);
   ASSERT_TRUE(done);
-  EXPECT_FALSE(counter.busy());
-  EXPECT_NEAR(static_cast<double>(result.count), 1000.0, 1.0);  // +/-1 quantisation
-  EXPECT_NEAR(result.frequencyHz(), 10e3, 10.0);
+  EXPECT_FALSE(b.counter.busy());
+  EXPECT_NEAR(static_cast<double>(result.count), b.nominalHz() * 0.1, 1.0);  // +/-1 quantisation
+  EXPECT_NEAR(result.frequencyHz(), b.nominalHz(), 10.0);
   EXPECT_DOUBLE_EQ(result.gate_s, 0.1);
 }
 
 TEST(FrequencyCounter, PlusMinusOneQuantisation) {
-  sim::Circuit c;
-  const auto clk = c.addSignal("clk");
-  sim::ClockSource src(c, clk, 3e-4);  // 3333.33 Hz
-  FrequencyCounter counter(c, clk);
+  LockedLoop b;
+  b.c.run(0.05);
+  // 33.3 VCO periods in the gate: an integer count either side.
   long count = -1;
-  counter.measure(0.01, [&](FrequencyCounter::Result r) { count = r.count; });
-  c.run(0.02);
-  // 33.3 edges in the gate: integer count.
+  b.counter.measure(33.3 / b.nominalHz(), [&](FrequencyCounter::Result r) { count = r.count; });
+  b.c.run(0.06);
   EXPECT_TRUE(count == 33 || count == 34) << count;
 }
 
 TEST(FrequencyCounter, RejectsOverlappingMeasurements) {
-  sim::Circuit c;
-  const auto clk = c.addSignal("clk");
-  FrequencyCounter counter(c, clk);
-  counter.measure(1.0, [](FrequencyCounter::Result) {});
-  EXPECT_THROW(counter.measure(1.0, [](FrequencyCounter::Result) {}), std::logic_error);
-  EXPECT_THROW(counter.measure(0.0, [](FrequencyCounter::Result) {}), std::invalid_argument);
+  LockedLoop b;
+  b.counter.measure(1.0, [](FrequencyCounter::Result) {});
+  EXPECT_THROW(b.counter.measure(1.0, [](FrequencyCounter::Result) {}), std::logic_error);
+  EXPECT_THROW(b.counter.measure(0.0, [](FrequencyCounter::Result) {}), std::invalid_argument);
 }
 
 TEST(FrequencyCounter, BackToBackMeasurements) {
-  sim::Circuit c;
-  const auto clk = c.addSignal("clk");
-  sim::ClockSource src(c, clk, 1e-3);
-  FrequencyCounter counter(c, clk);
+  LockedLoop b;
+  b.c.run(0.05);
   double f1 = 0.0, f2 = 0.0;
-  counter.measure(0.05, [&](FrequencyCounter::Result r) { f1 = r.frequencyHz(); });
-  c.run(0.1);
-  counter.measure(0.05, [&](FrequencyCounter::Result r) { f2 = r.frequencyHz(); });
-  c.run(0.2);
-  EXPECT_NEAR(f1, 1000.0, 25.0);
-  EXPECT_NEAR(f2, 1000.0, 25.0);
+  b.counter.measure(0.05, [&](FrequencyCounter::Result r) { f1 = r.frequencyHz(); });
+  b.c.run(0.1);
+  b.counter.measure(0.05, [&](FrequencyCounter::Result r) { f2 = r.frequencyHz(); });
+  b.c.run(0.2);
+  EXPECT_NEAR(f1, b.nominalHz(), 25.0);  // +/-1 count over 50 ms is 20 Hz
+  EXPECT_NEAR(f2, b.nominalHz(), 25.0);
 }
 
 TEST(PhaseCounter, CountsWholeClockPeriods) {

@@ -3,9 +3,10 @@
 // The oracle builds the loop PFD (two D flip-flops with D tied high and an
 // asynchronous reset, plus the reset AND) and the Figure 7 peak detector
 // (a second such PFD, a clock buffer on its UP, a delaying inverter on its
-// DN and the sampling flop) from sim primitives. Both circuits receive the
-// same seeded REF/FB edge streams, and every transition of UP, DN, the
-// reset net and MFREQ must match bit for bit.
+// DN and the sampling flop) from the gate oracles in support/gates.hpp and
+// sim::Inverter. Both circuits receive the same seeded REF/FB edge streams,
+// and every transition of UP, DN, the reset net and MFREQ must match bit
+// for bit.
 //
 // At an exact tie between an input edge and a reset-window boundary the
 // netlist's outcome depends on queue order, so the streams use random
@@ -24,6 +25,7 @@
 #include "pll/pfd.hpp"
 #include "sim/circuit.hpp"
 #include "sim/primitives.hpp"
+#include "support/gates.hpp"
 
 namespace pllbist::bist {
 namespace {
@@ -34,9 +36,9 @@ struct GatePfd {
   sim::SignalId dn;
   sim::SignalId rst;
   sim::SignalId high;
-  sim::DFlipFlop ff_up;
-  sim::DFlipFlop ff_dn;
-  sim::AndGate reset_and;
+  testing::DFlipFlop ff_up;
+  testing::DFlipFlop ff_dn;
+  testing::AndGate reset_and;
 
   GatePfd(sim::Circuit& c, sim::SignalId ref, sim::SignalId fb, const pll::PfdDelays& d,
           const std::string& prefix)
@@ -55,9 +57,9 @@ struct GatePeakDetector {
   sim::SignalId dnb;
   sim::SignalId mfreq;
   GatePfd pfd;
-  sim::Buffer clock_buffer;
+  testing::Buffer clock_buffer;
   sim::Inverter data_inverter;
-  sim::DFlipFlop sampler;
+  testing::DFlipFlop sampler;
 
   GatePeakDetector(sim::Circuit& c, sim::SignalId ref, sim::SignalId fb,
                    const pll::PfdDelays& pd, const PeakDetectorDelays& d)

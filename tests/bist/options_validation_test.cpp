@@ -138,19 +138,10 @@ TEST(SequencerOptionsValidation, RejectsEachBadField) {
   opt = {};
   opt.timeout_periods = 5.0;  // < settle + average default
   expectRejects(opt.check(), "timeout_periods");
-  opt = {};
-  opt.peak_qualify_fraction = 0.5;
-  expectRejects(opt.check(), "peak_qualify_fraction");
 }
 
 TEST(StepTestOptionsValidation, RejectsEachBadField) {
   StepTestOptions opt;
-  opt.step_fraction = 0.0;
-  expectRejects(opt.check(), "step_fraction");
-  opt = {};
-  opt.step_fraction = 0.25;
-  expectRejects(opt.check(), "step_fraction");
-  opt = {};
   opt.lock_wait_s = 0.0;
   expectRejects(opt.check(), "lock_wait_s");
   opt = {};

@@ -69,7 +69,7 @@ TEST(Robustness, PointMeasurementSurvivesReferenceJitter) {
                                       src.setModulation(0.0, 0.0);
                                       src.setCarrier(cfg.ref_frequency_hz + 100.0);
                                     }},
-                      det, marker, pll.vcoOut(), 10e6, opt);
+                      det, marker, 10e6, opt);
     c.run(0.05);
     bool done = false;
     TestSequencer::PointResult r;
@@ -326,16 +326,15 @@ TEST(ResilientSweepEngine, CatastrophicDeviceCompletesFullyLabelled) {
   EXPECT_EQ(r.response.toBode().size(), 0u);  // every point excluded from the fit
 }
 
-/// The core facade on the same catastrophic device: never throws, reports
+/// core::measure on the same catastrophic device: never throws, reports
 /// NoValidPoints with the full quality accounting attached.
 TEST(ResilientSweepEngine, CoreFacadeReportsNoValidPoints) {
   const pll::PllConfig sick =
       pll::applyFault(fastTestConfig(), {pll::FaultSpec::Kind::DividerWrongN, 25.0});
-  core::TransferFunctionMeasurement meas(sick);
   ResilientSweepOptions rs;
   rs.max_attempts = 1;
   rs.relock_wait_periods = 10.0;
-  const core::MeasurementResult result = meas.measure(resilientTestOptions(), rs);
+  const core::MeasurementResult result = core::measure(sick, resilientTestOptions(), rs);
   EXPECT_EQ(result.status.kind(), Status::Kind::NoValidPoints) << result.status.toString();
   EXPECT_EQ(result.quality.dropped, 2);
   EXPECT_EQ(result.quality.usable(), 0);

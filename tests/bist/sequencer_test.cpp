@@ -56,7 +56,7 @@ struct SequencerBench {
         sequencer(c, pll,
                   StimulusHooks{[this](double fm) { modulator.start(fm); },
                                 [this] { modulator.stop(); }, [this] { modulator.park(); }},
-                  detector, marker, pll.vcoOut(), 10e6, options()) {
+                  detector, marker, 10e6, options()) {
     pll.setTestMode(true);
     c.run(0.05);  // lock
   }
@@ -76,9 +76,6 @@ TEST(TestSequencerOptions, Validation) {
   EXPECT_THROW(o.validate(), std::invalid_argument);
   o = TestSequencer::Options{};
   o.timeout_periods = 2.0;
-  EXPECT_THROW(o.validate(), std::invalid_argument);
-  o = TestSequencer::Options{};
-  o.peak_qualify_fraction = 0.5;
   EXPECT_THROW(o.validate(), std::invalid_argument);
 }
 
@@ -184,7 +181,7 @@ TEST(TestSequencer, WatchdogFiresOnDeadDetector) {
   TestSequencer seq(c, pll,
                     StimulusHooks{[&](double fm) { mod.start(fm); }, [&] { mod.stop(); },
                                   [&] { mod.park(); }},
-                    det, marker, pll.vcoOut(), 10e6, SequencerBench::options());
+                    det, marker, 10e6, SequencerBench::options());
   c.run(0.05);
   TestSequencer::PointResult r;
   bool done = false;
@@ -219,7 +216,7 @@ TEST(TestSequencer, WorksWithPureSineStimulus) {
                                     src.setModulation(0.0, 0.0);
                                     src.setCarrier(cfg.ref_frequency_hz + 100.0);
                                   }},
-                    det, marker, pll.vcoOut(), 10e6, SequencerBench::options());
+                    det, marker, 10e6, SequencerBench::options());
   c.run(0.05);
   bool done = false;
   TestSequencer::PointResult r;

@@ -24,12 +24,6 @@ StepTestOptions fastOptions() {
 TEST(StepTestOptions, Validation) {
   StepTestOptions opt = fastOptions();
   EXPECT_NO_THROW(opt.validate());
-  opt.step_fraction = 0.0;
-  EXPECT_THROW(opt.validate(), std::invalid_argument);
-  opt = fastOptions();
-  opt.step_fraction = 0.5;
-  EXPECT_THROW(opt.validate(), std::invalid_argument);
-  opt = fastOptions();
   opt.freq_gate_s = 0.0;
   EXPECT_THROW(opt.validate(), std::invalid_argument);
 }

@@ -270,7 +270,6 @@ TEST(Campaign, DeadlineTerminatesPromptlyAndLabelsEveryPoint) {
 
     CampaignOptions opt;
     opt.deadline_s = uninterrupted_s / 4.0;
-    opt.supervision_tick_s = 0.005;
     Campaign bounded(fastTestConfig(), sweep, opt);
     const auto t1 = std::chrono::steady_clock::now();
     const CampaignResult result = bounded.run();
@@ -282,8 +281,8 @@ TEST(Campaign, DeadlineTerminatesPromptlyAndLabelsEveryPoint) {
     EXPECT_TRUE(result.deadline_hit);
     ASSERT_EQ(result.status.kind(), Status::Kind::DeadlineExceeded) << result.status.toString();
     EXPECT_LT(result.points_executed, 12);
-    // Supervision-tick promptness: the deadline plus one point's drain plus
-    // the tick, with margin — far under the uninterrupted cost.
+    // Promptness: the deadline plus one point's drain, with margin — far
+    // under the uninterrupted cost.
     EXPECT_LT(bounded_s, 0.9 * uninterrupted_s);
     // Every unfinished point carries the deadline label; the sum still
     // accounts for all 12 slots.
@@ -497,9 +496,6 @@ TEST(Campaign, RejectsInvalidOptions) {
   EXPECT_THROW(Campaign(fastTestConfig(), sweep, bad), std::invalid_argument);
   bad = {};
   bad.jobs = -1;
-  EXPECT_THROW(Campaign(fastTestConfig(), sweep, bad), std::invalid_argument);
-  bad = {};
-  bad.supervision_tick_s = 0.0;
   EXPECT_THROW(Campaign(fastTestConfig(), sweep, bad), std::invalid_argument);
   bad = {};
   bad.resilience.point_budget_s = -0.5;

@@ -1,10 +1,10 @@
 #include "core/measurement.hpp"
 
-#include "core/characterization.hpp"
-
 #include <gtest/gtest.h>
 
+#include "baseline/bench_measurement.hpp"
 #include "common/units.hpp"
+#include "core/characterization.hpp"
 #include "support/test_configs.hpp"
 
 namespace pllbist::core {
@@ -13,16 +13,16 @@ namespace {
 using pllbist::testing::fastSweepOptions;
 using pllbist::testing::fastTestConfig;
 
-TEST(TransferFunctionMeasurement, ValidatesConfigOnConstruction) {
+TEST(Measure, ValidatesConfig) {
   pll::PllConfig bad = fastTestConfig();
   bad.divider_n = 0;
-  EXPECT_THROW(TransferFunctionMeasurement{bad}, std::invalid_argument);
+  EXPECT_THROW((void)measure(bad, fastSweepOptions(bist::StimulusKind::MultiToneFsk, 2)),
+               std::invalid_argument);
 }
 
-TEST(TransferFunctionMeasurement, RunBistProducesConsistentResult) {
-  TransferFunctionMeasurement meas(fastTestConfig());
-  const MeasurementResult r =
-      meas.measure(fastSweepOptions(bist::StimulusKind::MultiToneFsk, 6), {.max_attempts = 1});
+TEST(Measure, RunBistProducesConsistentResult) {
+  const MeasurementResult r = measure(
+      fastTestConfig(), fastSweepOptions(bist::StimulusKind::MultiToneFsk, 6), {.max_attempts = 1});
   EXPECT_TRUE(r.status.ok()) << r.status.toString();
   EXPECT_EQ(r.sweep.points.size(), 6u);
   EXPECT_EQ(r.bode.size(), 6u);
@@ -30,38 +30,18 @@ TEST(TransferFunctionMeasurement, RunBistProducesConsistentResult) {
   EXPECT_NEAR(r.parameters.peak_frequency_hz, 160.0, 40.0);  // omega_p ~ 0.79 fn
 }
 
-TEST(TransferFunctionMeasurement, DefaultSweepOptionsTrackDesign) {
-  TransferFunctionMeasurement meas(fastTestConfig());
-  const bist::SweepOptions opt = meas.defaultSweepOptions(bist::StimulusKind::PureSineFm, 9);
-  EXPECT_EQ(opt.modulation_frequencies_hz.size(), 9u);
-  // Sweep brackets fn = 200 Hz.
-  EXPECT_LT(opt.modulation_frequencies_hz.front(), 200.0);
-  EXPECT_GT(opt.modulation_frequencies_hz.back(), 200.0);
-  EXPECT_EQ(opt.stimulus, bist::StimulusKind::PureSineFm);
-}
-
-TEST(TransferFunctionMeasurement, TheoryAccessors) {
-  const pll::PllConfig cfg = fastTestConfig();
-  TransferFunctionMeasurement meas(cfg);
-  // eqn (4) has the zero; the capacitor response does not.
-  EXPECT_EQ(meas.theoryEqn4().zeros().size(), 1u);
-  EXPECT_TRUE(meas.theoryCapacitor().zeros().empty());
-  EXPECT_NEAR(meas.theoryEqn4().dcGain(), 1.0, 1e-9);
-}
-
-TEST(TransferFunctionMeasurement, BistAndBenchSeeTheSamePeakLocation) {
+TEST(Measure, BistAndBenchSeeTheSamePeakLocation) {
   // The two methods measure different nodes (capacitor vs output), but the
   // resonance sits at the same frequency.
   const pll::PllConfig cfg = fastTestConfig();
-  TransferFunctionMeasurement meas(cfg);
   const MeasurementResult bist_result =
-      meas.measure(fastSweepOptions(bist::StimulusKind::MultiToneFsk, 8), {.max_attempts = 1});
+      measure(cfg, fastSweepOptions(bist::StimulusKind::MultiToneFsk, 8), {.max_attempts = 1});
 
   baseline::BenchOptions bopt;
   bopt.deviation_hz = 100.0;
   bopt.modulation_frequencies_hz = bist_result.sweep.modulationFrequencies();
   bopt.lock_wait_s = 0.05;
-  const baseline::BenchResult bench_result = meas.runBench(bopt);
+  const baseline::BenchResult bench_result = baseline::measureBench(cfg, bopt);
 
   const auto bench_peak = bench_result.toBode().peak();
   EXPECT_NEAR(bist_result.parameters.peak_frequency_hz,

@@ -88,7 +88,7 @@ TEST(TestPlan, DeadDeviceIsAStatusNotAnException) {
   const pll::PllConfig dead =
       pll::applyFault(fastTestConfig(), {pll::FaultSpec::Kind::DividerWrongN, 25.0});
   MeasurementResult m;
-  EXPECT_NO_THROW(m = TransferFunctionMeasurement(dead).measure(planSweep(), {.max_attempts = 1}));
+  EXPECT_NO_THROW(m = measure(dead, planSweep(), {.max_attempts = 1}));
   EXPECT_EQ(m.status.kind(), Status::Kind::NoValidPoints) << m.status.toString();
   EXPECT_EQ(m.quality.dropped, static_cast<int>(planSweep().modulation_frequencies_hz.size()));
 

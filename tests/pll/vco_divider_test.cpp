@@ -1,6 +1,6 @@
 // Differential tests for the VCO's fused feedback divider and the analytic
 // frequency counter. The slow path they replace is a standalone
-// sim::DivideByN (or sim::GatedCounter) on a materialised VCO output: with
+// sim::DivideByN (or a gated counter) on a materialised VCO output: with
 // such an observer the VCO stops at every half-cycle, and the fused PLLFB
 // must match the standalone divider bit for bit. Without one the VCO skips
 // the half-cycles nobody sees while the control voltage is frozen, and
@@ -18,6 +18,7 @@
 #include "pll/vco.hpp"
 #include "sim/circuit.hpp"
 #include "sim/primitives.hpp"
+#include "support/gates.hpp"
 #include "support/test_configs.hpp"
 
 namespace pllbist::pll {
@@ -166,11 +167,12 @@ TEST(FusedDividerObserver, AddedMidRunTakesEffectAtTheNextAim) {
 
 // ---- analytic frequency counter ------------------------------------------
 
-/// Counts one gate with both counter modes in the same circuit. The gated
-/// one observes the VCO output, so the VCO materialises every edge.
+/// Counts one gate with the analytic counter and with the gated-counter
+/// netlist in the same circuit. The netlist observes the VCO output, so the
+/// VCO materialises every edge.
 struct GatePair {
   bist::FrequencyCounter analytic;
-  bist::FrequencyCounter gated;
+  testing::GatedCounter gated;
   long analytic_count = -1;
   long gated_count = -2;
 
@@ -183,8 +185,10 @@ struct GatePair {
       analytic_count = r.count;
       a_done = true;
     });
-    gated.measure(gate_s, [&](bist::FrequencyCounter::Result r) {
-      gated_count = r.count;
+    gated.start();
+    c.scheduleCallback(c.now() + gate_s, [&](double) {
+      gated.stop();
+      gated_count = gated.count();
       g_done = true;
     });
     c.run(c.now() + gate_s);
@@ -249,7 +253,7 @@ TEST(AnalyticFrequencyCounter, UnobservedCountMatchesObservedCount) {
   // half-cycles and must equal the materialised run's.
   auto counts = [](bool observed) {
     LoopBench b;
-    std::optional<sim::GatedCounter> watcher;
+    std::optional<testing::GatedCounter> watcher;
     if (observed) watcher.emplace(b.c, b.pll.vcoOut());
     EXPECT_EQ(b.c.hasObservers(b.pll.vcoOut()), observed);
     bist::FrequencyCounter counter(b.c, b.pll.vco());
@@ -268,21 +272,6 @@ TEST(AnalyticFrequencyCounter, UnobservedCountMatchesObservedCount) {
   const std::vector<long> fast = counts(false);
   ASSERT_EQ(fast.size(), 3u);
   EXPECT_EQ(fast, counts(true));
-}
-
-TEST(AnalyticFrequencyCounter, ForSignalPicksTheModeByTheCountedSignal) {
-  LoopBench b;
-  bist::FrequencyCounter on_vco = bist::FrequencyCounter::forSignal(b.c, b.pll, b.pll.vcoOut());
-  bist::FrequencyCounter on_fb = bist::FrequencyCounter::forSignal(b.c, b.pll, b.pll.feedback());
-  EXPECT_FALSE(b.c.hasObservers(b.pll.vcoOut()));  // analytic: nothing observes the VCO
-  b.c.run(0.05);
-  long vco_count = 0, fb_count = 0;
-  on_vco.measure(0.01, [&](bist::FrequencyCounter::Result r) { vco_count = r.count; });
-  on_fb.measure(0.01, [&](bist::FrequencyCounter::Result r) { fb_count = r.count; });
-  b.c.run(b.c.now() + 0.01);
-  const PllConfig& cfg = b.pll.config();
-  EXPECT_NEAR(vco_count, cfg.nominalVcoHz() * 0.01, 2);
-  EXPECT_NEAR(fb_count, cfg.ref_frequency_hz * 0.01, 1);
 }
 
 }  // namespace

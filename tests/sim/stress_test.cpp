@@ -5,9 +5,12 @@
 
 #include "sim/circuit.hpp"
 #include "sim/primitives.hpp"
+#include "support/gates.hpp"
 
 namespace pllbist::sim {
 namespace {
+
+using testing::GatedCounter;
 
 TEST(KernelStress, RandomScheduleDeliveredInTimeOrder) {
   Circuit c;
