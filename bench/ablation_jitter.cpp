@@ -31,7 +31,7 @@ bist::TestSequencer::PointResult measure(double jitter_rms_s, unsigned seed, int
   pll::SineFmSource src(c, stim, marker, scfg);
   pll::CpPll pll(c, ext, stim, cfg);
   pll.setTestMode(true);
-  bist::PeakDetector det(c, pll.ref(), pll.feedback(), cfg.pfd, bist::PeakDetectorDelays{});
+  bist::PeakDetector det(c, pll);
   bist::TestSequencer::Options opt;
   opt.freq_gate_s = 0.05;
   opt.hold_to_gate_delay_s = 2e-4;

@@ -60,20 +60,28 @@ inline FarmRun runFarm(const pll::PllConfig& cfg, const bist::SweepOptions& swee
 /// One farm run's ledger figures. The per-point work counts are exact and
 /// the same at every job count; the rest is wall-clock data.
 struct FarmFigures {
-  double events_per_point = 0.0;  ///< kernel events processed / points
-  double sim_s_per_point = 0.0;   ///< simulated loop seconds / points
+  double events_per_point = 0.0;     ///< kernel events processed / points
+  double sim_s_per_point = 0.0;      ///< simulated loop seconds / points
+  /// events_per_point / (sim_s_per_point * reference frequency): the
+  /// kernel events one reference cycle of the loop costs.
+  double events_per_ref_cycle = 0.0;
+  /// Kernel events swallowed (no-change writes, superseded handler events)
+  /// / points.
+  double swallowed_per_point = 0.0;
   double points_per_s = 0.0;      ///< points / farm wall time
   double sim_s_per_wall_s = 0.0;  ///< simulated loop seconds / farm wall time
   /// Summed point busy time / (workers * farm wall time); the farm runs
   /// min(jobs, points) workers.
   double worker_utilisation = 0.0;
 
-  FarmFigures(const FarmRun& run, int jobs) {
+  FarmFigures(const FarmRun& run, int jobs, double ref_frequency_hz) {
     const bist::ResilientResponse& r = run.result;
     const double points = static_cast<double>(r.response.points.size());
     const double wall = r.report.wall_time_s;
     events_per_point = static_cast<double>(r.bench.events_processed) / points;
     sim_s_per_point = r.report.sim_time_s / points;
+    events_per_ref_cycle = events_per_point / (sim_s_per_point * ref_frequency_hz);
+    swallowed_per_point = static_cast<double>(r.bench.events_swallowed) / points;
     if (wall > 0.0) {
       points_per_s = points / wall;
       sim_s_per_wall_s = r.report.sim_time_s / wall;

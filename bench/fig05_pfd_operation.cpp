@@ -1,17 +1,17 @@
 // Figure 5: graphical illustration of the PFD/charge-pump operation —
 // reproduced as measured waveform statistics from the PFD model (the gate
-// netlist's transitions, every gate delay included)
+// netlist's transitions, every gate delay included) driving the pump/filter
 // for the three cases the paper annotates:
 //   (1) feedback leads  -> DN pulses, LF voltage falls
 //   (2) reference leads -> UP pulses, LF voltage rises
 //   (3) coincident      -> dead-zone glitches only, LF voltage held
 
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "pll/pfd.hpp"
 #include "pll/pump_filter.hpp"
-#include "sim/circuit.hpp"
-#include "sim/primitives.hpp"
 #include "support/bench_util.hpp"
 
 namespace {
@@ -26,37 +26,41 @@ struct CaseResult {
   double dv_mv = 0.0;
 };
 
+/// Rising and falling edge times of one PFD output.
+struct Edges {
+  std::vector<double> rising;
+  std::vector<double> falling;
+};
+
 CaseResult runCase(double skew_s) {
-  sim::Circuit c;
-  const auto ref = c.addSignal("ref");
-  const auto fb = c.addSignal("fb");
-  pll::Pfd pfd(c, ref, fb, pll::PfdDelays{});
+  pll::Pfd pfd(pll::PfdDelays{});
   pll::PumpFilterConfig fcfg;
   fcfg.r1_ohm = 10e3;
   fcfg.r2_ohm = 1e3;
   fcfg.c_farad = 1e-6;
-  pll::PumpFilter filter(c, pfd.up(), pfd.dn(), fcfg);
-  sim::EdgeRecorder up(c, pfd.up());
-  sim::EdgeRecorder dn(c, pfd.dn());
+  pll::PumpFilter filter(fcfg);
 
   const double period = 100e-6;
   const int cycles = 50;
-  for (int k = 0; k < cycles; ++k) {
-    const double t = 1e-5 + k * period;
-    c.scheduleSet(ref, t, true);
-    c.scheduleSet(ref, t + period / 2, false);
-    c.scheduleSet(fb, t + skew_s, true);
-    c.scheduleSet(fb, t + skew_s + period / 2, false);
-  }
+  for (int k = 0; k < cycles; ++k) pfd.clock(false, 1e-5 + k * period);
+  for (int k = 0; k < cycles; ++k) pfd.clock(true, 1e-5 + k * period + skew_s);
   const double t_end = 1e-5 + (cycles + 1) * period;
-  c.run(t_end);
+  Edges up, dn;
+  while (pfd.nextWriteTime() <= t_end) {
+    pll::Pfd::Write w;
+    bool changed = false;
+    if (!pfd.applyNext(w, changed) || !changed) continue;
+    Edges& out = w.dn ? dn : up;
+    (w.value ? out.rising : out.falling).push_back(w.time);
+    filter.drive(w.time, w.dn, w.value);
+  }
 
   CaseResult r;
-  auto widest = [](const sim::EdgeRecorder& rec, size_t& pulse_count) {
+  auto widest = [](const Edges& e, size_t& pulse_count) {
     double w = 0.0;
-    const size_t n = std::min(rec.risingEdges().size(), rec.fallingEdges().size());
+    const size_t n = std::min(e.rising.size(), e.falling.size());
     for (size_t i = 0; i < n; ++i) {
-      const double width = rec.fallingEdges()[i] - rec.risingEdges()[i];
+      const double width = e.falling[i] - e.rising[i];
       if (width > 1e-7) ++pulse_count;
       w = std::max(w, width);
     }

@@ -29,7 +29,7 @@ int main() {
   pll::SineFmSource src(c, stim, marker, scfg);
   pll::CpPll pll(c, ext, stim, cfg);
   pll.setTestMode(true);
-  bist::PeakDetector det(c, pll.ref(), pll.feedback(), cfg.pfd, bist::PeakDetectorDelays{});
+  bist::PeakDetector det(c, pll);
   // The monitor PFD writes UP/DN only while they are observed, so the
   // recorders watch from the start and are cleared when the capture begins.
   sim::EdgeRecorder up(c, det.monitorUp());

@@ -1,8 +1,9 @@
 // Perf-ledger gate for the point farm: re-runs the farm ledger's fixed
 // sweep (BENCH_farm.json: the reference device's 8-point Fig. 11 sweep,
 // here at --jobs 1) and fails when a deterministic work count — kernel
-// events per point or simulated seconds per point — exceeds the ledger's
-// committed "change" value by more than kTolerance. Both counts are exact
+// events per point, swallowed events per point (a superseded handler event
+// shows here) or simulated seconds per point — exceeds the ledger's
+// committed "change" value by more than kTolerance. The counts are exact
 // and jobs-invariant, so the tolerance only absorbs libm differences
 // between hosts; a real regression moves them by far more. Wall-clock
 // figures are printed against the ledger for information and never gate.
@@ -39,9 +40,12 @@ const obs::JsonValue* changeValue(const obs::JsonValue& ledger, const char* key)
 bool gate(const char* name, double measured, double committed) {
   const double limit = committed * (1.0 + kTolerance);
   const bool ok = measured <= limit;
-  std::printf("  %-17s %14.4f  ledger %14.4f  (%+.2f%%, limit +%.0f%%)  %s\n", name, measured,
-              committed, 100.0 * (measured / committed - 1.0), 100.0 * kTolerance,
-              ok ? "ok" : "OVER");
+  std::printf("  %-17s %14.4f  ledger %14.4f  ", name, measured, committed);
+  if (committed > 0.0)
+    std::printf("(%+.2f%%, limit +%.0f%%)  %s\n", 100.0 * (measured / committed - 1.0),
+                100.0 * kTolerance, ok ? "ok" : "OVER");
+  else
+    std::printf("(limit %.4f)  %s\n", limit, ok ? "ok" : "OVER");
   return ok;
 }
 
@@ -61,9 +65,12 @@ int main(int argc, char** argv) {
     return 2;
   }
   const obs::JsonValue* events = changeValue(ledger, "events_per_point");
+  const obs::JsonValue* swallowed = changeValue(ledger, "swallowed_per_point");
   const obs::JsonValue* sim_s = changeValue(ledger, "sim_s_per_point");
-  if (events == nullptr || sim_s == nullptr) {
-    std::fprintf(stderr, "ledger_check: %s has no change.events_per_point/sim_s_per_point\n",
+  if (events == nullptr || swallowed == nullptr || sim_s == nullptr) {
+    std::fprintf(stderr,
+                 "ledger_check: %s has no change.events_per_point/swallowed_per_point/"
+                 "sim_s_per_point\n",
                  argv[1]);
     return 2;
   }
@@ -71,10 +78,11 @@ int main(int argc, char** argv) {
   const bench::FarmRun run =
       bench::runFarm(pll::referenceConfig(), bench::referenceSweepOptions(kPoints), 1);
   const bist::ResilientResponse& r = run.result;
-  const bench::FarmFigures f(run, 1);
+  const bench::FarmFigures f(run, 1, pll::referenceConfig().ref_frequency_hz);
 
   std::printf("farm ledger check: reference device, %d points, --jobs 1\n", kPoints);
   bool ok = gate("events/point", f.events_per_point, events->number);
+  ok = gate("swallowed/point", f.swallowed_per_point, swallowed->number) && ok;
   ok = gate("sim s/point", f.sim_s_per_point, sim_s->number) && ok;
   const obs::JsonValue* change = ledger.find("change");
   const obs::JsonValue* jobs_1 = change->find("jobs_1");

@@ -56,12 +56,12 @@ bool bitIdentical(const bist::ResilientResponse& a, const bist::ResilientRespons
   return same;
 }
 
-void printRun(int jobs, const bench::FarmRun& run) {
+void printRun(int jobs, const bench::FarmRun& run, double ref_hz) {
   const bist::ResilientResponse& r = run.result;
   std::printf("  jobs=%d: %6.2f s wall  (%.1f s simulated, %zu points, %s)\n", jobs,
               r.report.wall_time_s, r.report.sim_time_s, r.response.points.size(),
               r.report.summary().c_str());
-  const bench::FarmFigures f(run, jobs);
+  const bench::FarmFigures f(run, jobs, ref_hz);
   std::printf("          %.1f points/s, %.1f simulated s per wall s, worker utilisation %.2f\n",
               f.points_per_s, f.sim_s_per_wall_s, f.worker_utilisation);
 }
@@ -103,16 +103,17 @@ int main(int argc, char** argv) {
   std::printf("parallel point-farm bench: %s device, %d points\n", device.c_str(), points);
 
   const bench::FarmRun serial_run = bench::runFarm(cfg, sweep, 1);
-  printRun(1, serial_run);
+  printRun(1, serial_run, cfg.ref_frequency_hz);
   const bench::FarmRun parallel_run = bench::runFarm(cfg, sweep, jobs);
-  printRun(jobs, parallel_run);
+  printRun(jobs, parallel_run, cfg.ref_frequency_hz);
   const bist::ResilientResponse& serial = serial_run.result;
   const bist::ResilientResponse& parallel = parallel_run.result;
-  const bench::FarmFigures exact(serial_run, 1);
-  std::printf("kernel: %.0f events per point (%llu events), %.4f simulated s per point; the "
-              "same at every --jobs\n",
+  const bench::FarmFigures exact(serial_run, 1, cfg.ref_frequency_hz);
+  std::printf("kernel: %.0f events per point (%llu events), %.4f simulated s per point, "
+              "%.1f events per reference cycle, %.1f swallowed per point; the same at every "
+              "--jobs\n",
               exact.events_per_point, static_cast<unsigned long long>(serial.bench.events_processed),
-              exact.sim_s_per_point);
+              exact.sim_s_per_point, exact.events_per_ref_cycle, exact.swallowed_per_point);
 
   const double speedup = parallel.report.wall_time_s > 0.0
                              ? serial.report.wall_time_s / parallel.report.wall_time_s

@@ -53,7 +53,7 @@ int main() {
   bist::FskModulator modulator(c, dco, marker, mcfg);
   pll::CpPll pll(c, ext, stim, cfg);
   pll.setTestMode(true);
-  bist::PeakDetector detector(c, pll.ref(), pll.feedback(), cfg.pfd, bist::PeakDetectorDelays{});
+  bist::PeakDetector detector(c, pll);
   bist::TestSequencer::Options opt;
   opt.freq_gate_s = 1.0;
   bist::TestSequencer sequencer(

@@ -14,9 +14,14 @@ void PeakDetectorDelays::validate() const {
         "looks past the dead-zone glitch");
 }
 
-PeakDetector::PeakDetector(sim::Circuit& c, sim::SignalId ref, sim::SignalId fb,
-                           const pll::PfdDelays& pfd_delays, const PeakDetectorDelays& delays,
+PeakDetector::PeakDetector(sim::Circuit& c, pll::CpPll& pll, const PeakDetectorDelays& delays,
                            const std::string& prefix)
+    : PeakDetector(c, pll.config().pfd, delays, prefix) {
+  pll.addTap(*this);
+}
+
+PeakDetector::PeakDetector(sim::Circuit& c, const pll::PfdDelays& pfd_delays,
+                           const PeakDetectorDelays& delays, const std::string& prefix)
     : circuit_(c),
       handler_(c.addHandler(*this)),
       pfd_delays_(pfd_delays),
@@ -27,8 +32,6 @@ PeakDetector::PeakDetector(sim::Circuit& c, sim::SignalId ref, sim::SignalId fb,
       mfreq_(c.addSignal(prefix + ".mfreq")) {
   pfd_delays_.validate();
   delays_.validate();
-  c.onRisingEdge(ref, [this](double now) { input(false, now); });
-  c.onRisingEdge(fb, [this](double now) { input(true, now); });
 }
 
 void PeakDetector::onMaxFrequency(sim::Circuit::EdgeCallback cb) {
@@ -44,10 +47,10 @@ bool PeakDetector::onEvent(uint32_t, double now) {
   return true;
 }
 
-void PeakDetector::input(bool dn, double now) {
-  advanceTo(now);
-  const double q_time = now + pfd_delays_.ff_clk_to_q_s;
-  if (!reset_.held(now)) push(q_time, dn, true);
+void PeakDetector::inputRose(bool fb, double t) {
+  advanceTo(t);
+  const double q_time = t + pfd_delays_.ff_clk_to_q_s;
+  if (!reset_.held(t)) push(q_time, fb, true);
   // Later input edges write no earlier than q_time: everything up to it is
   // settled, and an UP rise in it schedules its sample now.
   advanceTo(q_time);

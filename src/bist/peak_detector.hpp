@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "pll/cppll.hpp"
 #include "pll/pfd.hpp"
 #include "sim/circuit.hpp"
 #include "sim/primitives.hpp"
@@ -35,22 +36,33 @@ struct PeakDetectorDelays {
 ///
 /// The monitor PFD, the clock buffer, the inverter and the sampling flop
 /// run as one state machine with the gate netlist's transitions. It
-/// advances on PLLREF/PLLFB rising edges: an input edge at t can change the
-/// monitor's UP or DN no earlier than t + clk-to-q, so everything before
-/// that is already determined. Each UP rise derives its sampling clock
-/// (UP rise + clock delay) and looks up the delayed, inverted DN in a short
-/// history of DN transitions; the only event it schedules is the MFREQ
-/// write, one per sampling clock even when it changes nothing (so fault
-/// rules on MFREQ see every write the flop makes). The monitor's UP, DN and
-/// reset nets are written only while something observes them
-/// (Circuit::hasObservers), like the VCO's output; a fault rule on them
-/// reaches those observers but not the state machine. An observer attached
-/// mid-run sees the nets from their next write on.
-class PeakDetector : public sim::Component, private sim::Circuit::Handler {
+/// advances on PLLREF/PLLFB rising edges, which the loop hands it directly
+/// (a pll::LoopTap) when it decides them, one mux delay ahead: an input
+/// edge at t can change the monitor's UP or DN no earlier than
+/// t + clk-to-q, so everything before that is already determined. Each UP
+/// rise derives its sampling clock (UP rise + clock delay) and looks up the
+/// delayed, inverted DN in a short history of DN transitions; the only
+/// event it schedules is the MFREQ write, one per sampling clock even when
+/// it changes nothing (so fault rules on MFREQ see every write the flop
+/// makes). The monitor's UP, DN and reset nets are written only while
+/// something observes them (Circuit::hasObservers), like the loop's nets;
+/// a fault rule on them reaches those observers but not the state machine.
+/// An observer attached mid-run sees the nets from their next write on.
+class PeakDetector : public sim::Component,
+                     public pll::LoopTap,
+                     private sim::Circuit::Handler {
  public:
-  PeakDetector(sim::Circuit& c, sim::SignalId ref, sim::SignalId fb,
-               const pll::PfdDelays& pfd_delays, const PeakDetectorDelays& delays,
+  /// Taps `pll`'s PLLREF and PLLFB; the monitor PFD has the loop PFD's
+  /// delays.
+  PeakDetector(sim::Circuit& c, pll::CpPll& pll, const PeakDetectorDelays& delays = {},
                const std::string& prefix = "peakdet");
+  /// A detector wired to nothing: its owner feeds it through inputRose().
+  PeakDetector(sim::Circuit& c, const pll::PfdDelays& pfd_delays,
+               const PeakDetectorDelays& delays, const std::string& prefix = "peakdet");
+
+  /// A rising edge on PLLREF (fb = false) or PLLFB (fb = true) at time t:
+  /// t >= the circuit's time, and never decreases from call to call.
+  void inputRose(bool fb, double t) override;
 
   /// High while PLLREF leads (output frequency increasing).
   [[nodiscard]] sim::SignalId mfreq() const { return mfreq_; }
@@ -83,8 +95,6 @@ class PeakDetector : public sim::Component, private sim::Circuit::Handler {
   /// Wakes the machine at a flop reset while the reset net is observed, so
   /// its falling write is made on time.
   bool onEvent(uint32_t tag, double now) override;
-  /// A rising edge on PLLREF (dn = false) or PLLFB (dn = true).
-  void input(bool dn, double now);
   /// Apply every pending write at or before t, in (time, seq) order.
   void advanceTo(double t);
   void push(double t, bool dn, bool value);

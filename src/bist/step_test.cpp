@@ -54,9 +54,9 @@ StepTestResult runStepTest(const pll::PllConfig& config, const StepTestOptions& 
   Dco dco(c, stim, dcfg);
   pll::CpPll pll(c, ext, stim, config);
   pll.setTestMode(true);
-  PeakDetector detector(c, pll.ref(), pll.feedback(), config.pfd, PeakDetectorDelays{});
+  PeakDetector detector(c, pll);
   FrequencyCounter counter(c, pll.vco());
-  pll::LockDetector lock(c, pll.pfdUp(), pll.pfdDn(), 0.02 * tref);  // 2% of Tref
+  pll::LockDetector lock(pll, 0.02 * tref);  // 2% of Tref
 
   StepTestResult result;
   auto waitFor = [&c](bool& flag) {

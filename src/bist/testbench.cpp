@@ -80,10 +80,8 @@ SweepTestbench::SweepTestbench(const pll::PllConfig& config, const SweepOptions&
 
   // Response capture (Figure 6/7) plus the lock detector the reliability
   // layer uses for relock-and-resume.
-  peak_detector_ = std::make_unique<PeakDetector>(circuit_, pll_->ref(), pll_->feedback(),
-                                                  config_.pfd, PeakDetectorDelays{});
-  lock_ = std::make_unique<pll::LockDetector>(circuit_, pll_->pfdUp(), pll_->pfdDn(),
-                                              0.02 / config_.ref_frequency_hz);
+  peak_detector_ = std::make_unique<PeakDetector>(circuit_, *pll_);
+  lock_ = std::make_unique<pll::LockDetector>(*pll_, 0.02 / config_.ref_frequency_hz);
   sequencer_ = std::make_unique<TestSequencer>(circuit_, *pll_, hooks_, *peak_detector_,
                                                stim_marker_, options_.master_clock_hz,
                                                options_.sequencer);

@@ -31,7 +31,8 @@ namespace pllbist::bist {
 class SweepTestbench {
  public:
   /// The lock detector uses the conventional threshold (2% of the
-  /// reference period) and LockDetector's default quiet-cycle count.
+  /// reference period) and LockDetector's default of 8 quiet pulses (four
+  /// reference cycles).
   SweepTestbench(const pll::PllConfig& config, const SweepOptions& options);
 
   SweepTestbench(const SweepTestbench&) = delete;

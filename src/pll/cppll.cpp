@@ -1,38 +1,71 @@
 #include "pll/cppll.hpp"
 
+#include <algorithm>
+#include <limits>
+
 namespace pllbist::pll {
 
 namespace {
-constexpr double kMuxDelay = 1e-9;
+constexpr double kMuxDelay = 1e-9;  ///< M1, M2 and the feedback divider
+constexpr double kNever = std::numeric_limits<double>::infinity();
+
+const PllConfig& validated(const PllConfig& cfg) {
+  cfg.validate();
+  return cfg;
+}
+}  // namespace
+
+bool CpPll::TimedNet::at(double t) const {
+  bool level = settled;
+  for (const Change& c : changes) {
+    if (c.time > t) break;
+    level = c.value;
+  }
+  return level;
+}
+
+void CpPll::TimedNet::forget(double t) {
+  std::size_t passed = 0;
+  while (passed < changes.size() && changes[passed].time <= t) settled = changes[passed++].value;
+  changes.erase(changes.begin(), changes.begin() + static_cast<std::ptrdiff_t>(passed));
 }
 
 CpPll::CpPll(sim::Circuit& c, sim::SignalId external_ref, sim::SignalId test_stimulus,
              const PllConfig& cfg, const std::string& prefix)
-    : circuit_(c), cfg_(cfg) {
-  cfg_.validate();
-
-  test_mode_sel_ = c.addSignal(prefix + ".test_mode");
-  hold_sel_ = c.addSignal(prefix + ".hold");
-  pllref_ = c.addSignal(prefix + ".pllref");
-  pfd_fb_in_ = c.addSignal(prefix + ".pfd_fb_in");
-  vco_out_ = c.addSignal(prefix + ".vco_out");
-  pllfb_ = c.addSignal(prefix + ".pllfb");
-
-  // Reference divider on the normal (external) input path only; the test
-  // stimulus already runs at the PFD rate.
-  divided_ext_ref_ = c.addSignal(prefix + ".ext_div");
-  ref_divider_ = std::make_unique<sim::DivideByN>(c, external_ref, divided_ext_ref_,
-                                                  cfg_.ref_divider_r, kMuxDelay);
-  input_mux_ = std::make_unique<sim::Mux2>(c, divided_ext_ref_, test_stimulus, test_mode_sel_,
-                                           pllref_, kMuxDelay);
-  pfd_ = std::make_unique<Pfd>(c, pllref_, pfd_fb_in_, cfg_.pfd, prefix + ".pfd");
-  filter_ = std::make_unique<PumpFilter>(c, pfd_->up(), pfd_->dn(), cfg_.pump);
-  // The feedback divider is fused into the VCO, which writes PLLFB itself.
-  vco_ = std::make_unique<Vco>(c, *filter_, vco_out_, cfg_.vco, c.now(),
-                               VcoDivider{pllfb_, cfg_.divider_n, kMuxDelay});
-  // M2: feedback path into the PFD; selecting PLLREF for both inputs holds
-  // the loop. Both PFD inputs then share the same mux-delay budget.
-  hold_mux_ = std::make_unique<sim::Mux2>(c, pllfb_, pllref_, hold_sel_, pfd_fb_in_, kMuxDelay);
+    : circuit_(c),
+      cfg_(validated(cfg)),
+      handler_(c.addHandler(*this)),
+      test_stimulus_(test_stimulus),
+      test_mode_sel_(c.addSignal(prefix + ".test_mode")),
+      hold_sel_(c.addSignal(prefix + ".hold")),
+      pllref_(c.addSignal(prefix + ".pllref")),
+      pfd_fb_in_(c.addSignal(prefix + ".pfd_fb_in")),
+      vco_out_(c.addSignal(prefix + ".vco_out")),
+      pllfb_(c.addSignal(prefix + ".pllfb")),
+      // Reference divider on the normal (external) input path only; the
+      // test stimulus already runs at the PFD rate.
+      divided_ext_ref_(c.addSignal(prefix + ".ext_div")),
+      up_(c.addSignal(prefix + ".pfd.up")),
+      dn_(c.addSignal(prefix + ".pfd.dn")),
+      rst_(c.addSignal(prefix + ".pfd.rst")),
+      ref_divider_(std::make_unique<sim::DivideByN>(c, external_ref, divided_ext_ref_,
+                                                    cfg.ref_divider_r, kMuxDelay)),
+      pfd_(cfg.pfd),
+      filter_(cfg.pump, c.now()),
+      vco_(cfg.vco, cfg.divider_n, c.now()),
+      pending_(vco_.nextEdgeTime()) {
+  // M1: the selected input, one mux delay late.
+  c.onChange(divided_ext_ref_, [this](double now, bool v) {
+    if (!circuit_.value(test_mode_sel_)) refWrite(now + kMuxDelay, v);
+  });
+  c.onChange(test_stimulus_, [this](double now, bool v) {
+    if (circuit_.value(test_mode_sel_)) refWrite(now + kMuxDelay, v);
+  });
+  c.onChange(test_mode_sel_, [this](double now, bool test_mode) {
+    refWrite(now + kMuxDelay, circuit_.value(test_mode ? test_stimulus_ : divided_ext_ref_));
+  });
+  c.onChange(hold_sel_, [this](double now, bool hold) { holdChanged(now, hold); });
+  circuit_.scheduleEvent(pending_, handler_, 0);
 }
 
 void CpPll::setTestMode(bool enabled) { circuit_.setNow(test_mode_sel_, enabled); }
@@ -41,17 +74,115 @@ void CpPll::setHold(bool enabled) { circuit_.setNow(hold_sel_, enabled); }
 
 bool CpPll::holdAsserted() const { return circuit_.value(hold_sel_); }
 
-void CpPll::copyStateFrom(const CpPll& source) {
-  ref_divider_->copyStateFrom(*source.ref_divider_);
-  pfd_->copyStateFrom(*source.pfd_);
-  filter_->copyStateFrom(*source.filter_);
-  vco_->copyStateFrom(*source.vco_);
+void CpPll::refWrite(double x, bool v) {
+  if (observed(pllref_)) circuit_.scheduleSet(pllref_, x, v);
+  ref_net_.forget(circuit_.now());
+  if (v == ref_net_.last()) return;
+  ref_net_.changes.push_back({x, v});
+  if (v) {
+    pfd_.clock(false, x);
+    for (LoopTap* tap : taps_) tap->inputRose(false, x);
+  }
+  if (circuit_.value(hold_sel_)) fbInWrite(x + kMuxDelay, v);
+  aim();
 }
 
-double CpPll::controlVoltageNow() { return filter_->controlVoltage(circuit_.now()); }
+void CpPll::fbWrite(double x, bool v) {
+  if (observed(pllfb_)) circuit_.scheduleSet(pllfb_, x, v);
+  fb_net_.forget(circuit_.now());
+  if (v == fb_net_.last()) return;
+  fb_net_.changes.push_back({x, v});
+  if (!circuit_.value(hold_sel_)) fbInWrite(x + kMuxDelay, v);
+  if (v)
+    for (LoopTap* tap : taps_) tap->inputRose(true, x);
+}
+
+void CpPll::fbInWrite(double y, bool v) {
+  if (observed(pfd_fb_in_)) circuit_.scheduleSet(pfd_fb_in_, y, v);
+  fb_in_net_.forget(circuit_.now());
+  if (v == fb_in_net_.last()) return;
+  fb_in_net_.changes.push_back({y, v});
+  if (v) pfd_.clock(true, y);
+}
+
+void CpPll::holdChanged(double now, bool hold) {
+  // M2 decided its output for input changes after `now` with the old
+  // select: take those decisions back, re-drive the output from the newly
+  // selected input's level, then pass on that input's later changes.
+  const double y = now + kMuxDelay;
+  std::erase_if(fb_in_net_.changes, [y](const TimedNet::Change& c) { return c.time > y; });
+  pfd_.unclockFbAfter(y);
+  const TimedNet& selected = hold ? ref_net_ : fb_net_;
+  fbInWrite(y, selected.at(now));
+  for (const TimedNet::Change& c : selected.changes)
+    if (c.time > now) fbInWrite(c.time + kMuxDelay, c.value);
+  aim();
+}
+
+bool CpPll::onEvent(uint32_t, double now) {
+  pending_ = kNever;
+  bool did_work = false;
+  for (;;) {
+    if (pfd_.nextWriteTime() <= now) {
+      did_work = applyPfdWrite(now) || did_work;
+    } else if (vco_.nextEdgeTime() <= now) {
+      fireVco(now);
+      did_work = true;
+    } else {
+      break;
+    }
+  }
+  aim();
+  return did_work;
+}
+
+void CpPll::aim() {
+  const double next = std::min(pfd_.nextWriteTime(), vco_.nextEdgeTime());
+  if (next == pending_) return;
+  if (pending_ == kNever)
+    circuit_.scheduleEvent(next, handler_, 0);
+  else
+    circuit_.rescheduleEvent(next, handler_, 0);
+  pending_ = next;
+}
+
+bool CpPll::applyPfdWrite(double now) {
+  Pfd::Write w;
+  bool changed = false;
+  if (!pfd_.applyNext(w, changed)) return false;
+  const sim::SignalId q = w.dn ? dn_ : up_;
+  if (observed(q)) circuit_.scheduleSet(q, now, w.value);
+  if (!changed) return true;
+  if (observed(rst_))
+    circuit_.scheduleSet(rst_, now + cfg_.pfd.and_delay_s, pfd_.up() && pfd_.dn());
+  filter_.drive(now, w.dn, w.value);
+  vco_.driveChanged(now, filter_, observed(vco_out_));
+  for (LoopTap* tap : taps_) tap->pumpChanged(w.dn, w.value, now);
+  return true;
+}
+
+void CpPll::fireVco(double now) {
+  const bool watched = observed(vco_out_);
+  const Vco::Edge e = vco_.fire(now, filter_, watched);
+  if (watched) circuit_.scheduleSet(vco_out_, now, e.rising);
+  if (e.fb_changes) fbWrite(now + kMuxDelay, e.fb_rising);
+}
+
+void CpPll::copyStateFrom(const CpPll& source) {
+  ref_divider_->copyStateFrom(*source.ref_divider_);
+  pfd_ = source.pfd_;
+  filter_ = source.filter_;
+  vco_ = source.vco_;
+  ref_net_ = source.ref_net_;
+  fb_net_ = source.fb_net_;
+  fb_in_net_ = source.fb_in_net_;
+  pending_ = source.pending_;
+}
+
+double CpPll::controlVoltageNow() { return filter_.controlVoltage(circuit_.now()); }
 
 double CpPll::vcoFrequencyNowHz() {
-  return cfg_.vco.frequencyAt(filter_->controlVoltage(circuit_.now()));
+  return cfg_.vco.frequencyAt(filter_.controlVoltage(circuit_.now()));
 }
 
 }  // namespace pllbist::pll

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "pll/config.hpp"
 #include "pll/pfd.hpp"
@@ -11,6 +12,26 @@
 #include "sim/primitives.hpp"
 
 namespace pllbist::pll {
+
+/// A listener on the loop's internal edges (CpPll::addTap). The loop calls
+/// it directly, in place of a callback on a net it does not write.
+class LoopTap {
+ public:
+  LoopTap() = default;
+  LoopTap(const LoopTap&) = delete;
+  LoopTap& operator=(const LoopTap&) = delete;
+
+  /// PLLREF (fb = false) or PLLFB (fb = true) rises at time t. The loop
+  /// calls this when it decides the edge, one mux delay before t; t never
+  /// decreases from call to call.
+  virtual void inputRose(bool /*fb*/, double /*t*/) {}
+  /// The in-loop PFD's UP (dn = false) or DN output changed to `high` at
+  /// `now`, the circuit's time.
+  virtual void pumpChanged(bool /*dn*/, bool /*high*/, double /*now*/) {}
+
+ protected:
+  ~LoopTap() = default;
+};
 
 /// Assembled charge-pump PLL with the two test multiplexers of the paper's
 /// Figure 6 built in:
@@ -24,10 +45,28 @@ namespace pllbist::pll {
 /// mechanism the BIST uses to park the output at its peak for unhurried
 /// frequency counting.
 ///
-/// The instance owns the sub-blocks but not the Circuit; signals it creates
-/// are visible to other components (the BIST monitor PFD taps ref()/
-/// feedback() exactly like the FPGA did).
-class CpPll {
+/// The loop is one state machine and one Circuit::Handler. It takes the
+/// REF edges from the stimulus (or the divided external reference) net,
+/// makes the FB edges with the VCO's fused divider, and adds the 1 ns M1,
+/// divider and M2 delays itself. Pfd, PumpFilter and Vco are plain classes
+/// it calls. It keeps one handler event in flight, for its next instant:
+/// the next PFD flop write or the next VCO stop, whichever comes first
+/// (a flop write first when they tie). An input edge that brings the next
+/// instant forward moves that event (Circuit::rescheduleEvent), so no
+/// event is superseded. The select nets `test_mode` and `hold` are nets;
+/// a select change re-drives the mux output as a mux would. The other loop
+/// nets (PLLREF, PLLFB, the PFD's inputs, outputs and reset, the VCO
+/// output) are written only while they have observers
+/// (Circuit::hasObservers), at the times and with the values the netlist
+/// would write them; a fault rule on them reaches those observers but not
+/// the loop. Listeners that need the loop's edges register as a LoopTap.
+///
+/// M2's output is decided with the hold select as it is when M2's input
+/// change is decided, one mux delay before that change happens; a hold
+/// change inside that window takes the decision back and decides again.
+/// An observer of pfdFeedbackIn() still sees the write made before the
+/// second decision.
+class CpPll : private sim::Circuit::Handler {
  public:
   CpPll(sim::Circuit& c, sim::SignalId external_ref, sim::SignalId test_stimulus,
         const PllConfig& cfg, const std::string& prefix = "pll");
@@ -39,14 +78,17 @@ class CpPll {
   [[nodiscard]] sim::SignalId ref() const { return pllref_; }
   /// PLLFB: the divided VCO output (pre-M2).
   [[nodiscard]] sim::SignalId feedback() const { return pllfb_; }
-  /// The raw VCO output: an observation tap that toggles only while it has
-  /// observers. The loop never reads it (the VCO drives PLLFB itself), so a
-  /// fault rule on it reaches its observers but not the divider.
+  /// The PFD's feedback input (post-M2).
+  [[nodiscard]] sim::SignalId pfdFeedbackIn() const { return pfd_fb_in_; }
+  /// The raw VCO output; while observed the VCO stops at every half-cycle.
   [[nodiscard]] sim::SignalId vcoOut() const { return vco_out_; }
-  [[nodiscard]] sim::SignalId pfdUp() const { return pfd_->up(); }
-  [[nodiscard]] sim::SignalId pfdDn() const { return pfd_->dn(); }
-  /// The in-loop PFD's reset net, written only while observed.
-  [[nodiscard]] sim::SignalId pfdReset() const { return pfd_->resetNet(); }
+  [[nodiscard]] sim::SignalId pfdUp() const { return up_; }
+  [[nodiscard]] sim::SignalId pfdDn() const { return dn_; }
+  /// The in-loop PFD's reset net (= UP AND DN delayed).
+  [[nodiscard]] sim::SignalId pfdReset() const { return rst_; }
+
+  /// Register a listener; it must outlive the loop's activity.
+  void addTap(LoopTap& tap) { taps_.push_back(&tap); }
 
   /// Drive the M1/M2 selects (take effect immediately at circuit time).
   void setTestMode(bool enabled);
@@ -59,31 +101,70 @@ class CpPll {
   double vcoFrequencyNowHz();
 
   [[nodiscard]] const PllConfig& config() const { return cfg_; }
-  [[nodiscard]] PumpFilter& filter() { return *filter_; }
-  [[nodiscard]] Vco& vco() { return *vco_; }
+  [[nodiscard]] PumpFilter& filter() { return filter_; }
+  [[nodiscard]] const Vco& vco() const { return vco_; }
 
-  /// Fork support (see sim::Circuit::copyStateFrom): take the state of
-  /// `source`'s stateful blocks (reference divider, PFD, pump filter, VCO).
+  /// Fork support (see sim::Circuit::copyStateFrom): take `source`'s state.
   void copyStateFrom(const CpPll& source);
 
  private:
+  /// A loop net as a list of decided level changes: those still ahead of
+  /// the circuit's time, and the level before them.
+  struct TimedNet {
+    struct Change {
+      double time;
+      bool value;
+    };
+    bool settled = false;         ///< the level before the first change
+    std::vector<Change> changes;  ///< time-ordered
+
+    [[nodiscard]] bool last() const { return changes.empty() ? settled : changes.back().value; }
+    /// The level after every change at or before t.
+    [[nodiscard]] bool at(double t) const;
+    /// Fold the changes at or before t into `settled`.
+    void forget(double t);
+  };
+
+  bool onEvent(uint32_t tag, double now) override;
+  /// Move the pending handler event to the next instant.
+  void aim();
+  /// M1 writes PLLREF := v at time x.
+  void refWrite(double x, bool v);
+  /// The divider writes PLLFB := v at time x.
+  void fbWrite(double x, bool v);
+  /// M2 writes the PFD's feedback input := v at time y.
+  void fbInWrite(double y, bool v);
+  void holdChanged(double now, bool hold);
+  /// Apply the PFD's next write, due now; false when the reset blocked it.
+  bool applyPfdWrite(double now);
+  void fireVco(double now);
+  [[nodiscard]] bool observed(sim::SignalId net) const { return circuit_.hasObservers(net); }
+
   sim::Circuit& circuit_;
   PllConfig cfg_;
+  sim::Circuit::HandlerId handler_;
 
+  sim::SignalId test_stimulus_;
   sim::SignalId test_mode_sel_;
   sim::SignalId hold_sel_;
-  sim::SignalId divided_ext_ref_ = sim::kNoSignal;
   sim::SignalId pllref_;
   sim::SignalId pfd_fb_in_;
   sim::SignalId vco_out_;
   sim::SignalId pllfb_;
+  sim::SignalId divided_ext_ref_;
+  sim::SignalId up_;
+  sim::SignalId dn_;
+  sim::SignalId rst_;
 
   std::unique_ptr<sim::DivideByN> ref_divider_;
-  std::unique_ptr<sim::Mux2> input_mux_;
-  std::unique_ptr<sim::Mux2> hold_mux_;
-  std::unique_ptr<Pfd> pfd_;
-  std::unique_ptr<PumpFilter> filter_;
-  std::unique_ptr<Vco> vco_;
+  Pfd pfd_;
+  PumpFilter filter_;
+  Vco vco_;
+  TimedNet ref_net_;    ///< PLLREF
+  TimedNet fb_net_;     ///< PLLFB
+  TimedNet fb_in_net_;  ///< the PFD's feedback input
+  double pending_;      ///< time of the handler event in flight
+  std::vector<LoopTap*> taps_;
 };
 
 }  // namespace pllbist::pll

@@ -1,41 +1,53 @@
 #include "pll/pfd.hpp"
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace pllbist::pll {
+
+namespace {
+constexpr double kNoClock = std::numeric_limits<double>::quiet_NaN();
+}  // namespace
 
 void PfdDelays::validate() const {
   if (ff_clk_to_q_s <= 0.0 || and_delay_s <= 0.0 || ff_reset_to_q_s <= 0.0)
     throw std::invalid_argument("PfdDelays: all delays must be positive");
 }
 
-Pfd::Pfd(sim::Circuit& c, sim::SignalId ref, sim::SignalId fb, const PfdDelays& delays,
-         const std::string& prefix)
-    : circuit_(c),
-      delays_(delays),
-      up_(c.addSignal(prefix + ".up")),
-      dn_(c.addSignal(prefix + ".dn")),
-      rst_(c.addSignal(prefix + ".rst")) {
-  delays_.validate();
-  c.onRisingEdge(ref, [this](double now) { clock(up_, now); });
-  c.onRisingEdge(fb, [this](double now) { clock(dn_, now); });
-  c.onChange(up_, [this](double now, bool) { outputsChanged(now); });
-  c.onChange(dn_, [this](double now, bool) { outputsChanged(now); });
+Pfd::Pfd(const PfdDelays& delays) : delays_(delays) { delays_.validate(); }
+
+void Pfd::push(double time, double clock, bool dn, bool value) {
+  const Pending p{time, next_seq_++, clock, dn, value};
+  auto at = pending_.end();
+  while (at != pending_.begin() && (at - 1)->time > time) --at;
+  pending_.insert(at, p);
 }
 
-void Pfd::clock(sim::SignalId q, double now) {
-  if (reset_.held(now)) return;  // the asynchronous reset dominates
-  circuit_.scheduleSet(q, now + delays_.ff_clk_to_q_s, true);
+void Pfd::clock(bool dn, double t) { push(t + delays_.ff_clk_to_q_s, t, dn, true); }
+
+void Pfd::unclockFbAfter(double t) {
+  std::erase_if(pending_, [t](const Pending& p) { return p.dn && p.clock > t; });
 }
 
-void Pfd::outputsChanged(double now) {
-  const bool both = circuit_.value(up_) && circuit_.value(dn_);
-  const double t = now + delays_.and_delay_s;
-  if (circuit_.hasObservers(rst_)) circuit_.scheduleSet(rst_, t, both);
-  if (!reset_.drive(t, both)) return;
-  const double t_reset = t + delays_.ff_reset_to_q_s;
-  circuit_.scheduleSet(up_, t_reset, false);
-  circuit_.scheduleSet(dn_, t_reset, false);
+bool Pfd::applyNext(Write& w, bool& changed) {
+  const Pending p = pending_.front();
+  pending_.erase(pending_.begin());
+  // The asynchronous reset dominates the clock. Clock edges come in time
+  // order, so held() is queried in time order.
+  if (!std::isnan(p.clock) && reset_.held(p.clock)) return false;
+  w = {p.time, p.dn, p.value};
+  bool& q = p.dn ? dn_ : up_;
+  changed = q != p.value;
+  if (!changed) return true;
+  q = p.value;
+  const double t = p.time + delays_.and_delay_s;
+  if (reset_.drive(t, up_ && dn_)) {
+    const double t_reset = t + delays_.ff_reset_to_q_s;
+    push(t_reset, kNoClock, false, false);
+    push(t_reset, kNoClock, true, false);
+  }
+  return true;
 }
 
 }  // namespace pllbist::pll

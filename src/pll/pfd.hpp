@@ -1,10 +1,8 @@
 #pragma once
 
-#include <string>
+#include <cstdint>
+#include <limits>
 #include <vector>
-
-#include "sim/circuit.hpp"
-#include "sim/primitives.hpp"
 
 namespace pllbist::pll {
 
@@ -67,37 +65,60 @@ class PfdResetLine {
 ///
 /// When REF leads, UP pulses with width ~= the phase error (plus the glitch
 /// tail on DN); when FB leads, DN pulses; when aligned, both emit dead-zone
-/// glitches. UP and DN are written at exactly the times and with exactly
-/// the values the gate netlist's flops would write them, and the machine
-/// reacts to UP and DN as delivered, like the netlist's AND gate. The reset
-/// net is internal state (a PfdResetLine); it is written, like the VCO's
-/// output, only while something observes it (Circuit::hasObservers), so a
-/// fault rule on it reaches its observers but not the flops. A gate-level
-/// oracle in tests/bist/detector_equivalence_test.cpp checks the equivalence.
-class Pfd : public sim::Component {
+/// glitches. A plain value type that its owner (pll::CpPll) drives: clock()
+/// records a flop's clock edge, and the owner applies the flops' writes in
+/// time order at their instants (nextWriteTime, applyNext). A write is made
+/// at exactly the time, and with exactly the value, the gate netlist's flop
+/// would make it. Whether the reset blocks a clock edge is decided when its
+/// write is applied, once every reset edge up to the clock instant is known,
+/// so a clock may be recorded ahead of its instant. The gate-level oracle in
+/// tests/support/gates.hpp checks the equivalence.
+class Pfd {
  public:
-  Pfd(sim::Circuit& c, sim::SignalId ref, sim::SignalId fb, const PfdDelays& delays,
-      const std::string& name_prefix = "pfd");
+  explicit Pfd(const PfdDelays& delays);
 
-  [[nodiscard]] sim::SignalId up() const { return up_; }
-  [[nodiscard]] sim::SignalId dn() const { return dn_; }
-  /// The reset net (= UP AND DN delayed), written only while observed.
-  [[nodiscard]] sim::SignalId resetNet() const { return rst_; }
+  /// One flop output write: UP (dn = false) or DN := value at `time`.
+  struct Write {
+    double time;
+    bool dn;
+    bool value;
+  };
 
-  /// Fork support (see sim::Circuit::copyStateFrom): take `source`'s state.
-  void copyStateFrom(const Pfd& source) { reset_ = source.reset_; }
+  /// A rising edge on REF (dn = false) or FB (dn = true) at time t. Clock
+  /// times of one flop never decrease.
+  void clock(bool dn, double t);
+  /// Forget the FB clock edges recorded for times after t.
+  void unclockFbAfter(double t);
+
+  /// When the earliest pending write is due; +infinity when none is.
+  [[nodiscard]] double nextWriteTime() const {
+    return pending_.empty() ? std::numeric_limits<double>::infinity() : pending_.front().time;
+  }
+  /// Apply the earliest pending write, due at `w.time`. Returns false when
+  /// it was a clock edge the reset blocked (no write happens); otherwise
+  /// fills `w`, and `changed` says whether the output changed (a flop
+  /// re-clocked while high writes the level it already has).
+  bool applyNext(Write& w, bool& changed);
+
+  [[nodiscard]] bool up() const { return up_; }
+  [[nodiscard]] bool dn() const { return dn_; }
 
  private:
-  /// A rising clock edge on the flop driving `q`.
-  void clock(sim::SignalId q, double now);
-  void outputsChanged(double now);
+  struct Pending {
+    double time;
+    uint64_t seq;  ///< orders writes due at the same time, like the kernel
+    double clock;  ///< the clock edge behind a rising write; NaN for a reset
+    bool dn;
+    bool value;
+  };
+  void push(double time, double clock, bool dn, bool value);
 
-  sim::Circuit& circuit_;
   PfdDelays delays_;
-  sim::SignalId up_;
-  sim::SignalId dn_;
-  sim::SignalId rst_;
+  bool up_ = false;
+  bool dn_ = false;
   PfdResetLine reset_;
+  std::vector<Pending> pending_;  ///< ordered by (time, seq)
+  uint64_t next_seq_ = 0;
 };
 
 }  // namespace pllbist::pll

@@ -32,23 +32,24 @@ void AnalogProbe::sample(double now, unsigned generation) {
                             [this, generation](double t) { sample(t, generation); });
 }
 
-LockDetector::LockDetector(sim::Circuit& c, sim::SignalId up, sim::SignalId dn,
-                           double width_threshold_s, int required_cycles)
-    : threshold_(width_threshold_s), required_(required_cycles) {
+LockDetector::LockDetector(CpPll& pll, double width_threshold_s, int required_pulses)
+    : LockDetector(width_threshold_s, required_pulses) {
+  pll.addTap(*this);
+}
+
+LockDetector::LockDetector(double width_threshold_s, int required_pulses)
+    : threshold_(width_threshold_s), required_(required_pulses) {
   if (width_threshold_s <= 0.0) throw std::invalid_argument("LockDetector: threshold must be positive");
-  if (required_cycles < 1) throw std::invalid_argument("LockDetector: required cycles must be >= 1");
-  c.onChange(up, [this](double now, bool v) {
-    if (v)
-      up_rise_ = now;
-    else if (up_rise_ >= 0.0)
-      pulseFinished(now, now - up_rise_);
-  });
-  c.onChange(dn, [this](double now, bool v) {
-    if (v)
-      dn_rise_ = now;
-    else if (dn_rise_ >= 0.0)
-      pulseFinished(now, now - dn_rise_);
-  });
+  if (required_pulses < 1)
+    throw std::invalid_argument("LockDetector: required pulses must be >= 1");
+}
+
+void LockDetector::pumpChanged(bool dn, bool high, double now) {
+  double& rise = dn ? dn_rise_ : up_rise_;
+  if (high)
+    rise = now;
+  else if (rise >= 0.0)
+    pulseFinished(now, now - rise);
 }
 
 void LockDetector::pulseFinished(double now, double width) {

@@ -2,6 +2,7 @@
 
 #include <functional>
 
+#include "pll/cppll.hpp"
 #include "sim/circuit.hpp"
 #include "sim/primitives.hpp"
 #include "sim/trace.hpp"
@@ -38,13 +39,20 @@ class AnalogProbe : public sim::Component {
 };
 
 /// Declares the loop locked once both PFD outputs have produced only pulses
-/// shorter than `width_threshold_s` for `required_cycles` consecutive
-/// reference cycles. Mirrors the lock-detect circuits shipped alongside
-/// real CP-PLLs (and the paper's assumption "the PLL is initially locked").
-class LockDetector : public sim::Component {
+/// no wider than `width_threshold_s` for `required_pulses` consecutive
+/// pulses. A locked reference cycle gives two pulses (the UP glitch and the
+/// DN glitch), so the default of 8 is four quiet reference cycles. Mirrors
+/// the lock-detect circuits shipped alongside real CP-PLLs (and the paper's
+/// assumption "the PLL is initially locked").
+class LockDetector : public LoopTap {
  public:
-  LockDetector(sim::Circuit& c, sim::SignalId up, sim::SignalId dn, double width_threshold_s,
-               int required_cycles = 8);
+  /// Taps `pll`'s UP and DN.
+  LockDetector(CpPll& pll, double width_threshold_s, int required_pulses = 8);
+  /// A detector wired to nothing: its owner feeds it through pumpChanged().
+  explicit LockDetector(double width_threshold_s, int required_pulses = 8);
+
+  /// UP (dn = false) or DN changed to `high` at `now`.
+  void pumpChanged(bool dn, bool high, double now) override;
 
   [[nodiscard]] bool isLocked() const { return consecutive_ok_ >= required_; }
   /// Time at which lock was (most recently) achieved; meaningless unless

@@ -23,112 +23,82 @@ void PumpFilterConfig::validate() const {
     throw std::invalid_argument("PumpFilterConfig: initial vc outside rails");
 }
 
-PumpFilter::PumpFilter(sim::Circuit& c, sim::SignalId up, sim::SignalId dn,
-                       const PumpFilterConfig& cfg)
-    : circuit_(c), cfg_(cfg), vc_(cfg.initial_vc_v), last_t_(c.now()) {
+PumpFilter::PumpFilter(const PumpFilterConfig& cfg, double start_time_s)
+    : cfg_(cfg), vc_(cfg.initial_vc_v), last_t_(start_time_s) {
   cfg_.validate();
-  up_active_ = c.value(up);
-  dn_active_ = c.value(dn);
-  recomputeRegime();
-  c.onChange(up, [this](double now, bool v) {
-    advanceTo(now);
-    up_active_ = v;
-    recomputeRegime();
-    for (auto& cb : drive_listeners_) cb(now);
-  });
-  c.onChange(dn, [this](double now, bool v) {
-    advanceTo(now);
-    dn_active_ = v;
-    recomputeRegime();
-    for (auto& cb : drive_listeners_) cb(now);
-  });
+  for (int d = 0; d < 4; ++d) segments_[d] = segmentFor(cfg_, (d & kUp) != 0, (d & kDn) != 0);
 }
 
-void PumpFilter::copyStateFrom(const PumpFilter& source) {
-  up_active_ = source.up_active_;
-  dn_active_ = source.dn_active_;
-  vc_ = source.vc_;
-  last_t_ = source.last_t_;
-  regime_ = source.regime_;
-  asym_v_ = source.asym_v_;
-  tau_s_ = source.tau_s_;
-  slope_vps_ = source.slope_vps_;
-  out_a_ = source.out_a_;
-  out_b_ = source.out_b_;
+void PumpFilter::drive(double t, bool dn, bool on) {
+  advanceTo(t);
+  const int bit = dn ? kDn : kUp;
+  drive_ = on ? drive_ | bit : drive_ & ~bit;
 }
 
-void PumpFilter::recomputeRegime() {
-  const double g2 = 1.0 / cfg_.r2_ohm;
-  const double gl = std::isinf(cfg_.leak_ohm) ? 0.0 : 1.0 / cfg_.leak_ohm;
+PumpFilter::Segment PumpFilter::segmentFor(const PumpFilterConfig& cfg, bool up, bool dn) {
+  const double g2 = 1.0 / cfg.r2_ohm;
+  const double gl = std::isinf(cfg.leak_ohm) ? 0.0 : 1.0 / cfg.leak_ohm;
+  Segment seg;
 
-  if (cfg_.kind == PumpKind::Voltage4046) {
+  if (cfg.kind == PumpKind::Voltage4046) {
     // Drive conductance towards Vs through R1; both-on (dead-zone overlap)
     // is modelled as high-Z, matching the break-before-make tri-stater.
     double g1 = 0.0;
     double vs = 0.0;
-    if (up_active_ && !dn_active_) {
-      g1 = cfg_.up_strength / cfg_.r1_ohm;
-      vs = cfg_.vdd_v;
-    } else if (dn_active_ && !up_active_) {
-      g1 = cfg_.down_strength / cfg_.r1_ohm;
-      vs = cfg_.vss_v;
+    if (up && !dn) {
+      g1 = cfg.up_strength / cfg.r1_ohm;
+      vs = cfg.vdd_v;
+    } else if (dn && !up) {
+      g1 = cfg.down_strength / cfg.r1_ohm;
+      vs = cfg.vss_v;
     }
     const double geff = g1 + gl;
-    if (geff <= 0.0) {
-      regime_ = Regime::Hold;
-      out_a_ = 0.0;
-      out_b_ = 1.0;  // vy = vc when no current can flow
-      return;
-    }
-    regime_ = Regime::Exponential;
-    asym_v_ = (g1 * vs + gl * cfg_.vss_v) / geff;
-    tau_s_ = cfg_.c_farad * (g1 + g2 + gl) / (g2 * geff);
+    if (geff <= 0.0) return seg;  // Hold: vy = vc when no current can flow
+    seg.regime = Regime::Exponential;
+    seg.asym_v = (g1 * vs + gl * cfg.vss_v) / geff;
+    seg.tau_s = cfg.c_farad * (g1 + g2 + gl) / (g2 * geff);
     // Node equation: vy = (g1*Vs + gl*Vss + g2*vc) / (g1 + g2 + gl).
-    out_a_ = (g1 * vs + gl * cfg_.vss_v) / (g1 + g2 + gl);
-    out_b_ = g2 / (g1 + g2 + gl);
-    return;
+    seg.out_a = (g1 * vs + gl * cfg.vss_v) / (g1 + g2 + gl);
+    seg.out_b = g2 / (g1 + g2 + gl);
+    return seg;
   }
 
   // CurrentSteering: net injected current; both-on leaves the up/down
   // mismatch residue flowing (the classical CP mismatch error mechanism).
   double current = 0.0;
-  if (up_active_) current += cfg_.pump_current_a * cfg_.up_strength;
-  if (dn_active_) current -= cfg_.pump_current_a * cfg_.down_strength;
+  if (up) current += cfg.pump_current_a * cfg.up_strength;
+  if (dn) current -= cfg.pump_current_a * cfg.down_strength;
 
   if (gl <= 0.0) {
-    if (current == 0.0) {
-      regime_ = Regime::Hold;
-      out_a_ = 0.0;
-      out_b_ = 1.0;
-    } else {
-      regime_ = Regime::Ramp;
-      slope_vps_ = current / cfg_.c_farad;
-      out_a_ = current * cfg_.r2_ohm;  // vy = vc + I*R2
-      out_b_ = 1.0;
-    }
-    return;
+    if (current == 0.0) return seg;  // Hold
+    seg.regime = Regime::Ramp;
+    seg.slope_vps = current / cfg.c_farad;
+    seg.out_a = current * cfg.r2_ohm;  // vy = vc + I*R2
+    return seg;
   }
   // With leakage the node sees I and gl to VSS: exponential towards
   // A = I/gl + Vss with tau = C*(g2+gl)/(g2*gl).
-  regime_ = Regime::Exponential;
-  asym_v_ = current / gl + cfg_.vss_v;
-  tau_s_ = cfg_.c_farad * (g2 + gl) / (g2 * gl);
-  out_a_ = (current + gl * cfg_.vss_v) / (g2 + gl);
-  out_b_ = g2 / (g2 + gl);
+  seg.regime = Regime::Exponential;
+  seg.asym_v = current / gl + cfg.vss_v;
+  seg.tau_s = cfg.c_farad * (g2 + gl) / (g2 * gl);
+  seg.out_a = (current + gl * cfg.vss_v) / (g2 + gl);
+  seg.out_b = g2 / (g2 + gl);
+  return seg;
 }
 
 void PumpFilter::advanceTo(double t) {
   PLLBIST_ASSERT(t >= last_t_);
   const double dt = t - last_t_;
   if (dt == 0.0) return;
-  switch (regime_) {
+  const Segment& seg = segments_[drive_];
+  switch (seg.regime) {
     case Regime::Hold:
       break;
     case Regime::Exponential:
-      vc_ = asym_v_ + (vc_ - asym_v_) * std::exp(-dt / tau_s_);
+      vc_ = seg.asym_v + (vc_ - seg.asym_v) * std::exp(-dt / seg.tau_s);
       break;
     case Regime::Ramp:
-      vc_ += slope_vps_ * dt;
+      vc_ += seg.slope_vps * dt;
       break;
   }
   // Supply-rail compliance: the passive node cannot leave [vss, vdd].
@@ -137,7 +107,8 @@ void PumpFilter::advanceTo(double t) {
 }
 
 double PumpFilter::outputVoltageNow() const {
-  return std::clamp(out_a_ + out_b_ * vc_, cfg_.vss_v, cfg_.vdd_v);
+  const Segment& seg = segments_[drive_];
+  return std::clamp(seg.out_a + seg.out_b * vc_, cfg_.vss_v, cfg_.vdd_v);
 }
 
 double PumpFilter::controlVoltage(double t) {

@@ -1,11 +1,7 @@
 #pragma once
 
-#include <functional>
+#include <array>
 #include <limits>
-#include <vector>
-
-#include "sim/circuit.hpp"
-#include "sim/primitives.hpp"
 
 namespace pllbist::pll {
 
@@ -49,10 +45,17 @@ struct PumpFilterConfig {
 /// in closed form whenever the drive changes or a voltage is queried. There
 /// is no timestep and no integration error — crucial because the BIST
 /// magnitude measurement resolves sub-percent frequency deviations.
-class PumpFilter : public sim::Component {
+///
+/// A plain value type: its owner (pll::CpPll) tells it about every UP/DN
+/// change with drive(), and a fork copies it.
+class PumpFilter {
  public:
-  /// up/dn are the PFD outputs inside `c`. The filter subscribes to both.
-  PumpFilter(sim::Circuit& c, sim::SignalId up, sim::SignalId dn, const PumpFilterConfig& cfg);
+  /// Starts at time `start_time_s` with the pump idle (UP and DN low).
+  explicit PumpFilter(const PumpFilterConfig& cfg, double start_time_s = 0.0);
+
+  /// The PFD's UP (dn = false) or DN (dn = true) output changed to `on` at
+  /// time t (>= the last query/drive-change time).
+  void drive(double t, bool dn, bool on);
 
   /// Control-node voltage (the VCO input, node Y of Figure 9) at time t.
   /// t must be >= the last query/drive-change time.
@@ -64,49 +67,40 @@ class PumpFilter : public sim::Component {
   /// True when neither output device is on (pump high-Z). With matched
   /// inputs the PFD emits only dead-zone glitches, so the filter holds —
   /// the paper's "loop hold" measurement trick (section 4, point 3).
-  [[nodiscard]] bool isHighZ() const { return !up_active_ && !dn_active_; }
+  [[nodiscard]] bool isHighZ() const { return drive_ == 0; }
 
   /// True while the control voltage cannot move: no pump or leak current
   /// flows, so the capacitor holds (regime Hold). It changes only at a
-  /// drive change, which every onDriveChange listener hears about.
-  [[nodiscard]] bool frozen() const { return regime_ == Regime::Hold; }
-
-  /// Notify `cb(now)` whenever the drive state (and hence the output-node
-  /// voltage, discontinuously) changes. The VCO subscribes so its phase
-  /// accumulator re-integrates across every pump pulse — even ones much
-  /// narrower than a VCO period.
-  void onDriveChange(std::function<void(double)> cb) { drive_listeners_.push_back(std::move(cb)); }
+  /// drive() call.
+  [[nodiscard]] bool frozen() const { return segments_[drive_].regime == Regime::Hold; }
 
   [[nodiscard]] const PumpFilterConfig& config() const { return cfg_; }
 
-  /// Fork support (see sim::Circuit::copyStateFrom): take `source`'s state.
-  void copyStateFrom(const PumpFilter& source);
-
  private:
   enum class Regime { Hold, Exponential, Ramp };
+  /// How the state evolves under one drive.
+  struct Segment {
+    Regime regime = Regime::Hold;
+    double asym_v = 0.0;     ///< exponential asymptote A
+    double tau_s = 0.0;      ///< exponential time constant
+    double slope_vps = 0.0;  ///< ramp slope (ideal current pump)
+    // Output-node voltage is algebraic in (drive, vc): vy = out_a + out_b*vc.
+    double out_a = 0.0;
+    double out_b = 1.0;
+  };
+  static constexpr int kUp = 1;
+  static constexpr int kDn = 2;
 
+  static Segment segmentFor(const PumpFilterConfig& cfg, bool up, bool dn);
   void advanceTo(double t);
-  void recomputeRegime();
   [[nodiscard]] double outputVoltageNow() const;
 
-  sim::Circuit& circuit_;
   PumpFilterConfig cfg_;
+  std::array<Segment, 4> segments_;  ///< per drive: kUp | kDn bits
+  int drive_ = 0;                    ///< the UP/DN inputs now, as kUp | kDn bits
 
-  bool up_active_ = false;
-  bool dn_active_ = false;
-
-  double vc_ = 0.0;       ///< capacitor voltage at time last_t_
+  double vc_ = 0.0;  ///< capacitor voltage at time last_t_
   double last_t_ = 0.0;
-
-  Regime regime_ = Regime::Hold;
-  double asym_v_ = 0.0;   ///< exponential asymptote A
-  double tau_s_ = 0.0;    ///< exponential time constant
-  double slope_vps_ = 0.0;///< ramp slope (ideal current pump)
-  // Output-node voltage is algebraic in (drive, vc): vy = out_a_ + out_b_*vc.
-  double out_a_ = 0.0;
-  double out_b_ = 1.0;
-
-  std::vector<std::function<void(double)>> drive_listeners_;
 };
 
 }  // namespace pllbist::pll

@@ -22,43 +22,27 @@ double VcoConfig::frequencyAt(double control_v) const {
   return std::clamp(f, min_frequency_hz, fmax);
 }
 
-Vco::Vco(sim::Circuit& c, PumpFilter& filter, sim::SignalId out, const VcoConfig& cfg,
-         double start_time_s, VcoDivider divider)
-    : circuit_(c),
-      handler_(c.addHandler(*this)),
-      filter_(filter),
-      out_(out),
-      cfg_(cfg),
-      divider_(divider) {
+Vco::Vco(const VcoConfig& cfg, int divider_n, double start_time_s)
+    : cfg_(cfg), divider_n_(static_cast<uint64_t>(divider_n)), aim_time_(start_time_s) {
   cfg_.validate();
-  if (divider_.out != sim::kNoSignal && (divider_.n < 1 || !(divider_.delay_s > 0.0)))
-    throw std::invalid_argument("Vco: divider needs n >= 1 and a positive delay");
-  PLLBIST_ASSERT(start_time_s >= c.now());
-  circuit_.scheduleEvent(start_time_s, handler_, 0);
-  // Re-integrate and re-sample across every pump pulse edge.
-  filter.onDriveChange([this](double now) {
-    if (!started_) return;
-    integrateTo(now);
-    retarget(now, true);
-  });
+  if (divider_n < 1) throw std::invalid_argument("Vco: divider needs n >= 1");
 }
 
-bool Vco::onEvent(uint32_t tag, double now) {
+Vco::Edge Vco::fire(double now, PumpFilter& filter, bool observed) {
   if (!started_) {
-    start(now);
-    return true;
+    started_ = true;
+    last_t_ = now;
+    frequency_hz_ = cfg_.frequencyAt(filter.controlVoltage(now));
+    return edge(0, now, filter, observed);  // phase 0: first rising edge
   }
-  if (tag != generation_) return false;  // superseded by a pump edge
   integrateTo(now);
-  edge(aim_half_, now);
-  return true;
+  return edge(aim_half_, now, filter, observed);
 }
 
-void Vco::start(double now) {
-  started_ = true;
-  last_t_ = now;
-  frequency_hz_ = cfg_.frequencyAt(filter_.controlVoltage(now));
-  edge(0, now);  // phase 0: first rising edge
+void Vco::driveChanged(double now, PumpFilter& filter, bool observed) {
+  if (!started_) return;
+  integrateTo(now);
+  retarget(now, true, filter, observed);
 }
 
 void Vco::integrateTo(double t) {
@@ -68,40 +52,32 @@ void Vco::integrateTo(double t) {
   next_half_ = passedHalves(t);
 }
 
-void Vco::edge(uint64_t half, double now) {
+Vco::Edge Vco::edge(uint64_t half, double now, PumpFilter& filter, bool observed) {
   const bool rising = half % 2 == 0;
-  if (circuit_.hasObservers(out_)) circuit_.scheduleSet(out_, now, rising);
   next_half_ = half + 1;
   // A frozen filter would hand back the voltage already sampled.
-  retarget(now, !filter_.frozen());
-  if (divider_.out == sim::kNoSignal) return;
-  const double t = now + divider_.delay_s;
-  if (divider_.n == 1) {
-    circuit_.scheduleSet(divider_.out, t, rising);
-    return;
-  }
-  if (!rising) return;
-  const uint64_t count = (half / 2) % static_cast<uint64_t>(divider_.n);
-  if (count == 0) circuit_.scheduleSet(divider_.out, t, true);
-  if (count == static_cast<uint64_t>(divider_.n / 2)) circuit_.scheduleSet(divider_.out, t, false);
+  retarget(now, !filter.frozen(), filter, observed);
+  if (divider_n_ == 1) return {rising, true, rising};
+  if (!rising) return {rising, false, false};
+  const uint64_t count = (half / 2) % divider_n_;
+  if (count == 0) return {rising, true, true};
+  if (count == divider_n_ / 2) return {rising, true, false};
+  return {rising, false, false};
 }
 
-void Vco::retarget(double now, bool resample) {
-  // Aim the pending event using the (possibly just re-sampled) frequency.
-  // Any previously scheduled event is invalidated by the generation bump.
-  if (resample) frequency_hz_ = cfg_.frequencyAt(filter_.controlVoltage(now));
-  ++generation_;
-  aim_half_ = nextAim();
+void Vco::retarget(double now, bool resample, PumpFilter& filter, bool observed) {
+  // Aim the next stop using the (possibly just re-sampled) frequency.
+  if (resample) frequency_hz_ = cfg_.frequencyAt(filter.controlVoltage(now));
+  aim_half_ = nextAim(filter, observed);
   const double remaining_cycles = 0.5 * static_cast<double>(aim_half_) - phase_cycles_;
   const double wait = std::max(remaining_cycles, 0.0) / frequency_hz_;
-  circuit_.scheduleEvent(now + wait, handler_, generation_);
+  aim_time_ = now + wait;
 }
 
-uint64_t Vco::nextAim() const {
-  if (!filter_.frozen() || circuit_.hasObservers(out_)) return next_half_;
-  if (divider_.out == sim::kNoSignal || divider_.n == 1) return next_half_;
+uint64_t Vco::nextAim(const PumpFilter& filter, bool observed) const {
+  if (!filter.frozen() || observed || divider_n_ == 1) return next_half_;
   // The next rising edge r with r mod n in {0, n/2}.
-  const uint64_t n = static_cast<uint64_t>(divider_.n);
+  const uint64_t n = divider_n_;
   const uint64_t half_n = n / 2;
   uint64_t r = (next_half_ + 1) / 2;
   const uint64_t m = r % n;
@@ -114,16 +90,6 @@ uint64_t Vco::passedHalves(double t) const {
   const double phase = phase_cycles_ + frequency_hz_ * (t - last_t_);
   const uint64_t crossed = static_cast<uint64_t>(std::floor(2.0 * phase)) + 1;
   return std::clamp(crossed, next_half_, aim_half_);
-}
-
-void Vco::copyStateFrom(const Vco& source) {
-  started_ = source.started_;
-  phase_cycles_ = source.phase_cycles_;
-  next_half_ = source.next_half_;
-  aim_half_ = source.aim_half_;
-  last_t_ = source.last_t_;
-  frequency_hz_ = source.frequency_hz_;
-  generation_ = source.generation_;
 }
 
 uint64_t Vco::risingEdgesBy(double t) const {

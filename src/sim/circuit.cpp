@@ -12,15 +12,7 @@ SignalId Circuit::addSignal(std::string name, bool initial) {
   return static_cast<SignalId>(signals_.size()) - 1;
 }
 
-void Circuit::checkId(SignalId id) const {
-  if (id < 0 || id >= static_cast<SignalId>(signals_.size()))
-    throw std::invalid_argument("Circuit: invalid signal id");
-}
-
-bool Circuit::value(SignalId id) const {
-  checkId(id);
-  return signals_[static_cast<size_t>(id)].value;
-}
+void Circuit::invalidSignal() { throw std::invalid_argument("Circuit: invalid signal id"); }
 
 const std::string& Circuit::signalName(SignalId id) const {
   checkId(id);
@@ -30,11 +22,6 @@ const std::string& Circuit::signalName(SignalId id) const {
 void Circuit::onChange(SignalId id, ChangeCallback cb) {
   checkId(id);
   signals_[static_cast<size_t>(id)].change_callbacks.push_back(std::move(cb));
-}
-
-bool Circuit::hasObservers(SignalId id) const {
-  checkId(id);
-  return !signals_[static_cast<size_t>(id)].change_callbacks.empty();
 }
 
 void Circuit::onRisingEdge(SignalId id, EdgeCallback cb) {
@@ -64,6 +51,24 @@ void Circuit::scheduleEvent(double t, HandlerId id, uint32_t tag) {
   PLLBIST_ASSERT(id >= 0 && id < static_cast<HandlerId>(handlers_.size()));
   PLLBIST_ASSERT(t >= now_);
   enqueue(t, Target::Handler, id, tag);
+}
+
+void Circuit::rescheduleEvent(double t, HandlerId id, uint32_t tag) {
+  PLLBIST_ASSERT(t >= now_);
+  std::size_t i = 0;
+  while (i < queue_.size() &&
+         (queue_[i].kind != Target::Handler || queue_[i].target != id))
+    ++i;
+  PLLBIST_ASSERT(i < queue_.size());
+  Event ev = queue_[i];
+  ev.time = t;
+  ev.seq = next_seq_++;
+  ev.tag = tag;
+  // The entry only moves one way: up when it now sorts before its parent.
+  if (i > 0 && later(queue_[(i - 1) / 2], ev))
+    siftUp(i, ev);
+  else
+    siftDown(i, ev);
 }
 
 void Circuit::scheduleCallback(double t, EdgeCallback cb) {

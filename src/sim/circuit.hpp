@@ -95,7 +95,10 @@ class Circuit {
   /// Create a named signal with an initial value.
   SignalId addSignal(std::string name, bool initial = false);
 
-  [[nodiscard]] bool value(SignalId id) const;
+  [[nodiscard]] bool value(SignalId id) const {
+    checkId(id);
+    return signals_[static_cast<std::size_t>(id)].value;
+  }
   [[nodiscard]] const std::string& signalName(SignalId id) const;
   [[nodiscard]] int signalCount() const { return static_cast<int>(signals_.size()); }
 
@@ -108,7 +111,10 @@ class Circuit {
   /// True when the signal has change callbacks: something would see a
   /// transition of it. Lazily materialised outputs (the VCO's) check this
   /// before scheduling transitions nobody receives.
-  [[nodiscard]] bool hasObservers(SignalId id) const;
+  [[nodiscard]] bool hasObservers(SignalId id) const {
+    checkId(id);
+    return !signals_[static_cast<std::size_t>(id)].change_callbacks.empty();
+  }
 
   /// Schedule signal id to take `value` at time t (>= now).
   void scheduleSet(SignalId id, double t, bool value);
@@ -119,6 +125,14 @@ class Circuit {
   /// Schedule handler `id` to receive `tag` at time t (>= now). The hot
   /// path: the queue entry is plain data, no closure is built.
   void scheduleEvent(double t, HandlerId id, uint32_t tag);
+
+  /// Move handler `id`'s one pending event to time t (>= now) with a new
+  /// tag, as if it had been scheduled now. For a component that keeps
+  /// exactly one event in flight and learns of an earlier (or later) next
+  /// instant while it waits: the move leaves no superseded event behind.
+  /// Costs a scan of the queue. Throws AssertionError when the handler has
+  /// no pending event.
+  void rescheduleEvent(double t, HandlerId id, uint32_t tag);
 
   /// Schedule an arbitrary callback at time t (>= now). For cold callers
   /// (sequencer stages, probes, fault pulses, tests): the closure waits in
@@ -199,8 +213,18 @@ class Circuit {
   void enqueue(double t, Target kind, int32_t target, uint32_t tag = 0, bool value = false,
                bool intercepted = false) {
     const Event ev{t, next_seq_++, target, tag, kind, value, intercepted};
-    std::size_t hole = queue_.size();
     queue_.emplace_back();
+    siftUp(queue_.size() - 1, ev);
+  }
+  Event popNext() {
+    const Event top = queue_.front();
+    const Event last = queue_.back();
+    queue_.pop_back();
+    if (!queue_.empty()) siftDown(0, last);
+    return top;
+  }
+  /// Store `ev` into the hole at `hole` or above it.
+  void siftUp(std::size_t hole, const Event& ev) {
     while (hole > 0) {
       const std::size_t parent = (hole - 1) / 2;
       if (!later(queue_[parent], ev)) break;
@@ -209,27 +233,25 @@ class Circuit {
     }
     queue_[hole] = ev;
   }
-  Event popNext() {
-    const Event top = queue_.front();
-    const Event last = queue_.back();
-    queue_.pop_back();
+  /// Store `ev` into the hole at `hole` or below it.
+  void siftDown(std::size_t hole, const Event& ev) {
     const std::size_t n = queue_.size();
-    if (n == 0) return top;
-    std::size_t hole = 0;
-    for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+    for (std::size_t child = 2 * hole + 1; child < n; child = 2 * hole + 1) {
       if (child + 1 < n && later(queue_[child], queue_[child + 1])) ++child;
-      if (!later(last, queue_[child])) break;
+      if (!later(ev, queue_[child])) break;
       queue_[hole] = queue_[child];
       hole = child;
     }
-    queue_[hole] = last;
-    return top;
+    queue_[hole] = ev;
   }
 
   void execute(const Event& ev);
   void runClosure(int32_t slot);
   void applySignal(const Event& ev);
-  void checkId(SignalId id) const;
+  void checkId(SignalId id) const {
+    if (id < 0 || id >= static_cast<SignalId>(signals_.size())) invalidSignal();
+  }
+  [[noreturn]] static void invalidSignal();
 
   std::vector<SignalState> signals_;
   std::vector<Handler*> handlers_;

@@ -31,11 +31,12 @@ namespace pllbist::sim {
 ///
 /// Rules act on scheduled transitions, so they only touch signals that are
 /// written. Some nets are observation taps, written only while they have
-/// observers: a PLL's VCO output (pll::CpPll::vcoOut(); the VCO drives
-/// PLLFB directly), the loop PFD's reset net (pll::Pfd::resetNet()) and the
-/// peak detector's monitor UP/DN/reset (bist::PeakDetector). A rule on a
-/// tap reaches it only while it is observed, and then reaches those
-/// observers but not the component that owns the tap.
+/// observers: a PLL's loop nets (pll::CpPll: PLLREF, PLLFB, the PFD's
+/// feedback input, UP, DN, the PFD reset and the VCO output) and the peak
+/// detector's monitor UP/DN/reset (bist::PeakDetector). A rule on a tap
+/// reaches it only while it is observed, and then reaches those observers
+/// but not the component that owns the tap. The loop's inputs, the
+/// stimulus and the hold/test-mode selects, are ordinary nets.
 ///
 /// Only one FaultInjector may be installed per Circuit at a time, and it
 /// must outlive all circuit activity (it does not unregister pending glitch

@@ -20,21 +20,6 @@ Inverter::Inverter(Circuit& c, SignalId in, SignalId out, double delay_s) {
   c.scheduleSet(out, c.now() + delay_s, !c.value(in));
 }
 
-Mux2::Mux2(Circuit& c, SignalId a, SignalId b, SignalId sel, SignalId out, double delay_s) {
-  requirePositiveDelay(delay_s);
-  auto update = [&c, a, b, sel, out, delay_s](double now, bool) {
-    c.scheduleSet(out, now + delay_s, c.value(sel) ? c.value(b) : c.value(a));
-  };
-  c.onChange(a, [&c, sel, out, delay_s](double now, bool v) {
-    if (!c.value(sel)) c.scheduleSet(out, now + delay_s, v);
-  });
-  c.onChange(b, [&c, sel, out, delay_s](double now, bool v) {
-    if (c.value(sel)) c.scheduleSet(out, now + delay_s, v);
-  });
-  c.onChange(sel, update);
-  update(c.now(), false);
-}
-
 ClockSource::ClockSource(Circuit& c, SignalId out, double period_s, double start_time_s)
     : circuit_(c), handler_(c.addHandler(*this)), out_(out), period_(period_s) {
   if (period_s <= 0.0) throw std::invalid_argument("ClockSource: period must be positive");

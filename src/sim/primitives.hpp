@@ -6,9 +6,9 @@
 
 namespace pllbist::sim {
 
-/// Digital building blocks that the loop and the benches still wire as
-/// nets: the loop's muxes, clock sources, a divider and an edge recorder
-/// (the gate-level PFD and counter oracles live with the tests). Every
+/// Digital building blocks that the benches still wire as nets: clock
+/// sources, a divider and an edge recorder (the gate-level PFD, mux and
+/// counter oracles live with the tests). Every
 /// primitive registers callbacks (self-scheduling sources: a
 /// Circuit::Handler) on construction; instances must therefore outlive the
 /// Circuit's run and are pinned in memory (non-copyable, non-movable).
@@ -24,14 +24,6 @@ class Component {
 class Inverter : public Component {
  public:
   Inverter(Circuit& c, SignalId in, SignalId out, double delay_s);
-};
-
-/// out = sel ? b : a after delay. Re-drives the output when sel or the
-/// selected input changes; a change of the unselected input writes nothing
-/// (the netlist would re-write the value the output already carries).
-class Mux2 : public Component {
- public:
-  Mux2(Circuit& c, SignalId a, SignalId b, SignalId sel, SignalId out, double delay_s);
 };
 
 /// Free-running square-wave source: toggles its output with the given

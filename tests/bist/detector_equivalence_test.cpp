@@ -4,9 +4,11 @@
 // asynchronous reset, plus the reset AND) and the Figure 7 peak detector
 // (a second such PFD, a clock buffer on its UP, a delaying inverter on its
 // DN and the sampling flop) from the gate oracles in support/gates.hpp and
-// sim::Inverter. Both circuits receive the same seeded REF/FB edge streams,
-// and every transition of UP, DN, the reset net and MFREQ must match bit
-// for bit.
+// sim::Inverter. The behavioural pll::Pfd (run by testing::PfdRun) and
+// bist::PeakDetector see the same seeded REF/FB edge streams, and every
+// transition of UP, DN, the reset net and MFREQ must match bit for bit.
+// tests/pll/loop_equivalence_test.cpp checks the Pfd again inside the
+// fused loop.
 //
 // At an exact tie between an input edge and a reset-window boundary the
 // netlist's outcome depends on queue order, so the streams use random
@@ -30,33 +32,12 @@
 namespace pllbist::bist {
 namespace {
 
-/// The loop PFD's gate netlist.
-struct GatePfd {
-  sim::SignalId up;
-  sim::SignalId dn;
-  sim::SignalId rst;
-  sim::SignalId high;
-  testing::DFlipFlop ff_up;
-  testing::DFlipFlop ff_dn;
-  testing::AndGate reset_and;
-
-  GatePfd(sim::Circuit& c, sim::SignalId ref, sim::SignalId fb, const pll::PfdDelays& d,
-          const std::string& prefix)
-      : up(c.addSignal(prefix + ".up")),
-        dn(c.addSignal(prefix + ".dn")),
-        rst(c.addSignal(prefix + ".rst")),
-        high(c.addSignal(prefix + ".high", true)),
-        ff_up(c, ref, high, up, d.ff_clk_to_q_s, rst, d.ff_reset_to_q_s),
-        ff_dn(c, fb, high, dn, d.ff_clk_to_q_s, rst, d.ff_reset_to_q_s),
-        reset_and(c, up, dn, rst, d.and_delay_s) {}
-};
-
 /// The Figure 7 peak detector's gate netlist around a monitor GatePfd.
 struct GatePeakDetector {
   sim::SignalId clk;
   sim::SignalId dnb;
   sim::SignalId mfreq;
-  GatePfd pfd;
+  testing::GatePfd pfd;
   testing::Buffer clock_buffer;
   sim::Inverter data_inverter;
   testing::DFlipFlop sampler;
@@ -143,18 +124,13 @@ void drive(sim::Circuit& c, sim::SignalId net, const std::vector<double>& rises,
 }
 
 /// Recorded transitions of one net.
-struct Waveform {
-  std::vector<double> rising;
-  std::vector<double> falling;
-  bool operator==(const Waveform&) const = default;
-};
+using Waveform = testing::PfdRun::Waveform;
 
 Waveform waveformOf(const sim::EdgeRecorder& rec) {
   return {rec.risingEdges(), rec.fallingEdges()};
 }
 
-/// Loop PFD, monitor UP/DN/reset and MFREQ, in that order; the loop's UP
-/// and DN are always written.
+/// Loop PFD, monitor UP/DN/reset and MFREQ, in that order.
 struct Waveforms {
   Waveform loop_up, loop_dn, loop_rst, mon_up, mon_dn, mon_rst, mfreq;
 };
@@ -177,7 +153,7 @@ Waveforms runGates(const EdgeStream& s, const Delays& d) {
   sim::Circuit c;
   const auto ref = c.addSignal("ref");
   const auto fb = c.addSignal("fb");
-  GatePfd loop(c, ref, fb, d.pfd, "pll.pfd");
+  testing::GatePfd loop(c, ref, fb, d.pfd, "pll.pfd");
   GatePeakDetector peak(c, ref, fb, d.pfd, d.peak);
   sim::EdgeRecorder r[] = {{c, loop.up},     {c, loop.dn},     {c, loop.rst}, {c, peak.pfd.up},
                            {c, peak.pfd.dn}, {c, peak.pfd.rst}, {c, peak.mfreq}};
@@ -188,27 +164,32 @@ Waveforms runGates(const EdgeStream& s, const Delays& d) {
           waveformOf(r[4]), waveformOf(r[5]), waveformOf(r[6])};
 }
 
-/// The behavioural detectors; `observe_internal` hangs recorders on the
-/// loop's reset net and the monitor's UP/DN/reset, which are otherwise
-/// left unwritten (and come back empty).
+/// Wire a bare peak detector to REF and FB nets.
+void wire(sim::Circuit& c, sim::SignalId ref, sim::SignalId fb, PeakDetector& peak) {
+  c.onRisingEdge(ref, [&peak](double t) { peak.inputRose(false, t); });
+  c.onRisingEdge(fb, [&peak](double t) { peak.inputRose(true, t); });
+}
+
+/// The behavioural detectors: the loop Pfd run over the stream's edges,
+/// and the peak detector in a circuit. `observe_internal` hangs recorders
+/// on the monitor's UP/DN/reset, which are otherwise left unwritten (and
+/// come back empty).
 Waveforms runBehavioural(const EdgeStream& s, const Delays& d, bool observe_internal) {
+  const testing::PfdRun loop(s.ref, s.fb, d.pfd, s.end);
   sim::Circuit c;
   const auto ref = c.addSignal("ref");
   const auto fb = c.addSignal("fb");
-  pll::Pfd loop(c, ref, fb, d.pfd, "pll.pfd");
-  PeakDetector peak(c, ref, fb, d.pfd, d.peak);
+  PeakDetector peak(c, d.pfd, d.peak);
+  wire(c, ref, fb, peak);
   std::vector<std::unique_ptr<sim::EdgeRecorder>> r;
-  for (const sim::SignalId net : {loop.up(), loop.dn(), loop.resetNet(), peak.monitorUp(),
-                                  peak.monitorDn(), peak.monitorReset(), peak.mfreq()}) {
-    const bool internal = net != loop.up() && net != loop.dn() && net != peak.mfreq();
-    r.push_back(internal && !observe_internal ? nullptr
-                                              : std::make_unique<sim::EdgeRecorder>(c, net));
-  }
+  for (const sim::SignalId net : {peak.monitorUp(), peak.monitorDn(), peak.monitorReset()})
+    r.push_back(observe_internal ? std::make_unique<sim::EdgeRecorder>(c, net) : nullptr);
+  const sim::EdgeRecorder mfreq(c, peak.mfreq());
   drive(c, ref, s.ref, s.end);
   drive(c, fb, s.fb, s.end);
   c.run(s.end);
   auto wave = [&](std::size_t i) { return r[i] ? waveformOf(*r[i]) : Waveform{}; };
-  return {wave(0), wave(1), wave(2), wave(3), wave(4), wave(5), wave(6)};
+  return {loop.up, loop.dn, loop.rst, wave(0), wave(1), wave(2), waveformOf(mfreq)};
 }
 
 void expectEquivalent(const EdgeStream& s, const Delays& d) {
@@ -222,9 +203,9 @@ void expectEquivalent(const EdgeStream& s, const Delays& d) {
     const Waveforms b = runBehavioural(s, d, observed);
     expectSame(b.loop_up, gates.loop_up, "loop UP");
     expectSame(b.loop_dn, gates.loop_dn, "loop DN");
+    expectSame(b.loop_rst, gates.loop_rst, "loop reset");
     expectSame(b.mfreq, gates.mfreq, "MFREQ");
     if (observed) {
-      expectSame(b.loop_rst, gates.loop_rst, "loop reset");
       expectSame(b.mon_up, gates.mon_up, "monitor UP");
       expectSame(b.mon_dn, gates.mon_dn, "monitor DN");
       expectSame(b.mon_rst, gates.mon_rst, "monitor reset");
@@ -264,10 +245,12 @@ TEST(DetectorEquivalenceLongRun, ThousandsOfCyclesMatchTheGateNetlist) {
   expectEquivalent(s, d);
 }
 
-/// A fork (Circuit::copyStateFrom plus each detector's copyStateFrom) taken
+/// A fork (Circuit::copyStateFrom plus the detector's copyStateFrom) taken
 /// at any instant continues exactly as the unforked run: forks are cut
 /// every nanosecond for 16 ns after each input edge, inside the reset
 /// windows and dead-zone glitches, and each runs two reference periods.
+/// (tests/pll/loop_equivalence_test.cpp forks the loop PFD inside the
+/// fused loop.)
 TEST(DetectorFork, ForkAtAnyInstantContinuesAsTheSource) {
   const Delays d;
   const EdgeStream s = makeStream(7, 12, d.pfd);
@@ -275,16 +258,13 @@ TEST(DetectorFork, ForkAtAnyInstantContinuesAsTheSource) {
     sim::Circuit c;
     sim::SignalId ref = c.addSignal("ref");
     sim::SignalId fb = c.addSignal("fb");
-    pll::Pfd loop;
     PeakDetector peak;
-    explicit Bench(const Delays& d)
-        : loop(c, ref, fb, d.pfd, "pll.pfd"), peak(c, ref, fb, d.pfd, d.peak) {
-      for (const sim::SignalId net : {loop.up(), loop.dn(), peak.mfreq()})
-        c.onChange(net, [this, net](double now, bool v) { transitions.push_back({now, net, v}); });
+    explicit Bench(const Delays& d) : peak(c, d.pfd, d.peak) {
+      wire(c, ref, fb, peak);
+      c.onChange(peak.mfreq(), [this](double now, bool v) { transitions.push_back({now, v}); });
     }
     struct Transition {
       double time;
-      sim::SignalId net;
       bool value;
       bool operator==(const Transition&) const = default;
     };
@@ -294,6 +274,7 @@ TEST(DetectorFork, ForkAtAnyInstantContinuesAsTheSource) {
   drive(unforked.c, unforked.ref, s.ref, s.end);
   drive(unforked.c, unforked.fb, s.fb, s.end);
   unforked.c.run(s.end);
+  ASSERT_GT(unforked.transitions.size(), 10u);
 
   std::vector<double> cuts;
   for (const std::vector<double>* edges : {&s.ref, &s.fb})
@@ -309,7 +290,6 @@ TEST(DetectorFork, ForkAtAnyInstantContinuesAsTheSource) {
     source.c.run(cut);
     Bench fork(d);
     fork.c.copyStateFrom(source.c);
-    fork.loop.copyStateFrom(source.loop);
     fork.peak.copyStateFrom(source.peak);
     fork.c.run(cut + horizon);
     std::vector<Bench::Transition> want;
@@ -329,9 +309,8 @@ TEST(DetectorResetWindow, HoldsFromItsRiseAndReleasesAtItsFall) {
     sim::Circuit c;
     const auto ref = c.addSignal("ref");
     const auto fb = c.addSignal("fb");
-    pll::Pfd loop(c, ref, fb, d, "pll.pfd");
-    PeakDetector peak(c, ref, fb, d, PeakDetectorDelays{});
-    sim::EdgeRecorder loop_up(c, loop.up());
+    PeakDetector peak(c, d, PeakDetectorDelays{});
+    wire(c, ref, fb, peak);
     sim::EdgeRecorder mon_up(c, peak.monitorUp());
     // REF leads, FB opens the reset window at the AND's output.
     const double t_ref = 1e-6;
@@ -344,10 +323,11 @@ TEST(DetectorResetWindow, HoldsFromItsRiseAndReleasesAtItsFall) {
     c.scheduleSet(ref, t_edge, true);
     c.scheduleSet(fb, t_fb, true);
     c.run(3e-6);
+    const testing::PfdRun loop({t_ref, t_edge}, {t_fb}, d, 3e-6);
     const std::vector<double> first_rise_only{t_ref + d.ff_clk_to_q_s};
     const std::vector<double> both_rises{t_ref + d.ff_clk_to_q_s, t_edge + d.ff_clk_to_q_s};
     const std::vector<double>& want = at_fall ? both_rises : first_rise_only;
-    EXPECT_EQ(loop_up.risingEdges(), want);
+    EXPECT_EQ(loop.up.rising, want);
     EXPECT_EQ(mon_up.risingEdges(), want);
   }
 }

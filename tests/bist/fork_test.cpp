@@ -73,11 +73,17 @@ TEST(BenchForkMidPulse, ForkInsideAResetWindowMeasuresExactlyWhatTheSourceWould)
   const ResilientSweep::Prelude prelude = engine.runPrelude(*source);
   ASSERT_TRUE(prelude.status.ok());
   sim::Circuit& c = source->circuit();
-  const sim::SignalId up = source->pll().pfdUp();
-  const sim::SignalId dn = source->pll().pfdDn();
+  /// The loop PFD's output levels, heard through a tap (the loop writes
+  /// its UP/DN nets only while they are observed).
+  struct PumpLevels : pll::LoopTap {
+    bool up = false;
+    bool dn = false;
+    void pumpChanged(bool is_dn, bool high, double) override { (is_dn ? dn : up) = high; }
+  } levels;
+  source->pll().addTap(levels);
   // Step to the instant both loop outputs are high: the reset AND has just
   // seen them and its window opens and_delay later.
-  while (!(c.value(up) && c.value(dn))) ASSERT_TRUE(c.step());
+  while (!(levels.up && levels.dn)) ASSERT_TRUE(c.step());
   const pll::PfdDelays& d = fastTestConfig().pfd;
   // A stimulus glitch whose rising edge reaches PLLREF (one mux delay on)
   // midway through the window.

@@ -38,7 +38,10 @@ struct OpenLoopBench {
   OpenLoopBench()
       : ref(c.addSignal("ref")),
         fb(c.addSignal("fb")),
-        det(c, ref, fb, pll::PfdDelays{}, PeakDetectorDelays{}) {}
+        det(c, pll::PfdDelays{}, PeakDetectorDelays{}) {
+    c.onRisingEdge(ref, [this](double t) { det.inputRose(false, t); });
+    c.onRisingEdge(fb, [this](double t) { det.inputRose(true, t); });
+  }
 
   void drive(int cycles, double period, double skew, double start) {
     for (int k = 0; k < cycles; ++k) {
@@ -110,7 +113,7 @@ TEST(PeakDetector, MarksCapacitorVoltageMaximaInClosedLoop) {
   pll::SineFmSource src(c, stim, mk, scfg);
   pll::CpPll pll(c, ext, stim, cfg);
   pll.setTestMode(true);
-  PeakDetector det(c, pll.ref(), pll.feedback(), cfg.pfd, PeakDetectorDelays{});
+  PeakDetector det(c, pll);
   c.run(0.05);
 
   const double fm = 150.0;

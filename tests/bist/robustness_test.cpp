@@ -57,7 +57,7 @@ TEST(Robustness, PointMeasurementSurvivesReferenceJitter) {
     pll::SineFmSource src(c, stim, marker, scfg);
     pll::CpPll pll(c, ext, stim, cfg);
     pll.setTestMode(true);
-    PeakDetector det(c, pll.ref(), pll.feedback(), cfg.pfd, PeakDetectorDelays{});
+    PeakDetector det(c, pll);
     TestSequencer::Options opt;
     opt.freq_gate_s = 0.05;
     opt.hold_to_gate_delay_s = 2e-4;

@@ -52,7 +52,7 @@ struct SequencerBench {
         dco(c, stim, Dco::Config{10e6, 1000, 0.0}),
         modulator(c, dco, marker, modConfig(cfg)),
         pll(c, ext_ref, stim, cfg),
-        detector(c, pll.ref(), pll.feedback(), cfg.pfd, PeakDetectorDelays{}),
+        detector(c, pll),
         sequencer(c, pll,
                   StimulusHooks{[this](double fm) { modulator.start(fm); },
                                 [this] { modulator.stop(); }, [this] { modulator.park(); }},
@@ -165,19 +165,20 @@ TEST(TestSequencer, InvalidInputsThrow) {
 }
 
 TEST(TestSequencer, WatchdogFiresOnDeadDetector) {
-  // Deaf peak detector: feed it a constant-low "feedback" so it never sees
-  // reversals. The sequencer must time out instead of hanging.
+  // Deaf peak detector: wire it to PLLREF alone, so its feedback input
+  // stays low and it never sees reversals. The sequencer must time out
+  // instead of hanging.
   pll::PllConfig cfg = fastTestConfig();
   sim::Circuit c;
   const auto ext = c.addSignal("ext");
   const auto stim = c.addSignal("stim");
   const auto marker = c.addSignal("marker");
-  const auto dead = c.addSignal("dead");
   Dco dco(c, stim, Dco::Config{10e6, 1000, 0.0});
   FskModulator mod(c, dco, marker, SequencerBench::modConfig(cfg));
   pll::CpPll pll(c, ext, stim, cfg);
   pll.setTestMode(true);
-  PeakDetector det(c, pll.ref(), dead, cfg.pfd, PeakDetectorDelays{});
+  PeakDetector det(c, cfg.pfd, PeakDetectorDelays{});
+  c.onRisingEdge(pll.ref(), [&det](double t) { det.inputRose(false, t); });
   TestSequencer seq(c, pll,
                     StimulusHooks{[&](double fm) { mod.start(fm); }, [&] { mod.stop(); },
                                   [&] { mod.park(); }},
@@ -205,7 +206,7 @@ TEST(TestSequencer, WorksWithPureSineStimulus) {
   pll::SineFmSource src(c, stim, marker, scfg);
   pll::CpPll pll(c, ext, stim, cfg);
   pll.setTestMode(true);
-  PeakDetector det(c, pll.ref(), pll.feedback(), cfg.pfd, PeakDetectorDelays{});
+  PeakDetector det(c, pll);
   TestSequencer seq(c, pll,
                     StimulusHooks{[&](double fm) { src.setModulation(fm, 100.0); },
                                   [&] {

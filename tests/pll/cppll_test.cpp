@@ -46,10 +46,25 @@ TEST(CpPll, AcquiresLockAndSettlesAtNTimesRef) {
   PllConfig cfg = fastTestConfig();
   cfg.pump.initial_vc_v = 2.0;  // start 25 kHz off target
   LoopBench b(cfg, cfg.ref_frequency_hz);
-  LockDetector lock(b.c, b.pll.pfdUp(), b.pll.pfdDn(), 2e-6, 10);
+  LockDetector lock(b.pll, 2e-6, 10);
   b.c.run(0.1);
   EXPECT_TRUE(lock.isLocked());
   EXPECT_NEAR(b.pll.vcoFrequencyNowHz(), cfg.nominalVcoHz(), cfg.nominalVcoHz() * 1e-3);
+}
+
+TEST(LockDetector, LockedLoopLocksAfterHalfAsManyCyclesAsRequiredPulses) {
+  // A locked reference cycle ends with two pulses, the UP glitch and the DN
+  // glitch, so 10 required pulses are five cycles.
+  const PllConfig cfg = fastTestConfig();
+  LoopBench b(cfg, cfg.ref_frequency_hz);
+  b.c.run(0.08);  // locked
+  LockDetector lock(b.pll, 2e-6, 10);
+  const double start = b.c.now();
+  b.c.run(start + 20.0 / cfg.ref_frequency_hz);
+  ASSERT_TRUE(lock.isLocked());
+  const double cycles = (lock.lockTime() - start) * cfg.ref_frequency_hz;
+  EXPECT_GT(cycles, 4.0);
+  EXPECT_LE(cycles, 5.0);
 }
 
 TEST(CpPll, LockTimeScalesWithNaturalFrequency) {
@@ -59,7 +74,7 @@ TEST(CpPll, LockTimeScalesWithNaturalFrequency) {
 
   auto lockTime = [](const PllConfig& cfg) {
     LoopBench b(cfg, cfg.ref_frequency_hz);
-    LockDetector lock(b.c, b.pll.pfdUp(), b.pll.pfdDn(), 2e-6, 10);
+    LockDetector lock(b.pll, 2e-6, 10);
     b.c.run(0.5);
     EXPECT_TRUE(lock.isLocked());
     return lock.lockTime();
@@ -137,7 +152,7 @@ TEST(CpPll, ReacquiresAfterHoldRelease) {
   b.pll.setHold(true);
   b.c.run(b.c.now() + 0.02);
   b.pll.setHold(false);
-  LockDetector lock(b.c, b.pll.pfdUp(), b.pll.pfdDn(), 2e-6, 10);
+  LockDetector lock(b.pll, 2e-6, 10);
   b.c.run(b.c.now() + 0.08);
   EXPECT_TRUE(lock.isLocked());
   EXPECT_NEAR(b.pll.vcoFrequencyNowHz(), cfg.nominalVcoHz(), cfg.nominalVcoHz() * 1e-3);
@@ -223,7 +238,7 @@ TEST(CpPll, NormalModeLocksToExternalReference) {
   sim::ClockSource ext_src(c, ext, 1.0 / (4.0 * cfg.ref_frequency_hz));
   CpPll pll(c, ext, stim, cfg);
   // test mode left OFF: M1 selects the divided external reference.
-  LockDetector lock(c, pll.pfdUp(), pll.pfdDn(), 2e-6, 10);
+  LockDetector lock(pll, 2e-6, 10);
   c.run(0.1);
   EXPECT_TRUE(lock.isLocked());
   EXPECT_NEAR(pll.vcoFrequencyNowHz(), cfg.nominalVcoHz(), cfg.nominalVcoHz() * 1e-3);
@@ -258,7 +273,7 @@ TEST_P(LockSweep, LocksFromVariousInitialOffsets) {
   PllConfig cfg = fastTestConfig();
   cfg.pump.initial_vc_v = GetParam();
   LoopBench b(cfg, cfg.ref_frequency_hz);
-  LockDetector lock(b.c, b.pll.pfdUp(), b.pll.pfdDn(), 2e-6, 10);
+  LockDetector lock(b.pll, 2e-6, 10);
   b.c.run(0.4);
   EXPECT_TRUE(lock.isLocked()) << "initial vc " << GetParam();
   EXPECT_NEAR(b.pll.vcoFrequencyNowHz(), cfg.nominalVcoHz(), cfg.nominalVcoHz() * 2e-3);

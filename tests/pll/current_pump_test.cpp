@@ -58,7 +58,7 @@ TEST(CurrentPumpLoop, LocksAtNTimesReference) {
   PllConfig cfg = scaledCurrentPumpConfig();
   cfg.pump.initial_vc_v = 2.1;  // start 20 kHz off
   CurrentLoopBench b(cfg);
-  LockDetector lock(b.c, b.pll.pfdUp(), b.pll.pfdDn(), 2e-6, 10);
+  LockDetector lock(b.pll, 2e-6, 10);
   b.c.run(0.2);
   EXPECT_TRUE(lock.isLocked());
   EXPECT_NEAR(b.pll.vcoFrequencyNowHz(), cfg.nominalVcoHz(), cfg.nominalVcoHz() * 1e-3);

@@ -48,11 +48,17 @@ TEST(AnalogProbe, DelayedStart) {
   EXPECT_DOUBLE_EQ(trace.times().front(), 0.5);
 }
 
+/// UP/DN nets feeding a lock detector through LockDetector::pumpChanged.
 struct LockBench {
   sim::Circuit c;
   sim::SignalId up;
   sim::SignalId dn;
   LockBench() : up(c.addSignal("up")), dn(c.addSignal("dn")) {}
+
+  void wire(LockDetector& det) {
+    c.onChange(up, [&det](double now, bool v) { det.pumpChanged(false, v, now); });
+    c.onChange(dn, [&det](double now, bool v) { det.pumpChanged(true, v, now); });
+  }
 
   void pulse(sim::SignalId sig, double t, double width) {
     c.scheduleSet(sig, t, true);
@@ -62,7 +68,8 @@ struct LockBench {
 
 TEST(LockDetector, LocksAfterConsecutiveNarrowPulses) {
   LockBench b;
-  LockDetector det(b.c, b.up, b.dn, 1e-6, 5);
+  LockDetector det(1e-6, 5);
+  b.wire(det);
   for (int k = 0; k < 6; ++k) b.pulse(b.up, 1e-3 * k, 0.5e-6);
   b.c.run(0.01);
   EXPECT_TRUE(det.isLocked());
@@ -71,7 +78,8 @@ TEST(LockDetector, LocksAfterConsecutiveNarrowPulses) {
 
 TEST(LockDetector, WidePulseResetsProgress) {
   LockBench b;
-  LockDetector det(b.c, b.up, b.dn, 1e-6, 5);
+  LockDetector det(1e-6, 5);
+  b.wire(det);
   for (int k = 0; k < 4; ++k) b.pulse(b.up, 1e-3 * k, 0.5e-6);
   b.pulse(b.up, 4e-3, 10e-6);  // wide: unlock indicator
   for (int k = 5; k < 8; ++k) b.pulse(b.up, 1e-3 * k, 0.5e-6);
@@ -81,7 +89,8 @@ TEST(LockDetector, WidePulseResetsProgress) {
 
 TEST(LockDetector, BothChannelsContribute) {
   LockBench b;
-  LockDetector det(b.c, b.up, b.dn, 1e-6, 4);
+  LockDetector det(1e-6, 4);
+  b.wire(det);
   b.pulse(b.up, 1e-3, 0.5e-6);
   b.pulse(b.dn, 2e-3, 0.5e-6);
   b.pulse(b.up, 3e-3, 0.5e-6);
@@ -92,7 +101,8 @@ TEST(LockDetector, BothChannelsContribute) {
 
 TEST(LockDetector, ResetClearsState) {
   LockBench b;
-  LockDetector det(b.c, b.up, b.dn, 1e-6, 2);
+  LockDetector det(1e-6, 2);
+  b.wire(det);
   b.pulse(b.up, 1e-3, 0.5e-6);
   b.pulse(b.up, 2e-3, 0.5e-6);
   b.c.run(0.01);
@@ -102,9 +112,8 @@ TEST(LockDetector, ResetClearsState) {
 }
 
 TEST(LockDetector, Validation) {
-  LockBench b;
-  EXPECT_THROW(LockDetector(b.c, b.up, b.dn, 0.0, 5), std::invalid_argument);
-  EXPECT_THROW(LockDetector(b.c, b.up, b.dn, 1e-6, 0), std::invalid_argument);
+  EXPECT_THROW(LockDetector(0.0, 5), std::invalid_argument);
+  EXPECT_THROW(LockDetector(1e-6, 0), std::invalid_argument);
 }
 
 }  // namespace

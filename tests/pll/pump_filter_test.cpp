@@ -9,12 +9,18 @@
 namespace pllbist::pll {
 namespace {
 
+/// UP/DN nets that drive a filter through PumpFilter::drive.
 struct Bench {
   sim::Circuit c;
   sim::SignalId up;
   sim::SignalId dn;
 
   Bench() : up(c.addSignal("up")), dn(c.addSignal("dn")) {}
+
+  void wire(PumpFilter& f) {
+    c.onChange(up, [&f](double now, bool v) { f.drive(now, false, v); });
+    c.onChange(dn, [&f](double now, bool v) { f.drive(now, true, v); });
+  }
 };
 
 PumpFilterConfig voltageConfig() {
@@ -59,7 +65,8 @@ TEST(PumpFilterConfig, Validation) {
 
 TEST(PumpFilter, HighZHoldsCapacitorVoltage) {
   Bench b;
-  PumpFilter f(b.c, b.up, b.dn, voltageConfig());
+  PumpFilter f(voltageConfig());
+  b.wire(f);
   EXPECT_TRUE(f.isHighZ());
   EXPECT_DOUBLE_EQ(f.capVoltage(0.0), 2.5);
   b.c.run(1.0);
@@ -70,7 +77,8 @@ TEST(PumpFilter, HighZHoldsCapacitorVoltage) {
 TEST(PumpFilter, UpDriveChargesExponentiallyTowardVdd) {
   Bench b;
   const PumpFilterConfig cfg = voltageConfig();
-  PumpFilter f(b.c, b.up, b.dn, cfg);
+  PumpFilter f(cfg);
+  b.wire(f);
   b.c.scheduleSet(b.up, 0.0, true);
   b.c.run(0.0);
   const double tau = (cfg.r1_ohm + cfg.r2_ohm) * cfg.c_farad;  // 11 ms
@@ -85,7 +93,8 @@ TEST(PumpFilter, UpDriveChargesExponentiallyTowardVdd) {
 TEST(PumpFilter, DownDriveDischargesTowardVss) {
   Bench b;
   const PumpFilterConfig cfg = voltageConfig();
-  PumpFilter f(b.c, b.up, b.dn, cfg);
+  PumpFilter f(cfg);
+  b.wire(f);
   b.c.scheduleSet(b.dn, 0.0, true);
   const double tau = (cfg.r1_ohm + cfg.r2_ohm) * cfg.c_farad;
   b.c.run(tau);
@@ -95,7 +104,8 @@ TEST(PumpFilter, DownDriveDischargesTowardVss) {
 TEST(PumpFilter, OutputNodeJumpsByR2DividerDuringDrive) {
   Bench b;
   const PumpFilterConfig cfg = voltageConfig();
-  PumpFilter f(b.c, b.up, b.dn, cfg);
+  PumpFilter f(cfg);
+  b.wire(f);
   b.c.scheduleSet(b.up, 0.0, true);
   b.c.run(1e-6);  // vc barely moved
   const double vc = f.capVoltage(1e-6);
@@ -106,7 +116,8 @@ TEST(PumpFilter, OutputNodeJumpsByR2DividerDuringDrive) {
 
 TEST(PumpFilter, BothOnIsHighZForVoltageKind) {
   Bench b;
-  PumpFilter f(b.c, b.up, b.dn, voltageConfig());
+  PumpFilter f(voltageConfig());
+  b.wire(f);
   b.c.scheduleSet(b.up, 0.0, true);
   b.c.scheduleSet(b.dn, 0.0, true);
   b.c.run(0.0);
@@ -117,7 +128,8 @@ TEST(PumpFilter, BothOnIsHighZForVoltageKind) {
 TEST(PumpFilter, CurrentPumpRampsLinearly) {
   Bench b;
   const PumpFilterConfig cfg = currentConfig();
-  PumpFilter f(b.c, b.up, b.dn, cfg);
+  PumpFilter f(cfg);
+  b.wire(f);
   b.c.scheduleSet(b.up, 0.0, true);
   const double slope = cfg.pump_current_a / cfg.c_farad;  // 100 V/s
   b.c.run(1e-3);
@@ -129,7 +141,8 @@ TEST(PumpFilter, CurrentPumpRampsLinearly) {
 TEST(PumpFilter, CurrentPumpDownRampsNegative) {
   Bench b;
   const PumpFilterConfig cfg = currentConfig();
-  PumpFilter f(b.c, b.up, b.dn, cfg);
+  PumpFilter f(cfg);
+  b.wire(f);
   b.c.scheduleSet(b.dn, 0.0, true);
   b.c.run(1e-3);
   EXPECT_NEAR(f.capVoltage(1e-3), 2.5 - 0.1, 1e-9);
@@ -140,7 +153,8 @@ TEST(PumpFilter, CurrentPumpBothOnLeavesMismatchResidue) {
   PumpFilterConfig cfg = currentConfig();
   cfg.up_strength = 1.0;
   cfg.down_strength = 0.8;  // classic up/down mismatch
-  PumpFilter f(b.c, b.up, b.dn, cfg);
+  PumpFilter f(cfg);
+  b.wire(f);
   b.c.scheduleSet(b.up, 0.0, true);
   b.c.scheduleSet(b.dn, 0.0, true);
   b.c.run(1e-3);
@@ -152,8 +166,10 @@ TEST(PumpFilter, DriveStrengthScalesVoltageKind) {
   Bench weak_bench, strong_bench;
   PumpFilterConfig weak_cfg = voltageConfig();
   weak_cfg.up_strength = 0.5;  // doubled effective R1
-  PumpFilter weak(weak_bench.c, weak_bench.up, weak_bench.dn, weak_cfg);
-  PumpFilter strong(strong_bench.c, strong_bench.up, strong_bench.dn, voltageConfig());
+  PumpFilter weak(weak_cfg);
+  weak_bench.wire(weak);
+  PumpFilter strong(voltageConfig());
+  strong_bench.wire(strong);
   weak_bench.c.scheduleSet(weak_bench.up, 0.0, true);
   strong_bench.c.scheduleSet(strong_bench.up, 0.0, true);
   weak_bench.c.run(1e-3);
@@ -165,7 +181,8 @@ TEST(PumpFilter, LeakageDischargesDuringHighZ) {
   Bench b;
   PumpFilterConfig cfg = voltageConfig();
   cfg.leak_ohm = 1e6;
-  PumpFilter f(b.c, b.up, b.dn, cfg);
+  PumpFilter f(cfg);
+  b.wire(f);
   const double tau = cfg.c_farad * (cfg.r2_ohm + cfg.leak_ohm);  // ~1.001 s
   b.c.run(tau);
   EXPECT_NEAR(f.capVoltage(tau), 2.5 * std::exp(-1.0), 1e-6);
@@ -174,7 +191,8 @@ TEST(PumpFilter, LeakageDischargesDuringHighZ) {
 TEST(PumpFilter, ClampsAtRails) {
   Bench b;
   const PumpFilterConfig cfg = currentConfig();  // ideal ramp would exceed vdd
-  PumpFilter f(b.c, b.up, b.dn, cfg);
+  PumpFilter f(cfg);
+  b.wire(f);
   b.c.scheduleSet(b.up, 0.0, true);
   b.c.run(1.0);  // 100 V/s for 1 s >> rails
   EXPECT_DOUBLE_EQ(f.capVoltage(1.0), 5.0);
@@ -189,7 +207,8 @@ TEST(PumpFilter, PulseTrainIntegratesNet) {
   // Equal up and down pulse widths from the same voltage -> near-zero net
   // change (by symmetry about mid-rail).
   Bench b;
-  PumpFilter f(b.c, b.up, b.dn, voltageConfig());
+  PumpFilter f(voltageConfig());
+  b.wire(f);
   for (int k = 0; k < 10; ++k) {
     const double t0 = k * 1e-3;
     b.c.scheduleSet(b.up, t0, true);
@@ -208,23 +227,31 @@ TEST(PumpFilter, CurrentPumpWithLeakSettlesAtIrDrop) {
   Bench b;
   PumpFilterConfig cfg = currentConfig();
   cfg.leak_ohm = 20e3;  // I*Rl = 100uA * 20k = 2 V above vss
-  PumpFilter f(b.c, b.up, b.dn, cfg);
+  PumpFilter f(cfg);
+  b.wire(f);
   b.c.scheduleSet(b.up, 0.0, true);
   const double tau = cfg.c_farad * (cfg.r2_ohm + cfg.leak_ohm);
   b.c.run(10.0 * tau);
   EXPECT_NEAR(f.capVoltage(10.0 * tau), 2.0, 1e-3);
 }
 
-TEST(PumpFilter, DriveChangeListenersFire) {
-  Bench b;
-  PumpFilter f(b.c, b.up, b.dn, voltageConfig());
-  int notifications = 0;
-  f.onDriveChange([&](double) { ++notifications; });
-  b.c.scheduleSet(b.up, 1e-3, true);
-  b.c.scheduleSet(b.up, 2e-3, false);
-  b.c.scheduleSet(b.dn, 3e-3, true);
-  b.c.run(5e-3);
-  EXPECT_EQ(notifications, 3);
+TEST(PumpFilter, DriveSwitchesTheRegime) {
+  // Voltage pump: one side on drives the node, both or neither hold it.
+  PumpFilter f(voltageConfig());
+  EXPECT_TRUE(f.frozen());
+  EXPECT_TRUE(f.isHighZ());
+  f.drive(1e-3, false, true);
+  EXPECT_FALSE(f.frozen());
+  EXPECT_FALSE(f.isHighZ());
+  f.drive(2e-3, true, true);
+  EXPECT_TRUE(f.frozen());
+  f.drive(3e-3, false, false);
+  EXPECT_FALSE(f.frozen());
+  f.drive(4e-3, true, false);
+  EXPECT_TRUE(f.frozen());
+  EXPECT_TRUE(f.isHighZ());
+  // The drive charged the node for 1 ms and discharged it for 1 ms.
+  EXPECT_NE(f.capVoltage(4e-3), voltageConfig().initial_vc_v);
 }
 
 }  // namespace

@@ -63,14 +63,14 @@ PumpFilterConfig filterConfig(Filter f) {
   return cfg;
 }
 
-/// A VCO with its fused divider under an open-loop pump pulse program.
-/// `observed` adds a standalone DivideByN on the VCO output: the slow-path
-/// reference, and an observer that makes the VCO materialise every edge.
+/// A VCO with its fused divider under an open-loop pump pulse program,
+/// wired as the netlist loop wired it (testing::NetVco). `observed` adds a
+/// standalone DivideByN on the VCO output: the slow-path reference, and an
+/// observer that makes the VCO materialise every edge.
 struct DividerBench {
   sim::Circuit c;
   sim::SignalId up, dn, vco_out, fb, fb_ref;
-  PumpFilter filter;
-  Vco vco;
+  testing::NetVco net;
   std::optional<sim::DivideByN> reference;
   sim::EdgeRecorder fb_edges;
   std::optional<sim::EdgeRecorder> ref_edges;
@@ -81,8 +81,7 @@ struct DividerBench {
         vco_out(c.addSignal("vco_out")),
         fb(c.addSignal("fb")),
         fb_ref(c.addSignal("fb_ref")),
-        filter(c, up, dn, filterConfig(k.filter)),
-        vco(c, filter, vco_out, vcoConfig(), 0.0, VcoDivider{fb, k.n, kDividerDelay}),
+        net(c, up, dn, vco_out, fb, filterConfig(k.filter), vcoConfig(), k.n, kDividerDelay),
         fb_edges(c, fb) {
     if (observed) {
       reference.emplace(c, vco_out, fb_ref, k.n, kDividerDelay);
@@ -198,7 +197,7 @@ struct GatePair {
 
 TEST(AnalyticFrequencyCounter, MatchesGatedCounterAcrossPumpPulses) {
   DividerBench b(Case{50, Filter::Voltage4046}, /*observed=*/false);
-  GatePair pair(b.c, b.vco, b.vco_out);
+  GatePair pair(b.c, b.net.vco(), b.vco_out);
   b.c.run(0.2e-3);
   // Each gate spans at least one pump pulse of the bench's program.
   for (double gate : {1.0e-3, 0.77e-3, 1.3e-3, 0.91e-3}) {

@@ -444,6 +444,33 @@ TEST(Circuit, CopyStateFromKeepsTheInsertionOrder) {
   EXPECT_FALSE(fork.c.value(fork.div));
 }
 
+TEST(Circuit, RescheduleEventMovesThePendingEventWithoutASwallow) {
+  Circuit c;
+  RecordingHandler h;
+  RecordingHandler other;
+  const Circuit::HandlerId id = c.addHandler(h);
+  const Circuit::HandlerId other_id = c.addHandler(other);
+  for (int k = 1; k <= 6; ++k) c.scheduleEvent(k * 1.0, other_id, static_cast<uint32_t>(k));
+  c.scheduleEvent(5.5, id, 1u);
+  c.rescheduleEvent(2.5, id, 2u);  // earlier: sifts up past its parents
+  c.run(3.0);
+  c.scheduleEvent(7.0, id, 9u);
+  c.rescheduleEvent(3.0, id, 0u);  // to the current time
+  c.run(10.0);
+  ASSERT_EQ(h.seen.size(), 2u);
+  EXPECT_EQ(h.seen[0], std::make_pair(2u, 2.5));
+  EXPECT_EQ(h.seen[1], std::make_pair(0u, 3.0));
+  c.scheduleEvent(12.0, id, 3u);
+  c.scheduleEvent(11.0, other_id, 7u);
+  c.rescheduleEvent(14.0, id, 4u);  // later: sifts down
+  c.run(20.0);
+  EXPECT_EQ(h.seen.back(), std::make_pair(4u, 14.0));
+  EXPECT_EQ(other.seen.back(), std::make_pair(7u, 11.0));
+  EXPECT_EQ(c.swallowedEventCount(), 0u);
+  EXPECT_EQ(c.processedEventCount(), 6u + 3u + 1u);
+  EXPECT_THROW(c.rescheduleEvent(21.0, id, 0u), AssertionError);  // nothing pending
+}
+
 TEST(Circuit, CopyStateFromRejectsPendingClosuresAndInterceptors) {
   ForkableDesign source;
   ForkableDesign fork;

@@ -4,20 +4,26 @@
 //
 // The measured doubles of the hook-free sweeps come from the
 // closure-per-event kernel, which simulated every VCO half-cycle, ran a
-// standalone feedback divider, built both phase detectors from gates and
-// re-ran the lock/nominal/DC prelude on every point. The farm now runs the
-// prelude once and forks it per point, so the counts and sim_s cover one
-// prelude plus each point's work after the fork. In the "observed" variant
-// a dummy observer on each fork's VCO output makes the VCO materialise
-// every half-cycle after the prelude; in the "detectors observed" variant
-// dummy observers on the monitor PFD's UP/DN and the loop PFD's reset net
-// make the detectors write them. Unobserved, nothing nobody sees is
-// simulated. Only the event counts may differ between the variants: every
-// measured double, sim_s, dropped and delayed count stays bit-equal.
-// Delivered vs swallowed moved once (superseded handler events count as
-// swallowed), so only their sum is pinned. The farm fault-injector sweep's
-// faults start at the fork; the shared-bench sweep puts faults into the
-// lock wait, and its values were pinned with the gate-level detectors.
+// standalone feedback divider, built both phase detectors from gates, wired
+// the loop as a netlist of muxes, PFD, pump/filter and VCO, and re-ran the
+// lock/nominal/DC prelude on every point. The farm now runs the prelude
+// once and forks it per point, so the counts and sim_s cover one prelude
+// plus each point's work after the fork.
+//
+// Some nets exist only while something watches them: the loop writes
+// PLLREF, PLLFB, the PFD's feedback input, UP, DN and the PFD reset, and
+// the VCO stops at every half-cycle to write its output, only while they
+// have observers; the peak detector writes its monitor PFD's UP, DN and
+// reset only while observed. Each farm sweep runs four ways: a dummy
+// observer on each fork's VCO output ("observed"), dummy observers on the
+// detectors' internal nets ("detectors observed"), dummy observers on the
+// loop nets ("loop nets observed"), and unobserved. Only the event counts
+// may differ between the variants: every measured double, sim_s, dropped
+// and delayed count stays bit-equal. Delivered vs swallowed moved once
+// (superseded handler events count as swallowed), so only their sum is
+// pinned. The farm fault-injector sweep's faults start at the fork; the
+// shared-bench sweep puts faults into the lock wait, and its values were
+// pinned with the gate-level detectors.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -107,10 +113,11 @@ Fingerprint withCounts(Fingerprint f, uint64_t processed, uint64_t delivered_plu
 
 using BenchHook = std::function<void(std::size_t, SweepTestbench&)>;
 
-/// What each fork's dummy observers watch: nothing, the VCO output, or the
+/// What each fork's dummy observers watch: nothing, the VCO output, the
 /// phase detectors' internal nets (the monitor PFD's UP/DN and the loop
-/// PFD's reset), which the detectors then write.
-enum class Observe { Nothing, VcoOut, DetectorNets };
+/// PFD's reset), or the loop's nets (PLLREF, PLLFB, the PFD's feedback
+/// input, UP and DN), which are then written.
+enum class Observe { Nothing, VcoOut, DetectorNets, LoopNets };
 
 ResilientResponse runFarm(const pll::PllConfig& config, const SweepOptions& sweep,
                           Observe observe, BenchHook hook = nullptr) {
@@ -123,6 +130,9 @@ ResilientResponse runFarm(const pll::PllConfig& config, const SweepOptions& swee
     if (observe == Observe::DetectorNets)
       nets = {bench.peakDetector().monitorUp(), bench.peakDetector().monitorDn(),
               bench.pll().pfdReset()};
+    if (observe == Observe::LoopNets)
+      nets = {bench.pll().ref(), bench.pll().feedback(), bench.pll().pfdFeedbackIn(),
+              bench.pll().pfdUp(), bench.pll().pfdDn()};
     for (const sim::SignalId net : nets) bench.circuit().onChange(net, [](double, bool) {});
     if (hook) hook(index, bench);
   });
@@ -140,7 +150,7 @@ ResilientResponse referenceTwoPointSweep(Observe observe) {
   return runFarm(pll::referenceConfig(), sweep, observe);
 }
 
-const Fingerprint kReferenceTwoPoint{1360336u, 0u, 0u, 1360336u, 0x1.3b6687ff126f4p+3,
+const Fingerprint kReferenceTwoPoint{1251126u, 0u, 0u, 1251126u, 0x1.3b6687ff126f4p+3,
                                      0x1.86ap+15, 0x1.f9p+8,
                                      {0x1p+1, 0x1.e5p+8, -0x1.ac3e963dc486ap+2, 0x0p+0,  //
                                       0x1.4p+5, 0x1.8p+2, -0x1.8c3a535ecd2cbp+7, 0x0p+0}};
@@ -151,12 +161,12 @@ TEST(KernelFingerprint, ReferenceDeviceTwoPointSweep) {
 
 TEST(KernelFingerprint, ReferenceDeviceTwoPointSweepUnobserved) {
   expectFingerprint(referenceTwoPointSweep(Observe::Nothing),
-                    withCounts(kReferenceTwoPoint, 209962u, 209962u));
+                    withCounts(kReferenceTwoPoint, 100750u, 100750u));
 }
 
 TEST(KernelFingerprint, ReferenceDeviceTwoPointSweepDetectorsObserved) {
   expectFingerprint(referenceTwoPointSweep(Observe::DetectorNets),
-                    withCounts(kReferenceTwoPoint, 256813u, 256813u));
+                    withCounts(kReferenceTwoPoint, 147601u, 147601u));
 }
 
 ResilientResponse fastMultiToneWithFaultInjector(Observe observe) {
@@ -173,10 +183,15 @@ ResilientResponse fastMultiToneWithFaultInjector(Observe observe) {
 }
 
 const Fingerprint kFastMultiTone{
-    266760u, 38u, 379u, 266343u, 0x1.2cbe4fc3a430fp-1, 0x1.869ffffffffffp+16, 0x1.f4p+9,
+    201595u, 38u, 379u, 201178u, 0x1.2cbe4fc3a430fp-1, 0x1.869ffffffffffp+16, 0x1.f4p+9,
     {0x1.8ffffffffffffp+5, 0x1.4p+8, -0x1.442c5940f92bfp+8, 0x0p+0,  //
      0x1.bf36ae31d6e46p+7, 0x1.0ep+10, -0x1.c9c4779bad2c7p+6, 0x0p+0,  //
      0x1.f3fffffffffffp+9, 0x1.4p+5, -0x1.de597a7248712p+7, 0x0p+0}};
+
+TEST(KernelFingerprint, ReferenceDeviceTwoPointSweepLoopNetsObserved) {
+  expectFingerprint(referenceTwoPointSweep(Observe::LoopNets),
+                    withCounts(kReferenceTwoPoint, 159329u, 159329u));
+}
 
 TEST(KernelFingerprint, FastDeviceMultiToneWithFaultInjector) {
   expectFingerprint(fastMultiToneWithFaultInjector(Observe::VcoOut), kFastMultiTone);
@@ -184,12 +199,17 @@ TEST(KernelFingerprint, FastDeviceMultiToneWithFaultInjector) {
 
 TEST(KernelFingerprint, FastDeviceMultiToneWithFaultInjectorUnobserved) {
   expectFingerprint(fastMultiToneWithFaultInjector(Observe::Nothing),
-                    withCounts(kFastMultiTone, 119659u, 119242u));
+                    withCounts(kFastMultiTone, 54496u, 54079u));
 }
 
 TEST(KernelFingerprint, FastDeviceMultiToneWithFaultInjectorDetectorsObserved) {
   expectFingerprint(fastMultiToneWithFaultInjector(Observe::DetectorNets),
-                    withCounts(kFastMultiTone, 150643u, 150226u));
+                    withCounts(kFastMultiTone, 85480u, 85063u));
+}
+
+TEST(KernelFingerprint, FastDeviceMultiToneWithFaultInjectorLoopNetsObserved) {
+  expectFingerprint(fastMultiToneWithFaultInjector(Observe::LoopNets),
+                    withCounts(kFastMultiTone, 93242u, 92825u));
 }
 
 ResilientResponse delayLinePmSweep(Observe observe) {
@@ -198,7 +218,7 @@ ResilientResponse delayLinePmSweep(Observe observe) {
 }
 
 const Fingerprint kDelayLinePm{
-    3622512u, 0u, 0u, 3622512u, 0x1.7f86fdb43278ap+2, 0x1.869ffffffffffp+16, 0x0p+0,
+    2962995u, 0u, 0u, 2962995u, 0x1.7f86fdb43278ap+2, 0x1.869ffffffffffp+16, 0x0p+0,
     {0x1.8ffffffffffffp+5, 0x0p+0, 0x0p+0, 0x0p+0,  //
      0x1.bf36ae31d6e46p+7, 0x1.fep+9, -0x1.cbabb8df78e3ep+6, 0x1.b70d09236a6f4p+9,  //
      0x1.f3fffffffffffp+9, 0x1.18p+7, -0x1.90c083126e978p+7, 0x1.eadfb4c5d390bp+11}};
@@ -208,11 +228,16 @@ TEST(KernelFingerprint, DelayLinePmSweep) {
 }
 
 TEST(KernelFingerprint, DelayLinePmSweepUnobserved) {
-  expectFingerprint(delayLinePmSweep(Observe::Nothing), withCounts(kDelayLinePm, 1383346u, 1383346u));
+  expectFingerprint(delayLinePmSweep(Observe::Nothing), withCounts(kDelayLinePm, 723829u, 723829u));
 }
 
 TEST(KernelFingerprint, DelayLinePmSweepDetectorsObserved) {
-  expectFingerprint(delayLinePmSweep(Observe::DetectorNets), withCounts(kDelayLinePm, 1854767u, 1854767u));
+  expectFingerprint(delayLinePmSweep(Observe::DetectorNets), withCounts(kDelayLinePm, 1195250u, 1195250u));
+}
+
+TEST(KernelFingerprint, DelayLinePmSweepLoopNetsObserved) {
+  expectFingerprint(delayLinePmSweep(Observe::LoopNets),
+                    withCounts(kDelayLinePm, 1313109u, 1313109u));
 }
 
 // The shared-bench sweep with faults during the lock wait: dropped and
@@ -236,7 +261,7 @@ ResilientResponse fastSweepWithLockAcquisitionFaults() {
 }
 
 const Fingerprint kLockAcquisitionFaults{
-    112683u, 19u, 48u, 112616u, 0x1.14e3c73a3bbb2p-1, 0x1.869ffffffffffp+16, 0x1.f4p+9,
+    52526u, 19u, 48u, 52459u, 0x1.14e3c73a3bbb2p-1, 0x1.869ffffffffffp+16, 0x1.f4p+9,
     {0x1.8ffffffffffffp+5, 0x1.eap+9, -0x1.0f86c226809d4p+3, 0x0p+0,  //
      0x1.bf36ae31d6e46p+7, 0x1.0ep+10, -0x1.d66eaba29c023p+6, 0x0p+0,  //
      0x1.f3fffffffffffp+9, 0x1.4p+6, -0x1.cdf3de6c7039fp+7, 0x0p+0}};

@@ -12,6 +12,7 @@ using testing::AndGate;
 using testing::Buffer;
 using testing::DFlipFlop;
 using testing::GatedCounter;
+using testing::Mux2;
 
 constexpr double kD = 1e-9;  // standard gate delay in these tests
 

@@ -26,11 +26,12 @@
 //      with the same hook fired at attempt 0. Points, statuses and quality
 //      counts must be bit-identical, and the farm's kernel counts and
 //      sim_time_s must equal P + sum(S_i - P), P being the prelude alone.
-//   8. observing the phase detectors' internal nets changes no result: on
-//      a seeded quarter of the sweeps the case runs again with dummy
-//      observers on the monitor PFD's UP/DN and the loop PFD's reset net
-//      (so the detectors write them), and the points, statuses and
-//      quality report must be bit-identical.
+//   8. observing the phase detectors' internal nets and the loop's nets
+//      changes no result: on a seeded quarter of the sweeps the case runs
+//      again with dummy observers on the monitor PFD's UP/DN, the loop
+//      PFD's reset net, PLLREF, PLLFB, the PFD's feedback input and the
+//      loop PFD's UP/DN (so the detectors and the loop write them), and
+//      the points, statuses and quality report must be bit-identical.
 //
 // Built two ways:
 //   - standalone driver (always): fuzz_sweep --seed N --runs N
@@ -438,7 +439,9 @@ void fuzzOne(const uint8_t* data, size_t size, FuzzStats& st) {
       if (observe == Observe::VcoOut) nets = {tb.pll().vcoOut()};
       if (observe == Observe::DetectorNets)
         nets = {tb.peakDetector().monitorUp(), tb.peakDetector().monitorDn(),
-                tb.pll().pfdReset()};
+                tb.pll().pfdReset(),           tb.pll().ref(),
+                tb.pll().feedback(),           tb.pll().pfdFeedbackIn(),
+                tb.pll().pfdUp(),              tb.pll().pfdDn()};
       for (const pllbist::sim::SignalId net : nets)
         tb.circuit().onChange(net, [](double, bool) {});
       attachFaults(tb, inj_seed);
@@ -524,8 +527,9 @@ void fuzzOne(const uint8_t* data, size_t size, FuzzStats& st) {
     if (!diff.empty()) fail(seed, "fork-equivalence", diff);
   }
 
-  // Invariant 8: the detectors' internal nets are observation taps; only
-  // kernel event counts may tell a written one from an unwritten one.
+  // Invariant 8: the detectors' internal nets and the loop's nets are
+  // observation taps; only kernel event counts may tell a written one from
+  // an unwritten one.
   if (detector_check) {
     ++st.detector_observed;
     const std::string diff = measurementDiff(result, sweepOnce(Observe::DetectorNets));
