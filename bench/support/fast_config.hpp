@@ -1,6 +1,6 @@
 #pragma once
 
-#include "bist/controller.hpp"
+#include "bist/sweep_types.hpp"
 #include "pll/config.hpp"
 
 namespace pllbist::benchutil {

@@ -17,7 +17,7 @@
 #include <cstdio>
 
 #include "bist/analysis.hpp"
-#include "bist/controller.hpp"
+#include "bist/sweep_types.hpp"
 #include "bist/step_test.hpp"
 #include "common/status.hpp"
 #include "common/stop_token.hpp"

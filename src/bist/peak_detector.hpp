@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "pll/cppll.hpp"
 #include "pll/pfd.hpp"
@@ -34,20 +33,22 @@ struct PeakDetectorDelays {
 /// rising edge the minimum. Subscribers use those edges to stop the phase
 /// counter and trigger loop hold (Table 2 stages 2-3).
 ///
-/// The monitor PFD, the clock buffer, the inverter and the sampling flop
-/// run as one state machine with the gate netlist's transitions. It
-/// advances on PLLREF/PLLFB rising edges, which the loop hands it directly
-/// (a pll::LoopTap) when it decides them, one mux delay ahead: an input
-/// edge at t can change the monitor's UP or DN no earlier than
-/// t + clk-to-q, so everything before that is already determined. Each UP
-/// rise derives its sampling clock (UP rise + clock delay) and looks up the
-/// delayed, inverted DN in a short history of DN transitions; the only
-/// event it schedules is the MFREQ write, one per sampling clock even when
-/// it changes nothing (so fault rules on MFREQ see every write the flop
-/// makes). The monitor's UP, DN and reset nets are written only while
-/// something observes them (Circuit::hasObservers), like the loop's nets;
-/// a fault rule on them reaches those observers but not the state machine.
-/// An observer attached mid-run sees the nets from their next write on.
+/// The monitor is a pll::Pfd, the same model as the loop PFD. The detector
+/// adds only what Figure 7 puts around it: the clock buffer, the look-back
+/// through the delaying inverter, and the sampling flop. It advances on
+/// PLLREF/PLLFB rising edges, which the loop hands it directly (a
+/// pll::LoopTap) when it decides them, one mux delay ahead: an input edge
+/// at t can change the monitor's UP or DN no earlier than t + clk-to-q, so
+/// every monitor write up to that instant is settled. Each UP rise derives
+/// its sampling clock (UP rise + clock delay) and reads DN through the
+/// inverter's delay from a pll::TimedNet of the DN changes no sample has
+/// looked past yet; the only event it schedules is the MFREQ write, one per
+/// sampling clock even when it changes nothing (so fault rules on MFREQ see
+/// every write the flop makes). The monitor's UP, DN and reset nets are
+/// written only while something observes them (Circuit::hasObservers), like
+/// the loop's nets; a fault rule on them reaches those observers but not
+/// the monitor. An observer attached mid-run sees the nets from their next
+/// write on.
 class PeakDetector : public sim::Component,
                      public pll::LoopTap,
                      private sim::Circuit::Handler {
@@ -80,44 +81,25 @@ class PeakDetector : public sim::Component,
   void copyStateFrom(const PeakDetector& source);
 
  private:
-  /// A monitor-flop output write: the flop's clock or its reset.
-  struct Write {
-    double time;
-    uint64_t seq;  ///< orders writes at the same time, like the kernel's
-    bool dn;       ///< DN flop, else UP flop
-    bool value;
-  };
-  struct DnEdge {
-    double time;
-    bool value;
-  };
-
-  /// Wakes the machine at a flop reset while the reset net is observed, so
+  /// Wakes the detector at a flop reset while the reset net is observed, so
   /// its falling write is made on time.
   bool onEvent(uint32_t tag, double now) override;
-  /// Apply every pending write at or before t, in (time, seq) order.
-  void advanceTo(double t);
-  void push(double t, bool dn, bool value);
-  void apply(const Write& w);
+  /// Apply the monitor's writes due at or before t, and write the observed
+  /// monitor nets.
+  void settle(double t);
   /// The sampling flop clocked by the UP rise at `up_rise`.
   void sample(double up_rise);
 
   sim::Circuit& circuit_;
   sim::Circuit::HandlerId handler_;
-  pll::PfdDelays pfd_delays_;
   PeakDetectorDelays delays_;
   sim::SignalId up_;
   sim::SignalId dn_;
   sim::SignalId rst_;
   sim::SignalId mfreq_;
 
-  bool up_q_ = false;  ///< monitor UP after every applied write
-  bool dn_q_ = false;  ///< monitor DN after every applied write
-  pll::PfdResetLine reset_;
-  std::vector<Write> pending_;  ///< pushed, not yet applied
-  uint64_t next_seq_ = 0;
-  std::vector<DnEdge> dn_edges_;  ///< DN changes no sample has looked past yet
-  bool dn_looked_back_ = false;   ///< DN as of the last sample's look-back
+  pll::Pfd monitor_;
+  pll::TimedNet dn_late_;  ///< monitor DN through the inverter's delay, not yet inverted
 };
 
 }  // namespace pllbist::bist

@@ -6,7 +6,7 @@
 #include <memory>
 #include <string>
 
-#include "bist/controller.hpp"
+#include "bist/sweep_types.hpp"
 #include "common/status.hpp"
 #include "common/stop_token.hpp"
 #include "pll/config.hpp"

@@ -2,7 +2,7 @@
 
 #include <memory>
 
-#include "bist/controller.hpp"
+#include "bist/sweep_types.hpp"
 #include "bist/dco.hpp"
 #include "bist/delay_line.hpp"
 #include "bist/modulator.hpp"

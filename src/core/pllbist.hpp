@@ -25,7 +25,7 @@
 
 #include "baseline/bench_measurement.hpp"
 #include "bist/analysis.hpp"
-#include "bist/controller.hpp"
+#include "bist/sweep_types.hpp"
 #include "bist/dco.hpp"
 #include "bist/delay_line.hpp"
 #include "bist/modulator.hpp"

@@ -2,7 +2,7 @@
 
 #include <cstdio>
 
-#include "bist/controller.hpp"
+#include "bist/sweep_types.hpp"
 #include "obs/json.hpp"
 
 namespace pllbist::core {

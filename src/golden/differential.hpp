@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "bist/controller.hpp"
+#include "bist/sweep_types.hpp"
 #include "bist/parallel_sweep.hpp"
 #include "common/status.hpp"
 #include "golden/linear_model.hpp"

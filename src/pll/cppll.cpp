@@ -15,21 +15,6 @@ const PllConfig& validated(const PllConfig& cfg) {
 }
 }  // namespace
 
-bool CpPll::TimedNet::at(double t) const {
-  bool level = settled;
-  for (const Change& c : changes) {
-    if (c.time > t) break;
-    level = c.value;
-  }
-  return level;
-}
-
-void CpPll::TimedNet::forget(double t) {
-  std::size_t passed = 0;
-  while (passed < changes.size() && changes[passed].time <= t) settled = changes[passed++].value;
-  changes.erase(changes.begin(), changes.begin() + static_cast<std::ptrdiff_t>(passed));
-}
-
 CpPll::CpPll(sim::Circuit& c, sim::SignalId external_ref, sim::SignalId test_stimulus,
              const PllConfig& cfg, const std::string& prefix)
     : circuit_(c),

@@ -108,23 +108,6 @@ class CpPll : private sim::Circuit::Handler {
   void copyStateFrom(const CpPll& source);
 
  private:
-  /// A loop net as a list of decided level changes: those still ahead of
-  /// the circuit's time, and the level before them.
-  struct TimedNet {
-    struct Change {
-      double time;
-      bool value;
-    };
-    bool settled = false;         ///< the level before the first change
-    std::vector<Change> changes;  ///< time-ordered
-
-    [[nodiscard]] bool last() const { return changes.empty() ? settled : changes.back().value; }
-    /// The level after every change at or before t.
-    [[nodiscard]] bool at(double t) const;
-    /// Fold the changes at or before t into `settled`.
-    void forget(double t);
-  };
-
   bool onEvent(uint32_t tag, double now) override;
   /// Move the pending handler event to the next instant.
   void aim();

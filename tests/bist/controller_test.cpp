@@ -1,4 +1,4 @@
-#include "bist/controller.hpp"
+#include "bist/sweep_types.hpp"
 
 #include "bist/analysis.hpp"
 #include "bist/resilient_sweep.hpp"

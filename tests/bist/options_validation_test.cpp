@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "bist/controller.hpp"
+#include "bist/sweep_types.hpp"
 #include "bist/resilient_sweep.hpp"
 #include "bist/sequencer.hpp"
 #include "bist/step_test.hpp"

@@ -28,9 +28,10 @@
 //      sim_time_s must equal P + sum(S_i - P), P being the prelude alone.
 //   8. observing the phase detectors' internal nets and the loop's nets
 //      changes no result: on a seeded quarter of the sweeps the case runs
-//      again with dummy observers on the monitor PFD's UP/DN, the loop
-//      PFD's reset net, PLLREF, PLLFB, the PFD's feedback input and the
-//      loop PFD's UP/DN (so the detectors and the loop write them), and
+//      again with dummy observers on the monitor PFD's UP/DN and reset
+//      net, the loop PFD's reset net, PLLREF, PLLFB, the PFD's feedback
+//      input and the loop PFD's UP/DN (so the detectors and the loop write
+//      them, and the peak detector wakes itself at each monitor reset), and
 //      the points, statuses and quality report must be bit-identical.
 //
 // Built two ways:
@@ -54,7 +55,7 @@
 #include <string>
 #include <vector>
 
-#include "bist/controller.hpp"
+#include "bist/sweep_types.hpp"
 #include "bist/parallel_sweep.hpp"
 #include "bist/resilient_sweep.hpp"
 #include "bist/testbench.hpp"
@@ -438,10 +439,11 @@ void fuzzOne(const uint8_t* data, size_t size, FuzzStats& st) {
       std::vector<pllbist::sim::SignalId> nets;
       if (observe == Observe::VcoOut) nets = {tb.pll().vcoOut()};
       if (observe == Observe::DetectorNets)
-        nets = {tb.peakDetector().monitorUp(), tb.peakDetector().monitorDn(),
-                tb.pll().pfdReset(),           tb.pll().ref(),
-                tb.pll().feedback(),           tb.pll().pfdFeedbackIn(),
-                tb.pll().pfdUp(),              tb.pll().pfdDn()};
+        nets = {tb.peakDetector().monitorUp(),    tb.peakDetector().monitorDn(),
+                tb.peakDetector().monitorReset(), tb.pll().pfdReset(),
+                tb.pll().ref(),                   tb.pll().feedback(),
+                tb.pll().pfdFeedbackIn(),         tb.pll().pfdUp(),
+                tb.pll().pfdDn()};
       for (const pllbist::sim::SignalId net : nets)
         tb.circuit().onChange(net, [](double, bool) {});
       attachFaults(tb, inj_seed);
