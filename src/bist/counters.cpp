@@ -17,7 +17,8 @@ void FrequencyCounter::measure(double gate_s, std::function<void(Result)> done) 
   busy_ = true;
   edges_at_open_ = vco_.risingEdgesBy(circuit_.now());
   circuit_.scheduleCallback(circuit_.now() + gate_s,
-                            [this, gate_s, done = std::move(done)](double now) {
+                            [this, gate = ++gate_, gate_s, done = std::move(done)](double now) {
+                              if (gate != gate_) return;
                               const auto count =
                                   static_cast<long>(vco_.risingEdgesBy(now) - edges_at_open_);
                               busy_ = false;
@@ -27,6 +28,7 @@ void FrequencyCounter::measure(double gate_s, std::function<void(Result)> done) 
 
 void FrequencyCounter::copyStateFrom(const FrequencyCounter& source) {
   edges_at_open_ = source.edges_at_open_;
+  gate_ = source.gate_;
   busy_ = source.busy_;
 }
 

@@ -36,6 +36,13 @@ class FrequencyCounter : public sim::Component {
 
   [[nodiscard]] bool busy() const { return busy_; }
 
+  /// Forget the open gate, if any: its close is ignored and a new
+  /// measurement may start at once.
+  void abandon() {
+    busy_ = false;
+    ++gate_;
+  }
+
   /// Fork support (see sim::Circuit::copyStateFrom): take `source`'s state.
   void copyStateFrom(const FrequencyCounter& source);
 
@@ -43,6 +50,7 @@ class FrequencyCounter : public sim::Component {
   sim::Circuit& circuit_;
   const pll::Vco& vco_;
   uint64_t edges_at_open_ = 0;  ///< vco_.risingEdgesBy(open)
+  unsigned gate_ = 0;           ///< id of the latest gate; an abandoned close is stale
   bool busy_ = false;
 };
 

@@ -53,7 +53,7 @@ ParallelSweep::ParallelSweep(const pll::PllConfig& config, SweepOptions sweep,
 
 void ParallelSweep::preload(std::size_t index, ResilientResponse result) {
   if (used_) throw std::logic_error("ParallelSweep::preload: engine already used");
-  if (result.response.points.size() != 1 || result.response.raw.size() != 1)
+  if (result.response.points.size() != 1)
     throw std::invalid_argument("ParallelSweep::preload: a preloaded result must hold one point");
   results_.at(index) = std::move(result);
 }
@@ -78,7 +78,10 @@ ResilientResponse ParallelSweep::run() {
   source_engine.attachStop(&stop_);
   const std::unique_ptr<SweepTestbench> source = source_engine.makeBench();
   const ResilientSweep::Prelude prelude = source_engine.runPrelude(*source);
-  publishBenchCounters(prelude.end.bench);
+  ResilientResponse prelude_run;  // published once: no fork counts the prelude
+  prelude_run.status = prelude.status;
+  prelude_run.bench = prelude.end.bench;
+  publishRun(prelude_run);
   if (!prelude.status.ok()) pending.clear();
 
   // results_, breaker, decided and sink_error are guarded by `mutex` while
@@ -189,7 +192,6 @@ ResilientResponse ParallelSweep::run() {
     out.bench.add(r.bench);
     if (out.status.ok() && !r.status.ok()) out.status = r.status;
     out.response.points.push_back(std::move(r.response.points.front()));
-    out.response.raw.push_back(std::move(r.response.raw.front()));
   }
   out.breaker_open = breaker.open();
   if (!sink_error.ok())

@@ -11,16 +11,11 @@
 #include "bist/telemetry.hpp"
 #include "bist/testbench.hpp"
 #include "common/units.hpp"
-#include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 #include "sim/circuit.hpp"
 #include "sim/fault_injector.hpp"
 
 namespace pllbist::bist {
-
-namespace {
-SweepTelemetry& telemetry() { return sweepTelemetry(); }
-}  // namespace
 
 Status ResilientSweepOptions::check() const {
   using K = Status::Kind;
@@ -75,13 +70,8 @@ void appendDroppedPoint(ResilientResponse& out, double modulation_hz, Status sta
   p.quality = PointQuality::Dropped;
   p.attempts = 0;
   p.status = std::move(status);
-  TestSequencer::PointResult raw;
-  raw.modulation_hz = modulation_hz;
-  raw.timed_out = true;
-  raw.status = p.status;
   out.report.count(p);
   out.response.points.push_back(std::move(p));
-  out.response.raw.push_back(std::move(raw));
 }
 
 Status RelockBreaker::skipStatus(std::size_t index, double modulation_hz) const {
@@ -135,6 +125,17 @@ constexpr double kRelockGracePeriods = 2.0;
 
 enum class StepOutcome { Done, Deadline, Stall, Stopped, OverBudget };
 constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
+
+/// How an interrupted step ends its point; Ok when the step was not
+/// interrupted (it finished or reached its sim deadline).
+Status::Kind interruptedKind(StepOutcome o) {
+  switch (o) {
+    case StepOutcome::Stall: return Status::Kind::SimulationStall;
+    case StepOutcome::Stopped: return Status::Kind::Cancelled;
+    case StepOutcome::OverBudget: return Status::Kind::DeadlineExceeded;
+    default: return Status::Kind::Ok;
+  }
+}
 
 /// Cooperative interruption of one bench's circuit: the stop token and the
 /// per-point wall budget are polled every kInterruptStride kernel steps
@@ -197,13 +198,13 @@ class Stepper {
 };
 
 /// Close a run's accounting: simulated time, wall time and bench counters
-/// since `since`, re-homed onto the metrics registry exactly once.
+/// since `since`; then publish the finished run to the metrics registry.
 void stamp(const SweepTestbench& bench, const ResilientSweep::Mark& since,
            Clock::time_point wall_start, ResilientResponse& out) {
   out.report.sim_time_s = bench.circuit().now() - since.sim_time_s;
   out.report.wall_time_s = std::chrono::duration<double>(Clock::now() - wall_start).count();
   out.bench = BenchStats::of(bench).since(since.bench);
-  publishBenchCounters(out.bench);
+  publishRun(out);
 }
 
 }  // namespace
@@ -248,7 +249,6 @@ ResilientResponse ResilientSweep::run() {
                          Status::makef(Status::Kind::Cancelled,
                                        "point %zu (fm = %g Hz): stop requested %s", i, freqs[i],
                                        prelude.status.context().c_str()));
-      telemetry().points_dropped.increment();
       if (progress_) progress_(out.response.points.back());
     }
     out.status = Status::makef(Status::Kind::Cancelled,
@@ -272,7 +272,6 @@ ResilientSweep::Prelude ResilientSweep::runPrelude(SweepTestbench& bench) {
     if (o == StepOutcome::Stall) {
       out.status = Status::makef(Status::Kind::SimulationStall,
                                  "event queue ran dry at t = %g s during %s", c.now(), stage);
-      telemetry().stalls.increment();
     } else if (o == StepOutcome::Stopped) {
       out.status = Status::makef(Status::Kind::Cancelled, "during %s", stage);
     }
@@ -320,7 +319,6 @@ ResilientResponse ResilientSweep::runPoints(SweepTestbench& bench, const Prelude
   // every exit path, so partial results are never silently truncated.
   auto skipPoint = [&](std::size_t i, Status status) {
     appendDroppedPoint(out, freqs[i], std::move(status));
-    telemetry().points_dropped.increment();
     if (progress_) progress_(out.response.points.back());
   };
 
@@ -347,165 +345,110 @@ ResilientResponse ResilientSweep::runPoints(SweepTestbench& bench, const Prelude
     MeasuredPoint p;
     p.modulation_hz = fm;
     TestSequencer::PointResult last;
-    bool measured = false;
+    // How the point ends: Ok (measured) or the reason it is dropped. A
+    // relock changes the quality but does not end the point.
+    Status::Kind end = Status::Kind::RetryExhausted;
     bool relocked = false;
-    bool relock_failed = false;
-    bool fatal_stall = false;
-    bool point_cancelled = false;
-    bool over_budget = false;
-    int attempts_used = 0;
 
     for (int attempt = 0; attempt < resilience_.max_attempts; ++attempt) {
       obs::ScopedSpan attempt_span("point.attempt");
       if (attempt > 0) PLLBIST_INSTANT("bist.retry");
       seq.setOptions(escalated(base, resilience_, attempt));
       if (on_attempt_start_) on_attempt_start_(i, attempt, bench);
-      ++out.report.attempts_total;
-      telemetry().attempts.increment();
-      attempts_used = attempt + 1;
+      p.attempts = attempt + 1;
 
       bool done = false;
       seq.measurePoint(fm, [&](TestSequencer::PointResult r) {
         last = std::move(r);
         done = true;
       });
-      const StepOutcome measure = step.stepUntil([&] { return done; }, kNoDeadline);
-      if (measure == StepOutcome::Stall) {
-        last.timed_out = true;
-        last.status = Status::makef(Status::Kind::SimulationStall,
-                                    "event queue ran dry at t = %g s measuring fm = %g Hz", c.now(),
-                                    fm);
-        fatal_stall = true;
+      StepOutcome o = step.stepUntil([&] { return done; }, kNoDeadline);
+      if (o != StepOutcome::Done) {
+        seq.abandon();  // the point's callbacks are still queued
+      } else if (!last.timed_out) {
+        end = Status::Kind::Ok;
         break;
-      }
-      if (measure == StepOutcome::Stopped) {
-        point_cancelled = true;
-        break;
-      }
-      if (measure == StepOutcome::OverBudget) {
-        over_budget = true;
-        break;
-      }
-      if (!last.timed_out) {
-        measured = true;
-        break;
-      }
-
-      // Failed attempt: park the stimulus and make sure the loop is still
-      // alive before burning another attempt. The lock detector is reset
-      // because modulation legitimately widens PFD pulses — only a loop
-      // that stays unlocked past the grace window has actually lost lock.
-      bench.stopStimulus();
-      lock.reset();
-      const StepOutcome grace =
-          step.stepUntil(locked, c.now() + kRelockGracePeriods / fn_hz);
-      if (grace == StepOutcome::Stall) {
-        fatal_stall = true;
-        break;
-      }
-      if (grace == StepOutcome::Stopped) {
-        point_cancelled = true;
-        break;
-      }
-      if (grace == StepOutcome::OverBudget) {
-        over_budget = true;
-        break;
-      }
-      if (grace == StepOutcome::Deadline) {
-        // Declared lock loss: bounded relock-and-resume.
-        const StepOutcome relock = step.stepUntil(locked, c.now() + relock_wait_s);
-        if (relock == StepOutcome::Stall) {
-          fatal_stall = true;
-          break;
+      } else {
+        // Failed attempt: park the stimulus and make sure the loop is still
+        // alive before burning another attempt. The lock detector is reset
+        // because modulation legitimately widens PFD pulses — only a loop
+        // that stays unlocked past the grace window has actually lost lock.
+        bench.stopStimulus();
+        lock.reset();
+        o = step.stepUntil(locked, c.now() + kRelockGracePeriods / fn_hz);
+        if (o == StepOutcome::Deadline) {
+          // Declared lock loss: bounded relock-and-resume.
+          o = step.stepUntil(locked, c.now() + relock_wait_s);
+          if (o == StepOutcome::Done) {
+            ++out.report.relocks;
+            PLLBIST_INSTANT("bist.relock");
+            relocked = true;
+          } else if (o == StepOutcome::Deadline) {
+            ++out.report.relock_failures;
+            PLLBIST_INSTANT("bist.relock_failed");
+            end = Status::Kind::RelockFailed;
+            break;  // further attempts are futile on an unlocked loop
+          }
         }
-        if (relock == StepOutcome::Stopped) {
-          point_cancelled = true;
-          break;
-        }
-        if (relock == StepOutcome::OverBudget) {
-          over_budget = true;
-          break;
-        }
-        if (relock == StepOutcome::Done) {
-          ++out.report.relocks;
-          telemetry().relocks.increment();
-          PLLBIST_INSTANT("bist.relock");
-          relocked = true;
-        } else {
-          ++out.report.relock_failures;
-          telemetry().relock_failures.increment();
-          PLLBIST_INSTANT("bist.relock_failed");
-          relock_failed = true;
-          break;  // further attempts are futile on an unlocked loop
-        }
+      }
+      if (const Status::Kind k = interruptedKind(o); k != Status::Kind::Ok) {
+        end = k;
+        break;
       }
     }
     step.startBudget(0.0);
-    p.attempts = attempts_used;
-    if (measured) {
-      p.deviation_hz = last.held_frequency_hz - out.response.nominal_vco_hz;
-      p.phase_deg = last.phase_deg;
-      p.timed_out = false;
-      if (relocked || attempts_used > 2) {
-        p.quality = PointQuality::Degraded;
-        ++out.report.degraded;
-        telemetry().points_degraded.increment();
-      } else if (attempts_used == 2) {
-        p.quality = PointQuality::Retried;
-        ++out.report.retried;
-        telemetry().points_retried.increment();
-      } else {
-        p.quality = PointQuality::Ok;
-        ++out.report.ok;
-        telemetry().points_ok.increment();
-      }
-      if (sweep_.stimulus == StimulusKind::DelayLinePm) {
-        p.unity_gain_deviation_hz =
-            bench.pmThetaDevRad() * fm * static_cast<double>(config_.divider_n);
-      }
-    } else {
-      p.timed_out = true;
-      p.quality = PointQuality::Dropped;
-      ++out.report.dropped;
-      telemetry().points_dropped.increment();
-      if (point_cancelled) {
+
+    p.timed_out = end != Status::Kind::Ok;
+    p.quality = PointQuality::Dropped;
+    switch (end) {
+      case Status::Kind::Ok:
+        p.deviation_hz = last.held_frequency_hz - out.response.nominal_vco_hz;
+        p.phase_deg = last.phase_deg;
+        p.quality = relocked || p.attempts > 2 ? PointQuality::Degraded
+                    : p.attempts == 2          ? PointQuality::Retried
+                                               : PointQuality::Ok;
+        if (sweep_.stimulus == StimulusKind::DelayLinePm) {
+          p.unity_gain_deviation_hz =
+              bench.pmThetaDevRad() * fm * static_cast<double>(config_.divider_n);
+        }
+        break;
+      case Status::Kind::Cancelled:
         cancelled = true;
         p.status = Status::makef(Status::Kind::Cancelled,
                                  "point %zu (fm = %g Hz): stop requested at t = %g s "
                                  "mid-measurement (attempt %d abandoned)",
-                                 i, fm, c.now(), attempts_used);
-      } else if (over_budget) {
+                                 i, fm, c.now(), p.attempts);
+        break;
+      case Status::Kind::DeadlineExceeded:
         p.status = Status::makef(Status::Kind::DeadlineExceeded,
                                  "point %zu (fm = %g Hz): wall budget %g s exceeded on attempt %d",
-                                 i, fm, resilience_.point_budget_s, attempts_used);
-      } else if (relock_failed) {
+                                 i, fm, resilience_.point_budget_s, p.attempts);
+        break;
+      case Status::Kind::RelockFailed:
         p.status = Status::makef(
             Status::Kind::RelockFailed,
             "point %zu (fm = %g Hz): loop failed to re-lock within %g s after a failed attempt; "
             "last failure: %s",
             i, fm, relock_wait_s, last.status.toString().c_str());
-      } else if (fatal_stall) {
-        p.status = last.status;
-      } else {
+        break;
+      case Status::Kind::SimulationStall:
+        p.status = Status::makef(Status::Kind::SimulationStall,
+                                 "event queue ran dry at t = %g s measuring fm = %g Hz", c.now(),
+                                 fm);
+        out.status = p.status;
+        break;
+      default:  // RetryExhausted
         p.status = Status::makef(Status::Kind::RetryExhausted,
                                  "point %zu (fm = %g Hz): all %d attempts failed; last failure: %s",
-                                 i, fm, attempts_used, last.status.toString().c_str());
-      }
+                                 i, fm, p.attempts, last.status.toString().c_str());
+        break;
     }
-    p.wall_time_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - point_start).count();
-    telemetry().point_wall.observe(p.wall_time_s);
-    ++out.report.points_total;
+    p.wall_time_s = std::chrono::duration<double>(Clock::now() - point_start).count();
+    out.report.count(p);
     breaker.record(p);
-    out.response.points.push_back(p);
-    out.response.raw.push_back(std::move(last));
+    out.response.points.push_back(std::move(p));
     if (progress_) progress_(out.response.points.back());
-
-    if (fatal_stall) {
-      out.status = out.response.points.back().status;
-      telemetry().stalls.increment();
-      break;
-    }
+    if (end == Status::Kind::SimulationStall) break;
   }
 
   if (cancelled && out.status.ok())

@@ -62,7 +62,9 @@ struct SweepQualityReport {
   double sim_time_s = 0.0;  ///< simulated time consumed by the whole sweep
   double wall_time_s = 0.0; ///< host wall-clock time of run()
 
-  /// Count one classified point: its quality and its attempts.
+  /// Count one finished point: its quality and its attempts. Every point
+  /// a run records is counted here once; only relocks and relock failures
+  /// are counted where they happen.
   void count(const MeasuredPoint& p);
 
   /// Add another run's counts and simulated time; wall time is not summed.
@@ -142,9 +144,10 @@ struct BenchStats {
 
 /// A MeasuredResponse plus its quality accounting. `status` is only
 /// non-ok for conditions that ended the sweep early: the event queue
-/// running dry (SimulationStall) or a cooperative stop (Cancelled);
-/// per-point failures are recorded on the points themselves and leave
-/// status ok.
+/// running dry (SimulationStall, wherever in the point it ran dry) or a
+/// cooperative stop (Cancelled); per-point failures are recorded on the
+/// points themselves and leave status ok. A finished run is published to
+/// the global metrics registry once (publishRun, bist/telemetry.hpp).
 struct ResilientResponse {
   MeasuredResponse response;
   SweepQualityReport report;
@@ -155,7 +158,7 @@ struct ResilientResponse {
 
 /// Append a point that produced no measurement — never attempted, never
 /// claimed, or skipped by the relock breaker — to `out`: Dropped, zero
-/// attempts, `status`, a raw skeleton, and counted in the quality report.
+/// attempts, `status`, and counted in the quality report.
 void appendDroppedPoint(ResilientResponse& out, double modulation_hz, Status status);
 
 /// The relock circuit breaker (ResilientSweepOptions::relock_breaker). Fed

@@ -209,6 +209,15 @@ void TestSequencer::finish(double /*now*/) {
   }
 }
 
+void TestSequencer::abandon() {
+  if (stage_ == Stage::Idle) return;
+  if (pll_.holdAsserted()) pll_.setHold(false);
+  freq_counter_.abandon();
+  enterStage(Stage::Idle);
+  ++sequence_id_;
+  done_ = nullptr;
+}
+
 void TestSequencer::measureStaticReference(double settle_s, std::function<void(double hz)> done) {
   if (stage_ != Stage::Idle) throw std::logic_error("measureStaticReference: sequencer busy");
   if (settle_s <= 0.0) throw std::invalid_argument("measureStaticReference: settle must be positive");

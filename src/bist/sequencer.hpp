@@ -92,6 +92,12 @@ class TestSequencer {
   [[nodiscard]] Stage stage() const { return stage_; }
   [[nodiscard]] const Options& options() const { return options_; }
 
+  /// Give up the point in flight, if any, without finishing it: hold is
+  /// released, the frequency counter forgets its open gate, and the
+  /// point's pending stage, watchdog and gate callbacks are ignored; `done`
+  /// never fires. The sequencer is idle afterwards. No-op when idle.
+  void abandon();
+
   /// Re-program the sequencer between points (the retry layer escalates
   /// settle/timeout/gate on each attempt). Throws std::logic_error when a
   /// point is in flight, std::invalid_argument on bad options.

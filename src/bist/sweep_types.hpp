@@ -99,7 +99,6 @@ struct MeasuredResponse {
   double nominal_vco_hz = 0.0;      ///< unmodulated carrier count
   double static_reference_deviation_hz = 0.0;  ///< eqn (7) Frefmax (DC method); 0 for PM
   std::vector<MeasuredPoint> points;
-  std::vector<TestSequencer::PointResult> raw;
 
   /// Uses the static reference if positive, else the per-point unity-gain
   /// deviation, else the first sweep point. Throws std::domain_error if no

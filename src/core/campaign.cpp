@@ -40,7 +40,7 @@ struct CampaignTelemetry {
       reg.histogram("campaign.resume_load_wall_s", obs::MetricsRegistry::latencyBucketsSeconds());
 };
 
-CampaignTelemetry& telemetry() {
+CampaignTelemetry& campaignTelemetry() {
   static CampaignTelemetry* t = new CampaignTelemetry();  // handles into the leaked registry
   return *t;
 }
@@ -59,26 +59,18 @@ CheckpointRecord makeRecord(std::size_t index, const bist::ResilientResponse& r)
 }
 
 /// The inverse of makeRecord: a resumed point as the single-point result
-/// the farm merges. The raw entry is a skeleton (counter captures are not
-/// journaled); everything the run report and Bode conversion read is
+/// the farm merges. Everything the run report and Bode conversion read is
 /// reconstructed exactly.
 bist::ResilientResponse fromRecord(const CheckpointRecord& rec) {
   bist::ResilientResponse r;
   r.response.nominal_vco_hz = rec.nominal_vco_hz;
   r.response.static_reference_deviation_hz = rec.static_reference_deviation_hz;
-  bist::TestSequencer::PointResult raw;
-  raw.modulation_hz = rec.point.modulation_hz;
-  raw.phase_deg = rec.point.phase_deg;
-  raw.held_frequency_hz = rec.nominal_vco_hz + rec.point.deviation_hz;
-  raw.timed_out = rec.point.timed_out;
-  raw.status = rec.point.status;
   r.report.count(rec.point);
   r.report.relocks = rec.relocks;
   r.report.relock_failures = rec.relock_failures;
   r.report.sim_time_s = rec.sim_time_s;
   r.bench = rec.bench;
   r.response.points.push_back(rec.point);
-  r.response.raw.push_back(std::move(raw));
   return r;
 }
 
@@ -175,11 +167,11 @@ CampaignResult Campaign::run() {
       if (Status s = checkJournalHeader(loaded.header, header.config_digest, n); !s.ok())
         return failClosed(std::move(s));
     }
-    telemetry().resume_load_wall.observe(secondsSince(load_start));
+    campaignTelemetry().resume_load_wall.observe(secondsSince(load_start));
     out.torn_tail_repaired = loaded.torn_tail;
-    if (loaded.torn_tail) telemetry().torn_tails.increment();
+    if (loaded.torn_tail) campaignTelemetry().torn_tails.increment();
     out.points_resumed = static_cast<int>(loaded.records.size());
-    telemetry().points_resumed.add(loaded.records.size());
+    campaignTelemetry().points_resumed.add(loaded.records.size());
   }
   if (!options_.journal_path.empty() && !writer_open) {
     if (Status s = writer.create(options_.journal_path, header); !s.ok())
@@ -204,7 +196,7 @@ CampaignResult Campaign::run() {
   Status journal_error;  // written by the sink, read after farm.run()
   farm.onPointResult([&](std::size_t index, const bist::ResilientResponse& r) {
     ++out.points_executed;
-    telemetry().points_executed.increment();
+    campaignTelemetry().points_executed.increment();
     if (!writer_open) return Status();
     const auto append_start = Clock::now();
     journal_error = writer.append(makeRecord(index, r));
@@ -214,8 +206,8 @@ CampaignResult Campaign::run() {
       writer.close();
       return journal_error;
     }
-    telemetry().journal_append_wall.observe(secondsSince(append_start));
-    telemetry().journal_records.increment();
+    campaignTelemetry().journal_append_wall.observe(secondsSince(append_start));
+    campaignTelemetry().journal_records.increment();
     return Status();
   });
 
@@ -236,7 +228,7 @@ CampaignResult Campaign::run() {
         if (farm_finished.wait_until(lock, deadline, [&] { return finished; })) return;
       }
       deadline_hit = true;
-      telemetry().deadline_hits.increment();
+      campaignTelemetry().deadline_hits.increment();
       PLLBIST_INSTANT("campaign.deadline");
       stop_.requestStop();
     });
@@ -254,7 +246,7 @@ CampaignResult Campaign::run() {
   out.deadline_hit = deadline_hit;
   out.stop_requested = stop_.stopRequested();
   bist::ResilientResponse& m = out.merged;
-  if (m.breaker_open) telemetry().breaker_trips.increment();
+  if (m.breaker_open) campaignTelemetry().breaker_trips.increment();
   // The deadline is what tripped the stop token: say so on every point it
   // cancelled and on the campaign, unless the journal failed first.
   if (out.deadline_hit) {

@@ -326,6 +326,27 @@ TEST(ResilientSweepEngine, CatastrophicDeviceCompletesFullyLabelled) {
   EXPECT_EQ(r.response.toBode().size(), 0u);  // every point excluded from the fit
 }
 
+/// A wall budget far below one point's cost: every point is dropped with
+/// DeadlineExceeded in its first attempt, and the next point still starts,
+/// because the abandoned attempt leaves the sequencer idle. The sweep
+/// neither throws nor hangs.
+TEST(ResilientSweepEngine, ExpiredPointBudgetDropsEveryPointWithoutThrowing) {
+  ResilientSweepOptions rs;
+  rs.point_budget_s = 1e-6;
+  ResilientSweep engine(fastTestConfig(), fastSweepOptions(StimulusKind::MultiToneFsk, 3), rs);
+  ResilientResponse r;
+  ASSERT_NO_THROW(r = engine.run());
+  EXPECT_TRUE(r.status.ok()) << r.status.toString();
+  ASSERT_EQ(r.response.points.size(), 3u);
+  for (const MeasuredPoint& p : r.response.points) {
+    EXPECT_EQ(p.quality, PointQuality::Dropped) << to_string(p.quality);
+    EXPECT_EQ(p.status.kind(), Status::Kind::DeadlineExceeded) << p.status.toString();
+    EXPECT_EQ(p.attempts, 1);
+  }
+  EXPECT_EQ(r.report.dropped, 3);
+  EXPECT_EQ(r.report.attempts_total, 3);
+}
+
 /// core::measure on the same catastrophic device: never throws, reports
 /// NoValidPoints with the full quality accounting attached.
 TEST(ResilientSweepEngine, CoreFacadeReportsNoValidPoints) {
