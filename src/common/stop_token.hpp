@@ -1,22 +1,28 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <csignal>
+#include <limits>
 
 namespace pllbist {
 
 /// Cooperative cancellation token shared between a requester (signal
-/// handler, deadline supervisor, another thread) and the sweep engines'
-/// hot loops. Engines poll stopRequested() at bounded intervals and drain
-/// to a fully-labelled partial result — a stop is never a hang and never a
-/// torn data structure.
+/// handler, another thread, or its own wall-clock deadline) and the sweep
+/// engines' hot loops. Engines poll stopRequested() at bounded intervals
+/// and drain to a fully-labelled partial result — a stop is never a hang
+/// and never a torn data structure.
 ///
 /// Tokens chain: an engine-local token can point at an upstream one (the
 /// process-global token the signal handlers trip), so one Ctrl-C stops
 /// every engine without the engines sharing mutable state. requestStop()
-/// is a single relaxed-free atomic store, safe from a signal handler.
+/// is a single atomic store, safe from a signal handler. A deadline
+/// (stopAt) needs no thread: the polls themselves compare it with the
+/// clock, and a token without one reads no clock.
 class StopSource {
  public:
+  using Clock = std::chrono::steady_clock;
+
   StopSource() = default;
   StopSource(const StopSource&) = delete;
   StopSource& operator=(const StopSource&) = delete;
@@ -27,14 +33,26 @@ class StopSource {
   /// Also honour `upstream` (may be nullptr to unchain). Not thread-safe
   /// against concurrent stopRequested(); chain before handing the token out.
   void chainTo(const StopSource* upstream) noexcept { upstream_ = upstream; }
+  /// Stop by itself once `deadline` has passed.
+  void stopAt(Clock::time_point deadline) noexcept {
+    deadline_.store(deadline.time_since_epoch().count(), std::memory_order_release);
+  }
+
+  /// This token's own deadline has passed (an upstream's does not count).
+  [[nodiscard]] bool deadlineReached() const noexcept {
+    const Clock::rep deadline = deadline_.load(std::memory_order_acquire);
+    return deadline != kNoDeadline && Clock::now().time_since_epoch().count() >= deadline;
+  }
 
   [[nodiscard]] bool stopRequested() const noexcept {
-    return stop_.load(std::memory_order_acquire) ||
+    return stop_.load(std::memory_order_acquire) || deadlineReached() ||
            (upstream_ != nullptr && upstream_->stopRequested());
   }
 
  private:
+  static constexpr Clock::rep kNoDeadline = std::numeric_limits<Clock::rep>::max();
   std::atomic<bool> stop_{false};
+  std::atomic<Clock::rep> deadline_{kNoDeadline};
   const StopSource* upstream_ = nullptr;
 };
 

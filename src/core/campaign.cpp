@@ -1,10 +1,7 @@
 #include "core/campaign.hpp"
 
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "core/report_builder.hpp"
@@ -22,18 +19,11 @@ double secondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Handles into the global registry for the campaign runtime. These feed
-/// live dashboards and the chaos bench; the campaign *report* never reads
-/// them back (it is derived from per-point data so resume stays
-/// deterministic).
+/// Handles into the global registry for the campaign runtime's wall-clock
+/// costs, read by the chaos bench. The campaign *report* never reads them
+/// back (it is derived from per-point data so resume stays deterministic).
 struct CampaignTelemetry {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  obs::Counter points_executed = reg.counter("campaign.points_executed");
-  obs::Counter points_resumed = reg.counter("campaign.points_resumed");
-  obs::Counter journal_records = reg.counter("campaign.journal_records");
-  obs::Counter torn_tails = reg.counter("campaign.torn_tails_repaired");
-  obs::Counter breaker_trips = reg.counter("campaign.breaker_trips");
-  obs::Counter deadline_hits = reg.counter("campaign.deadline_hits");
   obs::Histogram journal_append_wall =
       reg.histogram("campaign.journal_append_wall_s", obs::MetricsRegistry::latencyBucketsSeconds());
   obs::Histogram resume_load_wall =
@@ -43,35 +33,6 @@ struct CampaignTelemetry {
 CampaignTelemetry& campaignTelemetry() {
   static CampaignTelemetry* t = new CampaignTelemetry();  // handles into the leaked registry
   return *t;
-}
-
-CheckpointRecord makeRecord(std::size_t index, const bist::ResilientResponse& r) {
-  CheckpointRecord rec;
-  rec.index = index;
-  rec.point = r.response.points.front();
-  rec.nominal_vco_hz = r.response.nominal_vco_hz;
-  rec.static_reference_deviation_hz = r.response.static_reference_deviation_hz;
-  rec.relocks = r.report.relocks;
-  rec.relock_failures = r.report.relock_failures;
-  rec.sim_time_s = r.report.sim_time_s;
-  rec.bench = r.bench;
-  return rec;
-}
-
-/// The inverse of makeRecord: a resumed point as the single-point result
-/// the farm merges. Everything the run report and Bode conversion read is
-/// reconstructed exactly.
-bist::ResilientResponse fromRecord(const CheckpointRecord& rec) {
-  bist::ResilientResponse r;
-  r.response.nominal_vco_hz = rec.nominal_vco_hz;
-  r.response.static_reference_deviation_hz = rec.static_reference_deviation_hz;
-  r.report.count(rec.point);
-  r.report.relocks = rec.relocks;
-  r.report.relock_failures = rec.relock_failures;
-  r.report.sim_time_s = rec.sim_time_s;
-  r.bench = rec.bench;
-  r.response.points.push_back(rec.point);
-  return r;
 }
 
 /// The campaign report's metrics block: derived from the merged per-point
@@ -169,9 +130,7 @@ CampaignResult Campaign::run() {
     }
     campaignTelemetry().resume_load_wall.observe(secondsSince(load_start));
     out.torn_tail_repaired = loaded.torn_tail;
-    if (loaded.torn_tail) campaignTelemetry().torn_tails.increment();
     out.points_resumed = static_cast<int>(loaded.records.size());
-    campaignTelemetry().points_resumed.add(loaded.records.size());
   }
   if (!options_.journal_path.empty() && !writer_open) {
     if (Status s = writer.create(options_.journal_path, header); !s.ok())
@@ -190,16 +149,15 @@ CampaignResult Campaign::run() {
   farm_options.resilience = options_.resilience;
   bist::ParallelSweep farm(config_, sweep_, farm_options);
   farm.chainStop(&stop_);
-  for (const CheckpointRecord& rec : loaded.records) farm.preload(rec.index, fromRecord(rec));
+  for (CheckpointRecord& rec : loaded.records) farm.preload(rec.index, std::move(rec.result));
   if (on_point_testbench_) farm.onPointTestbench(on_point_testbench_);
   if (progress_) farm.onPointMeasured(progress_);
   Status journal_error;  // written by the sink, read after farm.run()
   farm.onPointResult([&](std::size_t index, const bist::ResilientResponse& r) {
     ++out.points_executed;
-    campaignTelemetry().points_executed.increment();
     if (!writer_open) return Status();
     const auto append_start = Clock::now();
-    journal_error = writer.append(makeRecord(index, r));
+    journal_error = writer.append({index, r});
     if (!journal_error.ok()) {
       // Durability was requested and is gone: the farm stops burning
       // budget on points that could not be checkpointed.
@@ -207,49 +165,27 @@ CampaignResult Campaign::run() {
       return journal_error;
     }
     campaignTelemetry().journal_append_wall.observe(secondsSince(append_start));
-    campaignTelemetry().journal_records.increment();
     return Status();
   });
 
-  // Deadline supervisor: waits until the deadline or the farm's finish,
-  // whichever comes first, and trips the stop token at the deadline itself.
-  std::mutex supervisor_mutex;
-  std::condition_variable farm_finished;
-  bool finished = false;  // guarded by supervisor_mutex
-  bool deadline_hit = false;  // written by the supervisor, read after join
-  std::thread supervisor;
-  if (options_.deadline_s > 0.0 && loaded.records.size() < n) {
-    supervisor = std::thread([&] {
-      const auto deadline =
-          wall_start + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double>(options_.deadline_s));
-      {
-        std::unique_lock<std::mutex> lock(supervisor_mutex);
-        if (farm_finished.wait_until(lock, deadline, [&] { return finished; })) return;
-      }
-      deadline_hit = true;
-      campaignTelemetry().deadline_hits.increment();
-      PLLBIST_INSTANT("campaign.deadline");
-      stop_.requestStop();
-    });
-  }
+  // The deadline is the stop token's own: the engines' polls trip it, so
+  // no thread waits for it. A journal that already holds every point sets
+  // none, because the replay still simulates the shared prelude.
+  const bool deadline_set = options_.deadline_s > 0.0 && loaded.records.size() < n;
+  if (deadline_set)
+    stop_.stopAt(wall_start + std::chrono::duration_cast<Clock::duration>(
+                                  std::chrono::duration<double>(options_.deadline_s)));
 
   out.merged = farm.run();
-  {
-    std::lock_guard<std::mutex> lock(supervisor_mutex);
-    finished = true;
-  }
-  farm_finished.notify_one();
-  if (supervisor.joinable()) supervisor.join();
   writer.close();
 
-  out.deadline_hit = deadline_hit;
+  out.deadline_hit = deadline_set && stop_.deadlineReached();
   out.stop_requested = stop_.stopRequested();
   bist::ResilientResponse& m = out.merged;
-  if (m.breaker_open) campaignTelemetry().breaker_trips.increment();
   // The deadline is what tripped the stop token: say so on every point it
   // cancelled and on the campaign, unless the journal failed first.
   if (out.deadline_hit) {
+    PLLBIST_INSTANT("campaign.deadline");
     for (bist::MeasuredPoint& p : m.response.points)
       if (p.status.kind() == K::Cancelled)
         p.status = Status::makef(K::DeadlineExceeded, "campaign deadline %g s exceeded; %s",

@@ -23,9 +23,9 @@ struct CampaignOptions {
   /// breaker (resilience.relock_breaker), which the farm decides in point
   /// index order.
   bist::ResilientSweepOptions resilience;
-  /// Whole-campaign wall-clock budget, seconds; 0 disables. The supervisor
-  /// trips the stop token at the deadline; the campaign terminates within
-  /// the engines' bounded drain, with every unfinished point recorded as
+  /// Whole-campaign wall-clock budget, seconds; 0 disables. It becomes the
+  /// campaign stop token's deadline; the campaign terminates within the
+  /// engines' bounded drain, with every unfinished point recorded as
   /// Dropped/DeadlineExceeded.
   double deadline_s = 0.0;
   /// Write a checkpoint journal here ("" = none). With resume_path equal,
@@ -62,7 +62,8 @@ struct CampaignResult {
 /// write-ahead checkpoint journal (one fsync'd JSONL record per completed
 /// point, appended by the farm's per-point sink), digest-verified resume
 /// with exactly-once point accounting (journaled points are preloaded into
-/// the farm, never re-run), and wall-clock deadline supervision.
+/// the farm, never re-run), and a wall-clock deadline on the farm's stop
+/// token.
 ///
 /// The farm runs one single-point ResilientSweep per ORIGINAL point index,
 /// so per-point seeds (pointSeed) are identical whether a point runs in the

@@ -139,30 +139,32 @@ Status parseRecordLine(std::string_view line, std::size_t points_total, Checkpoi
                          static_cast<unsigned long long>(index), points_total);
   out.index = static_cast<std::size_t>(index);
 
+  bist::MeasuredPoint point;
+  bist::ResilientResponse& r = out.result;
   Status s;
   std::string quality, status_kind, status_context;
-  if (!(s = getNumber(doc, "fm_hz", out.point.modulation_hz)).ok() ||
-      !(s = getNumber(doc, "deviation_hz", out.point.deviation_hz)).ok() ||
-      !(s = getNumber(doc, "phase_deg", out.point.phase_deg)).ok() ||
-      !(s = getNumber(doc, "unity_gain_deviation_hz", out.point.unity_gain_deviation_hz)).ok() ||
-      !(s = getBool(doc, "timed_out", out.point.timed_out)).ok() ||
+  if (!(s = getNumber(doc, "fm_hz", point.modulation_hz)).ok() ||
+      !(s = getNumber(doc, "deviation_hz", point.deviation_hz)).ok() ||
+      !(s = getNumber(doc, "phase_deg", point.phase_deg)).ok() ||
+      !(s = getNumber(doc, "unity_gain_deviation_hz", point.unity_gain_deviation_hz)).ok() ||
+      !(s = getBool(doc, "timed_out", point.timed_out)).ok() ||
       !(s = getString(doc, "quality", quality)).ok() ||
-      !(s = getInt(doc, "attempts", out.point.attempts)).ok() ||
+      !(s = getInt(doc, "attempts", point.attempts)).ok() ||
       !(s = getString(doc, "status", status_kind)).ok() ||
       !(s = getString(doc, "status_context", status_context)).ok() ||
-      !(s = getNumber(doc, "wall_time_s", out.point.wall_time_s)).ok() ||
-      !(s = getNumber(doc, "nominal_hz", out.nominal_vco_hz)).ok() ||
-      !(s = getNumber(doc, "static_ref_hz", out.static_reference_deviation_hz)).ok() ||
-      !(s = getInt(doc, "relocks", out.relocks)).ok() ||
-      !(s = getInt(doc, "relock_failures", out.relock_failures)).ok() ||
-      !(s = getNumber(doc, "sim_time_s", out.sim_time_s)).ok())
+      !(s = getNumber(doc, "wall_time_s", point.wall_time_s)).ok() ||
+      !(s = getNumber(doc, "nominal_hz", r.response.nominal_vco_hz)).ok() ||
+      !(s = getNumber(doc, "static_ref_hz", r.response.static_reference_deviation_hz)).ok() ||
+      !(s = getInt(doc, "relocks", r.report.relocks)).ok() ||
+      !(s = getInt(doc, "relock_failures", r.report.relock_failures)).ok() ||
+      !(s = getNumber(doc, "sim_time_s", r.report.sim_time_s)).ok())
     return s;
-  if (!parseQuality(quality, out.point.quality))
+  if (!parseQuality(quality, point.quality))
     return Status::makef(K::InvalidArgument, "unknown point quality \"%s\"", quality.c_str());
   Status::Kind kind = Status::Kind::Ok;
   if (!Status::parseKind(status_kind, kind))
     return Status::makef(K::InvalidArgument, "unknown status kind \"%s\"", status_kind.c_str());
-  out.point.status = Status::make(kind, std::move(status_context));
+  point.status = Status::make(kind, std::move(status_context));
   if (kind == Status::Kind::Cancelled)
     return Status::makef(K::InvalidArgument,
                          "record %llu is Cancelled; cancelled points are never committed",
@@ -171,23 +173,25 @@ Status parseRecordLine(std::string_view line, std::size_t points_total, Checkpoi
   const obs::JsonValue* kernel = doc.find("kernel");
   if (kernel == nullptr || !kernel->isObject())
     return Status::make(K::InvalidArgument, "missing or non-object field \"kernel\"");
-  if (!(s = getCount(*kernel, "processed", out.bench.events_processed)).ok() ||
-      !(s = getCount(*kernel, "delivered", out.bench.events_delivered)).ok() ||
-      !(s = getCount(*kernel, "dropped", out.bench.events_dropped)).ok() ||
-      !(s = getCount(*kernel, "delayed", out.bench.events_delayed)).ok() ||
-      !(s = getCount(*kernel, "swallowed", out.bench.events_swallowed)).ok())
+  if (!(s = getCount(*kernel, "processed", r.bench.events_processed)).ok() ||
+      !(s = getCount(*kernel, "delivered", r.bench.events_delivered)).ok() ||
+      !(s = getCount(*kernel, "dropped", r.bench.events_dropped)).ok() ||
+      !(s = getCount(*kernel, "delayed", r.bench.events_delayed)).ok() ||
+      !(s = getCount(*kernel, "swallowed", r.bench.events_swallowed)).ok())
     return Status::makef(K::InvalidArgument, "kernel: %s", s.context().c_str());
 
   if (const obs::JsonValue* faults = doc.find("faults")) {
     if (!faults->isObject())
       return Status::make(K::InvalidArgument, "field \"faults\" is not an object");
-    if (!(s = getCount(*faults, "benches", out.bench.fault_benches)).ok() ||
-        !(s = getCount(*faults, "considered", out.bench.faults_considered)).ok() ||
-        !(s = getCount(*faults, "dropped", out.bench.faults_dropped)).ok() ||
-        !(s = getCount(*faults, "delayed", out.bench.faults_delayed)).ok() ||
-        !(s = getCount(*faults, "glitches", out.bench.faults_glitches)).ok())
+    if (!(s = getCount(*faults, "benches", r.bench.fault_benches)).ok() ||
+        !(s = getCount(*faults, "considered", r.bench.faults_considered)).ok() ||
+        !(s = getCount(*faults, "dropped", r.bench.faults_dropped)).ok() ||
+        !(s = getCount(*faults, "delayed", r.bench.faults_delayed)).ok() ||
+        !(s = getCount(*faults, "glitches", r.bench.faults_glitches)).ok())
       return Status::makef(K::InvalidArgument, "faults: %s", s.context().c_str());
   }
+  r.report.count(point);
+  r.response.points.push_back(std::move(point));
   return Status();
 }
 
@@ -211,27 +215,29 @@ std::string JournalWriter::headerLine(const CheckpointHeader& header) {
   return os.str();
 }
 
-std::string JournalWriter::recordLine(const CheckpointRecord& r) {
+std::string JournalWriter::recordLine(const CheckpointRecord& record) {
+  const bist::ResilientResponse& r = record.result;
+  const bist::MeasuredPoint& p = r.response.points.front();
   std::ostringstream os;
   obs::JsonWriter w(os);
   w.beginObject();
   w.key("record").value("point");
-  w.key("index").value(static_cast<uint64_t>(r.index));
-  w.key("fm_hz").value(r.point.modulation_hz);
-  w.key("deviation_hz").value(r.point.deviation_hz);
-  w.key("phase_deg").value(r.point.phase_deg);
-  w.key("unity_gain_deviation_hz").value(r.point.unity_gain_deviation_hz);
-  w.key("timed_out").value(r.point.timed_out);
-  w.key("quality").value(bist::to_string(r.point.quality));
-  w.key("attempts").value(r.point.attempts);
-  w.key("status").value(Status::kindName(r.point.status.kind()));
-  w.key("status_context").value(r.point.status.context());
-  w.key("wall_time_s").value(r.point.wall_time_s);
-  w.key("nominal_hz").value(r.nominal_vco_hz);
-  w.key("static_ref_hz").value(r.static_reference_deviation_hz);
-  w.key("relocks").value(r.relocks);
-  w.key("relock_failures").value(r.relock_failures);
-  w.key("sim_time_s").value(r.sim_time_s);
+  w.key("index").value(static_cast<uint64_t>(record.index));
+  w.key("fm_hz").value(p.modulation_hz);
+  w.key("deviation_hz").value(p.deviation_hz);
+  w.key("phase_deg").value(p.phase_deg);
+  w.key("unity_gain_deviation_hz").value(p.unity_gain_deviation_hz);
+  w.key("timed_out").value(p.timed_out);
+  w.key("quality").value(bist::to_string(p.quality));
+  w.key("attempts").value(p.attempts);
+  w.key("status").value(Status::kindName(p.status.kind()));
+  w.key("status_context").value(p.status.context());
+  w.key("wall_time_s").value(p.wall_time_s);
+  w.key("nominal_hz").value(r.response.nominal_vco_hz);
+  w.key("static_ref_hz").value(r.response.static_reference_deviation_hz);
+  w.key("relocks").value(r.report.relocks);
+  w.key("relock_failures").value(r.report.relock_failures);
+  w.key("sim_time_s").value(r.report.sim_time_s);
   w.key("kernel").beginObject();
   w.key("processed").value(r.bench.events_processed);
   w.key("delivered").value(r.bench.events_delivered);

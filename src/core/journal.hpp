@@ -29,21 +29,18 @@ struct CheckpointHeader {
   std::size_t points_total = 0;  ///< campaign size; record indices are < this
 };
 
-/// One committed point: everything needed to reproduce the point's
-/// contribution to the merged response, quality report and run report —
-/// measurement, classification, per-engine accounting, and the engine's
-/// deterministic kernel/fault counters. A record is only appended after
-/// its point reached a terminal classification (Cancelled points are
-/// *not* terminal: they re-run on resume).
+/// One committed point: the single-point result the farm hands its
+/// journal sink, under its campaign index. Stored: the measurement and
+/// classification, the nominal and DC reference, the engine's relocks,
+/// relock failures, simulated seconds and kernel/fault counters after the
+/// fork; the quality counts are rebuilt from the point on load. Not
+/// stored: the run's `status`, `breaker_open` and `report.wall_time_s`.
+/// A record is only appended after its point reached a terminal
+/// classification (Cancelled points are *not* terminal: they re-run on
+/// resume).
 struct CheckpointRecord {
   std::size_t index = 0;  ///< position in the campaign's frequency list
-  bist::MeasuredPoint point;
-  double nominal_vco_hz = 0.0;
-  double static_reference_deviation_hz = 0.0;
-  int relocks = 0;          ///< this point's engine-run relock count
-  int relock_failures = 0;  ///< this point's engine-run relock failures
-  double sim_time_s = 0.0;  ///< simulated seconds of this point after the fork
-  bist::BenchStats bench;   ///< this point's kernel/fault counters after the fork
+  bist::ResilientResponse result;  ///< exactly one point in result.response.points
 };
 
 /// Result of loading a journal: header, the unique committed records

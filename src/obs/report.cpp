@@ -143,17 +143,22 @@ std::string RunReport::toJson() const {
 
 namespace {
 
-Status violation(const char* what) {
-  return Status::makef(Status::Kind::InvalidArgument, "RunReport schema: %s", what);
+// The report kinds the validators below check; every message starts with
+// "<kind> schema: ".
+constexpr const char* kRunReport = "RunReport";
+constexpr const char* kGoldenReport = "GoldenReport";
+
+Status violation(const char* report, const char* what) {
+  return Status::makef(Status::Kind::InvalidArgument, "%s schema: %s", report, what);
 }
 
-Status requireNumbers(const JsonValue& obj, std::initializer_list<const char*> keys,
-                      const char* where) {
+Status requireNumbers(const char* report, const JsonValue& obj,
+                      std::initializer_list<const char*> keys, const char* where) {
   for (const char* k : keys) {
     const JsonValue* v = obj.find(k);
     if (v == nullptr || !v->isNumber())
       return Status::makef(Status::Kind::InvalidArgument,
-                           "RunReport schema: %s.%s missing or not a number", where, k);
+                           "%s schema: %s.%s missing or not a number", report, where, k);
   }
   return Status();
 }
@@ -165,10 +170,11 @@ bool endsWith(std::string_view s, std::string_view suffix) {
 }  // namespace
 
 Status validateRunReportJson(const JsonValue& root) {
-  if (!root.isObject()) return violation("top level must be an object");
+  if (!root.isObject()) return violation(kRunReport, "top level must be an object");
 
   const JsonValue* schema = root.find("schema");
-  if (schema == nullptr || !schema->isString()) return violation("missing 'schema' string");
+  if (schema == nullptr || !schema->isString())
+    return violation(kRunReport, "missing 'schema' string");
   if (schema->string != kRunReportSchema)
     return Status::makef(Status::Kind::InvalidArgument,
                          "RunReport schema: unsupported schema '%s' (expected '%s')",
@@ -176,10 +182,11 @@ Status validateRunReportJson(const JsonValue& root) {
 
   const JsonValue* tool = root.find("tool");
   if (tool == nullptr || !tool->isString() || tool->string.empty())
-    return violation("missing 'tool' string");
+    return violation(kRunReport, "missing 'tool' string");
 
   const JsonValue* config = root.find("config");
-  if (config == nullptr || !config->isObject()) return violation("missing 'config' object");
+  if (config == nullptr || !config->isObject())
+    return violation(kRunReport, "missing 'config' object");
   for (const char* k : {"device", "stimulus", "digest"}) {
     const JsonValue* v = config->find(k);
     if (v == nullptr || !v->isString())
@@ -188,19 +195,22 @@ Status validateRunReportJson(const JsonValue& root) {
   }
   const JsonValue* digest = config->find("digest");
   if (digest->string.size() < 3 || digest->string.substr(0, 2) != "0x")
-    return violation("config.digest must be a 0x-prefixed hex string");
+    return violation(kRunReport, "config.digest must be a 0x-prefixed hex string");
   for (char c : digest->string.substr(2))
     if (!std::isxdigit(static_cast<unsigned char>(c)))
-      return violation("config.digest must be a 0x-prefixed hex string");
+      return violation(kRunReport, "config.digest must be a 0x-prefixed hex string");
   const JsonValue* jobs = config->find("jobs");
-  if (jobs == nullptr || !jobs->isNumber()) return violation("config.jobs missing or not a number");
+  if (jobs == nullptr || !jobs->isNumber())
+    return violation(kRunReport, "config.jobs missing or not a number");
 
   const JsonValue* status = root.find("status");
-  if (status == nullptr || !status->isString()) return violation("missing 'status' string");
+  if (status == nullptr || !status->isString())
+    return violation(kRunReport, "missing 'status' string");
 
   const JsonValue* quality = root.find("quality");
-  if (quality == nullptr || !quality->isObject()) return violation("missing 'quality' object");
-  Status s = requireNumbers(*quality,
+  if (quality == nullptr || !quality->isObject())
+    return violation(kRunReport, "missing 'quality' object");
+  Status s = requireNumbers(kRunReport, *quality,
                             {"points_total", "ok", "retried", "degraded", "dropped",
                              "attempts_total", "relocks", "relock_failures", "sim_time_s"},
                             "quality");
@@ -208,79 +218,86 @@ Status validateRunReportJson(const JsonValue& root) {
   // wall_time_s is a documented timing field: required in a freshly emitted
   // report but legitimately absent after stripTimingFields().
   const JsonValue* qw = quality->find("wall_time_s");
-  if (qw != nullptr && !qw->isNumber()) return violation("quality.wall_time_s must be a number");
+  if (qw != nullptr && !qw->isNumber())
+    return violation(kRunReport, "quality.wall_time_s must be a number");
 
   const JsonValue* points = root.find("points");
-  if (points == nullptr || !points->isArray()) return violation("missing 'points' array");
+  if (points == nullptr || !points->isArray())
+    return violation(kRunReport, "missing 'points' array");
   int counted[4] = {0, 0, 0, 0};  // ok, retried, degraded, dropped
   for (const JsonValue& p : points->array) {
-    if (!p.isObject()) return violation("points[] entries must be objects");
-    s = requireNumbers(p, {"fm_hz", "deviation_hz", "phase_deg", "attempts"}, "points[]");
+    if (!p.isObject()) return violation(kRunReport, "points[] entries must be objects");
+    s = requireNumbers(kRunReport, p, {"fm_hz", "deviation_hz", "phase_deg", "attempts"},
+                       "points[]");
     if (!s.ok()) return s;
     const JsonValue* pq = p.find("quality");
-    if (pq == nullptr || !pq->isString()) return violation("points[].quality missing");
+    if (pq == nullptr || !pq->isString()) return violation(kRunReport, "points[].quality missing");
     if (pq->string == "ok") ++counted[0];
     else if (pq->string == "retried") ++counted[1];
     else if (pq->string == "degraded") ++counted[2];
     else if (pq->string == "dropped") ++counted[3];
-    else return violation("points[].quality must be ok/retried/degraded/dropped");
+    else return violation(kRunReport, "points[].quality must be ok/retried/degraded/dropped");
     const JsonValue* ps = p.find("status");
-    if (ps == nullptr || !ps->isString()) return violation("points[].status missing");
+    if (ps == nullptr || !ps->isString()) return violation(kRunReport, "points[].status missing");
     const JsonValue* pw = p.find("wall_time_s");
-    if (pw != nullptr && !pw->isNumber()) return violation("points[].wall_time_s must be a number");
+    if (pw != nullptr && !pw->isNumber())
+      return violation(kRunReport, "points[].wall_time_s must be a number");
   }
   auto qint = [&](const char* k) { return static_cast<int>(quality->find(k)->number); };
   if (qint("points_total") != static_cast<int>(points->array.size()))
-    return violation("quality.points_total != points array length");
+    return violation(kRunReport, "quality.points_total != points array length");
   if (qint("ok") != counted[0] || qint("retried") != counted[1] ||
       qint("degraded") != counted[2] || qint("dropped") != counted[3])
-    return violation("quality counters disagree with per-point quality labels");
+    return violation(kRunReport, "quality counters disagree with per-point quality labels");
 
   const JsonValue* faults = root.find("faults");
   if (faults != nullptr) {
-    if (!faults->isObject()) return violation("'faults' must be an object");
-    s = requireNumbers(*faults, {"considered", "dropped", "delayed", "glitches"}, "faults");
+    if (!faults->isObject()) return violation(kRunReport, "'faults' must be an object");
+    s = requireNumbers(kRunReport, *faults, {"considered", "dropped", "delayed", "glitches"},
+                       "faults");
     if (!s.ok()) return s;
   }
 
   const JsonValue* kernel = root.find("kernel");
-  if (kernel == nullptr || !kernel->isObject()) return violation("missing 'kernel' object");
-  s = requireNumbers(*kernel, {"processed", "delivered", "dropped", "delayed", "swallowed"},
-                     "kernel");
+  if (kernel == nullptr || !kernel->isObject())
+    return violation(kRunReport, "missing 'kernel' object");
+  s = requireNumbers(kRunReport, *kernel,
+                     {"processed", "delivered", "dropped", "delayed", "swallowed"}, "kernel");
   if (!s.ok()) return s;
   if (kernel->find("processed")->number < kernel->find("delivered")->number)
-    return violation("kernel.processed < kernel.delivered");
+    return violation(kRunReport, "kernel.processed < kernel.delivered");
 
   const JsonValue* metrics = root.find("metrics");
-  if (metrics == nullptr || !metrics->isObject()) return violation("missing 'metrics' object");
+  if (metrics == nullptr || !metrics->isObject())
+    return violation(kRunReport, "missing 'metrics' object");
   for (const char* k : {"counters", "gauges", "histograms"}) {
     const JsonValue* arr = metrics->find(k);
     if (arr == nullptr || !arr->isArray())
       return Status::makef(Status::Kind::InvalidArgument,
                            "RunReport schema: metrics.%s missing or not an array", k);
     for (const JsonValue& m : arr->array) {
-      if (!m.isObject()) return violation("metrics entries must be objects");
+      if (!m.isObject()) return violation(kRunReport, "metrics entries must be objects");
       const JsonValue* name = m.find("name");
       if (name == nullptr || !name->isString() || name->string.empty())
-        return violation("metrics entries need a non-empty name");
+        return violation(kRunReport, "metrics entries need a non-empty name");
     }
   }
   for (const JsonValue& h : metrics->find("histograms")->array) {
     const JsonValue* bounds = h.find("bounds");
     const JsonValue* buckets = h.find("buckets");
     if (bounds == nullptr || !bounds->isArray() || buckets == nullptr || !buckets->isArray())
-      return violation("histogram entries need bounds and buckets arrays");
+      return violation(kRunReport, "histogram entries need bounds and buckets arrays");
     if (buckets->array.size() != bounds->array.size() + 1)
-      return violation("histogram buckets length must be bounds length + 1");
-    s = requireNumbers(h, {"count", "sum", "min", "max"}, "metrics.histograms[]");
+      return violation(kRunReport, "histogram buckets length must be bounds length + 1");
+    s = requireNumbers(kRunReport, h, {"count", "sum", "min", "max"}, "metrics.histograms[]");
     if (!s.ok()) return s;
     double bucket_sum = 0.0;
     for (const JsonValue& b : buckets->array) {
-      if (!b.isNumber()) return violation("histogram buckets must be numbers");
+      if (!b.isNumber()) return violation(kRunReport, "histogram buckets must be numbers");
       bucket_sum += b.number;
     }
     if (bucket_sum != h.find("count")->number)
-      return violation("histogram count != sum of buckets");
+      return violation(kRunReport, "histogram count != sum of buckets");
   }
   return Status();
 }
@@ -292,30 +309,12 @@ Status validateRunReportText(std::string_view text) {
   return validateRunReportJson(root);
 }
 
-namespace {
-
-Status goldenViolation(const char* what) {
-  return Status::makef(Status::Kind::InvalidArgument, "GoldenReport schema: %s", what);
-}
-
-Status goldenRequireNumbers(const JsonValue& obj, std::initializer_list<const char*> keys,
-                            const char* where) {
-  for (const char* k : keys) {
-    const JsonValue* v = obj.find(k);
-    if (v == nullptr || !v->isNumber())
-      return Status::makef(Status::Kind::InvalidArgument,
-                           "GoldenReport schema: %s.%s missing or not a number", where, k);
-  }
-  return Status();
-}
-
-}  // namespace
-
 Status validateGoldenReportJson(const JsonValue& root) {
-  if (!root.isObject()) return goldenViolation("top level must be an object");
+  if (!root.isObject()) return violation(kGoldenReport, "top level must be an object");
 
   const JsonValue* schema = root.find("schema");
-  if (schema == nullptr || !schema->isString()) return goldenViolation("missing 'schema' string");
+  if (schema == nullptr || !schema->isString())
+    return violation(kGoldenReport, "missing 'schema' string");
   if (schema->string != kGoldenReportSchema)
     return Status::makef(Status::Kind::InvalidArgument,
                          "GoldenReport schema: unsupported schema '%s' (expected '%s')",
@@ -323,10 +322,11 @@ Status validateGoldenReportJson(const JsonValue& root) {
 
   const JsonValue* tool = root.find("tool");
   if (tool == nullptr || !tool->isString() || tool->string.empty())
-    return goldenViolation("missing 'tool' string");
+    return violation(kGoldenReport, "missing 'tool' string");
 
   const JsonValue* config = root.find("config");
-  if (config == nullptr || !config->isObject()) return goldenViolation("missing 'config' object");
+  if (config == nullptr || !config->isObject())
+    return violation(kGoldenReport, "missing 'config' object");
   for (const char* k : {"device", "stimulus", "digest", "seed"}) {
     const JsonValue* v = config->find(k);
     if (v == nullptr || !v->isString())
@@ -343,77 +343,82 @@ Status validateGoldenReportJson(const JsonValue& root) {
         return Status::makef(Status::Kind::InvalidArgument,
                              "GoldenReport schema: config.%s must be a 0x-prefixed hex string", k);
   }
-  Status s = goldenRequireNumbers(
-      *config, {"jobs", "fn_hz", "zeta", "tau2_s", "loop_gain_per_s",
-                "transport_delay_ref_periods"},
+  Status s = requireNumbers(
+      kGoldenReport, *config,
+      {"jobs", "fn_hz", "zeta", "tau2_s", "loop_gain_per_s", "transport_delay_ref_periods"},
       "config");
   if (!s.ok()) return s;
   if (!(config->find("fn_hz")->number > 0.0))
-    return goldenViolation("config.fn_hz must be positive");
-  if (!(config->find("zeta")->number > 0.0)) return goldenViolation("config.zeta must be positive");
+    return violation(kGoldenReport, "config.fn_hz must be positive");
+  if (!(config->find("zeta")->number > 0.0))
+    return violation(kGoldenReport, "config.zeta must be positive");
 
   const JsonValue* bands = root.find("tolerance_bands");
   if (bands == nullptr || !bands->isArray() || bands->array.empty())
-    return goldenViolation("missing non-empty 'tolerance_bands' array");
+    return violation(kGoldenReport, "missing non-empty 'tolerance_bands' array");
   double prev_edge = 0.0;
   for (const JsonValue& b : bands->array) {
-    if (!b.isObject()) return goldenViolation("tolerance_bands[] entries must be objects");
+    if (!b.isObject()) return violation(kGoldenReport, "tolerance_bands[] entries must be objects");
     const JsonValue* label = b.find("label");
     if (label == nullptr || !label->isString() || label->string.empty())
-      return goldenViolation("tolerance_bands[].label missing");
-    s = goldenRequireNumbers(b, {"f_over_fn_max", "magnitude_db", "phase_deg"},
-                             "tolerance_bands[]");
+      return violation(kGoldenReport, "tolerance_bands[].label missing");
+    s = requireNumbers(kGoldenReport, b, {"f_over_fn_max", "magnitude_db", "phase_deg"},
+                       "tolerance_bands[]");
     if (!s.ok()) return s;
     if (!(b.find("f_over_fn_max")->number > prev_edge))
-      return goldenViolation("tolerance_bands[].f_over_fn_max must be strictly ascending");
+      return violation(kGoldenReport, "tolerance_bands[].f_over_fn_max must be strictly ascending");
     prev_edge = b.find("f_over_fn_max")->number;
     if (!(b.find("magnitude_db")->number > 0.0) || !(b.find("phase_deg")->number > 0.0))
-      return goldenViolation("tolerance_bands[] tolerances must be positive");
+      return violation(kGoldenReport, "tolerance_bands[] tolerances must be positive");
   }
 
   const JsonValue* sweep_status = root.find("sweep_status");
   if (sweep_status == nullptr || !sweep_status->isString())
-    return goldenViolation("missing 'sweep_status' string");
+    return violation(kGoldenReport, "missing 'sweep_status' string");
 
   const JsonValue* quality = root.find("quality");
-  if (quality == nullptr || !quality->isObject()) return goldenViolation("missing 'quality' object");
-  s = goldenRequireNumbers(*quality,
-                           {"points_total", "ok", "retried", "degraded", "dropped",
-                            "attempts_total", "relocks", "relock_failures", "sim_time_s"},
-                           "quality");
+  if (quality == nullptr || !quality->isObject())
+    return violation(kGoldenReport, "missing 'quality' object");
+  s = requireNumbers(kGoldenReport, *quality,
+                     {"points_total", "ok", "retried", "degraded", "dropped",
+                      "attempts_total", "relocks", "relock_failures", "sim_time_s"},
+                     "quality");
   if (!s.ok()) return s;
   const JsonValue* qw = quality->find("wall_time_s");
   if (qw != nullptr && !qw->isNumber())
-    return goldenViolation("quality.wall_time_s must be a number");
+    return violation(kGoldenReport, "quality.wall_time_s must be a number");
 
   const JsonValue* points = root.find("points");
-  if (points == nullptr || !points->isArray()) return goldenViolation("missing 'points' array");
+  if (points == nullptr || !points->isArray())
+    return violation(kGoldenReport, "missing 'points' array");
   int compared = 0, excluded = 0;
   double max_db = 0.0, max_deg = 0.0;
   for (const JsonValue& p : points->array) {
-    if (!p.isObject()) return goldenViolation("points[] entries must be objects");
-    s = goldenRequireNumbers(p,
-                             {"fm_hz", "f_over_fn", "measured_db", "golden_db", "delta_db",
-                              "measured_phase_deg", "golden_phase_deg", "delay_correction_deg",
-                              "delta_phase_deg", "magnitude_tol_db", "phase_tol_deg"},
-                             "points[]");
+    if (!p.isObject()) return violation(kGoldenReport, "points[] entries must be objects");
+    s = requireNumbers(kGoldenReport, p,
+                       {"fm_hz", "f_over_fn", "measured_db", "golden_db", "delta_db",
+                        "measured_phase_deg", "golden_phase_deg", "delay_correction_deg",
+                        "delta_phase_deg", "magnitude_tol_db", "phase_tol_deg"},
+                       "points[]");
     if (!s.ok()) return s;
     const JsonValue* band = p.find("band");
     if (band == nullptr || !band->isString() || band->string.empty())
-      return goldenViolation("points[].band missing");
+      return violation(kGoldenReport, "points[].band missing");
     const JsonValue* pq = p.find("quality");
-    if (pq == nullptr || !pq->isString()) return goldenViolation("points[].quality missing");
+    if (pq == nullptr || !pq->isString())
+      return violation(kGoldenReport, "points[].quality missing");
     const JsonValue* pc = p.find("compared");
     const JsonValue* pp = p.find("pass");
-    if (pc == nullptr || !pc->isBool()) return goldenViolation("points[].compared missing");
-    if (pp == nullptr || !pp->isBool()) return goldenViolation("points[].pass missing");
+    if (pc == nullptr || !pc->isBool())
+      return violation(kGoldenReport, "points[].compared missing");
+    if (pp == nullptr || !pp->isBool()) return violation(kGoldenReport, "points[].pass missing");
     if (pp->boolean && !pc->boolean)
-      return goldenViolation("points[].pass requires points[].compared");
+      return violation(kGoldenReport, "points[].pass requires points[].compared");
     if (pc->boolean && band->string == "excluded")
-      return goldenViolation("excluded points[] cannot be compared");
+      return violation(kGoldenReport, "excluded points[] cannot be compared");
     const JsonValue* pw = p.find("wall_time_s");
     if (pw != nullptr && !pw->isNumber())
-      return goldenViolation("points[].wall_time_s must be a number");
+      return violation(kGoldenReport, "points[].wall_time_s must be a number");
     if (pc->boolean) {
       ++compared;
       const double adb = std::abs(p.find("delta_db")->number);
@@ -426,25 +431,27 @@ Status validateGoldenReportJson(const JsonValue& root) {
   }
 
   const JsonValue* summary = root.find("summary");
-  if (summary == nullptr || !summary->isObject()) return goldenViolation("missing 'summary' object");
-  s = goldenRequireNumbers(
-      *summary, {"compared", "excluded", "max_abs_delta_db", "max_abs_delta_phase_deg"},
-      "summary");
+  if (summary == nullptr || !summary->isObject())
+    return violation(kGoldenReport, "missing 'summary' object");
+  s = requireNumbers(kGoldenReport, *summary,
+                     {"compared", "excluded", "max_abs_delta_db", "max_abs_delta_phase_deg"},
+                     "summary");
   if (!s.ok()) return s;
   const JsonValue* pass = summary->find("pass");
-  if (pass == nullptr || !pass->isBool()) return goldenViolation("summary.pass missing");
+  if (pass == nullptr || !pass->isBool()) return violation(kGoldenReport, "summary.pass missing");
   if (static_cast<int>(summary->find("compared")->number) != compared)
-    return goldenViolation("summary.compared disagrees with per-point compared flags");
+    return violation(kGoldenReport, "summary.compared disagrees with per-point compared flags");
   if (static_cast<int>(summary->find("excluded")->number) != excluded)
-    return goldenViolation("summary.excluded disagrees with per-point band labels");
+    return violation(kGoldenReport, "summary.excluded disagrees with per-point band labels");
   // The summary maxima must cover every compared point's delta (they may
   // only exceed the recomputed maxima through rounding, never fall short).
   if (summary->find("max_abs_delta_db")->number + 1e-12 < max_db)
-    return goldenViolation("summary.max_abs_delta_db below a compared point's |delta_db|");
+    return violation(kGoldenReport, "summary.max_abs_delta_db below a compared point's |delta_db|");
   if (summary->find("max_abs_delta_phase_deg")->number + 1e-12 < max_deg)
-    return goldenViolation("summary.max_abs_delta_phase_deg below a compared point's delta");
+    return violation(kGoldenReport,
+                     "summary.max_abs_delta_phase_deg below a compared point's delta");
   if (pass->boolean && compared == 0)
-    return goldenViolation("summary.pass requires at least one compared point");
+    return violation(kGoldenReport, "summary.pass requires at least one compared point");
   return Status();
 }
 

@@ -489,6 +489,31 @@ TEST(Campaign, ResumeIntoADifferentJournalCarriesRecordsForward) {
   std::remove(second_journal.c_str());
 }
 
+/// A journal that holds every point leaves only the shared prelude to run,
+/// and the deadline does not apply to it: the replay reproduces the report
+/// however short the deadline.
+TEST(Campaign, ReplayOfACompleteJournalIgnoresAnExpiredDeadline) {
+  const bist::SweepOptions sweep = fastSweepOptions(StimulusKind::MultiToneFsk, 3);
+  const std::string journal = tempPath("replay_deadline");
+  CampaignOptions first_opt;
+  first_opt.journal_path = journal;
+  Campaign first(fastTestConfig(), sweep, first_opt);
+  const CampaignResult full = first.run();
+  ASSERT_TRUE(full.status.ok()) << full.status.toString();
+
+  CampaignOptions replay_opt;
+  replay_opt.resume_path = journal;
+  replay_opt.deadline_s = 1e-9;
+  Campaign replay(fastTestConfig(), sweep, replay_opt);
+  const CampaignResult replayed = replay.run();
+  EXPECT_TRUE(replayed.status.ok()) << replayed.status.toString();
+  EXPECT_FALSE(replayed.deadline_hit);
+  EXPECT_EQ(replayed.points_executed, 0);
+  EXPECT_EQ(replayed.points_resumed, 3);
+  EXPECT_EQ(canonical(replayed.report), canonical(full.report));
+  std::remove(journal.c_str());
+}
+
 TEST(Campaign, RejectsInvalidOptions) {
   const bist::SweepOptions sweep = fastSweepOptions(StimulusKind::MultiToneFsk, 2);
   CampaignOptions bad;

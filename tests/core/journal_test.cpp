@@ -26,24 +26,32 @@ CheckpointHeader testHeader(std::size_t points = 4) {
 CheckpointRecord testRecord(std::size_t index) {
   CheckpointRecord rec;
   rec.index = index;
+  bist::MeasuredPoint& point = rec.result.response.points.emplace_back();
   // Awkward doubles on purpose: the round-trip contract is bit-exact.
-  rec.point.modulation_hz = 135.72100000000001 + static_cast<double>(index);
-  rec.point.deviation_hz = 1300.0 / 3.0;
-  rec.point.phase_deg = -48.099999999999994;
-  rec.point.unity_gain_deviation_hz = 1000.0;
-  rec.point.quality = bist::PointQuality::Retried;
-  rec.point.attempts = 2;
-  rec.point.wall_time_s = 0.0123;
-  rec.nominal_vco_hz = 1e5 + 1.0 / 7.0;
-  rec.static_reference_deviation_hz = 999.99999999999989;
-  rec.relocks = 1;
-  rec.relock_failures = 0;
-  rec.sim_time_s = 0.39647951;
-  rec.bench.events_processed = 302467;
-  rec.bench.events_delivered = 274641;
-  rec.bench.events_swallowed = 27826;
+  point.modulation_hz = 135.72100000000001 + static_cast<double>(index);
+  point.deviation_hz = 1300.0 / 3.0;
+  point.phase_deg = -48.099999999999994;
+  point.unity_gain_deviation_hz = 1000.0;
+  point.quality = bist::PointQuality::Retried;
+  point.attempts = 2;
+  point.wall_time_s = 0.0123;
+  rec.result.response.nominal_vco_hz = 1e5 + 1.0 / 7.0;
+  rec.result.response.static_reference_deviation_hz = 999.99999999999989;
+  rec.result.report.relocks = 1;
+  rec.result.report.relock_failures = 0;
+  rec.result.report.sim_time_s = 0.39647951;
+  rec.result.bench.events_processed = 302467;
+  rec.result.bench.events_delivered = 274641;
+  rec.result.bench.events_swallowed = 27826;
   return rec;
 }
+
+/// The record's one point.
+const bist::MeasuredPoint& pointOf(const CheckpointRecord& rec) {
+  return rec.result.response.points.front();
+}
+
+bist::MeasuredPoint& pointOf(CheckpointRecord& rec) { return rec.result.response.points.front(); }
 
 std::string tempPath(const char* name) {
   return ::testing::TempDir() + "pllbist_journal_" + name + ".jsonl";
@@ -73,19 +81,21 @@ TEST(Journal, WriterRoundTripsRecordsBitExactly) {
     const CheckpointRecord& got = loaded.records[i];
     EXPECT_EQ(got.index, i);
     // EXPECT_EQ on doubles: journaling must not round.
-    EXPECT_EQ(got.point.modulation_hz, want.point.modulation_hz);
-    EXPECT_EQ(got.point.deviation_hz, want.point.deviation_hz);
-    EXPECT_EQ(got.point.phase_deg, want.point.phase_deg);
-    EXPECT_EQ(got.point.unity_gain_deviation_hz, want.point.unity_gain_deviation_hz);
-    EXPECT_EQ(got.point.quality, want.point.quality);
-    EXPECT_EQ(got.point.attempts, want.point.attempts);
-    EXPECT_EQ(got.point.status.kind(), want.point.status.kind());
-    EXPECT_EQ(got.nominal_vco_hz, want.nominal_vco_hz);
-    EXPECT_EQ(got.static_reference_deviation_hz, want.static_reference_deviation_hz);
-    EXPECT_EQ(got.relocks, want.relocks);
-    EXPECT_EQ(got.sim_time_s, want.sim_time_s);
-    EXPECT_EQ(got.bench.events_processed, want.bench.events_processed);
-    EXPECT_EQ(got.bench.events_swallowed, want.bench.events_swallowed);
+    ASSERT_EQ(got.result.response.points.size(), 1u);
+    EXPECT_EQ(pointOf(got).modulation_hz, pointOf(want).modulation_hz);
+    EXPECT_EQ(pointOf(got).deviation_hz, pointOf(want).deviation_hz);
+    EXPECT_EQ(pointOf(got).phase_deg, pointOf(want).phase_deg);
+    EXPECT_EQ(pointOf(got).unity_gain_deviation_hz, pointOf(want).unity_gain_deviation_hz);
+    EXPECT_EQ(pointOf(got).quality, pointOf(want).quality);
+    EXPECT_EQ(pointOf(got).attempts, pointOf(want).attempts);
+    EXPECT_EQ(pointOf(got).status.kind(), pointOf(want).status.kind());
+    EXPECT_EQ(got.result.response.nominal_vco_hz, want.result.response.nominal_vco_hz);
+    EXPECT_EQ(got.result.response.static_reference_deviation_hz,
+              want.result.response.static_reference_deviation_hz);
+    EXPECT_EQ(got.result.report.relocks, want.result.report.relocks);
+    EXPECT_EQ(got.result.report.sim_time_s, want.result.report.sim_time_s);
+    EXPECT_EQ(got.result.bench.events_processed, want.result.bench.events_processed);
+    EXPECT_EQ(got.result.bench.events_swallowed, want.result.bench.events_swallowed);
   }
   std::remove(path.c_str());
 }
@@ -215,7 +225,7 @@ TEST(Journal, CancelledRecordsAreNeverAccepted) {
   // Cancelled is not a terminal classification — a cancelled point re-runs
   // on resume, so a journal claiming one committed is corrupt.
   CheckpointRecord cancelled = testRecord(0);
-  cancelled.point.status = Status::makef(Status::Kind::Cancelled, "stop requested");
+  pointOf(cancelled).status = Status::makef(Status::Kind::Cancelled, "stop requested");
   const std::string text = JournalWriter::headerLine(testHeader()) + "\n" +
                            JournalWriter::recordLine(cancelled) + "\n" +
                            JournalWriter::recordLine(testRecord(1)) + "\n";
@@ -226,7 +236,7 @@ TEST(Journal, CancelledRecordsAreNeverAccepted) {
 TEST(Journal, DuplicateIndicesKeepFirst) {
   CheckpointRecord first = testRecord(1);
   CheckpointRecord second = testRecord(1);
-  second.point.deviation_hz = -1.0;  // the impostor
+  pointOf(second).deviation_hz = -1.0;  // the impostor
   const std::string text = JournalWriter::headerLine(testHeader()) + "\n" +
                            JournalWriter::recordLine(first) + "\n" +
                            JournalWriter::recordLine(second) + "\n";
@@ -234,7 +244,7 @@ TEST(Journal, DuplicateIndicesKeepFirst) {
   ASSERT_TRUE(parseJournal(text, loaded).ok());
   EXPECT_EQ(loaded.duplicates_ignored, 1u);
   ASSERT_EQ(loaded.records.size(), 1u);
-  EXPECT_EQ(loaded.records[0].point.deviation_hz, first.point.deviation_hz);
+  EXPECT_EQ(pointOf(loaded.records[0]).deviation_hz, pointOf(first).deviation_hz);
 }
 
 TEST(StatusExitCodes, MappingIsInjectiveAndDocumented) {

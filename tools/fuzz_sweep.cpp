@@ -226,15 +226,16 @@ void fuzzJournal(uint64_t seed, uint64_t& state, FuzzStats& st) {
   for (std::size_t i = 0; i < n; ++i) {
     core::CheckpointRecord rec;
     rec.index = i;
-    rec.point.modulation_hz = 10.0 + 5.0 * static_cast<double>(i);
-    rec.point.deviation_hz = 100.0 + 400.0 * unitInterval(splitmix64(state));
-    rec.point.phase_deg = -180.0 * unitInterval(splitmix64(state));
-    rec.point.attempts = 1 + static_cast<int>(splitmix64(state) % 3);
-    rec.nominal_vco_hz = 1e5;
-    rec.static_reference_deviation_hz = 1000.0;
-    rec.sim_time_s = 0.25 * unitInterval(splitmix64(state));
-    rec.bench.events_processed = static_cast<long long>(splitmix64(state) % 100000);
-    rec.bench.events_delivered = rec.bench.events_processed;
+    pllbist::bist::MeasuredPoint& point = rec.result.response.points.emplace_back();
+    point.modulation_hz = 10.0 + 5.0 * static_cast<double>(i);
+    point.deviation_hz = 100.0 + 400.0 * unitInterval(splitmix64(state));
+    point.phase_deg = -180.0 * unitInterval(splitmix64(state));
+    point.attempts = 1 + static_cast<int>(splitmix64(state) % 3);
+    rec.result.response.nominal_vco_hz = 1e5;
+    rec.result.response.static_reference_deviation_hz = 1000.0;
+    rec.result.report.sim_time_s = 0.25 * unitInterval(splitmix64(state));
+    rec.result.bench.events_processed = static_cast<long long>(splitmix64(state) % 100000);
+    rec.result.bench.events_delivered = rec.result.bench.events_processed;
     lines.push_back(core::JournalWriter::recordLine(rec));
   }
   std::string text = core::JournalWriter::headerLine(hdr) + "\n";

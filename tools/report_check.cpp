@@ -316,14 +316,15 @@ int journalSelftest() {
   for (std::size_t i = 0; i < 3; ++i) {
     core::CheckpointRecord rec;
     rec.index = i;
-    rec.point.modulation_hz = 10.0 * static_cast<double>(i + 1);
-    rec.point.deviation_hz = 400.0 - 10.0 * static_cast<double>(i);
-    rec.point.phase_deg = -15.0 * static_cast<double>(i + 1);
-    rec.nominal_vco_hz = 1e5;
-    rec.static_reference_deviation_hz = 1000.0;
-    rec.sim_time_s = 0.3;
-    rec.bench.events_processed = 1000 + 7 * static_cast<long long>(i);
-    rec.bench.events_delivered = 990;
+    bist::MeasuredPoint& point = rec.result.response.points.emplace_back();
+    point.modulation_hz = 10.0 * static_cast<double>(i + 1);
+    point.deviation_hz = 400.0 - 10.0 * static_cast<double>(i);
+    point.phase_deg = -15.0 * static_cast<double>(i + 1);
+    rec.result.response.nominal_vco_hz = 1e5;
+    rec.result.response.static_reference_deviation_hz = 1000.0;
+    rec.result.report.sim_time_s = 0.3;
+    rec.result.bench.events_processed = 1000 + 7 * static_cast<long long>(i);
+    rec.result.bench.events_delivered = 990;
     lines.push_back(core::JournalWriter::recordLine(rec));
   }
   for (const std::string& l : lines) text += l + "\n";
