@@ -148,9 +148,7 @@ class Stepper {
 
   /// Budget the steps from now on to `budget_s` of wall time (0 = none).
   void startBudget(double budget_s) {
-    wall_deadline_ = budget_s > 0.0 ? Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                                         std::chrono::duration<double>(budget_s))
-                                    : kNoWallDeadline;
+    wall_deadline_ = budget_s > 0.0 ? deadlineAfter(Clock::now(), budget_s) : kNoWallDeadline;
   }
 
   /// Step until `done()`, a sim deadline, an interruption, or a dry queue.

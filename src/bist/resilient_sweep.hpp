@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -9,6 +10,7 @@
 #include "bist/sweep_types.hpp"
 #include "common/status.hpp"
 #include "common/stop_token.hpp"
+#include "obs/report.hpp"
 #include "pll/config.hpp"
 
 namespace pllbist::bist {
@@ -49,19 +51,9 @@ struct ResilientSweepOptions {
   void validate() const;
 };
 
-/// Per-sweep quality accounting produced by ResilientSweep.
-struct SweepQualityReport {
-  int points_total = 0;
-  int ok = 0;        ///< clean on the first attempt
-  int retried = 0;   ///< second attempt succeeded, no relock needed
-  int degraded = 0;  ///< measured after a relock or >= 2 retries
-  int dropped = 0;   ///< retry budget exhausted / relock failed
-  int attempts_total = 0;   ///< measurement attempts consumed sweep-wide
-  int relocks = 0;          ///< lock losses recovered by relock-and-resume
-  int relock_failures = 0;  ///< relock waits that expired (point abandoned)
-  double sim_time_s = 0.0;  ///< simulated time consumed by the whole sweep
-  double wall_time_s = 0.0; ///< host wall-clock time of run()
-
+/// Per-sweep quality accounting produced by ResilientSweep. The counts
+/// themselves are the RunReport's quality block (obs::RunReport::Quality).
+struct SweepQualityReport : obs::RunReport::Quality {
   /// Count one finished point: its quality and its attempts. Every point
   /// a run records is counted here once; only relocks and relock failures
   /// are counted where they happen.
@@ -97,6 +89,8 @@ struct SweepQualityReport {
 /// configuration and seed set, so the campaign journal records them per
 /// point and a resumed merge reproduces the uninterrupted totals exactly —
 /// without consulting the (history-dependent) global registry.
+/// Each counter is one field and one kCounters row, from which the journal,
+/// the RunReport, the registry and the campaign's metrics block write it.
 struct BenchStats {
   uint64_t events_processed = 0;
   uint64_t events_delivered = 0;
@@ -109,38 +103,60 @@ struct BenchStats {
   uint64_t faults_delayed = 0;
   uint64_t faults_glitches = 0;
 
-  void add(const BenchStats& other) {
-    events_processed += other.events_processed;
-    events_delivered += other.events_delivered;
-    events_dropped += other.events_dropped;
-    events_delayed += other.events_delayed;
-    events_swallowed += other.events_swallowed;
-    fault_benches += other.fault_benches;
-    faults_considered += other.faults_considered;
-    faults_dropped += other.faults_dropped;
-    faults_delayed += other.faults_delayed;
-    faults_glitches += other.faults_glitches;
-  }
+  /// The record block a counter is written in.
+  enum class Block { Kernel, Faults };
+  /// One counter: its field, where the journal record and the RunReport
+  /// write it, and its metric name in the registry and the campaign report.
+  struct Counter {
+    uint64_t BenchStats::*field;
+    Block block;
+    const char* key;     ///< its key inside the block
+    const char* metric;  ///< e.g. "sim.kernel.events_processed"
+    bool reported;       ///< the RunReport carries it (it leaves out faults.benches)
+  };
+  /// Every counter, in the order every record writes them.
+  static const std::array<Counter, 10> kCounters;
 
+  [[nodiscard]] static const char* blockName(Block b) {
+    return b == Block::Kernel ? "kernel" : "faults";
+  }
+  /// Whether this run's records carry `b`: the fault block only when a
+  /// fault injector was attached. Every record applies this one rule.
+  [[nodiscard]] bool carries(Block b) const { return b == Block::Kernel || fault_benches > 0; }
+
+  void add(const BenchStats& other);
   /// The counters of `bench` now.
   [[nodiscard]] static BenchStats of(const SweepTestbench& bench);
   /// What accrued since `base` was read off the same bench (or the bench
   /// it was forked from).
-  [[nodiscard]] BenchStats since(const BenchStats& base) const {
-    BenchStats d = *this;
-    d.events_processed -= base.events_processed;
-    d.events_delivered -= base.events_delivered;
-    d.events_dropped -= base.events_dropped;
-    d.events_delayed -= base.events_delayed;
-    d.events_swallowed -= base.events_swallowed;
-    d.fault_benches -= base.fault_benches;
-    d.faults_considered -= base.faults_considered;
-    d.faults_dropped -= base.faults_dropped;
-    d.faults_delayed -= base.faults_delayed;
-    d.faults_glitches -= base.faults_glitches;
-    return d;
-  }
+  [[nodiscard]] BenchStats since(const BenchStats& base) const;
 };
+
+inline constexpr std::array<BenchStats::Counter, 10> BenchStats::kCounters{{
+    {&BenchStats::events_processed, Block::Kernel, "processed", "sim.kernel.events_processed", true},
+    {&BenchStats::events_delivered, Block::Kernel, "delivered", "sim.kernel.events_delivered", true},
+    {&BenchStats::events_dropped, Block::Kernel, "dropped", "sim.kernel.events_dropped", true},
+    {&BenchStats::events_delayed, Block::Kernel, "delayed", "sim.kernel.events_delayed", true},
+    {&BenchStats::events_swallowed, Block::Kernel, "swallowed", "sim.kernel.events_swallowed", true},
+    {&BenchStats::fault_benches, Block::Faults, "benches", "sim.faults.benches", false},
+    {&BenchStats::faults_considered, Block::Faults, "considered", "sim.faults.considered", true},
+    {&BenchStats::faults_dropped, Block::Faults, "dropped", "sim.faults.dropped", true},
+    {&BenchStats::faults_delayed, Block::Faults, "delayed", "sim.faults.delayed", true},
+    {&BenchStats::faults_glitches, Block::Faults, "glitches", "sim.faults.glitches", true},
+}};
+static_assert(sizeof(BenchStats) == sizeof(uint64_t) * BenchStats::kCounters.size() &&
+                  BenchStats::kCounters.back().field != nullptr,
+              "every BenchStats field needs exactly one kCounters row");
+
+inline void BenchStats::add(const BenchStats& other) {
+  for (const Counter& c : kCounters) this->*c.field += other.*c.field;
+}
+
+inline BenchStats BenchStats::since(const BenchStats& base) const {
+  BenchStats d = *this;
+  for (const Counter& c : kCounters) d.*c.field -= base.*c.field;
+  return d;
+}
 
 /// A MeasuredResponse plus its quality accounting. `status` is only
 /// non-ok for conditions that ended the sweep early: the event queue

@@ -1,36 +1,47 @@
 #include "bist/telemetry.hpp"
 
+#include <array>
+
 #include "bist/resilient_sweep.hpp"
-#include "obs/metrics.hpp"
 
 namespace pllbist::bist {
 
 namespace {
 
+using Q = obs::RunReport::Quality;
+
+/// The quality counts the registry and runCounters carry, in that order.
+struct QualityCounter {
+  int Q::*field;
+  const char* metric;
+};
+constexpr std::array<QualityCounter, 7> kQualityCounters{{
+    {&Q::attempts_total, "bist.resilient.attempts"},
+    {&Q::relocks, "bist.resilient.relocks"},
+    {&Q::relock_failures, "bist.resilient.relock_failures"},
+    {&Q::ok, "bist.resilient.points_ok"},
+    {&Q::retried, "bist.resilient.points_retried"},
+    {&Q::degraded, "bist.resilient.points_degraded"},
+    {&Q::dropped, "bist.resilient.points_dropped"},
+}};
+
+template <class Rows>
+std::vector<obs::Counter> registerCounters(obs::MetricsRegistry& reg, const Rows& rows) {
+  std::vector<obs::Counter> out;
+  for (const auto& row : rows) out.push_back(reg.counter(row.metric));
+  return out;
+}
+
 /// Handles into the global registry, registered once per process in this
-/// order (snapshots list metrics in registration order).
+/// order (snapshots list metrics in registration order); `quality` and
+/// `bench` follow their tables' rows.
 struct SweepTelemetry {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  obs::Counter attempts = reg.counter("bist.resilient.attempts");
-  obs::Counter relocks = reg.counter("bist.resilient.relocks");
-  obs::Counter relock_failures = reg.counter("bist.resilient.relock_failures");
-  obs::Counter points_ok = reg.counter("bist.resilient.points_ok");
-  obs::Counter points_retried = reg.counter("bist.resilient.points_retried");
-  obs::Counter points_degraded = reg.counter("bist.resilient.points_degraded");
-  obs::Counter points_dropped = reg.counter("bist.resilient.points_dropped");
+  std::vector<obs::Counter> quality = registerCounters(reg, kQualityCounters);
   obs::Counter stalls = reg.counter("bist.resilient.stalls");
   obs::Histogram point_wall =
       reg.histogram("bist.sweep.point_wall_s", obs::MetricsRegistry::latencyBucketsSeconds());
-  obs::Counter kernel_processed = reg.counter("sim.kernel.events_processed");
-  obs::Counter kernel_delivered = reg.counter("sim.kernel.events_delivered");
-  obs::Counter kernel_dropped = reg.counter("sim.kernel.events_dropped");
-  obs::Counter kernel_delayed = reg.counter("sim.kernel.events_delayed");
-  obs::Counter kernel_swallowed = reg.counter("sim.kernel.events_swallowed");
-  obs::Counter faults_benches = reg.counter("sim.faults.benches");
-  obs::Counter faults_considered = reg.counter("sim.faults.considered");
-  obs::Counter faults_dropped = reg.counter("sim.faults.dropped");
-  obs::Counter faults_delayed = reg.counter("sim.faults.delayed");
-  obs::Counter faults_glitches = reg.counter("sim.faults.glitches");
+  std::vector<obs::Counter> bench = registerCounters(reg, BenchStats::kCounters);
 };
 
 SweepTelemetry& telemetry() {
@@ -42,31 +53,24 @@ SweepTelemetry& telemetry() {
 
 void publishRun(const ResilientResponse& run) {
   SweepTelemetry& t = telemetry();
-  const SweepQualityReport& q = run.report;
-  t.attempts.add(static_cast<uint64_t>(q.attempts_total));
-  t.relocks.add(static_cast<uint64_t>(q.relocks));
-  t.relock_failures.add(static_cast<uint64_t>(q.relock_failures));
-  t.points_ok.add(static_cast<uint64_t>(q.ok));
-  t.points_retried.add(static_cast<uint64_t>(q.retried));
-  t.points_degraded.add(static_cast<uint64_t>(q.degraded));
-  t.points_dropped.add(static_cast<uint64_t>(q.dropped));
+  for (std::size_t i = 0; i < kQualityCounters.size(); ++i)
+    t.quality[i].add(static_cast<uint64_t>(run.report.*kQualityCounters[i].field));
   if (run.status.kind() == Status::Kind::SimulationStall) t.stalls.increment();
   for (const MeasuredPoint& p : run.response.points)
     if (p.attempts > 0) t.point_wall.observe(p.wall_time_s);
-
-  const BenchStats& b = run.bench;
-  t.kernel_processed.add(b.events_processed);
-  t.kernel_delivered.add(b.events_delivered);
-  t.kernel_dropped.add(b.events_dropped);
-  t.kernel_delayed.add(b.events_delayed);
-  t.kernel_swallowed.add(b.events_swallowed);
-  if (b.fault_benches > 0) {
-    t.faults_benches.add(b.fault_benches);
-    t.faults_considered.add(b.faults_considered);
-    t.faults_dropped.add(b.faults_dropped);
-    t.faults_delayed.add(b.faults_delayed);
-    t.faults_glitches.add(b.faults_glitches);
+  for (std::size_t i = 0; i < BenchStats::kCounters.size(); ++i) {
+    const BenchStats::Counter& c = BenchStats::kCounters[i];
+    if (run.bench.carries(c.block)) t.bench[i].add(run.bench.*c.field);
   }
+}
+
+std::vector<obs::CounterValue> runCounters(const ResilientResponse& run) {
+  std::vector<obs::CounterValue> out;
+  for (const QualityCounter& c : kQualityCounters)
+    out.push_back({c.metric, static_cast<uint64_t>(run.report.*c.field)});
+  for (const BenchStats::Counter& c : BenchStats::kCounters)
+    if (run.bench.carries(c.block)) out.push_back({c.metric, run.bench.*c.field});
+  return out;
 }
 
 }  // namespace pllbist::bist

@@ -1,5 +1,9 @@
 #pragma once
 
+#include <vector>
+
+#include "obs/metrics.hpp"
+
 namespace pllbist::bist {
 
 struct ResilientResponse;
@@ -14,5 +18,11 @@ struct ResilientResponse;
 /// shared prelude once, so the totals equal the published tallies.
 /// RunReport's kernel and fault blocks come from the run's own `bench`.
 void publishRun(const ResilientResponse& run);
+
+/// The run's counters as (metric name, value), in registry order: the
+/// seven quality counts, then the BenchStats::kCounters rows the run
+/// carries. The campaign report's metrics block, derived from the run
+/// alone so a resumed campaign reproduces it exactly.
+[[nodiscard]] std::vector<obs::CounterValue> runCounters(const ResilientResponse& run);
 
 }  // namespace pllbist::bist

@@ -56,6 +56,17 @@ class StopSource {
   const StopSource* upstream_ = nullptr;
 };
 
+/// The time point `seconds` after `start`, or Clock::time_point::max()
+/// (never) past half the clock's remaining range, so a budget of 1e30 s or
+/// inf cannot overflow the nanosecond cast.
+inline StopSource::Clock::time_point deadlineAfter(StopSource::Clock::time_point start,
+                                                   double seconds) {
+  using Clock = StopSource::Clock;
+  const std::chrono::duration<double> room = Clock::time_point::max() - start;
+  if (!(seconds < room.count() / 2)) return Clock::time_point::max();
+  return start + std::chrono::duration_cast<Clock::duration>(std::chrono::duration<double>(seconds));
+}
+
 /// The process-wide token the SIGINT/SIGTERM handlers trip. CLIs chain
 /// their engines to it; library code never touches it.
 inline StopSource& globalStopSource() {

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "bist/telemetry.hpp"
 #include "core/report_builder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
@@ -33,38 +34,6 @@ struct CampaignTelemetry {
 CampaignTelemetry& campaignTelemetry() {
   static CampaignTelemetry* t = new CampaignTelemetry();  // handles into the leaked registry
   return *t;
-}
-
-/// The campaign report's metrics block: derived from the merged per-point
-/// data instead of the process-global registry, whose history depends on
-/// what else the process simulated, so a resumed campaign reproduces the
-/// uninterrupted report byte-for-byte (modulo stripTimingFields). Fixed
-/// order, mirroring the live counter names so downstream consumers read one
-/// vocabulary.
-obs::MetricsSnapshot campaignMetrics(const bist::ResilientResponse& result) {
-  obs::MetricsSnapshot metrics;
-  const bist::SweepQualityReport& q = result.report;
-  auto add = [&](const char* name, uint64_t value) { metrics.counters.push_back({name, value}); };
-  add("bist.resilient.attempts", static_cast<uint64_t>(q.attempts_total));
-  add("bist.resilient.relocks", static_cast<uint64_t>(q.relocks));
-  add("bist.resilient.relock_failures", static_cast<uint64_t>(q.relock_failures));
-  add("bist.resilient.points_ok", static_cast<uint64_t>(q.ok));
-  add("bist.resilient.points_retried", static_cast<uint64_t>(q.retried));
-  add("bist.resilient.points_degraded", static_cast<uint64_t>(q.degraded));
-  add("bist.resilient.points_dropped", static_cast<uint64_t>(q.dropped));
-  add("sim.kernel.events_processed", result.bench.events_processed);
-  add("sim.kernel.events_delivered", result.bench.events_delivered);
-  add("sim.kernel.events_dropped", result.bench.events_dropped);
-  add("sim.kernel.events_delayed", result.bench.events_delayed);
-  add("sim.kernel.events_swallowed", result.bench.events_swallowed);
-  if (result.bench.fault_benches > 0) {
-    add("sim.faults.benches", result.bench.fault_benches);
-    add("sim.faults.considered", result.bench.faults_considered);
-    add("sim.faults.dropped", result.bench.faults_dropped);
-    add("sim.faults.delayed", result.bench.faults_delayed);
-    add("sim.faults.glitches", result.bench.faults_glitches);
-  }
-  return metrics;
 }
 
 }  // namespace
@@ -172,9 +141,7 @@ CampaignResult Campaign::run() {
   // no thread waits for it. A journal that already holds every point sets
   // none, because the replay still simulates the shared prelude.
   const bool deadline_set = options_.deadline_s > 0.0 && loaded.records.size() < n;
-  if (deadline_set)
-    stop_.stopAt(wall_start + std::chrono::duration_cast<Clock::duration>(
-                                  std::chrono::duration<double>(options_.deadline_s)));
+  if (deadline_set) stop_.stopAt(deadlineAfter(wall_start, options_.deadline_s));
 
   out.merged = farm.run();
   writer.close();
@@ -197,8 +164,12 @@ CampaignResult Campaign::run() {
   }
   m.report.wall_time_s = secondsSince(wall_start);
   out.status = m.status;
+  // The metrics block comes from the merged run alone, never the global
+  // registry, so a resumed campaign reproduces it byte for byte.
+  obs::MetricsSnapshot metrics;
+  metrics.counters = bist::runCounters(m);
   out.report = buildRunReport(options_.tool, options_.device, config_, sweep_, options_.jobs, m,
-                              campaignMetrics(m));
+                              std::move(metrics));
   return out;
 }
 

@@ -23,10 +23,10 @@ struct CampaignOptions {
   /// breaker (resilience.relock_breaker), which the farm decides in point
   /// index order.
   bist::ResilientSweepOptions resilience;
-  /// Whole-campaign wall-clock budget, seconds; 0 disables. It becomes the
-  /// campaign stop token's deadline; the campaign terminates within the
-  /// engines' bounded drain, with every unfinished point recorded as
-  /// Dropped/DeadlineExceeded.
+  /// Whole-campaign wall-clock budget, seconds; 0 disables, and one past
+  /// the clock's range never expires. It becomes the campaign stop token's
+  /// deadline; the campaign terminates within the engines' bounded drain,
+  /// with every unfinished point recorded as Dropped/DeadlineExceeded.
   double deadline_s = 0.0;
   /// Write a checkpoint journal here ("" = none). With resume_path equal,
   /// the journal continues in place (torn tail repaired by truncation).

@@ -11,18 +11,15 @@
 #include <utility>
 
 #include "obs/json.hpp"
+#include "obs/report.hpp"
 
 namespace pllbist::core {
 
 namespace {
 
 using K = Status::Kind;
-
-std::string digestHex(uint64_t digest) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "0x%016llx", static_cast<unsigned long long>(digest));
-  return buf;
-}
+using Block = bist::BenchStats::Block;
+using obs::digestHex;
 
 bool parseDigestHex(const std::string& s, uint64_t& out) {
   if (s.size() != 18 || s.compare(0, 2, "0x") != 0) return false;
@@ -170,25 +167,15 @@ Status parseRecordLine(std::string_view line, std::size_t points_total, Checkpoi
                          "record %llu is Cancelled; cancelled points are never committed",
                          static_cast<unsigned long long>(index));
 
-  const obs::JsonValue* kernel = doc.find("kernel");
-  if (kernel == nullptr || !kernel->isObject())
-    return Status::make(K::InvalidArgument, "missing or non-object field \"kernel\"");
-  if (!(s = getCount(*kernel, "processed", r.bench.events_processed)).ok() ||
-      !(s = getCount(*kernel, "delivered", r.bench.events_delivered)).ok() ||
-      !(s = getCount(*kernel, "dropped", r.bench.events_dropped)).ok() ||
-      !(s = getCount(*kernel, "delayed", r.bench.events_delayed)).ok() ||
-      !(s = getCount(*kernel, "swallowed", r.bench.events_swallowed)).ok())
-    return Status::makef(K::InvalidArgument, "kernel: %s", s.context().c_str());
-
-  if (const obs::JsonValue* faults = doc.find("faults")) {
-    if (!faults->isObject())
-      return Status::make(K::InvalidArgument, "field \"faults\" is not an object");
-    if (!(s = getCount(*faults, "benches", r.bench.fault_benches)).ok() ||
-        !(s = getCount(*faults, "considered", r.bench.faults_considered)).ok() ||
-        !(s = getCount(*faults, "dropped", r.bench.faults_dropped)).ok() ||
-        !(s = getCount(*faults, "delayed", r.bench.faults_delayed)).ok() ||
-        !(s = getCount(*faults, "glitches", r.bench.faults_glitches)).ok())
-      return Status::makef(K::InvalidArgument, "faults: %s", s.context().c_str());
+  for (const Block b : {Block::Kernel, Block::Faults}) {
+    const char* name = bist::BenchStats::blockName(b);
+    const obs::JsonValue* block = doc.find(name);
+    if (block == nullptr && b == Block::Faults) continue;  // no fault injector was attached
+    if (block == nullptr || !block->isObject())
+      return Status::makef(K::InvalidArgument, "missing or non-object field \"%s\"", name);
+    for (const bist::BenchStats::Counter& c : bist::BenchStats::kCounters)
+      if (c.block == b && !(s = getCount(*block, c.key, r.bench.*c.field)).ok())
+        return Status::makef(K::InvalidArgument, "%s: %s", name, s.context().c_str());
   }
   r.report.count(point);
   r.response.points.push_back(std::move(point));
@@ -238,20 +225,11 @@ std::string JournalWriter::recordLine(const CheckpointRecord& record) {
   w.key("relocks").value(r.report.relocks);
   w.key("relock_failures").value(r.report.relock_failures);
   w.key("sim_time_s").value(r.report.sim_time_s);
-  w.key("kernel").beginObject();
-  w.key("processed").value(r.bench.events_processed);
-  w.key("delivered").value(r.bench.events_delivered);
-  w.key("dropped").value(r.bench.events_dropped);
-  w.key("delayed").value(r.bench.events_delayed);
-  w.key("swallowed").value(r.bench.events_swallowed);
-  w.endObject();
-  if (r.bench.fault_benches > 0) {
-    w.key("faults").beginObject();
-    w.key("benches").value(r.bench.fault_benches);
-    w.key("considered").value(r.bench.faults_considered);
-    w.key("dropped").value(r.bench.faults_dropped);
-    w.key("delayed").value(r.bench.faults_delayed);
-    w.key("glitches").value(r.bench.faults_glitches);
+  for (const Block b : {Block::Kernel, Block::Faults}) {
+    if (!r.bench.carries(b)) continue;
+    w.key(bist::BenchStats::blockName(b)).beginObject();
+    for (const bist::BenchStats::Counter& c : bist::BenchStats::kCounters)
+      if (c.block == b) w.key(c.key).value(r.bench.*c.field);
     w.endObject();
   }
   w.endObject();

@@ -79,17 +79,7 @@ obs::RunReport buildRunReport(const std::string& tool, const std::string& device
   rep.jobs = jobs;
   rep.sweep_status = Status::kindName(result.status.kind());
 
-  const bist::SweepQualityReport& q = result.report;
-  rep.quality.points_total = q.points_total;
-  rep.quality.ok = q.ok;
-  rep.quality.retried = q.retried;
-  rep.quality.degraded = q.degraded;
-  rep.quality.dropped = q.dropped;
-  rep.quality.attempts_total = q.attempts_total;
-  rep.quality.relocks = q.relocks;
-  rep.quality.relock_failures = q.relock_failures;
-  rep.quality.sim_time_s = q.sim_time_s;
-  rep.quality.wall_time_s = q.wall_time_s;
+  rep.quality = result.report;
 
   rep.points.reserve(result.response.points.size());
   for (const bist::MeasuredPoint& p : result.response.points) {
@@ -106,14 +96,10 @@ obs::RunReport buildRunReport(const std::string& tool, const std::string& device
   }
 
   const bist::BenchStats& b = result.bench;
-  rep.kernel.processed = b.events_processed;
-  rep.kernel.delivered = b.events_delivered;
-  rep.kernel.dropped = b.events_dropped;
-  rep.kernel.delayed = b.events_delayed;
-  rep.kernel.swallowed = b.events_swallowed;
-  if (b.fault_benches > 0)
-    rep.faults = obs::RunReport::FaultStats{b.faults_considered, b.faults_dropped,
-                                            b.faults_delayed, b.faults_glitches};
+  for (const bist::BenchStats::Counter& c : bist::BenchStats::kCounters)
+    if (c.reported && b.carries(c.block))
+      (c.block == bist::BenchStats::Block::Kernel ? rep.kernel : rep.faults)
+          .push_back({c.key, b.*c.field});
   rep.metrics = std::move(metrics);
   return rep;
 }

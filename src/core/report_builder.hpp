@@ -17,8 +17,9 @@ namespace pllbist::core {
 
 /// Assemble the consolidated obs::RunReport for one finished sweep: naming
 /// and digest from the configuration, per-point rows and quality accounting
-/// from the response, kernel/fault statistics from `result.bench` (this
-/// run's counts alone), and `metrics` as the report's metrics block. `jobs`
+/// from the response, kernel/fault lists from `result.bench` (this run's
+/// counts alone, one entry per reported BenchStats::kCounters row), and
+/// `metrics` as the report's metrics block. `jobs`
 /// records how the sweep was executed: -1 = serial shared-bench engine,
 /// >= 0 = point farm.
 [[nodiscard]] obs::RunReport buildRunReport(const std::string& tool, const std::string& device,

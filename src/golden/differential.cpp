@@ -20,12 +20,6 @@ double wrapDeg(double deg) {
   return deg;
 }
 
-std::string hex64(uint64_t v) {
-  char buf[19];
-  std::snprintf(buf, sizeof buf, "0x%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
 uint64_t splitmix64(uint64_t& state) {
   state += 0x9e3779b97f4a7c15ULL;
   uint64_t z = state;
@@ -168,8 +162,8 @@ std::string DifferentialReport::toJson() const {
   w.key("config").beginObject();
   w.key("device").value(device);
   w.key("stimulus").value(stimulus);
-  w.key("digest").value(hex64(config_digest));
-  w.key("seed").value(hex64(seed));
+  w.key("digest").value(obs::digestHex(config_digest));
+  w.key("seed").value(obs::digestHex(seed));
   w.key("jobs").value(jobs);
   w.key("fn_hz").value(golden.naturalFrequencyHz());
   w.key("zeta").value(golden.zeta);
@@ -190,18 +184,8 @@ std::string DifferentialReport::toJson() const {
   w.endArray();
 
   w.key("sweep_status").value(to_string(sweep_status.kind()));
-  w.key("quality").beginObject();
-  w.key("points_total").value(quality.points_total);
-  w.key("ok").value(quality.ok);
-  w.key("retried").value(quality.retried);
-  w.key("degraded").value(quality.degraded);
-  w.key("dropped").value(quality.dropped);
-  w.key("attempts_total").value(quality.attempts_total);
-  w.key("relocks").value(quality.relocks);
-  w.key("relock_failures").value(quality.relock_failures);
-  w.key("sim_time_s").value(quality.sim_time_s);
-  w.key("wall_time_s").value(quality.wall_time_s);
-  w.endObject();
+  w.key("quality");
+  obs::writeQuality(w, quality);
 
   w.key("points").beginArray();
   for (const ComparisonPoint& p : points) {

@@ -19,8 +19,6 @@ uint64_t fnv1a64(std::string_view bytes) {
   return h;
 }
 
-namespace {
-
 std::string digestHex(uint64_t digest) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "0x%016llx", static_cast<unsigned long long>(digest));
@@ -41,8 +39,6 @@ void writeQuality(JsonWriter& w, const RunReport::Quality& q) {
   w.key("wall_time_s").value(q.wall_time_s);
   w.endObject();
 }
-
-}  // namespace
 
 void writeMetricsJson(JsonWriter& w, const MetricsSnapshot& m) {
   w.beginObject();
@@ -111,21 +107,13 @@ void RunReport::writeJson(std::ostream& os) const {
     w.endObject();
   }
   w.endArray();
-  if (faults.has_value()) {
-    w.key("faults").beginObject();
-    w.key("considered").value(static_cast<uint64_t>(faults->considered));
-    w.key("dropped").value(static_cast<uint64_t>(faults->dropped));
-    w.key("delayed").value(static_cast<uint64_t>(faults->delayed));
-    w.key("glitches").value(static_cast<uint64_t>(faults->glitches));
+  auto writeCounters = [&](const char* block, const std::vector<CounterValue>& counters) {
+    w.key(block).beginObject();
+    for (const CounterValue& c : counters) w.key(c.name).value(c.value);
     w.endObject();
-  }
-  w.key("kernel").beginObject();
-  w.key("processed").value(static_cast<uint64_t>(kernel.processed));
-  w.key("delivered").value(static_cast<uint64_t>(kernel.delivered));
-  w.key("dropped").value(static_cast<uint64_t>(kernel.dropped));
-  w.key("delayed").value(static_cast<uint64_t>(kernel.delayed));
-  w.key("swallowed").value(static_cast<uint64_t>(kernel.swallowed));
-  w.endObject();
+  };
+  if (!faults.empty()) writeCounters("faults", faults);
+  writeCounters("kernel", kernel);
   w.key("metrics");
   writeMetricsJson(w, metrics);
   w.endObject();

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,35 +35,19 @@ struct RunReport {
     double wall_time_s = 0.0;    ///< host time spent on this point (timing field)
   };
 
-  /// Sweep-level quality accounting (mirrors bist::SweepQualityReport).
+  /// Sweep-level quality accounting. bist::SweepQualityReport derives
+  /// from it, so a run's counts reach the report without a copy per field.
   struct Quality {
     int points_total = 0;
-    int ok = 0;
-    int retried = 0;
-    int degraded = 0;
-    int dropped = 0;
-    int attempts_total = 0;
-    int relocks = 0;
-    int relock_failures = 0;
-    double sim_time_s = 0.0;
-    double wall_time_s = 0.0;  ///< timing field
-  };
-
-  /// sim::FaultInjector statistics, when a fault campaign was attached.
-  struct FaultStats {
-    uint64_t considered = 0;
-    uint64_t dropped = 0;
-    uint64_t delayed = 0;
-    uint64_t glitches = 0;
-  };
-
-  /// Event-kernel counters summed over every circuit the run built.
-  struct KernelStats {
-    uint64_t processed = 0;
-    uint64_t delivered = 0;
-    uint64_t dropped = 0;
-    uint64_t delayed = 0;
-    uint64_t swallowed = 0;
+    int ok = 0;        ///< clean on the first attempt
+    int retried = 0;   ///< second attempt succeeded, no relock needed
+    int degraded = 0;  ///< measured after a relock or >= 2 retries
+    int dropped = 0;   ///< retry budget exhausted / relock failed
+    int attempts_total = 0;   ///< measurement attempts consumed sweep-wide
+    int relocks = 0;          ///< lock losses recovered by relock-and-resume
+    int relock_failures = 0;  ///< relock waits that expired (point abandoned)
+    double sim_time_s = 0.0;  ///< simulated time consumed by the whole sweep
+    double wall_time_s = 0.0; ///< host wall-clock time of the run (timing field)
   };
 
   std::string tool;      ///< producing binary, e.g. "sweep_cli"
@@ -79,8 +62,12 @@ struct RunReport {
 
   Quality quality;
   std::vector<Point> points;
-  std::optional<FaultStats> faults;
-  KernelStats kernel;
+  /// The run's fault-injector counters as (key, value), in write order;
+  /// empty (and not written) when no fault injector was attached.
+  /// core::buildRunReport fills both lists from bist::BenchStats::kCounters.
+  std::vector<CounterValue> faults;
+  /// The run's event-kernel counters as (key, value), in write order.
+  std::vector<CounterValue> kernel;
   MetricsSnapshot metrics;
 
   /// Serialise as schema-conformant JSON. Field order is fixed, numbers use
@@ -125,6 +112,12 @@ void stripTimingFields(JsonValue& root);
 
 /// FNV-1a over a byte string (the config-digest primitive).
 [[nodiscard]] uint64_t fnv1a64(std::string_view bytes);
+/// A digest as every report and journal writes it: "0x" and 16 lower-case
+/// hex digits.
+[[nodiscard]] std::string digestHex(uint64_t digest);
+
+/// Write the RunReport `quality` object; the golden report embeds the same.
+void writeQuality(JsonWriter& w, const RunReport::Quality& q);
 
 /// Write one MetricsSnapshot as the RunReport `metrics` object
 /// ({counters:[],gauges:[],histograms:[]}); exposed so other report shapes

@@ -347,6 +347,19 @@ TEST(ResilientSweepEngine, ExpiredPointBudgetDropsEveryPointWithoutThrowing) {
   EXPECT_EQ(r.report.attempts_total, 3);
 }
 
+/// A per-point budget beyond the steady clock's range is no budget: every
+/// point of a healthy device measures Ok on its first attempt.
+TEST(ResilientSweepEngine, PointBudgetBeyondTheClockRangeNeverExpires) {
+  ResilientSweepOptions rs;
+  rs.point_budget_s = 1e30;
+  ResilientSweep engine(fastTestConfig(), fastSweepOptions(StimulusKind::MultiToneFsk, 3), rs);
+  const ResilientResponse r = engine.run();
+  EXPECT_TRUE(r.status.ok()) << r.status.toString();
+  ASSERT_EQ(r.response.points.size(), 3u);
+  for (const MeasuredPoint& p : r.response.points)
+    EXPECT_EQ(p.quality, PointQuality::Ok) << p.status.toString();
+}
+
 /// core::measure on the same catastrophic device: never throws, reports
 /// NoValidPoints with the full quality accounting attached.
 TEST(ResilientSweepEngine, CoreFacadeReportsNoValidPoints) {

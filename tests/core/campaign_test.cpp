@@ -514,6 +514,18 @@ TEST(Campaign, ReplayOfACompleteJournalIgnoresAnExpiredDeadline) {
   std::remove(journal.c_str());
 }
 
+/// A deadline beyond the steady clock's range (here about 1e21 times it)
+/// is no deadline: the campaign measures every point.
+TEST(Campaign, DeadlineBeyondTheClockRangeNeverExpires) {
+  CampaignOptions opt;
+  opt.deadline_s = 1e30;
+  Campaign campaign(fastTestConfig(), fastSweepOptions(StimulusKind::MultiToneFsk, 3), opt);
+  const CampaignResult r = campaign.run();
+  EXPECT_TRUE(r.status.ok()) << r.status.toString();
+  EXPECT_FALSE(r.deadline_hit);
+  EXPECT_EQ(r.merged.report.usable(), 3);
+}
+
 TEST(Campaign, RejectsInvalidOptions) {
   const bist::SweepOptions sweep = fastSweepOptions(StimulusKind::MultiToneFsk, 2);
   CampaignOptions bad;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 
 namespace pllbist {
 namespace {
@@ -45,6 +46,17 @@ TEST(StopSource, DeadlineStopsOnlyOnceItHasPassed) {
   engine.chainTo(&past);
   EXPECT_TRUE(engine.stopRequested());
   EXPECT_FALSE(engine.deadlineReached());
+}
+
+// A budget past the clock's range (or inf, or NaN) is "never"; a budget
+// inside it lands exactly where the nanosecond cast puts it.
+TEST(StopSource, DeadlineAfterSaturatesPastTheClockRange) {
+  const Clock::time_point start = Clock::now();
+  for (double never : {1e30, 9.3e9, std::numeric_limits<double>::infinity(),
+                       std::numeric_limits<double>::quiet_NaN()})
+    EXPECT_EQ(deadlineAfter(start, never), Clock::time_point::max()) << never;
+  EXPECT_EQ(deadlineAfter(start, 1.5), start + std::chrono::milliseconds(1500));
+  EXPECT_LT(deadlineAfter(start, 1e9), Clock::time_point::max());
 }
 
 }  // namespace

@@ -138,8 +138,9 @@ int selftest() {
   p2.status_context = "watchdog fired";
   p2.wall_time_s = 0.15;
   rep.points = {p1, p2};
-  rep.faults = obs::RunReport::FaultStats{100, 3, 2, 1};
-  rep.kernel = {5000, 4800, 3, 2, 195};
+  rep.faults = {{"considered", 100}, {"dropped", 3}, {"delayed", 2}, {"glitches", 1}};
+  rep.kernel = {{"processed", 5000}, {"delivered", 4800}, {"dropped", 3}, {"delayed", 2},
+                {"swallowed", 195}};
   obs::CounterValue c;
   c.name = "bist.resilient.attempts";
   c.value = 3;
