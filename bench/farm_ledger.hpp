@@ -68,6 +68,10 @@ struct FarmFigures {
   /// Kernel events swallowed (no-change writes, superseded handler events)
   /// / points.
   double swallowed_per_point = 0.0;
+  /// The loop's work units / points: PFD writes applied and VCO stops.
+  /// Most of them are not kernel events, since the loop runs ahead.
+  double pfd_writes_per_point = 0.0;
+  double vco_stops_per_point = 0.0;
   double points_per_s = 0.0;      ///< points / farm wall time
   double sim_s_per_wall_s = 0.0;  ///< simulated loop seconds / farm wall time
   /// Summed point busy time / (workers * farm wall time); the farm runs
@@ -82,6 +86,8 @@ struct FarmFigures {
     sim_s_per_point = r.report.sim_time_s / points;
     events_per_ref_cycle = events_per_point / (sim_s_per_point * ref_frequency_hz);
     swallowed_per_point = static_cast<double>(r.bench.events_swallowed) / points;
+    pfd_writes_per_point = static_cast<double>(r.bench.loop_pfd_writes) / points;
+    vco_stops_per_point = static_cast<double>(r.bench.loop_vco_stops) / points;
     if (wall > 0.0) {
       points_per_s = points / wall;
       sim_s_per_wall_s = r.report.sim_time_s / wall;

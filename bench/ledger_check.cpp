@@ -2,8 +2,10 @@
 // sweep (BENCH_farm.json: the reference device's 8-point Fig. 11 sweep,
 // here at --jobs 1) and fails when a deterministic work count — kernel
 // events per point, swallowed events per point (a superseded handler event
-// shows here) or simulated seconds per point — exceeds the ledger's
-// committed "change" value by more than kTolerance. The counts are exact
+// shows here), the loop's work units per point (PFD writes and VCO stops,
+// which kernel events no longer count one by one) or simulated seconds per
+// point — exceeds the ledger's committed "change" value by more than
+// kTolerance. The counts are exact
 // and jobs-invariant, so the tolerance only absorbs libm differences
 // between hosts; a real regression moves them by far more. Wall-clock
 // figures are printed against the ledger for information and never gate.
@@ -67,10 +69,13 @@ int main(int argc, char** argv) {
   const obs::JsonValue* events = changeValue(ledger, "events_per_point");
   const obs::JsonValue* swallowed = changeValue(ledger, "swallowed_per_point");
   const obs::JsonValue* sim_s = changeValue(ledger, "sim_s_per_point");
-  if (events == nullptr || swallowed == nullptr || sim_s == nullptr) {
+  const obs::JsonValue* pfd_writes = changeValue(ledger, "pfd_writes_per_point");
+  const obs::JsonValue* vco_stops = changeValue(ledger, "vco_stops_per_point");
+  if (events == nullptr || swallowed == nullptr || sim_s == nullptr || pfd_writes == nullptr ||
+      vco_stops == nullptr) {
     std::fprintf(stderr,
                  "ledger_check: %s has no change.events_per_point/swallowed_per_point/"
-                 "sim_s_per_point\n",
+                 "sim_s_per_point/pfd_writes_per_point/vco_stops_per_point\n",
                  argv[1]);
     return 2;
   }
@@ -84,6 +89,8 @@ int main(int argc, char** argv) {
   bool ok = gate("events/point", f.events_per_point, events->number);
   ok = gate("swallowed/point", f.swallowed_per_point, swallowed->number) && ok;
   ok = gate("sim s/point", f.sim_s_per_point, sim_s->number) && ok;
+  ok = gate("PFD writes/point", f.pfd_writes_per_point, pfd_writes->number) && ok;
+  ok = gate("VCO stops/point", f.vco_stops_per_point, vco_stops->number) && ok;
   const obs::JsonValue* change = ledger.find("change");
   const obs::JsonValue* jobs_1 = change->find("jobs_1");
   const obs::JsonValue* pps = jobs_1 != nullptr ? jobs_1->find("points_per_s") : nullptr;

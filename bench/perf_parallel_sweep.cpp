@@ -1,8 +1,9 @@
 // Serial vs parallel point-farm sweep: runs the same Fig. 11 reference
 // sweep through bist::ParallelSweep at --jobs 1 (the serial reference
-// execution) and at --jobs N, prints the wall-clock times and speedup, and
-// checks the determinism contract — every Bode point, counter and status
-// must be bit-identical between the two runs.
+// execution) and at --jobs N, prints the wall-clock times and speedup, the
+// exact kernel counts and the loop's work units per point, and checks the
+// determinism contract — every Bode point, counter and status must be
+// bit-identical between the two runs.
 //
 //   perf_parallel_sweep [--jobs N] [--points N] [--device reference|fast]
 //
@@ -114,6 +115,9 @@ int main(int argc, char** argv) {
               "--jobs\n",
               exact.events_per_point, static_cast<unsigned long long>(serial.bench.events_processed),
               exact.sim_s_per_point, exact.events_per_ref_cycle, exact.swallowed_per_point);
+  std::printf("loop: %.1f PFD writes and %.1f VCO stops per point (work units); the same at "
+              "every --jobs\n",
+              exact.pfd_writes_per_point, exact.vco_stops_per_point);
 
   const double speedup = parallel.report.wall_time_s > 0.0
                              ? serial.report.wall_time_s / parallel.report.wall_time_s

@@ -144,11 +144,11 @@ int main(int argc, char** argv) {
       else if (arg == "--resume") resume_path = next();
       else if (arg == "--deadline") {
         deadline_s = parseDouble(next());
-        if (deadline_s <= 0.0) usage(argv[0]);
+        if (!(deadline_s > 0.0)) usage(argv[0]);  // NaN too
       }
       else if (arg == "--point-budget") {
         point_budget_s = parseDouble(next());
-        if (point_budget_s <= 0.0) usage(argv[0]);
+        if (!(point_budget_s > 0.0)) usage(argv[0]);
       }
       else if (arg == "--breaker") {
         breaker = parseInt(next());

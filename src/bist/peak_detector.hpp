@@ -42,9 +42,14 @@ struct PeakDetectorDelays {
 /// every monitor write up to that instant is settled. Each UP rise derives
 /// its sampling clock (UP rise + clock delay) and reads DN through the
 /// inverter's delay from a pll::TimedNet of the DN changes no sample has
-/// looked past yet; the only event it schedules is the MFREQ write, one per
-/// sampling clock even when it changes nothing (so fault rules on MFREQ see
-/// every write the flop makes). The monitor's UP, DN and reset nets are
+/// looked past yet; the only event it schedules is the MFREQ write. A
+/// write that cannot change MFREQ is not made: one whose value equals both
+/// MFREQ's level and the detector's last scheduled write, while no
+/// interceptor can drop or reorder a transition
+/// (Circuit::interceptionPending). While one can, every sampling clock
+/// writes MFREQ, so a fault rule on MFREQ sees every write the flop makes,
+/// and a write a rule dropped or delayed is never mistaken for one that
+/// landed. The monitor's UP, DN and reset nets are
 /// written only while something observes them (Circuit::hasObservers), like
 /// the loop's nets; a fault rule on them reaches those observers but not
 /// the monitor. An observer attached mid-run sees the nets from their next
@@ -100,6 +105,7 @@ class PeakDetector : public sim::Component,
 
   pll::Pfd monitor_;
   pll::TimedNet dn_late_;  ///< monitor DN through the inverter's delay, not yet inverted
+  bool last_write_ = false;  ///< the value of the last MFREQ write scheduled
 };
 
 }  // namespace pllbist::bist

@@ -22,14 +22,15 @@ Status ResilientSweepOptions::check() const {
   if (max_attempts < 1)
     return Status::makef(K::InvalidArgument, "ResilientSweepOptions: max_attempts = %d, must be "
                          ">= 1", max_attempts);
-  if (settle_backoff < 1.0)
+  // Negated comparisons, so that NaN is refused too.
+  if (!(settle_backoff >= 1.0))
     return Status::makef(K::InvalidArgument,
                          "ResilientSweepOptions: settle_backoff = %g, must be >= 1", settle_backoff);
-  if (relock_wait_periods <= 0.0)
+  if (!(relock_wait_periods > 0.0))
     return Status::makef(K::InvalidArgument,
                          "ResilientSweepOptions: relock_wait_periods = %g, must be positive",
                          relock_wait_periods);
-  if (point_budget_s < 0.0)
+  if (!(point_budget_s >= 0.0))
     return Status::makef(K::InvalidArgument,
                          "ResilientSweepOptions: point_budget_s = %g, must be >= 0 (0 = unlimited)",
                          point_budget_s);
@@ -89,6 +90,8 @@ BenchStats BenchStats::of(const SweepTestbench& bench) {
   s.events_dropped = c.droppedEventCount();
   s.events_delayed = c.delayedEventCount();
   s.events_swallowed = c.swallowedEventCount();
+  s.loop_pfd_writes = bench.pll().pfdWrites();
+  s.loop_vco_stops = bench.pll().vcoStops();
   if (const sim::FaultInjector* injector = bench.installedFaultInjector()) {
     const sim::FaultInjector::Stats& f = injector->stats();
     s.fault_benches = 1;
@@ -153,7 +156,9 @@ class Stepper {
 
   /// Step until `done()`, a sim deadline, an interruption, or a dry queue.
   /// The predicate is a template parameter (generic lambda), not a
-  /// std::function: this is the per-event loop.
+  /// std::function: this is the per-event loop. Each step is limited to the
+  /// deadline, so the loop's run-ahead stops where a step per instant would
+  /// have seen the deadline pass.
   template <class Done>
   StepOutcome stepUntil(Done done, double deadline_s) {
     int countdown = kInterruptStride;
@@ -163,7 +168,7 @@ class Stepper {
         countdown = kInterruptStride;
         if (const StepOutcome o = interrupted(); o != StepOutcome::Done) return o;
       }
-      if (!c_.step()) return StepOutcome::Stall;
+      if (!c_.step(deadline_s)) return StepOutcome::Stall;
     }
     return StepOutcome::Done;
   }

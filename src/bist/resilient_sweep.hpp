@@ -83,8 +83,10 @@ struct SweepQualityReport : obs::RunReport::Quality {
 };
 
 /// Per-engine simulator statistics, read off the bench at the end of a
-/// run: the circuit's event-kernel counters plus the fault injector's rule
-/// statistics when one was attached, counted from where the run started
+/// run: the circuit's event-kernel counters, the loop's work units (its
+/// instants, most of which are not kernel events), plus the fault
+/// injector's rule statistics when one was attached, counted from where
+/// the run started
 /// (a farm point counts from its fork). Deterministic for a fixed
 /// configuration and seed set, so the campaign journal records them per
 /// point and a resumed merge reproduces the uninterrupted totals exactly —
@@ -97,14 +99,18 @@ struct BenchStats {
   uint64_t events_dropped = 0;
   uint64_t events_delayed = 0;
   uint64_t events_swallowed = 0;
+  uint64_t loop_pfd_writes = 0;  ///< pll::CpPll::pfdWrites()
+  uint64_t loop_vco_stops = 0;   ///< pll::CpPll::vcoStops()
   uint64_t fault_benches = 0;  ///< benches with a FaultInjector attached
   uint64_t faults_considered = 0;
   uint64_t faults_dropped = 0;
   uint64_t faults_delayed = 0;
   uint64_t faults_glitches = 0;
 
-  /// The record block a counter is written in.
-  enum class Block { Kernel, Faults };
+  /// The record block a counter is written in, in the order every record
+  /// writes them.
+  enum class Block { Kernel, Loop, Faults };
+  static constexpr std::array<Block, 3> kBlocks{Block::Kernel, Block::Loop, Block::Faults};
   /// One counter: its field, where the journal record and the RunReport
   /// write it, and its metric name in the registry and the campaign report.
   struct Counter {
@@ -115,14 +121,14 @@ struct BenchStats {
     bool reported;       ///< the RunReport carries it (it leaves out faults.benches)
   };
   /// Every counter, in the order every record writes them.
-  static const std::array<Counter, 10> kCounters;
+  static const std::array<Counter, 12> kCounters;
 
   [[nodiscard]] static const char* blockName(Block b) {
-    return b == Block::Kernel ? "kernel" : "faults";
+    return b == Block::Kernel ? "kernel" : b == Block::Loop ? "loop" : "faults";
   }
   /// Whether this run's records carry `b`: the fault block only when a
   /// fault injector was attached. Every record applies this one rule.
-  [[nodiscard]] bool carries(Block b) const { return b == Block::Kernel || fault_benches > 0; }
+  [[nodiscard]] bool carries(Block b) const { return b != Block::Faults || fault_benches > 0; }
 
   void add(const BenchStats& other);
   /// The counters of `bench` now.
@@ -132,12 +138,14 @@ struct BenchStats {
   [[nodiscard]] BenchStats since(const BenchStats& base) const;
 };
 
-inline constexpr std::array<BenchStats::Counter, 10> BenchStats::kCounters{{
+inline constexpr std::array<BenchStats::Counter, 12> BenchStats::kCounters{{
     {&BenchStats::events_processed, Block::Kernel, "processed", "sim.kernel.events_processed", true},
     {&BenchStats::events_delivered, Block::Kernel, "delivered", "sim.kernel.events_delivered", true},
     {&BenchStats::events_dropped, Block::Kernel, "dropped", "sim.kernel.events_dropped", true},
     {&BenchStats::events_delayed, Block::Kernel, "delayed", "sim.kernel.events_delayed", true},
     {&BenchStats::events_swallowed, Block::Kernel, "swallowed", "sim.kernel.events_swallowed", true},
+    {&BenchStats::loop_pfd_writes, Block::Loop, "pfd_writes", "pll.loop.pfd_writes", true},
+    {&BenchStats::loop_vco_stops, Block::Loop, "vco_stops", "pll.loop.vco_stops", true},
     {&BenchStats::fault_benches, Block::Faults, "benches", "sim.faults.benches", false},
     {&BenchStats::faults_considered, Block::Faults, "considered", "sim.faults.considered", true},
     {&BenchStats::faults_dropped, Block::Faults, "dropped", "sim.faults.dropped", true},

@@ -121,7 +121,7 @@ StepTestResult runStepTest(const pll::PllConfig& config, const StepTestOptions& 
   // hanging or silently truncating the result.
   const double relock_deadline = step_time + 2.0 * timeout;
   while (!lock.isLocked()) {
-    if (!c.step()) {
+    if (!c.step(relock_deadline)) {
       result.timed_out = true;
       result.status = Status::makef(
           Status::Kind::SimulationStall,

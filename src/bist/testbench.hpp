@@ -41,6 +41,7 @@ class SweepTestbench {
   [[nodiscard]] sim::Circuit& circuit() { return circuit_; }
   [[nodiscard]] const sim::Circuit& circuit() const { return circuit_; }
   [[nodiscard]] pll::CpPll& pll() { return *pll_; }
+  [[nodiscard]] const pll::CpPll& pll() const { return *pll_; }
   [[nodiscard]] TestSequencer& sequencer() { return *sequencer_; }
   [[nodiscard]] PeakDetector& peakDetector() { return *peak_detector_; }
   [[nodiscard]] pll::LockDetector& lockDetector() { return *lock_; }

@@ -42,7 +42,7 @@ Status CampaignOptions::check() const {
   if (jobs < 0)
     return Status::makef(K::InvalidArgument, "CampaignOptions: jobs = %d, must be >= 0 (0 = auto)",
                          jobs);
-  if (deadline_s < 0.0)
+  if (!(deadline_s >= 0.0))  // NaN too: it would pass `< 0` and then mean "unlimited"
     return Status::makef(K::InvalidArgument,
                          "CampaignOptions: deadline_s = %g, must be >= 0 (0 = unlimited)",
                          deadline_s);

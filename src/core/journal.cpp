@@ -167,7 +167,7 @@ Status parseRecordLine(std::string_view line, std::size_t points_total, Checkpoi
                          "record %llu is Cancelled; cancelled points are never committed",
                          static_cast<unsigned long long>(index));
 
-  for (const Block b : {Block::Kernel, Block::Faults}) {
+  for (const Block b : bist::BenchStats::kBlocks) {
     const char* name = bist::BenchStats::blockName(b);
     const obs::JsonValue* block = doc.find(name);
     if (block == nullptr && b == Block::Faults) continue;  // no fault injector was attached
@@ -225,7 +225,7 @@ std::string JournalWriter::recordLine(const CheckpointRecord& record) {
   w.key("relocks").value(r.report.relocks);
   w.key("relock_failures").value(r.report.relock_failures);
   w.key("sim_time_s").value(r.report.sim_time_s);
-  for (const Block b : {Block::Kernel, Block::Faults}) {
+  for (const Block b : bist::BenchStats::kBlocks) {
     if (!r.bench.carries(b)) continue;
     w.key(bist::BenchStats::blockName(b)).beginObject();
     for (const bist::BenchStats::Counter& c : bist::BenchStats::kCounters)

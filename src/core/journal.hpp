@@ -15,7 +15,10 @@ namespace pllbist::core {
 /// Version 2: a record's sim_time_s and bench counters cover only its
 /// point's work after the farm's shared prelude (version 1 records each
 /// included a prelude of their own, so mixing them would count it twice).
-inline constexpr const char* kCheckpointSchema = "pllbist.checkpoint/2";
+/// Version 3: a record also carries the loop's work units (`loop` block);
+/// its kernel counts are lower than a version 2 record's for the same
+/// point, since the loop runs ahead between queued events.
+inline constexpr const char* kCheckpointSchema = "pllbist.checkpoint/3";
 
 /// Journal header: identifies the campaign the records belong to. The
 /// config digest (FNV-1a over core::canonicalConfigString) is the identity
@@ -32,7 +35,7 @@ struct CheckpointHeader {
 /// One committed point: the single-point result the farm hands its
 /// journal sink, under its campaign index. Stored: the measurement and
 /// classification, the nominal and DC reference, the engine's relocks,
-/// relock failures, simulated seconds and kernel/fault counters after the
+/// relock failures, simulated seconds and kernel/loop/fault counters after the
 /// fork; the quality counts are rebuilt from the point on load. Not
 /// stored: the run's `status`, `breaker_open` and `report.wall_time_s`.
 /// A record is only appended after its point reached a terminal

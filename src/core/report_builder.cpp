@@ -95,10 +95,11 @@ obs::RunReport buildRunReport(const std::string& tool, const std::string& device
     rep.points.push_back(std::move(row));
   }
 
+  using Block = bist::BenchStats::Block;
   const bist::BenchStats& b = result.bench;
   for (const bist::BenchStats::Counter& c : bist::BenchStats::kCounters)
     if (c.reported && b.carries(c.block))
-      (c.block == bist::BenchStats::Block::Kernel ? rep.kernel : rep.faults)
+      (c.block == Block::Kernel ? rep.kernel : c.block == Block::Loop ? rep.loop : rep.faults)
           .push_back({c.key, b.*c.field});
   rep.metrics = std::move(metrics);
   return rep;

@@ -114,6 +114,7 @@ void RunReport::writeJson(std::ostream& os) const {
   };
   if (!faults.empty()) writeCounters("faults", faults);
   writeCounters("kernel", kernel);
+  writeCounters("loop", loop);
   w.key("metrics");
   writeMetricsJson(w, metrics);
   w.endObject();
@@ -254,6 +255,11 @@ Status validateRunReportJson(const JsonValue& root) {
   if (!s.ok()) return s;
   if (kernel->find("processed")->number < kernel->find("delivered")->number)
     return violation(kRunReport, "kernel.processed < kernel.delivered");
+
+  const JsonValue* loop = root.find("loop");
+  if (loop == nullptr || !loop->isObject()) return violation(kRunReport, "missing 'loop' object");
+  s = requireNumbers(kRunReport, *loop, {"pfd_writes", "vco_stops"}, "loop");
+  if (!s.ok()) return s;
 
   const JsonValue* metrics = root.find("metrics");
   if (metrics == nullptr || !metrics->isObject())

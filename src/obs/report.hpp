@@ -68,6 +68,9 @@ struct RunReport {
   std::vector<CounterValue> faults;
   /// The run's event-kernel counters as (key, value), in write order.
   std::vector<CounterValue> kernel;
+  /// The loop's work units as (key, value), in write order: its instants,
+  /// which kernel events no longer count one by one.
+  std::vector<CounterValue> loop;
   MetricsSnapshot metrics;
 
   /// Serialise as schema-conformant JSON. Field order is fixed, numbers use
@@ -77,10 +80,11 @@ struct RunReport {
   [[nodiscard]] std::string toJson() const;
 };
 
-/// Validate a parsed document against the RunReport schema: required keys,
-/// value types, quality-counter consistency (ok+retried+degraded+dropped ==
-/// points_total, points array length matches), histogram bucket/bound
-/// arity. Returns InvalidArgument naming the first violated rule.
+/// Validate a parsed document against the RunReport schema: required keys
+/// (the kernel and loop blocks among them), value types, quality-counter
+/// consistency (ok+retried+degraded+dropped == points_total, points array
+/// length matches), histogram bucket/bound arity. Returns InvalidArgument
+/// naming the first violated rule.
 [[nodiscard]] Status validateRunReportJson(const JsonValue& root);
 
 /// Convenience: parse + validate a JSON document in one call.

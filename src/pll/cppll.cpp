@@ -107,14 +107,20 @@ void CpPll::holdChanged(double now, bool hold) {
 bool CpPll::onEvent(uint32_t, double now) {
   pending_ = kNever;
   bool did_work = false;
+  bool hand_back = false;
   for (;;) {
     if (pfd_.nextWriteTime() <= now) {
-      did_work = applyPfdWrite(now) || did_work;
+      did_work = applyPfdWrite(now, hand_back) || did_work;
     } else if (vco_.nextEdgeTime() <= now) {
       fireVco(now);
       did_work = true;
     } else {
-      break;
+      // Every instant up to now is done: run ahead to the next one while
+      // nothing queued comes first or ties it.
+      const double next = std::min(pfd_.nextWriteTime(), vco_.nextEdgeTime());
+      if (hand_back || !(next < circuit_.horizon())) break;
+      circuit_.runAheadTo(next);
+      now = next;
     }
   }
   aim();
@@ -131,10 +137,11 @@ void CpPll::aim() {
   pending_ = next;
 }
 
-bool CpPll::applyPfdWrite(double now) {
+bool CpPll::applyPfdWrite(double now, bool& hand_back) {
   Pfd::Write w;
   bool changed = false;
   if (!pfd_.applyNext(w, changed)) return false;
+  ++pfd_writes_;
   const sim::SignalId q = w.dn ? dn_ : up_;
   if (observed(q)) circuit_.scheduleSet(q, now, w.value);
   if (!changed) return true;
@@ -142,11 +149,12 @@ bool CpPll::applyPfdWrite(double now) {
     circuit_.scheduleSet(rst_, now + cfg_.pfd.and_delay_s, pfd_.up() && pfd_.dn());
   filter_.drive(now, w.dn, w.value);
   vco_.driveChanged(now, filter_, observed(vco_out_));
-  for (LoopTap* tap : taps_) tap->pumpChanged(w.dn, w.value, now);
+  for (LoopTap* tap : taps_) hand_back = tap->pumpChanged(w.dn, w.value, now) || hand_back;
   return true;
 }
 
 void CpPll::fireVco(double now) {
+  ++vco_stops_;
   const bool watched = observed(vco_out_);
   const Vco::Edge e = vco_.fire(now, filter_, watched);
   if (watched) circuit_.scheduleSet(vco_out_, now, e.rising);
@@ -162,6 +170,8 @@ void CpPll::copyStateFrom(const CpPll& source) {
   fb_net_ = source.fb_net_;
   fb_in_net_ = source.fb_in_net_;
   pending_ = source.pending_;
+  pfd_writes_ = source.pfd_writes_;
+  vco_stops_ = source.vco_stops_;
 }
 
 double CpPll::controlVoltageNow() { return filter_.controlVoltage(circuit_.now()); }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,8 +27,11 @@ class LoopTap {
   /// decreases from call to call.
   virtual void inputRose(bool /*fb*/, double /*t*/) {}
   /// The in-loop PFD's UP (dn = false) or DN output changed to `high` at
-  /// `now`, the circuit's time.
-  virtual void pumpChanged(bool /*dn*/, bool /*high*/, double /*now*/) {}
+  /// `now`, the circuit's time. Return true when the change altered state
+  /// that a caller's step loop polls (LockDetector::isLocked): the loop
+  /// then ends its run-ahead after this instant, so the step that made the
+  /// change returns at its time.
+  virtual bool pumpChanged(bool /*dn*/, bool /*high*/, double /*now*/) { return false; }
 
  protected:
   ~LoopTap() = default;
@@ -49,12 +53,20 @@ class LoopTap {
 /// REF edges from the stimulus (or the divided external reference) net,
 /// makes the FB edges with the VCO's fused divider, and adds the 1 ns M1,
 /// divider and M2 delays itself. Pfd, PumpFilter and Vco are plain classes
-/// it calls. It keeps one handler event in flight, for its next instant:
-/// the next PFD flop write or the next VCO stop, whichever comes first
-/// (a flop write first when they tie). An input edge that brings the next
-/// instant forward moves that event (Circuit::rescheduleEvent), so no
-/// event is superseded. The select nets `test_mode` and `hold` are nets;
-/// a select change re-drives the mux output as a mux would. The other loop
+/// it calls. Its instants are the PFD flop writes and the VCO stops (a
+/// flop write first when they tie). It keeps one handler event in flight,
+/// at its next instant; when that event runs, the loop also runs ahead
+/// through every later instant strictly before Circuit::horizon(), the
+/// next queued event or the end of the run, since nothing else can see
+/// them. An instant that ties the horizon, or follows one whose tap
+/// change a step loop polls (LoopTap::pumpChanged), goes through the queue
+/// again. Whatever the loop schedules while it runs ahead (an observed
+/// net's write, a tap's event) is queued and so shortens the horizon. An
+/// input edge that brings the next instant forward moves the pending event
+/// (Circuit::rescheduleEvent), so no event is superseded. The loop counts
+/// its work units, the PFD writes it applies and its VCO stops, since
+/// kernel events no longer do. The select nets `test_mode` and `hold` are
+/// nets; a select change re-drives the mux output as a mux would. The other loop
 /// nets (PLLREF, PLLFB, the PFD's inputs, outputs and reset, the VCO
 /// output) are written only while they have observers
 /// (Circuit::hasObservers), at the times and with the values the netlist
@@ -100,6 +112,12 @@ class CpPll : private sim::Circuit::Handler {
   double controlVoltageNow();
   double vcoFrequencyNowHz();
 
+  /// Work units since construction (a fork continues its source's): PFD
+  /// flop writes applied (a clock edge the reset blocked is none) and VCO
+  /// stops.
+  [[nodiscard]] uint64_t pfdWrites() const { return pfd_writes_; }
+  [[nodiscard]] uint64_t vcoStops() const { return vco_stops_; }
+
   [[nodiscard]] const PllConfig& config() const { return cfg_; }
   [[nodiscard]] PumpFilter& filter() { return filter_; }
   [[nodiscard]] const Vco& vco() const { return vco_; }
@@ -119,7 +137,8 @@ class CpPll : private sim::Circuit::Handler {
   void fbInWrite(double y, bool v);
   void holdChanged(double now, bool hold);
   /// Apply the PFD's next write, due now; false when the reset blocked it.
-  bool applyPfdWrite(double now);
+  /// Sets `hand_back` when a tap changed what a step loop polls.
+  bool applyPfdWrite(double now, bool& hand_back);
   void fireVco(double now);
   [[nodiscard]] bool observed(sim::SignalId net) const { return circuit_.hasObservers(net); }
 
@@ -147,6 +166,8 @@ class CpPll : private sim::Circuit::Handler {
   TimedNet fb_net_;     ///< PLLFB
   TimedNet fb_in_net_;  ///< the PFD's feedback input
   double pending_;      ///< time of the handler event in flight
+  uint64_t pfd_writes_ = 0;
+  uint64_t vco_stops_ = 0;
   std::vector<LoopTap*> taps_;
 };
 

@@ -44,15 +44,17 @@ LockDetector::LockDetector(double width_threshold_s, int required_pulses)
     throw std::invalid_argument("LockDetector: required pulses must be >= 1");
 }
 
-void LockDetector::pumpChanged(bool dn, bool high, double now) {
+bool LockDetector::pumpChanged(bool dn, bool high, double now) {
   double& rise = dn ? dn_rise_ : up_rise_;
-  if (high)
+  if (high) {
     rise = now;
-  else if (rise >= 0.0)
-    pulseFinished(now, now - rise);
+    return false;
+  }
+  return rise >= 0.0 && pulseFinished(now, now - rise);
 }
 
-void LockDetector::pulseFinished(double now, double width) {
+bool LockDetector::pulseFinished(double now, double width) {
+  const bool was_locked = isLocked();
   if (width <= threshold_) {
     if (consecutive_ok_ < required_) {
       ++consecutive_ok_;
@@ -61,6 +63,7 @@ void LockDetector::pulseFinished(double now, double width) {
   } else {
     consecutive_ok_ = 0;
   }
+  return isLocked() != was_locked;
 }
 
 }  // namespace pllbist::pll

@@ -51,8 +51,10 @@ class LockDetector : public LoopTap {
   /// A detector wired to nothing: its owner feeds it through pumpChanged().
   explicit LockDetector(double width_threshold_s, int required_pulses = 8);
 
-  /// UP (dn = false) or DN changed to `high` at `now`.
-  void pumpChanged(bool dn, bool high, double now) override;
+  /// UP (dn = false) or DN changed to `high` at `now`. True when
+  /// isLocked() changed: a step loop waiting for lock sees it at this
+  /// instant.
+  bool pumpChanged(bool dn, bool high, double now) override;
 
   [[nodiscard]] bool isLocked() const { return consecutive_ok_ >= required_; }
   /// Time at which lock was (most recently) achieved; meaningless unless
@@ -69,7 +71,8 @@ class LockDetector : public LoopTap {
   }
 
  private:
-  void pulseFinished(double now, double width);
+  /// True when isLocked() changed.
+  bool pulseFinished(double now, double width);
   double threshold_;
   int required_;
   int consecutive_ok_ = 0;

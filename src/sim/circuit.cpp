@@ -116,7 +116,9 @@ void Circuit::runClosure(int32_t slot) {
 }
 
 void Circuit::applySignal(const Event& ev) {
-  if (interceptor_ && !ev.intercepted) {
+  if (ev.intercepted) {
+    --delayed_in_flight_;
+  } else if (interceptor_) {
     const InterceptVerdict verdict = interceptor_(ev.target, now_, ev.value);
     switch (verdict.action) {
       case InterceptVerdict::Action::Deliver:
@@ -127,6 +129,7 @@ void Circuit::applySignal(const Event& ev) {
       case InterceptVerdict::Action::Delay:
         PLLBIST_ASSERT(verdict.delay_s > 0.0);
         ++delayed_events_;
+        ++delayed_in_flight_;
         // Re-enqueue marked intercepted: the postponed edge is delivered
         // exactly once instead of passing through the interceptor again
         // (a persistent delay rule would otherwise chase it forever and
@@ -165,6 +168,7 @@ void Circuit::copyStateFrom(const Circuit& source) {
   queue_ = source.queue_;
   now_ = source.now_;
   next_seq_ = source.next_seq_;
+  delayed_in_flight_ = source.delayed_in_flight_;
   processed_events_ = source.processed_events_;
   delivered_events_ = source.delivered_events_;
   dropped_events_ = source.dropped_events_;
@@ -172,9 +176,11 @@ void Circuit::copyStateFrom(const Circuit& source) {
   swallowed_events_ = source.swallowed_events_;
 }
 
-bool Circuit::step() {
+bool Circuit::step(double limit) {
   if (queue_.empty()) return false;
+  end_ = limit;
   execute(popNext());
+  end_ = std::numeric_limits<double>::infinity();
   return true;
 }
 
@@ -183,7 +189,9 @@ void Circuit::run(double t_end) {
   // untouched so kernel throughput is identical with tracing idle.
   PLLBIST_SPAN("sim.circuit.run");
   PLLBIST_ASSERT(t_end >= now_);
+  end_ = t_end;
   while (!queue_.empty() && queue_.front().time <= t_end) execute(popNext());
+  end_ = std::numeric_limits<double>::infinity();
   now_ = t_end;
 }
 

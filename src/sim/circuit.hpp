@@ -3,9 +3,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <type_traits>
 #include <vector>
+
+#include "common/assert.hpp"
 
 namespace pllbist::sim {
 
@@ -30,6 +33,11 @@ inline constexpr SignalId kNoSignal = -1;
 ///    swallowed (no callbacks fire).
 ///  - Callbacks run at the event's timestamp and may schedule further events
 ///    at any time >= now.
+///  - Run-ahead: a handler whose own instants nothing else can see between
+///    two queued events may handle them inside one event, moving now()
+///    forward itself (horizon, runAheadTo). Every queued event still runs
+///    at its time and in its order, and so sees the handler exactly as it
+///    would with one event per instant.
 ///
 /// Queue entries are plain data (see Event): a signal transition, a
 /// (handler id, tag) pair dispatched to a registered Handler, or the slot
@@ -87,6 +95,13 @@ class Circuit {
   using EventInterceptor = std::function<InterceptVerdict(SignalId id, double now, bool value)>;
   void setEventInterceptor(EventInterceptor interceptor) { interceptor_ = std::move(interceptor); }
   [[nodiscard]] bool hasEventInterceptor() const { return static_cast<bool>(interceptor_); }
+  /// True while an interceptor is installed or a transition it delayed is
+  /// still queued: a transition scheduled now may then be dropped, or land
+  /// before a delayed one scheduled earlier. Otherwise every transition
+  /// lands at the time it was scheduled for.
+  [[nodiscard]] bool interceptionPending() const {
+    return interceptor_ || delayed_in_flight_ > 0;
+  }
 
   Circuit() = default;
   Circuit(const Circuit&) = delete;
@@ -147,12 +162,40 @@ class Circuit {
   [[nodiscard]] double now() const { return now_; }
 
   /// Process all events with timestamp <= t_end, then advance now to t_end.
+  /// A handler may run ahead inside an event (runAheadTo), but never to
+  /// t_end or past it: after run(t) every component is as it was at t.
   void run(double t_end);
 
-  /// Process exactly one event if any is pending; returns false when idle.
-  bool step();
+  /// Process exactly one queued event if any is pending; returns false when
+  /// idle. The event's handler may run ahead to instants before `limit`
+  /// (and before the next queued event), so a step loop that waits for a
+  /// time passes it: with the default, a handler that is alone in the
+  /// queue runs until it stops by itself.
+  bool step(double limit = std::numeric_limits<double>::infinity());
+
+  /// How far the handler now running may run ahead: the earlier of the
+  /// first queued event and the end of the current run(t_end) or
+  /// step(limit). Outside run() and step() it is the first queued event
+  /// (+infinity when none is queued).
+  [[nodiscard]] double horizon() const {
+    return queue_.empty() || end_ < queue_.front().time ? end_ : queue_.front().time;
+  }
+
+  /// Called by the handler now running: move now() forward to its own next
+  /// instant t, now() <= t < horizon(). Nothing else can see the instants
+  /// it passes this way: no queued event lies before t, and whatever the
+  /// handler schedules while it runs ahead is queued and so shortens the
+  /// horizon. An instant that ties the horizon must go through the queue,
+  /// behind the event already there, as it would with one event per
+  /// instant.
+  void runAheadTo(double t) {
+    PLLBIST_ASSERT(t >= now_ && t < horizon());
+    now_ = t;
+  }
 
   /// Total events dequeued (delivered + dropped + delayed + swallowed).
+  /// Instants a handler runs ahead to are not events: one handler event
+  /// counts once however many instants it covers.
   [[nodiscard]] uint64_t processedEventCount() const { return processed_events_; }
   /// Events that actually did work: closures executed, handler events that
   /// returned true, plus signal transitions applied (value changed, change
@@ -260,6 +303,9 @@ class Circuit {
   EventInterceptor interceptor_;
   std::vector<Event> queue_;  // binary min-heap under later(), earliest at front
   double now_ = 0.0;
+  /// The end of the current run(t_end) or step(limit); +infinity outside.
+  double end_ = std::numeric_limits<double>::infinity();
+  uint64_t delayed_in_flight_ = 0;  // Delay re-enqueues not yet dequeued
   uint64_t next_seq_ = 0;
   uint64_t processed_events_ = 0;
   uint64_t delivered_events_ = 0;

@@ -74,16 +74,22 @@ TEST(BenchForkMidPulse, ForkInsideAResetWindowMeasuresExactlyWhatTheSourceWould)
   ASSERT_TRUE(prelude.status.ok());
   sim::Circuit& c = source->circuit();
   /// The loop PFD's output levels, heard through a tap (the loop writes
-  /// its UP/DN nets only while they are observed).
+  /// its UP/DN nets only while they are observed). While the step loop
+  /// below polls them, every change ends the loop's run-ahead.
   struct PumpLevels : pll::LoopTap {
     bool up = false;
     bool dn = false;
-    void pumpChanged(bool is_dn, bool high, double) override { (is_dn ? dn : up) = high; }
+    bool polled = true;
+    bool pumpChanged(bool is_dn, bool high, double) override {
+      (is_dn ? dn : up) = high;
+      return polled;
+    }
   } levels;
   source->pll().addTap(levels);
   // Step to the instant both loop outputs are high: the reset AND has just
   // seen them and its window opens and_delay later.
   while (!(levels.up && levels.dn)) ASSERT_TRUE(c.step());
+  levels.polled = false;
   const pll::PfdDelays& d = fastTestConfig().pfd;
   // A stimulus glitch whose rising edge reaches PLLREF (one mux delay on)
   // midway through the window.

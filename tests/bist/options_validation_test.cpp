@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "bist/sweep_types.hpp"
@@ -7,6 +8,7 @@
 #include "bist/sequencer.hpp"
 #include "bist/step_test.hpp"
 #include "common/status.hpp"
+#include "core/campaign.hpp"
 #include "support/test_configs.hpp"
 
 namespace pllbist::bist {
@@ -159,6 +161,32 @@ TEST(ResilientSweepOptionsValidation, RejectsEachBadField) {
   opt = {};
   opt.relock_wait_periods = 0.0;
   expectRejects(opt.check(), "relock_wait_periods");
+}
+
+/// NaN passes a `x < 0` check; each budget must refuse it, not read it as
+/// "unlimited".
+TEST(ResilientSweepOptionsValidation, RejectsNaN) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ResilientSweepOptions opt;
+  opt.point_budget_s = nan;
+  expectRejects(opt.check(), "point_budget_s");
+  opt = {};
+  opt.settle_backoff = nan;
+  expectRejects(opt.check(), "settle_backoff");
+  opt = {};
+  opt.relock_wait_periods = nan;
+  expectRejects(opt.check(), "relock_wait_periods");
+}
+
+TEST(CampaignOptionsValidation, RejectsNaNBudgets) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  core::CampaignOptions opt;
+  EXPECT_TRUE(opt.check().ok());
+  opt.deadline_s = nan;
+  expectRejects(opt.check(), "deadline_s");
+  opt = {};
+  opt.resilience.point_budget_s = nan;
+  expectRejects(opt.check(), "point_budget_s");
 }
 
 TEST(StatusTaxonomy, FormatsKindAndContext) {

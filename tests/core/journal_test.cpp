@@ -198,17 +198,21 @@ TEST(Journal, MissingOrBogusHeaderFailsClosed) {
 
 TEST(Journal, PreviousSchemaFailsClosedNamingBothSchemas) {
   // A version-1 journal's records each carry a prelude of their own;
-  // merging them into a version-2 run would count it several times.
-  std::string header = JournalWriter::headerLine(testHeader());
+  // merging them into a later run would count it several times. A
+  // version-2 journal's records have no loop block and kernel counts of a
+  // loop that did not run ahead.
   const std::string current = kCheckpointSchema;
-  ASSERT_EQ(current, "pllbist.checkpoint/2");
-  header.replace(header.find(current), current.size(), "pllbist.checkpoint/1");
-  const std::string text = header + "\n" + JournalWriter::recordLine(testRecord(0)) + "\n";
-  JournalLoadResult loaded;
-  const Status s = parseJournal(text, loaded);
-  EXPECT_EQ(s.kind(), Status::Kind::InvalidArgument);
-  EXPECT_NE(s.context().find("pllbist.checkpoint/1"), std::string::npos) << s.toString();
-  EXPECT_NE(s.context().find("pllbist.checkpoint/2"), std::string::npos) << s.toString();
+  ASSERT_EQ(current, "pllbist.checkpoint/3");
+  for (const std::string old : {"pllbist.checkpoint/1", "pllbist.checkpoint/2"}) {
+    std::string header = JournalWriter::headerLine(testHeader());
+    header.replace(header.find(current), current.size(), old);
+    const std::string text = header + "\n" + JournalWriter::recordLine(testRecord(0)) + "\n";
+    JournalLoadResult loaded;
+    const Status s = parseJournal(text, loaded);
+    EXPECT_EQ(s.kind(), Status::Kind::InvalidArgument) << old;
+    EXPECT_NE(s.context().find(old), std::string::npos) << s.toString();
+    EXPECT_NE(s.context().find(current), std::string::npos) << s.toString();
+  }
 }
 
 TEST(Journal, OutOfRangeIndexFailsClosed) {

@@ -1,7 +1,7 @@
 // Every record of a run (the journal line, the RunReport, the campaign's
 // metrics block and the registry) writes the run's counters from one
 // declaration, BenchStats::kCounters plus the quality counts. A run whose
-// ten BenchStats counters are all distinct shows a counter written under
+// twelve BenchStats counters are all distinct shows a counter written under
 // the wrong key, dropped or read back into the wrong field.
 
 #include <gtest/gtest.h>
@@ -28,7 +28,7 @@ Names namesAndValues(const std::vector<obs::CounterValue>& counters) {
   return out;
 }
 
-/// One committed point whose ten BenchStats counters read 1..10 and whose
+/// One committed point whose twelve BenchStats counters read 1..12 and whose
 /// quality counts are distinct too.
 CheckpointRecord distinctCounters() {
   CheckpointRecord rec;
@@ -46,11 +46,13 @@ CheckpointRecord distinctCounters() {
   b.events_dropped = 3;
   b.events_delayed = 4;
   b.events_swallowed = 5;
-  b.fault_benches = 6;
-  b.faults_considered = 7;
-  b.faults_dropped = 8;
-  b.faults_delayed = 9;
-  b.faults_glitches = 10;
+  b.loop_pfd_writes = 6;
+  b.loop_vco_stops = 7;
+  b.fault_benches = 8;
+  b.faults_considered = 9;
+  b.faults_dropped = 10;
+  b.faults_delayed = 11;
+  b.faults_glitches = 12;
   return rec;
 }
 
@@ -81,8 +83,9 @@ TEST(RunCounters, EveryRecordCarriesEveryCounter) {
   const CheckpointRecord rec = distinctCounters();
   EXPECT_NE(JournalWriter::recordLine(rec).find(
                 "\"kernel\":{\"processed\":1,\"delivered\":2,\"dropped\":3,\"delayed\":4,"
-                "\"swallowed\":5},\"faults\":{\"benches\":6,\"considered\":7,\"dropped\":8,"
-                "\"delayed\":9,\"glitches\":10}}"),
+                "\"swallowed\":5},\"loop\":{\"pfd_writes\":6,\"vco_stops\":7},"
+                "\"faults\":{\"benches\":8,\"considered\":9,\"dropped\":10,\"delayed\":11,"
+                "\"glitches\":12}}"),
             std::string::npos)
       << JournalWriter::recordLine(rec);
 
@@ -92,19 +95,22 @@ TEST(RunCounters, EveryRecordCarriesEveryCounter) {
   EXPECT_EQ(got.events_dropped, 3u);
   EXPECT_EQ(got.events_delayed, 4u);
   EXPECT_EQ(got.events_swallowed, 5u);
-  EXPECT_EQ(got.fault_benches, 6u);
-  EXPECT_EQ(got.faults_considered, 7u);
-  EXPECT_EQ(got.faults_dropped, 8u);
-  EXPECT_EQ(got.faults_delayed, 9u);
-  EXPECT_EQ(got.faults_glitches, 10u);
+  EXPECT_EQ(got.loop_pfd_writes, 6u);
+  EXPECT_EQ(got.loop_vco_stops, 7u);
+  EXPECT_EQ(got.fault_benches, 8u);
+  EXPECT_EQ(got.faults_considered, 9u);
+  EXPECT_EQ(got.faults_dropped, 10u);
+  EXPECT_EQ(got.faults_delayed, 11u);
+  EXPECT_EQ(got.faults_glitches, 12u);
 
   // The RunReport leaves out faults.benches, as it always has.
   const obs::RunReport report = reportOf(rec.result);
   EXPECT_EQ(namesAndValues(report.kernel),
             (Names{{"processed", 1}, {"delivered", 2}, {"dropped", 3}, {"delayed", 4},
                    {"swallowed", 5}}));
+  EXPECT_EQ(namesAndValues(report.loop), (Names{{"pfd_writes", 6}, {"vco_stops", 7}}));
   EXPECT_EQ(namesAndValues(report.faults),
-            (Names{{"considered", 7}, {"dropped", 8}, {"delayed", 9}, {"glitches", 10}}));
+            (Names{{"considered", 9}, {"dropped", 10}, {"delayed", 11}, {"glitches", 12}}));
 
   const Names want{{"bist.resilient.attempts", 3},
                    {"bist.resilient.relocks", 2},
@@ -118,11 +124,13 @@ TEST(RunCounters, EveryRecordCarriesEveryCounter) {
                    {"sim.kernel.events_dropped", 3},
                    {"sim.kernel.events_delayed", 4},
                    {"sim.kernel.events_swallowed", 5},
-                   {"sim.faults.benches", 6},
-                   {"sim.faults.considered", 7},
-                   {"sim.faults.dropped", 8},
-                   {"sim.faults.delayed", 9},
-                   {"sim.faults.glitches", 10}};
+                   {"pll.loop.pfd_writes", 6},
+                   {"pll.loop.vco_stops", 7},
+                   {"sim.faults.benches", 8},
+                   {"sim.faults.considered", 9},
+                   {"sim.faults.dropped", 10},
+                   {"sim.faults.delayed", 11},
+                   {"sim.faults.glitches", 12}};
   EXPECT_EQ(namesAndValues(bist::runCounters(rec.result)), want);
 
   // The registry holds the same counters in the same order, and publishing
@@ -150,7 +158,7 @@ TEST(RunCounters, NoRecordCarriesAFaultBlockWithoutAFaultInjector) {
   EXPECT_EQ(report.toJson().find("\"faults\""), std::string::npos);
 
   const std::vector<obs::CounterValue> counters = bist::runCounters(rec.result);
-  EXPECT_EQ(counters.size(), 12u);
+  EXPECT_EQ(counters.size(), 14u);
   for (const obs::CounterValue& c : counters)
     EXPECT_NE(c.name.rfind("sim.faults.", 0), 0u) << c.name;
 }

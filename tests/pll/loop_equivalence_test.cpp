@@ -184,9 +184,10 @@ Record runOracle(const PllConfig& cfg, const Program& program) {
 struct TapRecorder : LoopTap {
   Record r;
   void inputRose(bool fb, double t) override { (fb ? r.fb : r.ref).rising.push_back(t); }
-  void pumpChanged(bool dn, bool high, double now) override {
+  bool pumpChanged(bool dn, bool high, double now) override {
     Waveform& q = dn ? r.dn : r.up;
     (high ? q.rising : q.falling).push_back(now);
+    return false;
   }
 };
 
@@ -343,8 +344,9 @@ TEST(LoopFork, ForkAtAnyInstantContinuesAsTheSource) {
     std::vector<Heard> heard;
     explicit Listener(sim::Circuit& circuit) : c(circuit) {}
     void inputRose(bool fb, double t) override { heard.push_back({c.now(), fb ? 1 : 0, t, true}); }
-    void pumpChanged(bool dn, bool high, double now) override {
+    bool pumpChanged(bool dn, bool high, double now) override {
       heard.push_back({now, dn ? 3 : 2, now, high});
+      return false;
     }
   };
   struct Bench {

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -292,6 +293,141 @@ struct RecordingHandler : Circuit::Handler {
     return result;
   }
 };
+
+/// A handler with a fixed list of instants, all kernel-invisible state.
+/// Running ahead, it handles in one event every instant strictly before
+/// the horizon, as pll::CpPll does; otherwise one instant per event.
+/// `at` runs at each instant and may schedule (queued events shorten the
+/// horizon); `log` gets "h<instant>" at each instant.
+struct InstantHandler : Circuit::Handler {
+  Circuit& c;
+  Circuit::HandlerId id;
+  std::vector<double> instants;
+  bool runs_ahead;
+  std::vector<std::string>& log;
+  std::function<void(double)> at;
+  std::vector<double> horizons;  ///< the horizon seen at each instant
+  std::size_t next = 0;
+
+  InstantHandler(Circuit& circuit, std::vector<double> times, bool ahead,
+                 std::vector<std::string>& out)
+      : c(circuit), id(circuit.addHandler(*this)), instants(std::move(times)),
+        runs_ahead(ahead), log(out) {
+    c.scheduleEvent(instants.front(), id, 0);
+  }
+  bool onEvent(uint32_t, double now) override {
+    for (;;) {
+      log.push_back("h" + std::to_string(now));
+      horizons.push_back(c.horizon());
+      if (at) at(now);
+      if (++next == instants.size()) return true;
+      const double t = instants[next];
+      if (!runs_ahead || !(t < c.horizon())) break;
+      c.runAheadTo(t);
+      now = t;
+    }
+    c.scheduleEvent(instants[next], id, 0);
+    return true;
+  }
+};
+
+TEST(CircuitRunAhead, NeverPassesTheFirstQueuedEventOrTheRunEnd) {
+  Circuit c;
+  const SignalId a = c.addSignal("a");
+  std::vector<std::string> log;
+  InstantHandler h(c, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, true, log);
+  c.scheduleCallback(4.5, [&](double now) { log.push_back("closure" + std::to_string(now)); });
+  // A write the handler schedules while it runs ahead is queued, and the
+  // handler does not pass it.
+  h.at = [&](double now) {
+    if (now == 2.0) c.scheduleSet(a, 2.5, true);
+  };
+  c.onChange(a, [&](double now, bool) { log.push_back("a" + std::to_string(now)); });
+  c.run(7.5);
+  EXPECT_EQ(log, (std::vector<std::string>{"h1.000000", "h2.000000", "a2.500000", "h3.000000",
+                                           "h4.000000", "closure4.500000", "h5.000000",
+                                           "h6.000000", "h7.000000"}));
+  for (std::size_t i = 0; i < h.horizons.size(); ++i)
+    EXPECT_LT(h.instants[i], h.horizons[i]) << "instant " << h.instants[i];
+  EXPECT_EQ(h.horizons.back(), 7.5);  // the run's end
+  EXPECT_EQ(c.now(), 7.5);
+  // Events: h@1 (1, 2), a@2.5, h@3 (3, 4), the closure, h@5 (5, 6, 7).
+  EXPECT_EQ(c.processedEventCount(), 5u);
+  EXPECT_EQ(c.horizon(), 8.0);  // outside a run: the handler's pending event
+}
+
+TEST(CircuitRunAhead, AnInstantThatTiesTheHorizonRunsAfterTheTiedEvent) {
+  // The order one event per instant gives, and the run-ahead order, with
+  // ties against an earlier-queued closure and a signal write, and an
+  // instant exactly at the run's end.
+  auto order = [](bool runs_ahead, uint64_t* processed) {
+    Circuit c;
+    const SignalId a = c.addSignal("a");
+    std::vector<std::string> log;
+    c.scheduleSet(a, 3.0, true);
+    InstantHandler h(c, {1, 2, 3, 4, 5, 6}, runs_ahead, log);
+    c.scheduleCallback(5.0, [&](double now) { log.push_back("closure" + std::to_string(now)); });
+    c.onChange(a, [&](double now, bool) { log.push_back("a" + std::to_string(now)); });
+    c.run(4.0);
+    log.push_back("end");
+    c.run(6.0);
+    *processed = c.processedEventCount();
+    return log;
+  };
+  uint64_t per_instant = 0, ahead = 0;
+  const std::vector<std::string> want = order(false, &per_instant);
+  EXPECT_EQ(want, (std::vector<std::string>{"h1.000000", "h2.000000", "a3.000000", "h3.000000",
+                                            "h4.000000", "end", "closure5.000000", "h5.000000",
+                                            "h6.000000"}));
+  EXPECT_EQ(order(true, &ahead), want);
+  EXPECT_EQ(per_instant, 8u);
+  EXPECT_EQ(ahead, 7u);  // h@1 covers 1 and 2; 3, 4 and 6 tie an event or a run's end
+}
+
+TEST(CircuitRunAhead, StepStopsBeforeItsLimit) {
+  Circuit c;
+  std::vector<std::string> log;
+  InstantHandler h(c, {1, 2, 3, 4, 5, 6, 7, 8}, true, log);
+  ASSERT_TRUE(c.step(4.5));
+  EXPECT_EQ(c.now(), 4.0);
+  EXPECT_EQ(log.size(), 4u);
+  // The instant past the limit goes through the queue, one step of its own,
+  // as a step per instant would have reached it.
+  ASSERT_TRUE(c.step(4.5));
+  EXPECT_EQ(c.now(), 5.0);
+  // An instant exactly at the limit is not run ahead to either.
+  ASSERT_TRUE(c.step(7.0));
+  EXPECT_EQ(c.now(), 6.0);
+  // Without a limit the handler, alone in the queue, runs to its end.
+  ASSERT_TRUE(c.step());
+  EXPECT_EQ(c.now(), 8.0);
+  EXPECT_EQ(log.size(), 8u);
+  EXPECT_FALSE(c.step());
+  EXPECT_EQ(c.processedEventCount(), 4u);
+}
+
+TEST(CircuitRunAhead, RunningAheadToOrPastTheHorizonAsserts) {
+  Circuit c;
+  struct Eager : Circuit::Handler {
+    Circuit* c = nullptr;
+    double to = 0.0;
+    bool onEvent(uint32_t, double) override {
+      c->runAheadTo(to);
+      return true;
+    }
+  } eager;
+  eager.c = &c;
+  const Circuit::HandlerId id = c.addHandler(eager);
+  c.scheduleEvent(1.0, id, 0);
+  c.scheduleCallback(2.0, [](double) {});
+  eager.to = 2.0;  // ties the queued closure
+  EXPECT_THROW(c.run(3.0), AssertionError);
+  Circuit d;
+  eager.c = &d;
+  d.scheduleEvent(1.0, d.addHandler(eager), 0);
+  eager.to = 1.5;  // the run's end
+  EXPECT_THROW(d.run(1.5), AssertionError);
+}
 
 TEST(Circuit, HandlerReceivesTagAtItsTime) {
   Circuit c;

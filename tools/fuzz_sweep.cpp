@@ -33,6 +33,13 @@
 //      input and the loop PFD's UP/DN (so the detectors and the loop write
 //      them, and the peak detector wakes itself at each monitor reset), and
 //      the points, statuses and quality report must be bit-identical.
+//   9. cutting the kernel's runs changes no result: on a seeded quarter of
+//      the sweeps the case runs on the ParallelSweep farm twice, once as
+//      it is and once with a self-rescheduling no-op closure at seeded
+//      random intervals on each point's bench (added after the fork, so no
+//      pending closure is forked). Every closure event ends the loop's
+//      run-ahead there, so the loop crosses those instants one event at a
+//      time; the points, statuses and quality report must be bit-identical.
 //
 // Built two ways:
 //   - standalone driver (always): fuzz_sweep --seed N --runs N
@@ -89,6 +96,7 @@ struct FuzzStats {
   uint64_t observed = 0;  ///< sweeps re-run with an observed VCO output
   uint64_t forked = 0;    ///< sweeps re-run on the farm and point by point
   uint64_t detector_observed = 0;  ///< sweeps re-run with observed detector nets
+  uint64_t cut = 0;  ///< sweeps re-run on the farm with their runs cut
 };
 
 [[noreturn]] void fail(uint64_t seed, const char* invariant, const std::string& detail) {
@@ -203,6 +211,42 @@ std::string forkDiff(const pllbist::pll::PllConfig& config,
            ", P + sum(S_i - P) = " + std::to_string(want.events_processed);
   if (!sameBits(merged.report.sim_time_s, want_sim_s)) return "sim_time_s";
   return "";
+}
+
+// Invariant 9: a no-op closure that reschedules itself after a seeded
+// random gap in (0, max_gap_s]; each of its events ends a run-ahead.
+struct RunCutter {
+  pllbist::sim::Circuit* circuit;
+  uint64_t state;
+  double max_gap_s;
+  void operator()(double now) {
+    RunCutter next = *this;
+    const double gap = max_gap_s * (1.0 - unitInterval(splitmix64(next.state)));
+    circuit->scheduleCallback(now + gap, next);
+  }
+};
+
+// Invariant 9: the first difference between the farm as it is and the farm
+// with every point's runs cut at seeded random instants; empty when they
+// agree bit for bit.
+std::string cutDiff(const pllbist::pll::PllConfig& config, const pllbist::bist::SweepOptions& sweep,
+                    const pllbist::bist::ResilientSweepOptions& resilience, const BenchHook& hook,
+                    uint64_t cut_seed) {
+  namespace bist = pllbist::bist;
+  auto farmRun = [&](bool cut) {
+    bist::ParallelSweepOptions popt;
+    popt.jobs = 1;
+    popt.resilience = resilience;
+    bist::ParallelSweep farm(config, sweep, popt);
+    farm.onPointTestbench([&, cut](std::size_t i, bist::SweepTestbench& tb) {
+      hook(i, tb);
+      if (!cut) return;
+      RunCutter first{&tb.circuit(), bist::pointSeed(cut_seed, i), 4.0 / config.ref_frequency_hz};
+      first(tb.circuit().now());
+    });
+    return farm.run();
+  };
+  return measurementDiff(farmRun(false), farmRun(true));
 }
 
 // Invariant 5: journal-mutation fuzz. Synthesize a valid checkpoint
@@ -424,6 +468,7 @@ void fuzzOne(const uint8_t* data, size_t size, FuzzStats& st) {
   const bool observer_check = (splitmix64(state) & 0x03) == 0;  // ~25% of valid runs
   const bool fork_check = (splitmix64(state) & 0x03) == 0;      // ~25% of valid runs
   const bool detector_check = (splitmix64(state) & 0x03) == 0;  // ~25% of valid runs
+  const bool cut_check = (splitmix64(state) & 0x03) == 0;       // ~25% of valid runs
 
   auto attachFaults = [=](pllbist::bist::SweepTestbench& tb, uint64_t injector_seed) {
     if (!inject) return;
@@ -538,6 +583,19 @@ void fuzzOne(const uint8_t* data, size_t size, FuzzStats& st) {
     const std::string diff = measurementDiff(result, sweepOnce(Observe::DetectorNets));
     if (!diff.empty()) fail(seed, "detector-observer-invariance", diff);
   }
+
+  // Invariant 9: the loop's run-ahead is bounded by every queued event, so
+  // events that do nothing but end its runs change no result.
+  if (cut_check) {
+    ++st.cut;
+    const std::string diff =
+        cutDiff(config, sweep, resilience,
+                [=](std::size_t i, pllbist::bist::SweepTestbench& tb) {
+                  attachFaults(tb, pllbist::bist::pointSeed(inj_seed, i));
+                },
+                splitmix64(state));
+    if (!diff.empty()) fail(seed, "run-cut-invariance", diff);
+  }
 }
 
 }  // namespace
@@ -607,13 +665,14 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "fuzz_sweep: %llu runs (%llu swept, %llu rejected, %llu faulted, %llu journals, "
-      "%llu observer-checked, %llu fork-checked, %llu detector-observer-checked), "
-      "0 violations\n",
+      "%llu observer-checked, %llu fork-checked, %llu detector-observer-checked, "
+      "%llu run-cut-checked), 0 violations\n",
       static_cast<unsigned long long>(st.runs), static_cast<unsigned long long>(st.swept),
       static_cast<unsigned long long>(st.rejected), static_cast<unsigned long long>(st.faulted),
       static_cast<unsigned long long>(st.journals), static_cast<unsigned long long>(st.observed),
       static_cast<unsigned long long>(st.forked),
-      static_cast<unsigned long long>(st.detector_observed));
+      static_cast<unsigned long long>(st.detector_observed),
+      static_cast<unsigned long long>(st.cut));
   if (st.swept == 0) {
     std::fprintf(stderr, "fuzz_sweep: no iteration exercised a sweep — widen the budget\n");
     return 1;

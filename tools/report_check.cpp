@@ -4,7 +4,7 @@
 //
 //   pllbist.run_report/1     the consolidated sweep report (sweep_cli --report)
 //   pllbist.golden_report/1  the golden-model differential report
-//   pllbist.checkpoint/2     the campaign checkpoint journal (JSONL; the
+//   pllbist.checkpoint/3     the campaign checkpoint journal (JSONL; the
 //                            schema lives on the header line, so dispatch
 //                            parses the first line before the whole file;
 //                            an older checkpoint version is rejected)
@@ -141,6 +141,7 @@ int selftest() {
   rep.faults = {{"considered", 100}, {"dropped", 3}, {"delayed", 2}, {"glitches", 1}};
   rep.kernel = {{"processed", 5000}, {"delivered", 4800}, {"dropped", 3}, {"delayed", 2},
                 {"swallowed", 195}};
+  rep.loop = {{"pfd_writes", 6000}, {"vco_stops", 9500}};
   obs::CounterValue c;
   c.name = "bist.resilient.attempts";
   c.value = 3;
@@ -194,6 +195,19 @@ int selftest() {
     if (obs::JsonValue* ok = quality->find("ok")) ok->number = 99.0;
   if (obs::validateRunReportJson(bad).ok()) {
     std::fprintf(stderr, "selftest: inconsistent quality counters were accepted\n");
+    return 1;
+  }
+
+  (void)obs::parseJson(text, bad);
+  bad.erase("loop");
+  if (obs::validateRunReportJson(bad).ok()) {
+    std::fprintf(stderr, "selftest: a report without its loop block was accepted\n");
+    return 1;
+  }
+  (void)obs::parseJson(text, bad);
+  if (obs::JsonValue* loop = bad.find("loop")) loop->erase("vco_stops");
+  if (obs::validateRunReportJson(bad).ok()) {
+    std::fprintf(stderr, "selftest: a loop block without vco_stops was accepted\n");
     return 1;
   }
 
@@ -382,16 +396,19 @@ int journalSelftest() {
     return 1;
   }
 
-  // Previous schema version: its records each include a prelude, so it is
-  // refused, never merged.
-  std::string old = text;
+  // Previous schema versions are refused, never merged: a /1 record
+  // includes a prelude of its own, a /2 record has no loop block and the
+  // kernel counts of a loop that did not run ahead.
   const std::string current = core::kCheckpointSchema;
-  old.replace(old.find(current), current.size(), "pllbist.checkpoint/1");
-  core::JournalLoadResult old_loaded;
-  if (!looksLikeJournal(old) ||
-      core::parseJournal(old, old_loaded).kind() != Status::Kind::InvalidArgument) {
-    std::fprintf(stderr, "journal selftest: a pllbist.checkpoint/1 journal was not refused\n");
-    return 1;
+  for (const char* version : {"pllbist.checkpoint/1", "pllbist.checkpoint/2"}) {
+    std::string old = text;
+    old.replace(old.find(current), current.size(), version);
+    core::JournalLoadResult old_loaded;
+    if (!looksLikeJournal(old) ||
+        core::parseJournal(old, old_loaded).kind() != Status::Kind::InvalidArgument) {
+      std::fprintf(stderr, "journal selftest: a %s journal was not refused\n", version);
+      return 1;
+    }
   }
 
   // Duplicate index: keep-first, counted.
