@@ -22,14 +22,14 @@ void DelayLineModulator::Config::validate() const {
 
 DelayLineModulator::DelayLineModulator(sim::Circuit& c, sim::SignalId in, sim::SignalId out,
                                        sim::SignalId peak_marker, const Config& cfg)
-    : circuit_(c), handler_(c.addHandler(*this)), out_(out), peak_marker_(peak_marker), cfg_(cfg) {
+    : SlotProgram(c, peak_marker, cfg.steps, cfg.marker_pulse_s, 0.0), cfg_(cfg) {
   cfg_.validate();
-  current_tap_ = (cfg_.taps - 1) / 2;  // idle mid-line
+  for (int k = 0; k < cfg_.steps; ++k) slot_taps_.push_back(tapForSlot(k));
   // Retime every input edge through the currently selected tap. The base
   // (tap-0) delay models the line's fixed insertion delay.
-  c.onChange(in, [this](double now, bool v) {
-    const double delay = (1.0 + static_cast<double>(current_tap_)) * cfg_.tap_delay_s;
-    circuit_.scheduleSet(out_, now + delay, v);
+  c.onChange(in, [this, &c, out](double now, bool v) {
+    const double delay = (1.0 + static_cast<double>(currentTap())) * cfg_.tap_delay_s;
+    c.scheduleSet(out, now + delay, v);
   });
 }
 
@@ -48,46 +48,6 @@ int DelayLineModulator::tapForSlot(int slot) const {
 double DelayLineModulator::phaseDeviationRad() const {
   const double mid = static_cast<double>(cfg_.taps - 1) / 2.0;
   return mid * cfg_.tap_delay_s * kTwoPi * cfg_.nominal_hz;
-}
-
-void DelayLineModulator::start(double modulation_hz) {
-  if (modulation_hz <= 0.0)
-    throw std::invalid_argument("DelayLineModulator: modulation must be positive");
-  modulation_hz_ = modulation_hz;
-  running_ = true;
-  ++generation_;
-  slotBoundary(circuit_.now(), 0);
-}
-
-void DelayLineModulator::stop() {
-  running_ = false;
-  ++generation_;
-  current_tap_ = (cfg_.taps - 1) / 2;
-}
-
-bool DelayLineModulator::onEvent(uint32_t tag, double now) {
-  if (tag != generationTag(generation_, tag)) return false;  // an older program's event
-  if ((tag & 1u) == kMarker) {
-    circuit_.scheduleSet(peak_marker_, now, true);
-    circuit_.scheduleSet(peak_marker_, now + cfg_.marker_pulse_s, false);
-  } else {
-    slotBoundary(now, (slot_ + 1) % cfg_.steps);
-  }
-  return true;
-}
-
-void DelayLineModulator::slotBoundary(double now, int slot) {
-  slot_ = slot;
-  current_tap_ = tapForSlot(slot);
-  const double period = 1.0 / modulation_hz_;
-  const double slot_width = period / static_cast<double>(cfg_.steps);
-  if (slot == 0) {
-    // Equivalent input *frequency* deviation peaks where the phase program
-    // has its maximum upward slope — the period start, plus the half-slot
-    // ZOH lag of the staircase.
-    circuit_.scheduleEvent(now + 0.5 * slot_width, handler_, generationTag(generation_, kMarker));
-  }
-  circuit_.scheduleEvent(now + slot_width, handler_, generationTag(generation_, kSlot));
 }
 
 }  // namespace pllbist::bist

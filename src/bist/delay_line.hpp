@@ -1,7 +1,8 @@
 #pragma once
 
-#include "sim/circuit.hpp"
-#include "sim/primitives.hpp"
+#include <vector>
+
+#include "bist/slot_program.hpp"
 
 namespace pllbist::bist {
 
@@ -12,18 +13,21 @@ namespace pllbist::bist {
 /// paper is under further investigation").
 ///
 /// The reference passes through a delay line with `taps` equally spaced
-/// taps (spacing `tap_delay_s`); a mux selects the tap per program slot,
-/// so the output phase follows a sampled sine between 0 and
-/// (taps-1)*tap_delay_s of delay. Discrete *phase* modulation, no DCO
-/// needed — but the tone amplitude now depends on absolute delay-line
-/// calibration, and the equivalent input frequency deviation scales with
-/// the modulation frequency (d(phase)/dt), which is the "tone resolution"
-/// complication the paper mentions.
+/// taps (spacing `tap_delay_s`); the same stepped program as the FSK
+/// stimulus selects a tap per slot instead of a DCO modulus, so the output
+/// phase follows a sampled sine between 0 and (taps-1)*tap_delay_s of
+/// delay. Discrete *phase* modulation, no DCO needed — but the tone
+/// amplitude now depends on absolute delay-line calibration, and the
+/// equivalent input frequency deviation scales with the modulation
+/// frequency (d(phase)/dt), which is the "tone resolution" complication the
+/// paper mentions.
 ///
 /// A marker pulse is emitted at the crest of the equivalent input
-/// *frequency* deviation (the phase program's maximum upward slope), so
-/// the phase counter measures the same quantity as in the FM test.
-class DelayLineModulator : public sim::Component, private sim::Circuit::Handler {
+/// *frequency* deviation (the phase program's maximum upward slope: the
+/// period start, plus the half-slot lag of the staircase), so the phase
+/// counter measures the same quantity as in the FM test. Idle and parked
+/// alike, the line sits at its mid tap: PM has no DC offset.
+class DelayLineModulator : public SlotProgram {
  public:
   struct Config {
     int taps = 16;              ///< number of selectable taps (>= 2)
@@ -37,10 +41,6 @@ class DelayLineModulator : public sim::Component, private sim::Circuit::Handler 
   DelayLineModulator(sim::Circuit& c, sim::SignalId in, sim::SignalId out,
                      sim::SignalId peak_marker, const Config& cfg);
 
-  void start(double modulation_hz);
-  void stop();
-  [[nodiscard]] bool running() const { return running_; }
-
   /// Peak phase deviation of the program in radians at the reference
   /// frequency: (taps-1)/2 * tap_delay * 2*pi*fref.
   [[nodiscard]] double phaseDeviationRad() const;
@@ -48,33 +48,17 @@ class DelayLineModulator : public sim::Component, private sim::Circuit::Handler 
   /// Tap selected for program slot k (sampled sine centred mid-line).
   [[nodiscard]] int tapForSlot(int slot) const;
 
-  /// Fork support (see sim::Circuit::copyStateFrom): take `source`'s state.
-  void copyStateFrom(const DelayLineModulator& source) {
-    modulation_hz_ = source.modulation_hz_;
-    current_tap_ = source.current_tap_;
-    running_ = source.running_;
-    generation_ = source.generation_;
-    slot_ = source.slot_;
+ private:
+  /// The tap in use follows from the program (currentTap), so neither a
+  /// slot nor the idle setting has anything to latch.
+  void select(int) override {}
+  void idle(bool) override {}
+  [[nodiscard]] int currentTap() const {
+    return running() ? slot_taps_[slot()] : (cfg_.taps - 1) / 2;
   }
 
- private:
-  /// Slot boundaries (kind 0) and crest markers (kind 1), tagged with
-  /// generationTag(generation_, kind): starting or stopping a program
-  /// supersedes every event of the previous one.
-  enum Kind : uint32_t { kSlot = 0, kMarker = 1 };
-  bool onEvent(uint32_t tag, double now) override;
-  void slotBoundary(double now, int slot);
-
-  sim::Circuit& circuit_;
-  sim::Circuit::HandlerId handler_;
-  sim::SignalId out_;
-  sim::SignalId peak_marker_;
   Config cfg_;
-  double modulation_hz_ = 0.0;
-  int current_tap_ = 0;
-  bool running_ = false;
-  uint32_t generation_ = 0;
-  int slot_ = 0;  ///< program slot the tap is currently set to
+  std::vector<int> slot_taps_;  ///< tapForSlot(k) for each slot k, read per input edge
 };
 
 }  // namespace pllbist::bist

@@ -1,9 +1,7 @@
 #pragma once
 
-#include <vector>
-
 #include "bist/dco.hpp"
-#include "sim/circuit.hpp"
+#include "bist/slot_program.hpp"
 
 namespace pllbist::bist {
 
@@ -13,16 +11,19 @@ enum class StimulusWaveform {
   TwoToneFsk,    ///< +/- deviation square FSK ("Two Tone FS")
 };
 
-/// Drives a Dco through a discrete FM program: each modulation period is
-/// divided into `steps` equal slots and the DCO is retargeted at every slot
-/// boundary to f_nom + deviation * sin(2*pi*slot/steps) (multi-tone) or to
-/// the square-wave equivalent (two-tone). The achievable frequencies are
+/// Drives a Dco through a discrete FM program (paper section 3, Figure 4):
+/// each modulation period is divided into `steps` equal slots and the DCO
+/// is retargeted at every slot boundary to
+/// f_nom + deviation * sin(2*pi*slot/steps) (multi-tone) or to the
+/// square-wave equivalent (two-tone). The achievable frequencies are
 /// quantised by the DCO modulus, exactly as in the hardware.
 ///
 /// A marker pulse is emitted on `peak_marker` when the *program* crosses its
-/// positive crest (slot = steps/4 boundary) — the mux-control decode the
-/// Table 2 sequence starts its phase counter from.
-class FskModulator : public sim::Component, private sim::Circuit::Handler {
+/// positive crest (a quarter period, plus the half-slot lag of the
+/// staircase) — the mux-control decode the Table 2 sequence starts its
+/// phase counter from. Idle, the DCO sits at the nominal carrier; parked,
+/// at nominal + deviation (the crest frequency, held statically).
+class FskModulator : public SlotProgram {
  public:
   struct Config {
     StimulusWaveform waveform = StimulusWaveform::MultiToneFsk;
@@ -35,50 +36,19 @@ class FskModulator : public sim::Component, private sim::Circuit::Handler {
 
   FskModulator(sim::Circuit& c, Dco& dco, sim::SignalId peak_marker, const Config& cfg);
 
-  /// Begin modulating at `modulation_hz` from the current circuit time
-  /// (slot 0 starts immediately). Replaces any running program.
-  void start(double modulation_hz);
-
-  /// Stop modulating; the DCO returns to the nominal carrier.
-  void stop();
-
-  /// Stop modulating and park the DCO at nominal + deviation (the crest
-  /// frequency, held statically) for DC reference measurements.
-  void park();
-
-  [[nodiscard]] bool running() const { return running_; }
-  [[nodiscard]] double modulationHz() const { return modulation_hz_; }
   [[nodiscard]] const Config& config() const { return cfg_; }
 
   /// The ideal (pre-quantisation) program frequency at slot k.
   [[nodiscard]] double programFrequency(int slot) const;
 
-  /// Fork support (see sim::Circuit::copyStateFrom): take `source`'s
-  /// state. The DCO copies its own.
-  void copyStateFrom(const FskModulator& source) {
-    modulation_hz_ = source.modulation_hz_;
-    running_ = source.running_;
-    generation_ = source.generation_;
-    slot_ = source.slot_;
+ private:
+  void select(int slot) override { dco_.setFrequency(programFrequency(slot)); }
+  void idle(bool parked) override {
+    dco_.setFrequency(parked ? cfg_.nominal_hz + cfg_.deviation_hz : cfg_.nominal_hz);
   }
 
- private:
-  /// Slot boundaries (kind 0) and crest markers (kind 1), tagged with
-  /// generationTag(generation_, kind): starting or stopping a program
-  /// supersedes every event of the previous one.
-  enum Kind : uint32_t { kSlot = 0, kMarker = 1 };
-  bool onEvent(uint32_t tag, double now) override;
-  void slotBoundary(double now, int slot);
-
-  sim::Circuit& circuit_;
-  sim::Circuit::HandlerId handler_;
   Dco& dco_;
-  sim::SignalId peak_marker_;
   Config cfg_;
-  double modulation_hz_ = 0.0;
-  bool running_ = false;
-  uint32_t generation_ = 0;  ///< invalidates scheduled slots of old programs
-  int slot_ = 0;             ///< program slot the DCO is currently set to
 };
 
 }  // namespace pllbist::bist

@@ -233,32 +233,8 @@ ResilientResponse ResilientSweep::run() {
   const std::unique_ptr<SweepTestbench> bench = makeBench();
   if (on_testbench_) on_testbench_(*bench);
   const Prelude prelude = runPrelude(*bench);
-  if (prelude.status.ok()) {
-    ResilientResponse out = runPoints(*bench, prelude, Mark{});
-    out.report.wall_time_s = std::chrono::duration<double>(Clock::now() - wall_start).count();
-    return out;
-  }
-
-  // Nothing downstream is measurable: a stall ends the sweep with no
-  // points, a stop labels every point as cancelled.
-  ResilientResponse out;
-  out.response.nominal_vco_hz = prelude.nominal_vco_hz;
-  out.response.static_reference_deviation_hz = prelude.static_reference_deviation_hz;
-  out.status = prelude.status;
-  if (prelude.status.kind() == Status::Kind::Cancelled) {
-    const std::vector<double>& freqs = sweep_.modulation_frequencies_hz;
-    for (std::size_t i = 0; i < freqs.size(); ++i) {
-      appendDroppedPoint(out, freqs[i],
-                         Status::makef(Status::Kind::Cancelled,
-                                       "point %zu (fm = %g Hz): stop requested %s", i, freqs[i],
-                                       prelude.status.context().c_str()));
-      if (progress_) progress_(out.response.points.back());
-    }
-    out.status = Status::makef(Status::Kind::Cancelled,
-                               "stop requested at t = %g s; 0 of %zu points completed",
-                               bench->circuit().now(), freqs.size());
-  }
-  stamp(*bench, Mark{}, wall_start, out);
+  ResilientResponse out = runPoints(*bench, prelude, Mark{});
+  out.report.wall_time_s = std::chrono::duration<double>(Clock::now() - wall_start).count();
   return out;
 }
 
@@ -328,7 +304,11 @@ ResilientResponse ResilientSweep::runPoints(SweepTestbench& bench, const Prelude
   const TestSequencer::Options base = seq.options();
   const double relock_wait_s = resilience_.relock_wait_periods / fn_hz;
   RelockBreaker breaker(resilience_.relock_breaker);
-  bool cancelled = false;
+  // A failed prelude leaves nothing to measure: a stop during it cancels
+  // every point, a stall labels every point with the prelude's status.
+  bool cancelled = prelude.status.kind() == Status::Kind::Cancelled;
+  const bool stalled = prelude.status.kind() == Status::Kind::SimulationStall;
+  if (stalled) out.status = prelude.status;
 
   for (std::size_t i = 0; i < freqs.size(); ++i) {
     const double fm = freqs[i];
@@ -336,6 +316,10 @@ ResilientResponse ResilientSweep::runPoints(SweepTestbench& bench, const Prelude
     if (cancelled) {
       skipPoint(i, Status::makef(Status::Kind::Cancelled,
                                  "point %zu (fm = %g Hz): stop requested before measurement", i, fm));
+      continue;
+    }
+    if (stalled) {
+      skipPoint(i, prelude.status);
       continue;
     }
     if (breaker.open()) {

@@ -170,8 +170,11 @@ inline BenchStats BenchStats::since(const BenchStats& base) const {
 /// non-ok for conditions that ended the sweep early: the event queue
 /// running dry (SimulationStall, wherever in the point it ran dry) or a
 /// cooperative stop (Cancelled); per-point failures are recorded on the
-/// points themselves and leave status ok. A finished run is published to
-/// the global metrics registry once (publishRun, bist/telemetry.hpp).
+/// points themselves and leave status ok. A prelude that fails still
+/// yields every requested point, each Dropped and unattempted: Cancelled
+/// after a stop, the prelude's SimulationStall status after a stall. A
+/// finished run is published to the global metrics registry once
+/// (publishRun, bist/telemetry.hpp).
 struct ResilientResponse {
   MeasuredResponse response;
   SweepQualityReport report;
@@ -249,7 +252,8 @@ class ResilientSweep {
   /// in-flight point and every remaining point are recorded as Dropped
   /// with Cancelled, the sweep status becomes Cancelled, and run() returns
   /// a fully-labelled partial response — points_total always equals the
-  /// requested point count.
+  /// requested point count, also when the stop (or a stall) ends the
+  /// prelude before any point starts.
   void attachStop(const StopSource* stop) { stop_ = stop; }
 
   /// Run the sweep. May be called once per instance.
@@ -288,7 +292,8 @@ class ResilientSweep {
   /// `bench`, which has run `prelude` (itself or through a fork). Fires
   /// onAttemptStart and onPointMeasured. The result's sim_time_s and
   /// bench counters count from `since`; its nominal and DC reference are
-  /// the prelude's.
+  /// the prelude's. After a failed prelude it measures nothing and labels
+  /// every point with the prelude's status (see ResilientResponse).
   [[nodiscard]] ResilientResponse runPoints(SweepTestbench& bench, const Prelude& prelude,
                                             const Mark& since);
 

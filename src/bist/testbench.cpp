@@ -30,12 +30,9 @@ SweepTestbench::SweepTestbench(const pll::PllConfig& config, const SweepOptions&
                                   static_cast<double>(options_.pm_taps - 1));
     dl.steps = options_.fm_steps;
     dl.nominal_hz = config_.ref_frequency_hz;
-    delay_line_ =
-        std::make_unique<DelayLineModulator>(circuit_, raw_ref, stim_out_, stim_marker_, dl);
-    pm_theta_dev_rad_ = delay_line_->phaseDeviationRad();
-    hooks_.start = [this](double fm) { delay_line_->start(fm); };
-    hooks_.stop = [this] { delay_line_->stop(); };
-    hooks_.park = [this] { delay_line_->stop(); };  // PM has no DC offset
+    auto line = std::make_unique<DelayLineModulator>(circuit_, raw_ref, stim_out_, stim_marker_, dl);
+    pm_theta_dev_rad_ = line->phaseDeviationRad();
+    program_ = std::move(line);
   } else if (options_.stimulus == StimulusKind::PureSineFm) {
     pll::SineFmSource::Config scfg;
     scfg.nominal_hz = config_.ref_frequency_hz;
@@ -68,10 +65,12 @@ SweepTestbench::SweepTestbench(const pll::PllConfig& config, const SweepOptions&
     mcfg.steps = options_.fm_steps;
     mcfg.nominal_hz = config_.ref_frequency_hz;
     mcfg.deviation_hz = options_.deviation_hz;
-    modulator_ = std::make_unique<FskModulator>(circuit_, *dco_, stim_marker_, mcfg);
-    hooks_.start = [this](double fm) { modulator_->start(fm); };
-    hooks_.stop = [this] { modulator_->stop(); };
-    hooks_.park = [this] { modulator_->park(); };
+    program_ = std::make_unique<FskModulator>(circuit_, *dco_, stim_marker_, mcfg);
+  }
+  if (program_) {
+    hooks_.start = [this](double fm) { program_->start(fm); };
+    hooks_.stop = [this] { program_->stop(); };
+    hooks_.park = [this] { program_->park(); };
   }
 
   // Device under test with the M1/M2 test muxes.
@@ -94,10 +93,9 @@ void SweepTestbench::copyStateFrom(const SweepTestbench& source) {
     throw std::logic_error("SweepTestbench::copyStateFrom: the source has a point in flight");
   circuit_.copyStateFrom(source.circuit_);
   if (dco_) dco_->copyStateFrom(*source.dco_);
-  if (modulator_) modulator_->copyStateFrom(*source.modulator_);
+  if (program_) program_->copyStateFrom(*source.program_);
   if (sine_source_) sine_source_->copyStateFrom(*source.sine_source_);
   if (pm_clock_) pm_clock_->copyStateFrom(*source.pm_clock_);
-  if (delay_line_) delay_line_->copyStateFrom(*source.delay_line_);
   pll_->copyStateFrom(*source.pll_);
   peak_detector_->copyStateFrom(*source.peak_detector_);
   lock_->copyStateFrom(*source.lock_);

@@ -92,10 +92,11 @@ class SweepTestbench {
 
   // Stimulus path (only the members for the selected kind are populated).
   std::unique_ptr<Dco> dco_;
-  std::unique_ptr<FskModulator> modulator_;
+  /// The stepped program of the discrete kinds: FskModulator on the DCO,
+  /// or DelayLineModulator behind the PM clock.
+  std::unique_ptr<SlotProgram> program_;
   std::unique_ptr<pll::SineFmSource> sine_source_;
   std::unique_ptr<sim::ClockSource> pm_clock_;
-  std::unique_ptr<DelayLineModulator> delay_line_;
   double pm_theta_dev_rad_ = 0.0;
   StimulusHooks hooks_;
 

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <random>
 #include <stdexcept>
 
+#include "bist/delay_line.hpp"
+#include "bist/modulator.hpp"
 #include "bist/resilient_sweep.hpp"
 #include "bist/testbench.hpp"
+#include "sim/primitives.hpp"
 #include "support/test_configs.hpp"
 
 namespace pllbist::bist {
@@ -135,6 +139,106 @@ TEST(BenchForkJitter, EachForkDrawsFromItsOwnSeed) {
   EXPECT_EQ(a.phase_deg, again.phase_deg);
   EXPECT_TRUE(a.deviation_hz != b.deviation_hz || a.phase_deg != b.phase_deg);
 }
+
+/// One stepped stimulus program on its own circuit, wired as the bench
+/// wires it: the FSK program on a DCO, or the PM program on a delay line
+/// behind a reference clock. Recorders on the stimulus and marker nets see
+/// every slot setting (the DCO's edges follow its modulus, the line's
+/// edges its tap) and every crest marker.
+struct ProgramBench {
+  sim::Circuit c;
+  sim::SignalId out = c.addSignal("stimulus");
+  sim::SignalId marker = c.addSignal("marker");
+  std::unique_ptr<Dco> dco;
+  std::unique_ptr<sim::ClockSource> clock;
+  std::unique_ptr<SlotProgram> program;
+  sim::EdgeRecorder out_edges{c, out};
+  sim::EdgeRecorder marker_edges{c, marker};
+
+  explicit ProgramBench(StimulusKind kind) {
+    if (kind == StimulusKind::DelayLinePm) {
+      const sim::SignalId raw = c.addSignal("raw_ref");
+      clock = std::make_unique<sim::ClockSource>(c, raw, 1e-3);
+      DelayLineModulator::Config cfg;
+      cfg.taps = 9;
+      cfg.tap_delay_s = 5e-6;
+      program = std::make_unique<DelayLineModulator>(c, raw, out, marker, cfg);
+    } else {
+      dco = std::make_unique<Dco>(c, out, Dco::Config{1e6, 1000, 0.0});
+      FskModulator::Config cfg;
+      cfg.waveform = kind == StimulusKind::TwoToneFsk ? StimulusWaveform::TwoToneFsk
+                                                      : StimulusWaveform::MultiToneFsk;
+      program = std::make_unique<FskModulator>(c, *dco, marker, cfg);
+    }
+  }
+
+  void copyStateFrom(const ProgramBench& source) {
+    c.copyStateFrom(source.c);
+    if (dco) dco->copyStateFrom(*source.dco);
+    if (clock) clock->copyStateFrom(*source.clock);
+    program->copyStateFrom(*source.program);
+  }
+};
+
+/// Fork `source` now and run both benches on to `t_end`: the fork must
+/// produce the uninterrupted program's slot settings and marker edges,
+/// edge for edge, and the same kernel counts.
+void expectForkContinuesTheProgram(ProgramBench& source, StimulusKind kind, double t_end) {
+  ProgramBench fork(kind);
+  fork.copyStateFrom(source);
+  EXPECT_EQ(fork.program->running(), source.program->running());
+  EXPECT_EQ(fork.program->modulationHz(), source.program->modulationHz());
+  source.out_edges.clear();
+  source.marker_edges.clear();
+  source.c.run(t_end);
+  fork.c.run(t_end);
+  ASSERT_GE(source.marker_edges.risingEdges().size(), 2u);
+  ASSERT_GE(source.out_edges.risingEdges().size(), 100u);
+  EXPECT_EQ(fork.out_edges.risingEdges(), source.out_edges.risingEdges());
+  EXPECT_EQ(fork.out_edges.fallingEdges(), source.out_edges.fallingEdges());
+  EXPECT_EQ(fork.marker_edges.risingEdges(), source.marker_edges.risingEdges());
+  EXPECT_EQ(fork.marker_edges.fallingEdges(), source.marker_edges.fallingEdges());
+  EXPECT_EQ(fork.c.deliveredEventCount(), source.c.deliveredEventCount());
+  EXPECT_EQ(fork.c.swallowedEventCount(), source.c.swallowedEventCount());
+}
+
+class SlotProgramFork : public ::testing::TestWithParam<StimulusKind> {
+ protected:
+  std::mt19937_64 rng{97u + static_cast<unsigned>(GetParam())};
+  double uniform(double lo, double hi) { return std::uniform_real_distribution<double>(lo, hi)(rng); }
+};
+
+TEST_P(SlotProgramFork, RunningProgramForkedMidPeriod) {
+  ProgramBench source(GetParam());
+  const double period = 1.0 / 20.0;
+  source.program->start(20.0);
+  source.c.run(uniform(1.0, 2.0) * period);
+  expectForkContinuesTheProgram(source, GetParam(), source.c.now() + 3.0 * period);
+}
+
+/// A restart leaves the old program's slot and marker events queued; the
+/// fork must supersede them exactly as the source does.
+TEST_P(SlotProgramFork, RestartedProgramForkedBeforeTheOldEventsDrain) {
+  ProgramBench source(GetParam());
+  const double old_slot = 1.0 / (13.0 * 10.0);
+  source.program->start(13.0);
+  source.c.run(uniform(1.0, 2.0) / 13.0);
+  source.program->start(20.0);
+  source.c.run(source.c.now() + uniform(0.1, 0.9) * old_slot);
+  expectForkContinuesTheProgram(source, GetParam(), source.c.now() + 3.0 / 20.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Programs, SlotProgramFork,
+                         ::testing::Values(StimulusKind::MultiToneFsk, StimulusKind::TwoToneFsk,
+                                           StimulusKind::DelayLinePm),
+                         [](const ::testing::TestParamInfo<StimulusKind>& info) {
+                           switch (info.param) {
+                             case StimulusKind::MultiToneFsk: return "MultiToneFsk";
+                             case StimulusKind::TwoToneFsk: return "TwoToneFsk";
+                             case StimulusKind::DelayLinePm: return "DelayLinePm";
+                             default: return "Unknown";
+                           }
+                         });
 
 TEST(BenchForkRejects, PointInFlight) {
   const SweepOptions sweep = fastSweepOptions(StimulusKind::MultiToneFsk, 2);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "bist/peak_detector.hpp"
 #include "bist/resilient_sweep.hpp"
@@ -358,6 +360,57 @@ TEST(ResilientSweepEngine, PointBudgetBeyondTheClockRangeNeverExpires) {
   ASSERT_EQ(r.response.points.size(), 3u);
   for (const MeasuredPoint& p : r.response.points)
     EXPECT_EQ(p.quality, PointQuality::Ok) << p.status.toString();
+}
+
+/// The shared-bench counterpart of
+/// ParallelSweep.StopDuringThePreludeLabelsEveryPendingPointOnce: a stop
+/// that trips during the lock wait leaves every requested point labelled
+/// Cancelled exactly once, unattempted, with the progress callback fired
+/// once per point.
+TEST(ResilientSweepEngine, StopDuringThePreludeLabelsEveryPointOnce) {
+  ResilientSweep engine(fastTestConfig(), fastSweepOptions(StimulusKind::MultiToneFsk, 4));
+  StopSource stop;
+  stop.requestStop();  // trips at the lock wait's first poll
+  engine.attachStop(&stop);
+  int attempts = 0;
+  std::vector<double> reported;
+  engine.onAttemptStart([&](std::size_t, int, SweepTestbench&) { ++attempts; });
+  engine.onPointMeasured([&](const MeasuredPoint& p) { reported.push_back(p.modulation_hz); });
+  const ResilientResponse r = engine.run();
+  EXPECT_EQ(attempts, 0);
+  EXPECT_EQ(r.status.kind(), Status::Kind::Cancelled) << r.status.toString();
+  ASSERT_EQ(r.response.points.size(), 4u);
+  EXPECT_EQ(reported, fastSweepOptions(StimulusKind::MultiToneFsk, 4).modulation_frequencies_hz);
+  EXPECT_EQ(r.report.points_total, 4);
+  EXPECT_EQ(r.report.dropped, 4);
+  EXPECT_EQ(r.report.attempts_total, 0);
+  for (const MeasuredPoint& p : r.response.points) {
+    EXPECT_EQ(p.quality, PointQuality::Dropped);
+    EXPECT_EQ(p.status.kind(), Status::Kind::Cancelled) << p.status.toString();
+  }
+}
+
+/// A stalled prelude (the queue ran dry; no real bench does, so the test
+/// hands runPoints the prelude's verdict) yields every requested point,
+/// unattempted, carrying the stall status, as the farm labels them.
+TEST(ResilientSweepEngine, StalledPreludeLabelsEveryPointWithItsStatus) {
+  ResilientSweep engine(fastTestConfig(), fastSweepOptions(StimulusKind::MultiToneFsk, 3));
+  int attempts = 0;
+  engine.onAttemptStart([&](std::size_t, int, SweepTestbench&) { ++attempts; });
+  const std::unique_ptr<SweepTestbench> bench = engine.makeBench();
+  ResilientSweep::Prelude prelude;
+  prelude.status = Status::make(Status::Kind::SimulationStall, "during the initial lock wait");
+  const ResilientResponse r = engine.runPoints(*bench, prelude, prelude.end);
+  EXPECT_EQ(attempts, 0);
+  EXPECT_EQ(r.status.kind(), Status::Kind::SimulationStall);
+  ASSERT_EQ(r.response.points.size(), 3u);
+  EXPECT_EQ(r.report.points_total, 3);
+  EXPECT_EQ(r.report.dropped, 3);
+  EXPECT_EQ(r.report.attempts_total, 0);
+  for (const MeasuredPoint& p : r.response.points) {
+    EXPECT_EQ(p.quality, PointQuality::Dropped);
+    EXPECT_EQ(p.status.kind(), Status::Kind::SimulationStall) << p.status.toString();
+  }
 }
 
 /// core::measure on the same catastrophic device: never throws, reports
