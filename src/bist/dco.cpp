@@ -14,25 +14,39 @@ void Dco::Config::validate() const {
   if (start_time_s < 0.0) throw std::invalid_argument("Dco: start time must be >= 0");
 }
 
-Dco::Dco(sim::Circuit& c, sim::SignalId out, const Config& cfg)
-    : circuit_(c), handler_(c.addHandler(*this)), out_(out), cfg_(cfg) {
+Dco::Dco(sim::Circuit& c, sim::SignalId out, const Config& cfg, sim::SourceMode mode)
+    : ReferenceSource(c, out, mode), circuit_(c), handler_(c.addHandler(*this)), out_(out), cfg_(cfg) {
   cfg_.validate();
   tick_s_ = 1.0 / cfg_.master_clock_hz;
   modulus_ = pending_modulus_ = cfg_.initial_modulus;
   tick_ = static_cast<std::int64_t>(std::ceil(cfg_.start_time_s / tick_s_));
   const double t0 = static_cast<double>(tick_) * tick_s_;
   PLLBIST_ASSERT(t0 >= c.now());
-  circuit_.scheduleEvent(t0, handler_, 0);
+  if (mode == sim::SourceMode::Drive) circuit_.scheduleEvent(t0, handler_, 0);
+}
+
+double Dco::rise() {
+  modulus_ = pending_modulus_;  // hop frequencies only at rising edges
+  const double fall = static_cast<double>(tick_ + modulus_ / 2) * tick_s_;
+  tick_ += modulus_;
+  return fall;
 }
 
 bool Dco::onEvent(uint32_t, double now) {
-  modulus_ = pending_modulus_;  // hop frequencies only at rising edges
+  const double fall = rise();
   circuit_.scheduleSet(out_, now, true);
-  const double fall = static_cast<double>(tick_ + modulus_ / 2) * tick_s_;
   circuit_.scheduleSet(out_, fall, false);
-  tick_ += modulus_;
-  const double next = static_cast<double>(tick_) * tick_s_;
-  circuit_.scheduleEvent(next, handler_, 0);
+  circuit_.scheduleEvent(static_cast<double>(tick_) * tick_s_, handler_, 0);
+  return true;
+}
+
+bool Dco::advance(double now) {
+  if (decidedEdge() <= now) {
+    landDecidedEdge(now);
+  } else {
+    decide(rise(), false);
+    land(now, true);
+  }
   return true;
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "sim/circuit.hpp"
@@ -18,8 +19,11 @@ namespace pllbist::bist {
 /// mux switching that avoids runt pulses. The implementation schedules the
 /// edges arithmetically instead of simulating 10^6 master transitions per
 /// second; the emitted waveform is tick-for-tick identical to the counter
-/// it models.
-class Dco : public sim::Component, private sim::Circuit::Handler {
+/// it models. Since a modulus is latched only at a rising edge, the next
+/// edge is always decided: pulled (sim::ReferenceSource), the DCO's rising
+/// and falling edges are its puller's instants and it schedules no kernel
+/// event at all.
+class Dco : public sim::Component, public sim::ReferenceSource, private sim::Circuit::Handler {
  public:
   struct Config {
     double master_clock_hz = 1e6;
@@ -28,7 +32,8 @@ class Dco : public sim::Component, private sim::Circuit::Handler {
     void validate() const;
   };
 
-  Dco(sim::Circuit& c, sim::SignalId out, const Config& cfg);
+  Dco(sim::Circuit& c, sim::SignalId out, const Config& cfg,
+      sim::SourceMode mode = sim::SourceMode::Drive);
 
   /// Request an output frequency; the nearest achievable modulus is latched
   /// at the next output rising edge. Returns the frequency that will
@@ -57,7 +62,14 @@ class Dco : public sim::Component, private sim::Circuit::Handler {
     tick_ = source.tick_;
     modulus_ = source.modulus_;
     pending_modulus_ = source.pending_modulus_;
+    copySourceStateFrom(source);
   }
+
+  /// The decided falling edge comes before the next rising edge.
+  [[nodiscard]] double nextInstant() const override {
+    return std::min(decidedEdge(), static_cast<double>(tick_) * tick_s_);
+  }
+  bool advance(double now) override;
 
   /// Paper eqn (2): achievable resolution at a nominal input frequency
   /// given the master reference:  Fres = Fin^2 / (Fref + Fin).
@@ -66,6 +78,9 @@ class Dco : public sim::Component, private sim::Circuit::Handler {
  private:
   /// Every event is the next output rising edge (the tag is unused).
   bool onEvent(uint32_t tag, double now) override;
+  /// The rising edge at tick_: latch the pending modulus and move tick_ to
+  /// the next rising edge. Returns when the output falls.
+  double rise();
 
   sim::Circuit& circuit_;
   sim::Circuit::HandlerId handler_;

@@ -22,15 +22,40 @@ void DelayLineModulator::Config::validate() const {
 
 DelayLineModulator::DelayLineModulator(sim::Circuit& c, sim::SignalId in, sim::SignalId out,
                                        sim::SignalId peak_marker, const Config& cfg)
-    : SlotProgram(c, peak_marker, cfg.steps, cfg.marker_pulse_s, 0.0), cfg_(cfg) {
+    : SlotProgram(c, peak_marker, cfg.steps, cfg.marker_pulse_s, 0.0),
+      ReferenceSource(c, out, sim::SourceMode::Drive),
+      cfg_(cfg) {
   cfg_.validate();
   for (int k = 0; k < cfg_.steps; ++k) slot_taps_.push_back(tapForSlot(k));
   // Retime every input edge through the currently selected tap. The base
   // (tap-0) delay models the line's fixed insertion delay.
-  c.onChange(in, [this, &c, out](double now, bool v) {
-    const double delay = (1.0 + static_cast<double>(currentTap())) * cfg_.tap_delay_s;
-    c.scheduleSet(out, now + delay, v);
-  });
+  c.onChange(in, [this, &c, out](double now, bool v) { c.scheduleSet(out, now + delay(), v); });
+}
+
+DelayLineModulator::DelayLineModulator(sim::Circuit& c, sim::ClockSource& in, sim::SignalId out,
+                                       sim::SignalId peak_marker, const Config& cfg)
+    : SlotProgram(c, peak_marker, cfg.steps, cfg.marker_pulse_s, 0.0),
+      ReferenceSource(c, out, sim::SourceMode::Pulled),
+      cfg_(cfg),
+      clock_(&in) {
+  cfg_.validate();
+  if (in.mode() != sim::SourceMode::Pulled)
+    throw std::invalid_argument("DelayLineModulator: the input clock must be pulled");
+  for (int k = 0; k < cfg_.steps; ++k) slot_taps_.push_back(tapForSlot(k));
+}
+
+bool DelayLineModulator::advance(double now) {
+  if (decidedEdge() <= now) {
+    landDecidedEdge(now);
+    return true;
+  }
+  // A clock edge: it passes through the tap selected now.
+  if (clock_->advance(now)) decide(now + delay(), clock_->level());
+  return false;
+}
+
+void DelayLineModulator::copyOwnStateFrom(const SlotProgram& source) {
+  copySourceStateFrom(static_cast<const DelayLineModulator&>(source));
 }
 
 int DelayLineModulator::tapForSlot(int slot) const {

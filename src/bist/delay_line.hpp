@@ -1,8 +1,11 @@
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "bist/slot_program.hpp"
+#include "sim/primitives.hpp"
+#include "sim/reference_source.hpp"
 
 namespace pllbist::bist {
 
@@ -27,7 +30,13 @@ namespace pllbist::bist {
 /// period start, plus the half-slot lag of the staircase), so the phase
 /// counter measures the same quantity as in the FM test. Idle and parked
 /// alike, the line sits at its mid tap: PM has no DC offset.
-class DelayLineModulator : public SlotProgram {
+///
+/// Built over a pulled sim::ClockSource, the line is itself a pulled
+/// sim::ReferenceSource: each clock edge is an instant at which the line
+/// samples its tap and decides the delayed edge, which is the next
+/// instant. Built over a net, it retimes the net's changes with kernel
+/// events.
+class DelayLineModulator : public SlotProgram, public sim::ReferenceSource {
  public:
   struct Config {
     int taps = 16;              ///< number of selectable taps (>= 2)
@@ -40,6 +49,15 @@ class DelayLineModulator : public SlotProgram {
 
   DelayLineModulator(sim::Circuit& c, sim::SignalId in, sim::SignalId out,
                      sim::SignalId peak_marker, const Config& cfg);
+  /// The pulled line over `in`, a pulled clock that it alone pulls.
+  DelayLineModulator(sim::Circuit& c, sim::ClockSource& in, sim::SignalId out,
+                     sim::SignalId peak_marker, const Config& cfg);
+
+  /// The decided edge comes before the next clock edge (Config::validate).
+  [[nodiscard]] double nextInstant() const override {
+    return clock_ ? std::min(decidedEdge(), clock_->nextInstant()) : decidedEdge();
+  }
+  bool advance(double now) override;
 
   /// Peak phase deviation of the program in radians at the reference
   /// frequency: (taps-1)/2 * tap_delay * 2*pi*fref.
@@ -56,9 +74,15 @@ class DelayLineModulator : public SlotProgram {
   [[nodiscard]] int currentTap() const {
     return running() ? slot_taps_[slot()] : (cfg_.taps - 1) / 2;
   }
+  /// The line's delay for an input edge now.
+  [[nodiscard]] double delay() const {
+    return (1.0 + static_cast<double>(currentTap())) * cfg_.tap_delay_s;
+  }
+  void copyOwnStateFrom(const SlotProgram& source) override;
 
   Config cfg_;
   std::vector<int> slot_taps_;  ///< tapForSlot(k) for each slot k, read per input edge
+  sim::ClockSource* clock_ = nullptr;  ///< the pulled input clock
 };
 
 }  // namespace pllbist::bist

@@ -85,10 +85,12 @@ void PeakDetector::sample(double up_rise) {
   const double clk = up_rise + delays_.clock_delay_s;
   dn_late_.forget(clk);
   const bool q = !dn_late_.settled;
-  // Unless an interceptor can act, writes land in the order scheduled: when
-  // this one lands MFREQ holds the last write's value, or its level now if
-  // that write was dropped. At q both ways, it would change nothing.
-  if (q == last_write_ && q == circuit_.value(mfreq_) && !circuit_.interceptionPending()) return;
+  // Unless an interceptor can act on MFREQ, its writes land in the order
+  // scheduled: when this one lands MFREQ holds the last write's value, or
+  // its level now if that write was dropped. At q both ways, it would
+  // change nothing.
+  if (q == last_write_ && q == circuit_.value(mfreq_) && !circuit_.interceptionPending(mfreq_))
+    return;
   last_write_ = q;
   circuit_.scheduleSet(mfreq_, clk + delays_.latch_delay_s, q);
 }

@@ -45,11 +45,12 @@ struct PeakDetectorDelays {
 /// looked past yet; the only event it schedules is the MFREQ write. A
 /// write that cannot change MFREQ is not made: one whose value equals both
 /// MFREQ's level and the detector's last scheduled write, while no
-/// interceptor can drop or reorder a transition
-/// (Circuit::interceptionPending). While one can, every sampling clock
-/// writes MFREQ, so a fault rule on MFREQ sees every write the flop makes,
-/// and a write a rule dropped or delayed is never mistaken for one that
-/// landed. The monitor's UP, DN and reset nets are
+/// interceptor can drop or reorder a transition of MFREQ
+/// (Circuit::interceptionPending): no fault rule or glitch names MFREQ, no
+/// unscoped interceptor is installed, and no delayed MFREQ write is queued.
+/// Otherwise every sampling clock writes MFREQ, so a fault rule on MFREQ
+/// sees every write the flop makes, and a write a rule dropped or delayed
+/// is never mistaken for one that landed. The monitor's UP, DN and reset nets are
 /// written only while something observes them (Circuit::hasObservers), like
 /// the loop's nets; a fault rule on them reaches those observers but not
 /// the monitor. An observer attached mid-run sees the nets from their next

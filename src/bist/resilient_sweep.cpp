@@ -185,7 +185,9 @@ class Stepper {
   }
 
  private:
-  static constexpr int kInterruptStride = 2048;
+  /// A step can cover many loop instants (the loop runs ahead to the next
+  /// queued event), and a farm point is a few hundred steps.
+  static constexpr int kInterruptStride = 16;
   static constexpr Clock::time_point kNoWallDeadline = Clock::time_point::max();
 
   StepOutcome interrupted() const {
@@ -305,10 +307,11 @@ ResilientResponse ResilientSweep::runPoints(SweepTestbench& bench, const Prelude
   const double relock_wait_s = resilience_.relock_wait_periods / fn_hz;
   RelockBreaker breaker(resilience_.relock_breaker);
   // A failed prelude leaves nothing to measure: a stop during it cancels
-  // every point, a stall labels every point with the prelude's status.
+  // every point, a stall labels every point with the prelude's status. A
+  // stall inside a point labels every later point with that point's.
   bool cancelled = prelude.status.kind() == Status::Kind::Cancelled;
-  const bool stalled = prelude.status.kind() == Status::Kind::SimulationStall;
-  if (stalled) out.status = prelude.status;
+  Status stall;
+  if (prelude.status.kind() == Status::Kind::SimulationStall) stall = out.status = prelude.status;
 
   for (std::size_t i = 0; i < freqs.size(); ++i) {
     const double fm = freqs[i];
@@ -318,8 +321,8 @@ ResilientResponse ResilientSweep::runPoints(SweepTestbench& bench, const Prelude
                                  "point %zu (fm = %g Hz): stop requested before measurement", i, fm));
       continue;
     }
-    if (stalled) {
-      skipPoint(i, prelude.status);
+    if (!stall.ok()) {
+      skipPoint(i, stall);
       continue;
     }
     if (breaker.open()) {
@@ -422,7 +425,7 @@ ResilientResponse ResilientSweep::runPoints(SweepTestbench& bench, const Prelude
         p.status = Status::makef(Status::Kind::SimulationStall,
                                  "event queue ran dry at t = %g s measuring fm = %g Hz", c.now(),
                                  fm);
-        out.status = p.status;
+        stall = out.status = p.status;
         break;
       default:  // RetryExhausted
         p.status = Status::makef(Status::Kind::RetryExhausted,
@@ -435,7 +438,6 @@ ResilientResponse ResilientSweep::runPoints(SweepTestbench& bench, const Prelude
     breaker.record(p);
     out.response.points.push_back(std::move(p));
     if (progress_) progress_(out.response.points.back());
-    if (end == Status::Kind::SimulationStall) break;
   }
 
   if (cancelled && out.status.ok())

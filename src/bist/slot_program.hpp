@@ -36,13 +36,15 @@ class SlotProgram : public sim::Component, private sim::Circuit::Handler {
   [[nodiscard]] double modulationHz() const { return modulation_hz_; }
 
   /// Fork support (see sim::Circuit::copyStateFrom): take `source`'s
-  /// program state. What a subclass drives is either derived from it or
-  /// copied by the component it drives.
+  /// program state, and a subclass's own (copyOwnStateFrom). What a
+  /// subclass drives is either derived from the program or copied by the
+  /// component it drives.
   void copyStateFrom(const SlotProgram& source) {
     modulation_hz_ = source.modulation_hz_;
     running_ = source.running_;
     generation_ = source.generation_;
     slot_ = source.slot_;
+    copyOwnStateFrom(source);
   }
 
  protected:
@@ -58,6 +60,9 @@ class SlotProgram : public sim::Component, private sim::Circuit::Handler {
   /// Set the stimulus to its setting while no program runs: the idle one,
   /// or the parked one.
   virtual void idle(bool parked) = 0;
+  /// Fork support for state a subclass keeps beside the program; `source`
+  /// is of the subclass's own type.
+  virtual void copyOwnStateFrom(const SlotProgram& /*source*/) {}
 
  private:
   /// Slot boundaries (kind 0) and crest markers (kind 1), tagged with

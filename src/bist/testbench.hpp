@@ -86,7 +86,6 @@ class SweepTestbench {
   pll::PllConfig config_;
   SweepOptions options_;
   sim::Circuit circuit_;
-  sim::SignalId ext_ref_;
   sim::SignalId stim_out_;
   sim::SignalId stim_marker_;
 

@@ -162,6 +162,9 @@ Status parseRecordLine(std::string_view line, std::size_t points_total, Checkpoi
   if (!Status::parseKind(status_kind, kind))
     return Status::makef(K::InvalidArgument, "unknown status kind \"%s\"", status_kind.c_str());
   point.status = Status::make(kind, std::move(status_context));
+  // A record is a one-point run, whose status is a stall exactly when its
+  // point stalled.
+  if (kind == Status::Kind::SimulationStall) r.status = point.status;
   if (kind == Status::Kind::Cancelled)
     return Status::makef(K::InvalidArgument,
                          "record %llu is Cancelled; cancelled points are never committed",

@@ -29,14 +29,19 @@ namespace pllbist::sim {
 /// matches, so a given (seed, rules, workload) triple replays bit-exactly —
 /// a hard requirement for debugging a failure the campaign found.
 ///
-/// Rules act on scheduled transitions, so they only touch signals that are
-/// written. Some nets are observation taps, written only while they have
-/// observers: a PLL's loop nets (pll::CpPll: PLLREF, PLLFB, the PFD's
-/// feedback input, UP, DN, the PFD reset and the VCO output) and the peak
-/// detector's monitor UP/DN/reset (bist::PeakDetector). A rule on a tap
-/// reaches it only while it is observed, and then reaches those observers
-/// but not the component that owns the tap. The loop's inputs, the
-/// stimulus and the hold/test-mode selects, are ordinary nets.
+/// Each rule and glitch marks the net it names (Circuit::markFaultTarget),
+/// and the interceptor sees only marked nets' transitions. Rules act on
+/// scheduled transitions, so they only touch signals that are written.
+/// Some nets are observation taps, written only while they have observers:
+/// a PLL's loop nets (pll::CpPll: PLLREF, PLLFB, the PFD's feedback input,
+/// UP, DN, the PFD reset and the VCO output) and the peak detector's
+/// monitor UP/DN/reset (bist::PeakDetector). A rule on such a tap reaches
+/// it only while it is observed, and then reaches those observers but not
+/// the component that owns the tap. A pulled reference source's net (the
+/// bench's stimulus; sim::ReferenceSource) is a tap too, but the mark makes
+/// its source write it and its puller hear it, so a rule on the stimulus
+/// reaches the loop as on a net-driven stimulus. The hold/test-mode
+/// selects are ordinary nets.
 ///
 /// Only one FaultInjector may be installed per Circuit at a time, and it
 /// must outlive all circuit activity (it does not unregister pending glitch

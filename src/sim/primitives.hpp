@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "sim/circuit.hpp"
+#include "sim/reference_source.hpp"
 
 namespace pllbist::sim {
 
@@ -27,14 +28,24 @@ class Inverter : public Component {
 };
 
 /// Free-running square-wave source: toggles its output with the given
-/// period starting at start_time. stop() freezes the output.
-class ClockSource : public Component, private Circuit::Handler {
+/// period starting at start_time. stop() freezes the output. Pulled (see
+/// ReferenceSource), each toggle is an instant of its puller; a stopped
+/// clock's pending instant passes without an edge.
+class ClockSource : public Component, public ReferenceSource, private Circuit::Handler {
  public:
-  ClockSource(Circuit& c, SignalId out, double period_s, double start_time_s = 0.0);
+  ClockSource(Circuit& c, SignalId out, double period_s, double start_time_s = 0.0,
+              SourceMode mode = SourceMode::Drive);
   void stop() { running_ = false; }
   [[nodiscard]] double period() const { return period_; }
   /// Fork support (see Circuit::copyStateFrom): take `source`'s state.
-  void copyStateFrom(const ClockSource& source) { running_ = source.running_; }
+  void copyStateFrom(const ClockSource& source) {
+    running_ = source.running_;
+    next_ = source.next_;
+    copySourceStateFrom(source);
+  }
+
+  [[nodiscard]] double nextInstant() const override;
+  bool advance(double now) override;
 
  private:
   /// Every event is the next half-period toggle (the tag is unused).
@@ -43,6 +54,7 @@ class ClockSource : public Component, private Circuit::Handler {
   Circuit::HandlerId handler_;
   SignalId out_;
   double period_;
+  double next_;  ///< the next toggle of a pulled clock
   bool running_ = true;
 };
 

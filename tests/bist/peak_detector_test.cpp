@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
+#include "bist/parallel_sweep.hpp"
+#include "bist/testbench.hpp"
 #include "common/units.hpp"
 #include "pll/cppll.hpp"
 #include "pll/probes.hpp"
@@ -141,6 +145,51 @@ TEST(PeakDetector, MarksCapacitorVoltageMaximaInClosedLoop) {
     ASSERT_GT(swing, 0.0);
     EXPECT_GT(vc.at(t), local_max - 0.12 * swing) << "detector fired away from the vc crest";
   }
+}
+
+
+/// MFREQ's edges on every point of the fast three-point multi-tone farm
+/// sweep, and the sweep's kernel counts; with `marker_rule`, each fork
+/// attaches a fault injector whose only rule (drop probability 0) names
+/// the stimulus marker.
+struct MfreqSweep {
+  std::vector<std::vector<double>> rising, falling;
+  uint64_t processed = 0;
+  uint64_t swallowed = 0;
+};
+
+MfreqSweep mfreqOverFarmSweep(bool marker_rule) {
+  ParallelSweepOptions popt;
+  popt.jobs = 1;
+  ParallelSweep farm(fastTestConfig(), testing::fastSweepOptions(StimulusKind::MultiToneFsk, 3),
+                     popt);
+  std::vector<std::unique_ptr<sim::EdgeRecorder>> recorders;
+  farm.onPointTestbench([&](std::size_t, SweepTestbench& bench) {
+    if (marker_rule) bench.faultInjector(7).dropEdges(bench.stimulusMarker(), 0.0);
+    recorders.push_back(std::make_unique<sim::EdgeRecorder>(bench.circuit(), bench.mfreq()));
+  });
+  const ResilientResponse r = farm.run();
+  MfreqSweep out;
+  for (const auto& rec : recorders) {
+    out.rising.push_back(rec->risingEdges());
+    out.falling.push_back(rec->fallingEdges());
+  }
+  out.processed = r.bench.events_processed;
+  out.swallowed = r.bench.events_swallowed;
+  return out;
+}
+
+TEST(PeakDetector, NoChangeMfreqWritesSkippedUnderARuleOnAnotherNet) {
+  // A fault rule on another net cannot drop or delay an MFREQ write, so
+  // the detector still skips the writes that cannot change MFREQ.
+  const MfreqSweep plain = mfreqOverFarmSweep(false);
+  const MfreqSweep ruled = mfreqOverFarmSweep(true);
+  ASSERT_EQ(ruled.rising.size(), 3u);
+  EXPECT_EQ(ruled.rising, plain.rising);
+  EXPECT_EQ(ruled.falling, plain.falling);
+  EXPECT_GT(ruled.rising[0].size(), 2u);
+  EXPECT_EQ(ruled.swallowed, 0u);
+  EXPECT_EQ(ruled.processed, plain.processed);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "pll/faults.hpp"
 #include "pll/sources.hpp"
 #include "sim/fault_injector.hpp"
+#include "support/stall.hpp"
 #include "support/test_configs.hpp"
 #include "support/tolerance.hpp"
 
@@ -411,6 +412,33 @@ TEST(ResilientSweepEngine, StalledPreludeLabelsEveryPointWithItsStatus) {
     EXPECT_EQ(p.quality, PointQuality::Dropped);
     EXPECT_EQ(p.status.kind(), Status::Kind::SimulationStall) << p.status.toString();
   }
+}
+
+/// Point 1 of 3 stalls: its first attempt times out on a dead loop, and the
+/// queue runs dry in the relock grace wait. Point 2 is still reported,
+/// unattempted, with the stall's status, so points_total is the requested
+/// count.
+TEST(ResilientSweepEngine, StallInsideAPointLabelsEveryLaterPoint) {
+  const SweepOptions sweep = fastSweepOptions(StimulusKind::MultiToneFsk, 3);
+  ResilientSweep engine(fastTestConfig(), sweep);
+  engine.onAttemptStart([](std::size_t i, int attempt, SweepTestbench& bench) {
+    if (i == 1 && attempt == 0) testing::drainQueue(bench.circuit());
+  });
+  const ResilientResponse r = engine.run();
+  EXPECT_EQ(r.status.kind(), Status::Kind::SimulationStall) << r.status.toString();
+  ASSERT_EQ(r.response.points.size(), 3u);
+  EXPECT_EQ(r.report.points_total, 3);
+  EXPECT_EQ(r.response.points[0].quality, PointQuality::Ok);
+  const MeasuredPoint& stalled = r.response.points[1];
+  EXPECT_EQ(stalled.quality, PointQuality::Dropped);
+  EXPECT_EQ(stalled.status.kind(), Status::Kind::SimulationStall) << stalled.status.toString();
+  EXPECT_EQ(stalled.attempts, 1);
+  const MeasuredPoint& later = r.response.points[2];
+  EXPECT_EQ(later.modulation_hz, sweep.modulation_frequencies_hz[2]);
+  EXPECT_EQ(later.quality, PointQuality::Dropped);
+  EXPECT_EQ(later.status.kind(), Status::Kind::SimulationStall) << later.status.toString();
+  EXPECT_EQ(later.attempts, 0);
+  EXPECT_EQ(r.report.attempts_total, 1 + stalled.attempts);
 }
 
 /// core::measure on the same catastrophic device: never throws, reports

@@ -23,6 +23,7 @@
 #include "obs/json.hpp"
 #include "obs/report.hpp"
 #include "pll/faults.hpp"
+#include "support/stall.hpp"
 #include "support/test_configs.hpp"
 
 namespace pllbist::core {
@@ -128,6 +129,49 @@ TEST(Campaign, InProcessStopThenResumeReproducesUninterruptedReport) {
   EXPECT_EQ(resumed.points_resumed, 3);
   EXPECT_EQ(resumed.points_executed, 3);  // exactly once: no point re-simulated
   EXPECT_FALSE(resumed.torn_tail_repaired);
+  expectPointsBitIdentical(resumed.merged, ref.merged);
+  EXPECT_EQ(canonical(resumed.report), canonical(ref.report));
+  std::remove(journal.c_str());
+  std::remove(ref_opt.journal_path.c_str());
+}
+
+/// A point whose queue runs dry ends its run with SimulationStall. Resumed
+/// from the journal, the stalled point's record carries that run status
+/// again, so the resumed campaign reports the stall as the uninterrupted
+/// one does.
+TEST(Campaign, ResumedStalledPointKeepsTheRunStatus) {
+  const bist::SweepOptions sweep = fastSweepOptions(StimulusKind::MultiToneFsk, 3);
+  const auto stallPointOne = [](std::size_t i, bist::SweepTestbench& bench) {
+    if (i == 1) pllbist::testing::drainQueue(bench.circuit());
+  };
+  CampaignOptions ref_opt;
+  ref_opt.journal_path = tempPath("stall_ref");
+  Campaign reference(fastTestConfig(), sweep, ref_opt);
+  reference.onPointTestbench(stallPointOne);
+  const CampaignResult ref = reference.run();
+  ASSERT_EQ(ref.status.kind(), Status::Kind::SimulationStall) << ref.status.toString();
+  ASSERT_EQ(ref.merged.response.points[1].status.kind(), Status::Kind::SimulationStall);
+
+  // Stop once the stalled point is committed, then resume in place.
+  const std::string journal = tempPath("stall_resume");
+  CampaignOptions first_opt;
+  first_opt.journal_path = journal;
+  Campaign first(fastTestConfig(), sweep, first_opt);
+  first.onPointTestbench(stallPointOne);
+  first.onPointMeasured([&](std::size_t i, const MeasuredPoint&) {
+    if (i == 1) first.requestStop();
+  });
+  EXPECT_EQ(first.run().points_executed, 2);
+  CampaignOptions resume_opt;
+  resume_opt.journal_path = journal;
+  resume_opt.resume_path = journal;
+  Campaign second(fastTestConfig(), sweep, resume_opt);
+  second.onPointTestbench(stallPointOne);
+  const CampaignResult resumed = second.run();
+  EXPECT_EQ(resumed.points_resumed, 2);
+  EXPECT_EQ(resumed.points_executed, 1);
+  EXPECT_EQ(resumed.status.kind(), ref.status.kind()) << resumed.status.toString();
+  EXPECT_EQ(resumed.status.context(), ref.status.context());
   expectPointsBitIdentical(resumed.merged, ref.merged);
   EXPECT_EQ(canonical(resumed.report), canonical(ref.report));
   std::remove(journal.c_str());

@@ -24,9 +24,15 @@
 // pinned. The counts were re-pinned when the loop began to run ahead
 // through its own instants between queued events (one kernel event covers
 // many loop instants) and the peak detector stopped making MFREQ writes
-// that cannot change MFREQ; no double moved. The farm fault-injector sweep's faults start at the fork; the
-// shared-bench sweep puts faults into the lock wait, and its values were
-// pinned with the gate-level detectors.
+// that cannot change MFREQ; no double moved. They were re-pinned again when
+// the loop began to pull its reference edges from the stimulus source
+// (the DCO, the delay line over its clock) instead of hearing them as
+// stimulus-net writes; a fault rule on the stimulus makes the loop hear the
+// net again, which the fault-injector sweeps check. The stimulus is then
+// an observation tap, and a fifth variant observes it. The farm
+// fault-injector sweep's faults start at the fork; the shared-bench sweep
+// puts faults into the lock wait, and its values were pinned with the
+// gate-level detectors.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -118,9 +124,9 @@ using BenchHook = std::function<void(std::size_t, SweepTestbench&)>;
 
 /// What each fork's dummy observers watch: nothing, the VCO output, the
 /// phase detectors' internal nets (the monitor PFD's UP/DN and the loop
-/// PFD's reset), or the loop's nets (PLLREF, PLLFB, the PFD's feedback
-/// input, UP and DN), which are then written.
-enum class Observe { Nothing, VcoOut, DetectorNets, LoopNets };
+/// PFD's reset), the loop's nets (PLLREF, PLLFB, the PFD's feedback input,
+/// UP and DN), or the stimulus the loop pulls, which are then written.
+enum class Observe { Nothing, VcoOut, DetectorNets, LoopNets, Stimulus };
 
 ResilientResponse runFarm(const pll::PllConfig& config, const SweepOptions& sweep,
                           Observe observe, BenchHook hook = nullptr) {
@@ -136,6 +142,7 @@ ResilientResponse runFarm(const pll::PllConfig& config, const SweepOptions& swee
     if (observe == Observe::LoopNets)
       nets = {bench.pll().ref(), bench.pll().feedback(), bench.pll().pfdFeedbackIn(),
               bench.pll().pfdUp(), bench.pll().pfdDn()};
+    if (observe == Observe::Stimulus) nets = {bench.stimulusOut()};
     for (const sim::SignalId net : nets) bench.circuit().onChange(net, [](double, bool) {});
     if (hook) hook(index, bench);
   });
@@ -153,7 +160,7 @@ ResilientResponse referenceTwoPointSweep(Observe observe) {
   return runFarm(pll::referenceConfig(), sweep, observe);
 }
 
-const Fingerprint kReferenceTwoPoint{1212161u, 0u, 0u, 1212161u, 0x1.3b6687ff126f4p+3,
+const Fingerprint kReferenceTwoPoint{1174171u, 0u, 0u, 1174171u, 0x1.3b6687ff126f4p+3,
                                      0x1.86ap+15, 0x1.f9p+8,
                                      {0x1p+1, 0x1.e5p+8, -0x1.ac3e963dc486ap+2, 0x0p+0,  //
                                       0x1.4p+5, 0x1.8p+2, -0x1.8c3a535ecd2cbp+7, 0x0p+0}};
@@ -164,12 +171,12 @@ TEST(KernelFingerprint, ReferenceDeviceTwoPointSweep) {
 
 TEST(KernelFingerprint, ReferenceDeviceTwoPointSweepUnobserved) {
   expectFingerprint(referenceTwoPointSweep(Observe::Nothing),
-                    withCounts(kReferenceTwoPoint, 50518u, 50518u));
+                    withCounts(kReferenceTwoPoint, 1567u, 1567u));
 }
 
 TEST(KernelFingerprint, ReferenceDeviceTwoPointSweepDetectorsObserved) {
   expectFingerprint(referenceTwoPointSweep(Observe::DetectorNets),
-                    withCounts(kReferenceTwoPoint, 114195u, 114195u));
+                    withCounts(kReferenceTwoPoint, 75312u, 75312u));
 }
 
 ResilientResponse fastMultiToneWithFaultInjector(Observe observe) {
@@ -186,14 +193,19 @@ ResilientResponse fastMultiToneWithFaultInjector(Observe observe) {
 }
 
 const Fingerprint kFastMultiTone{
-    187606u, 38u, 379u, 187189u, 0x1.2cbe4fc3a430fp-1, 0x1.869ffffffffffp+16, 0x1.f4p+9,
+    173003u, 38u, 379u, 172586u, 0x1.2cbe4fc3a430fp-1, 0x1.869ffffffffffp+16, 0x1.f4p+9,
     {0x1.8ffffffffffffp+5, 0x1.4p+8, -0x1.442c5940f92bfp+8, 0x0p+0,  //
      0x1.bf36ae31d6e46p+7, 0x1.0ep+10, -0x1.c9c4779bad2c7p+6, 0x0p+0,  //
      0x1.f3fffffffffffp+9, 0x1.4p+5, -0x1.de597a7248712p+7, 0x0p+0}};
 
 TEST(KernelFingerprint, ReferenceDeviceTwoPointSweepLoopNetsObserved) {
   expectFingerprint(referenceTwoPointSweep(Observe::LoopNets),
-                    withCounts(kReferenceTwoPoint, 127948u, 127948u));
+                    withCounts(kReferenceTwoPoint, 100483u, 100483u));
+}
+
+TEST(KernelFingerprint, ReferenceDeviceTwoPointSweepStimulusObserved) {
+  expectFingerprint(referenceTwoPointSweep(Observe::Stimulus),
+                    withCounts(kReferenceTwoPoint, 24758u, 24758u));
 }
 
 TEST(KernelFingerprint, FastDeviceMultiToneWithFaultInjector) {
@@ -202,17 +214,17 @@ TEST(KernelFingerprint, FastDeviceMultiToneWithFaultInjector) {
 
 TEST(KernelFingerprint, FastDeviceMultiToneWithFaultInjectorUnobserved) {
   expectFingerprint(fastMultiToneWithFaultInjector(Observe::Nothing),
-                    withCounts(kFastMultiTone, 39555u, 39138u));
+                    withCounts(kFastMultiTone, 18576u, 18159u));
 }
 
 TEST(KernelFingerprint, FastDeviceMultiToneWithFaultInjectorDetectorsObserved) {
   expectFingerprint(fastMultiToneWithFaultInjector(Observe::DetectorNets),
-                    withCounts(kFastMultiTone, 76171u, 75754u));
+                    withCounts(kFastMultiTone, 62440u, 62023u));
 }
 
 TEST(KernelFingerprint, FastDeviceMultiToneWithFaultInjectorLoopNetsObserved) {
   expectFingerprint(fastMultiToneWithFaultInjector(Observe::LoopNets),
-                    withCounts(kFastMultiTone, 85465u, 85048u));
+                    withCounts(kFastMultiTone, 75473u, 75056u));
 }
 
 ResilientResponse delayLinePmSweep(Observe observe) {
@@ -221,7 +233,7 @@ ResilientResponse delayLinePmSweep(Observe observe) {
 }
 
 const Fingerprint kDelayLinePm{
-    2767746u, 0u, 0u, 2767746u, 0x1.7f86fdb43278ap+2, 0x1.869ffffffffffp+16, 0x0p+0,
+    2378374u, 0u, 0u, 2378374u, 0x1.7f86fdb43278ap+2, 0x1.869ffffffffffp+16, 0x0p+0,
     {0x1.8ffffffffffffp+5, 0x0p+0, 0x0p+0, 0x0p+0,  //
      0x1.bf36ae31d6e46p+7, 0x1.fep+9, -0x1.cbabb8df78e3ep+6, 0x1.b70d09236a6f4p+9,  //
      0x1.f3fffffffffffp+9, 0x1.18p+7, -0x1.90c083126e978p+7, 0x1.eadfb4c5d390bp+11}};
@@ -231,16 +243,20 @@ TEST(KernelFingerprint, DelayLinePmSweep) {
 }
 
 TEST(KernelFingerprint, DelayLinePmSweepUnobserved) {
-  expectFingerprint(delayLinePmSweep(Observe::Nothing), withCounts(kDelayLinePm, 524309u, 524309u));
+  expectFingerprint(delayLinePmSweep(Observe::Nothing), withCounts(kDelayLinePm, 22999u, 22999u));
 }
 
 TEST(KernelFingerprint, DelayLinePmSweepDetectorsObserved) {
-  expectFingerprint(delayLinePmSweep(Observe::DetectorNets), withCounts(kDelayLinePm, 1137615u, 1137615u));
+  expectFingerprint(delayLinePmSweep(Observe::DetectorNets), withCounts(kDelayLinePm, 777265u, 777265u));
 }
 
 TEST(KernelFingerprint, DelayLinePmSweepLoopNetsObserved) {
   expectFingerprint(delayLinePmSweep(Observe::LoopNets),
-                    withCounts(kDelayLinePm, 1256475u, 1256475u));
+                    withCounts(kDelayLinePm, 1014182u, 1014182u));
+}
+
+TEST(KernelFingerprint, DelayLinePmSweepStimulusObserved) {
+  expectFingerprint(delayLinePmSweep(Observe::Stimulus), withCounts(kDelayLinePm, 258661u, 258661u));
 }
 
 // The shared-bench sweep with faults during the lock wait: dropped and
@@ -264,7 +280,7 @@ ResilientResponse fastSweepWithLockAcquisitionFaults() {
 }
 
 const Fingerprint kLockAcquisitionFaults{
-    39770u, 19u, 48u, 39703u, 0x1.14e3c73a3bbb2p-1, 0x1.869ffffffffffp+16, 0x1.f4p+9,
+    24231u, 19u, 48u, 24164u, 0x1.14e3c73a3bbb2p-1, 0x1.869ffffffffffp+16, 0x1.f4p+9,
     {0x1.8ffffffffffffp+5, 0x1.eap+9, -0x1.0f86c226809d4p+3, 0x0p+0,  //
      0x1.bf36ae31d6e46p+7, 0x1.0ep+10, -0x1.d66eaba29c023p+6, 0x0p+0,  //
      0x1.f3fffffffffffp+9, 0x1.4p+6, -0x1.cdf3de6c7039fp+7, 0x0p+0}};

@@ -26,13 +26,14 @@
 //      with the same hook fired at attempt 0. Points, statuses and quality
 //      counts must be bit-identical, and the farm's kernel counts and
 //      sim_time_s must equal P + sum(S_i - P), P being the prelude alone.
-//   8. observing the phase detectors' internal nets and the loop's nets
-//      changes no result: on a seeded quarter of the sweeps the case runs
-//      again with dummy observers on the monitor PFD's UP/DN and reset
-//      net, the loop PFD's reset net, PLLREF, PLLFB, the PFD's feedback
-//      input and the loop PFD's UP/DN (so the detectors and the loop write
-//      them, and the peak detector wakes itself at each monitor reset), and
-//      the points, statuses and quality report must be bit-identical.
+//   8. observing the phase detectors' internal nets, the loop's nets and
+//      the stimulus changes no result: on a seeded quarter of the sweeps
+//      the case runs again with dummy observers on the monitor PFD's UP/DN
+//      and reset net, the loop PFD's reset net, PLLREF, PLLFB, the PFD's
+//      feedback input, the loop PFD's UP/DN and the stimulus the loop pulls
+//      (so the detectors, the loop and the stimulus source write them, and
+//      the peak detector wakes itself at each monitor reset), and the
+//      points, statuses and quality report must be bit-identical.
 //   9. cutting the kernel's runs changes no result: on a seeded quarter of
 //      the sweeps the case runs on the ParallelSweep farm twice, once as
 //      it is and once with a self-rescheduling no-op closure at seeded
@@ -40,6 +41,11 @@
 //      pending closure is forked). Every closure event ends the loop's
 //      run-ahead there, so the loop crosses those instants one event at a
 //      time; the points, statuses and quality report must be bit-identical.
+//  10. hearing the stimulus net changes no result: on a seeded quarter of
+//      the sweeps without other fault rules, the case runs again with a
+//      drop-probability-0 rule on the stimulus, so the loop hears the
+//      stimulus net's writes instead of pulling the source's edges; the
+//      points, statuses and quality report must be bit-identical.
 //
 // Built two ways:
 //   - standalone driver (always): fuzz_sweep --seed N --runs N
@@ -97,6 +103,7 @@ struct FuzzStats {
   uint64_t forked = 0;    ///< sweeps re-run on the farm and point by point
   uint64_t detector_observed = 0;  ///< sweeps re-run with observed detector nets
   uint64_t cut = 0;  ///< sweeps re-run on the farm with their runs cut
+  uint64_t listened = 0;  ///< sweeps re-run with the loop hearing the stimulus net
 };
 
 [[noreturn]] void fail(uint64_t seed, const char* invariant, const std::string& detail) {
@@ -469,6 +476,8 @@ void fuzzOne(const uint8_t* data, size_t size, FuzzStats& st) {
   const bool fork_check = (splitmix64(state) & 0x03) == 0;      // ~25% of valid runs
   const bool detector_check = (splitmix64(state) & 0x03) == 0;  // ~25% of valid runs
   const bool cut_check = (splitmix64(state) & 0x03) == 0;       // ~25% of valid runs
+  // A second rule on the injector would shift the fault rules' draws.
+  const bool listen_check = (splitmix64(state) & 0x03) == 0 && !inject;
 
   auto attachFaults = [=](pllbist::bist::SweepTestbench& tb, uint64_t injector_seed) {
     if (!inject) return;
@@ -478,7 +487,7 @@ void fuzzOne(const uint8_t* data, size_t size, FuzzStats& st) {
     else
       inj.delayEdges(tb.mfreq(), drop_p, 1e-7, 1e-5);
   };
-  enum class Observe { Nothing, VcoOut, DetectorNets };
+  enum class Observe { Nothing, VcoOut, DetectorNets, StimulusRule };
   auto sweepOnce = [&](Observe observe) {
     pllbist::bist::ResilientSweep engine(config, sweep, resilience);
     engine.onTestbench([=](pllbist::bist::SweepTestbench& tb) {
@@ -489,9 +498,10 @@ void fuzzOne(const uint8_t* data, size_t size, FuzzStats& st) {
                 tb.peakDetector().monitorReset(), tb.pll().pfdReset(),
                 tb.pll().ref(),                   tb.pll().feedback(),
                 tb.pll().pfdFeedbackIn(),         tb.pll().pfdUp(),
-                tb.pll().pfdDn()};
+                tb.pll().pfdDn(),                 tb.stimulusOut()};
       for (const pllbist::sim::SignalId net : nets)
         tb.circuit().onChange(net, [](double, bool) {});
+      if (observe == Observe::StimulusRule) tb.faultInjector(1).dropEdges(tb.stimulusOut(), 0.0);
       attachFaults(tb, inj_seed);
     });
     return engine.run();
@@ -596,6 +606,14 @@ void fuzzOne(const uint8_t* data, size_t size, FuzzStats& st) {
                 splitmix64(state));
     if (!diff.empty()) fail(seed, "run-cut-invariance", diff);
   }
+
+  // Invariant 10: the loop hearing the stimulus net is the slow path of
+  // the loop pulling the stimulus source.
+  if (listen_check) {
+    ++st.listened;
+    const std::string diff = measurementDiff(result, sweepOnce(Observe::StimulusRule));
+    if (!diff.empty()) fail(seed, "stimulus-listen-invariance", diff);
+  }
 }
 
 }  // namespace
@@ -666,13 +684,13 @@ int main(int argc, char** argv) {
   std::printf(
       "fuzz_sweep: %llu runs (%llu swept, %llu rejected, %llu faulted, %llu journals, "
       "%llu observer-checked, %llu fork-checked, %llu detector-observer-checked, "
-      "%llu run-cut-checked), 0 violations\n",
+      "%llu run-cut-checked, %llu stimulus-listen-checked), 0 violations\n",
       static_cast<unsigned long long>(st.runs), static_cast<unsigned long long>(st.swept),
       static_cast<unsigned long long>(st.rejected), static_cast<unsigned long long>(st.faulted),
       static_cast<unsigned long long>(st.journals), static_cast<unsigned long long>(st.observed),
       static_cast<unsigned long long>(st.forked),
       static_cast<unsigned long long>(st.detector_observed),
-      static_cast<unsigned long long>(st.cut));
+      static_cast<unsigned long long>(st.cut), static_cast<unsigned long long>(st.listened));
   if (st.swept == 0) {
     std::fprintf(stderr, "fuzz_sweep: no iteration exercised a sweep — widen the budget\n");
     return 1;
