@@ -21,15 +21,14 @@ using namespace pllbist;
 bist::TestSequencer::PointResult measure(double jitter_rms_s, unsigned seed, int averages) {
   const pll::PllConfig cfg = pll::scaledTestConfig();
   sim::Circuit c;
-  const auto ext = c.addSignal("ext");
   const auto stim = c.addSignal("stim");
   const auto marker = c.addSignal("marker");
   pll::SineFmSource::Config scfg;
   scfg.nominal_hz = cfg.ref_frequency_hz;
   scfg.edge_jitter_rms_s = jitter_rms_s;
   scfg.jitter_seed = seed;
-  pll::SineFmSource src(c, stim, marker, scfg);
-  pll::CpPll pll(c, ext, stim, cfg);
+  pll::SineFmSource src(c, stim, marker, scfg, sim::SourceMode::Pulled);
+  pll::CpPll pll(c, src, cfg);
   pll.setTestMode(true);
   bist::PeakDetector det(c, pll);
   bist::TestSequencer::Options opt;

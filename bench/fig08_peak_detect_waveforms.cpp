@@ -21,13 +21,12 @@ int main() {
 
   const pll::PllConfig cfg = pll::referenceConfig();
   sim::Circuit c;
-  const auto ext = c.addSignal("ext");
   const auto stim = c.addSignal("stim");
   const auto marker = c.addSignal("marker");
   pll::SineFmSource::Config scfg;
   scfg.nominal_hz = cfg.ref_frequency_hz;
-  pll::SineFmSource src(c, stim, marker, scfg);
-  pll::CpPll pll(c, ext, stim, cfg);
+  pll::SineFmSource src(c, stim, marker, scfg, sim::SourceMode::Pulled);
+  pll::CpPll pll(c, src, cfg);
   pll.setTestMode(true);
   bist::PeakDetector det(c, pll);
   // The monitor PFD writes UP/DN only while they are observed, so the

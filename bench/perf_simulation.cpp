@@ -90,13 +90,12 @@ void BM_ClosedLoopSecond(benchmark::State& state) {
   for (auto _ : state) {
     const pll::PllConfig cfg = pll::scaledTestConfig();
     sim::Circuit c;
-    const auto ext = c.addSignal("ext");
     const auto stim = c.addSignal("stim");
     const auto mk = c.addSignal("mk");
     pll::SineFmSource::Config scfg;
     scfg.nominal_hz = cfg.ref_frequency_hz;
-    pll::SineFmSource src(c, stim, mk, scfg);
-    pll::CpPll pll(c, ext, stim, cfg);
+    pll::SineFmSource src(c, stim, mk, scfg, sim::SourceMode::Pulled);
+    pll::CpPll pll(c, src, cfg);
     pll.setTestMode(true);
     c.run(1.0);  // one simulated second at 100 kHz VCO
     benchmark::DoNotOptimize(pll.controlVoltageNow());

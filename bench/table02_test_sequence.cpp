@@ -42,16 +42,15 @@ int main() {
 
   const pll::PllConfig cfg = pll::referenceConfig();
   sim::Circuit c;
-  const auto ext = c.addSignal("ext");
   const auto stim = c.addSignal("stim");
   const auto marker = c.addSignal("marker");
-  bist::Dco dco(c, stim, bist::Dco::Config{1e6, 1000, 0.0});
+  bist::Dco dco(c, stim, bist::Dco::Config{1e6, 1000, 0.0}, sim::SourceMode::Pulled);
   bist::FskModulator::Config mcfg;
   mcfg.steps = 10;
   mcfg.nominal_hz = cfg.ref_frequency_hz;
   mcfg.deviation_hz = 10.0;
   bist::FskModulator modulator(c, dco, marker, mcfg);
-  pll::CpPll pll(c, ext, stim, cfg);
+  pll::CpPll pll(c, dco, cfg);
   pll.setTestMode(true);
   bist::PeakDetector detector(c, pll);
   bist::TestSequencer::Options opt;

@@ -46,7 +46,6 @@ BenchResult measureBench(const pll::PllConfig& config, const BenchOptions& optio
   options.validate();
 
   sim::Circuit c;
-  const sim::SignalId ext_ref = c.addSignal("ext_ref");
   const sim::SignalId stim = c.addSignal("stimulus");
   const sim::SignalId marker = c.addSignal("stim_peak");
 
@@ -54,9 +53,9 @@ BenchResult measureBench(const pll::PllConfig& config, const BenchOptions& optio
   scfg.nominal_hz = config.ref_frequency_hz;
   scfg.deviation_hz = 0.0;
   scfg.modulation_hz = 0.0;
-  pll::SineFmSource source(c, stim, marker, scfg);
+  pll::SineFmSource source(c, stim, marker, scfg, sim::SourceMode::Pulled);
 
-  pll::CpPll pll(c, ext_ref, stim, config);
+  pll::CpPll pll(c, source, config);
   pll.setTestMode(true);
   c.run(options.lock_wait_s);
 

@@ -46,13 +46,12 @@ StepTestResult runStepTest(const pll::PllConfig& config, const StepTestOptions& 
       options.lock_wait_s + 2.0 * options.freq_gate_s + 200.0 * tref + options.lock_wait_s;
 
   sim::Circuit c;
-  const auto ext = c.addSignal("ext");
   const auto stim = c.addSignal("stim");
   Dco::Config dcfg;
   dcfg.master_clock_hz = config.ref_frequency_hz * 1000.0;
   dcfg.initial_modulus = 1000;
-  Dco dco(c, stim, dcfg);
-  pll::CpPll pll(c, ext, stim, config);
+  Dco dco(c, stim, dcfg, sim::SourceMode::Pulled);
+  pll::CpPll pll(c, dco, config);
   pll.setTestMode(true);
   PeakDetector detector(c, pll);
   FrequencyCounter counter(c, pll.vco());

@@ -5,6 +5,7 @@
 
 #include "common/units.hpp"
 #include "control/grid.hpp"
+#include "pll/sources.hpp"
 
 namespace pllbist::bist {
 
@@ -83,6 +84,15 @@ Status SweepOptions::check(const pll::PllConfig& config) const {
                          "SweepOptions: deviation_hz = %g must be below the reference frequency "
                          "(%g Hz)",
                          deviation_hz, config.ref_frequency_hz);
+  // The sine-FM source's jittered edge must be emitted before its next
+  // toggle, at the crest frequency too.
+  if (stimulus == StimulusKind::PureSineFm &&
+      !pll::SineFmSource::jitterFitsHalfPeriod(ref_edge_jitter_rms_s,
+                                               config.ref_frequency_hz + deviation_hz))
+    return Status::makef(K::InvalidArgument,
+                         "SweepOptions: ref_edge_jitter_rms_s = %g, 6x must stay below the half "
+                         "period at the crest frequency (%g Hz)",
+                         ref_edge_jitter_rms_s, config.ref_frequency_hz + deviation_hz);
   if (stimulus == StimulusKind::MultiToneFsk || stimulus == StimulusKind::TwoToneFsk) {
     if (master_clock_hz <= 2.0 * config.ref_frequency_hz)
       return Status::makef(K::InvalidArgument,

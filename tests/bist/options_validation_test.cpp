@@ -105,6 +105,22 @@ TEST(SweepOptionsValidation, RejectsDeviationExceedingReferenceFrequency) {
   EXPECT_THROW(ResilientSweep(cfg, opt, {.max_attempts = 1}), std::invalid_argument);
 }
 
+/// A pure-sine sweep whose jittered edge could land after the next toggle
+/// at the crest frequency is refused up front.
+TEST(SweepOptionsValidation, RejectsSineJitterWiderThanTheCrestHalfPeriod) {
+  const pll::PllConfig cfg = fastTestConfig();  // fref = 10 kHz
+  SweepOptions opt = fastSweepOptions(StimulusKind::PureSineFm, 2);
+  opt.deviation_hz = 0.9 * cfg.ref_frequency_hz;
+  opt.ref_edge_jitter_rms_s = 0.045 / cfg.ref_frequency_hz;  // inside the 5% rule
+  expectRejects(opt.check(cfg), "ref_edge_jitter_rms_s");
+  EXPECT_THROW(ResilientSweep(cfg, opt, {.max_attempts = 1}), std::invalid_argument);
+  opt.deviation_hz = 0.5 * cfg.ref_frequency_hz;  // 6 sigma fits 0.5 / 15 kHz
+  EXPECT_TRUE(opt.check(cfg).ok()) << opt.check(cfg).toString();
+  opt.stimulus = StimulusKind::MultiToneFsk;  // the DCO draws no jitter
+  opt.deviation_hz = 0.9 * cfg.ref_frequency_hz;
+  EXPECT_TRUE(opt.check(cfg).ok()) << opt.check(cfg).toString();
+}
+
 TEST(SweepOptionsValidation, RejectsMasterClockTooSlowForReference) {
   const pll::PllConfig cfg = fastTestConfig();
   SweepOptions opt = goodOptions();

@@ -200,6 +200,7 @@ struct MfreqWrite {
 std::vector<MfreqWrite> mfreqWrites() {
   PointBench b;
   std::vector<MfreqWrite> out;
+  b.c.markFaultTarget(b.tb.mfreq());
   b.c.setEventInterceptor([&](sim::SignalId id, double now, bool value) {
     if (id == b.tb.mfreq()) out.push_back({now, value, value != b.c.value(id)});
     return sim::Circuit::InterceptVerdict{};
@@ -225,6 +226,7 @@ MfreqRun mfreqWithOneFault(bool drop, double delay_s, bool remove) {
   PointBench b;
   sim::Circuit& c = b.c;
   bool acted = false;
+  c.markFaultTarget(b.tb.mfreq());
   c.setEventInterceptor([&, drop, delay_s, remove](sim::SignalId id, double now, bool value) {
     sim::Circuit::InterceptVerdict v;
     if (acted || id != b.tb.mfreq() || value == c.value(id)) return v;

@@ -167,6 +167,23 @@ TEST(SineFmSourceJitter, ConfigValidation) {
   EXPECT_NO_THROW(cfg.validate());
 }
 
+TEST(SineFmSourceJitter, JitterWindowMustFitTheHalfPeriodAtTheCrest) {
+  // 6 sigma = 0.27 ms: inside the 5% rule at 1 kHz, but past the 0.26 ms
+  // half period at 1.9 kHz.
+  SourceBench b;
+  SineFmSource::Config cfg = cwConfig(1000.0);
+  cfg.edge_jitter_rms_s = 4.5e-5;
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.deviation_hz = 900.0;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.deviation_hz = 0.0;
+  SineFmSource src(b.c, b.out, b.marker, cfg);
+  EXPECT_THROW(src.setModulation(5.0, 900.0), std::invalid_argument);
+  EXPECT_THROW(src.setCarrier(1900.0), std::invalid_argument);
+  EXPECT_NO_THROW(src.setModulation(5.0, 500.0));
+  EXPECT_EQ(src.config().deviation_hz, 500.0);
+}
+
 TEST(SineFmSourceJitter, EdgeCountPreservedAndMeanPeriodUnchanged) {
   SourceBench b;
   SineFmSource::Config cfg = cwConfig(1000.0);

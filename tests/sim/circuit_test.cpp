@@ -219,6 +219,7 @@ TEST(Circuit, DelayedEventIsNotInterceptedAgain) {
   int interceptor_calls = 0;
   std::vector<double> edge_times;
   c.onChange(a, [&](double now, bool) { edge_times.push_back(now); });
+  c.markFaultTarget(a);
   c.setEventInterceptor([&](SignalId, double, bool) {
     ++interceptor_calls;
     Circuit::InterceptVerdict v;
@@ -239,6 +240,8 @@ TEST(Circuit, EventCountersSplitByOutcome) {
   Circuit c;
   SignalId a = c.addSignal("a");
   SignalId b = c.addSignal("b");
+  c.markFaultTarget(a);
+  c.markFaultTarget(b);
   c.setEventInterceptor([&](SignalId id, double, bool) {
     Circuit::InterceptVerdict v;
     if (id == b) v.action = Circuit::InterceptVerdict::Action::Drop;
@@ -263,6 +266,7 @@ TEST(Circuit, DelayedThenRedeliveredEventCountedInBothBuckets) {
   Circuit c;
   SignalId a = c.addSignal("a");
   bool first = true;
+  c.markFaultTarget(a);
   c.setEventInterceptor([&](SignalId, double, bool) {
     Circuit::InterceptVerdict v;
     if (first) {
@@ -481,6 +485,7 @@ TEST(Circuit, HandlerEventsBypassTheInterceptor) {
   RecordingHandler h;
   const Circuit::HandlerId id = c.addHandler(h);
   int interceptor_calls = 0;
+  c.markFaultTarget(a);
   c.setEventInterceptor([&](SignalId, double, bool) {
     ++interceptor_calls;
     Circuit::InterceptVerdict v;
@@ -616,6 +621,41 @@ TEST(Circuit, CopyStateFromRejectsPendingClosuresAndInterceptors) {
   EXPECT_NO_THROW(fork.c.copyStateFrom(source.c));
   source.c.setEventInterceptor([](SignalId, double, bool) { return Circuit::InterceptVerdict{}; });
   EXPECT_THROW(fork.c.copyStateFrom(source.c), std::logic_error);
+}
+
+TEST(Circuit, CopyStateFromRejectsATargetWithAnInterceptor) {
+  // The source's fault-target marks would replace the ones the target's
+  // interceptor was installed with.
+  ForkableDesign source;
+  ForkableDesign fork;
+  fork.c.markFaultTarget(fork.div);
+  fork.c.setEventInterceptor([](SignalId, double, bool) { return Circuit::InterceptVerdict{}; });
+  EXPECT_THROW(fork.c.copyStateFrom(source.c), std::logic_error);
+  fork.c.setEventInterceptor(nullptr);
+  EXPECT_NO_THROW(fork.c.copyStateFrom(source.c));
+}
+
+TEST(Circuit, InterceptorSeesOnlyMarkedNets) {
+  Circuit c;
+  SignalId a = c.addSignal("a");
+  SignalId b = c.addSignal("b");
+  std::vector<SignalId> seen;
+  c.setEventInterceptor([&](SignalId id, double, bool) {
+    seen.push_back(id);
+    Circuit::InterceptVerdict v;
+    v.action = Circuit::InterceptVerdict::Action::Drop;
+    return v;
+  });
+  c.markFaultTarget(b);
+  EXPECT_FALSE(c.interceptionPending(a));
+  EXPECT_TRUE(c.interceptionPending(b));
+  c.scheduleSet(a, 1.0, true);
+  c.scheduleSet(b, 2.0, true);
+  c.run(3.0);
+  EXPECT_EQ(seen, std::vector<SignalId>{b});
+  EXPECT_TRUE(c.value(a));
+  EXPECT_FALSE(c.value(b));
+  EXPECT_EQ(c.droppedEventCount(), 1u);
 }
 
 TEST(Circuit, CopyStateFromRequiresTheSameStructure) {
