@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "bist/modulator.hpp"
 #include "bist/peak_detector.hpp"
 #include "bist/sequencer.hpp"
 #include "pll/config.hpp"
@@ -27,7 +28,8 @@ bist::TestSequencer::PointResult measure(double jitter_rms_s, unsigned seed, int
   scfg.nominal_hz = cfg.ref_frequency_hz;
   scfg.edge_jitter_rms_s = jitter_rms_s;
   scfg.jitter_seed = seed;
-  pll::SineFmSource src(c, stim, marker, scfg, sim::SourceMode::Pulled);
+  pll::SineFmSource src(c, stim, scfg);
+  bist::SineFmProgram program(c, src, marker, {cfg.ref_frequency_hz, 100.0});
   pll::CpPll pll(c, src, cfg);
   pll.setTestMode(true);
   bist::PeakDetector det(c, pll);
@@ -35,14 +37,7 @@ bist::TestSequencer::PointResult measure(double jitter_rms_s, unsigned seed, int
   opt.freq_gate_s = 0.05;
   opt.hold_to_gate_delay_s = 2e-4;
   opt.average_periods = averages;
-  bist::TestSequencer seq(c, pll,
-                          bist::StimulusHooks{[&](double fm) { src.setModulation(fm, 100.0); },
-                                              [&] { src.setModulation(0.0, 0.0); },
-                                              [&] {
-                                                src.setModulation(0.0, 0.0);
-                                                src.setCarrier(cfg.ref_frequency_hz + 100.0);
-                                              }},
-                          det, marker, 10e6, opt);
+  bist::TestSequencer seq(c, pll, program, det, 10e6, opt);
   c.run(0.05);
   bool done = false;
   bist::TestSequencer::PointResult result;

@@ -22,10 +22,9 @@ int main() {
   const pll::PllConfig cfg = pll::referenceConfig();
   sim::Circuit c;
   const auto stim = c.addSignal("stim");
-  const auto marker = c.addSignal("marker");
   pll::SineFmSource::Config scfg;
   scfg.nominal_hz = cfg.ref_frequency_hz;
-  pll::SineFmSource src(c, stim, marker, scfg, sim::SourceMode::Pulled);
+  pll::SineFmSource src(c, stim, scfg);
   pll::CpPll pll(c, src, cfg);
   pll.setTestMode(true);
   bist::PeakDetector det(c, pll);

@@ -1,9 +1,11 @@
-// Serial vs parallel point-farm sweep: runs the same Fig. 11 reference
-// sweep through bist::ParallelSweep at --jobs 1 (the serial reference
-// execution) and at --jobs N, prints the wall-clock times and speedup, the
-// exact kernel counts and the loop's work units per point, and checks the
-// determinism contract — every Bode point, counter and status must be
-// bit-identical between the two runs.
+// Serial vs parallel point-farm sweep: runs the Fig. 11 reference sweep
+// through bist::ParallelSweep at --jobs 1 (the serial reference execution)
+// and at --jobs N, twice: over --points modulation frequencies (the
+// ledger's 8 by default) for the exact kernel counts and the loop's work
+// units per point, and over 1,000 for the wall-clock figures and speedup,
+// since a sweep of a few points takes a few ms and its wall time is noise.
+// Both check the determinism contract — every Bode point, counter and
+// status must be bit-identical between the two job counts.
 //
 //   perf_parallel_sweep [--jobs N] [--points N] [--device reference|fast]
 //
@@ -57,6 +59,8 @@ bool bitIdentical(const bist::ResilientResponse& a, const bist::ResilientRespons
   return same;
 }
 
+constexpr int kWallPoints = 1000;
+
 void printRun(int jobs, const bench::FarmRun& run, double ref_hz) {
   const bist::ResilientResponse& r = run.result;
   std::printf("  jobs=%d: %6.2f s wall  (%.1f s simulated, %zu points, %s)\n", jobs,
@@ -91,24 +95,25 @@ int main(int argc, char** argv) {
   if (jobs < 1) jobs = 1;
   if (points < 2) points = 2;
 
-  pll::PllConfig cfg;
-  bist::SweepOptions sweep;
-  if (device == "reference") {
-    cfg = pll::referenceConfig();
-    sweep = bench::referenceSweepOptions(points);
-  } else {
-    cfg = pll::scaledTestConfig();
-    sweep = bist::quickSweepOptions(cfg, bist::StimulusKind::MultiToneFsk, points);
-  }
+  const bool reference = device == "reference";
+  const pll::PllConfig cfg = reference ? pll::referenceConfig() : pll::scaledTestConfig();
+  std::printf("parallel point-farm bench: %s device\n", device.c_str());
+  // Runs the n-point sweep at --jobs 1 and --jobs N; false when they differ.
+  auto serialAndParallel = [&](int n, bench::FarmRun& serial, bench::FarmRun& parallel) {
+    const bist::SweepOptions sweep =
+        reference ? bench::referenceSweepOptions(n)
+                  : bist::quickSweepOptions(cfg, bist::StimulusKind::MultiToneFsk, n);
+    serial = bench::runFarm(cfg, sweep, 1);
+    printRun(1, serial, cfg.ref_frequency_hz);
+    parallel = bench::runFarm(cfg, sweep, jobs);
+    printRun(jobs, parallel, cfg.ref_frequency_hz);
+    return bitIdentical(serial.result, parallel.result);
+  };
 
-  std::printf("parallel point-farm bench: %s device, %d points\n", device.c_str(), points);
-
-  const bench::FarmRun serial_run = bench::runFarm(cfg, sweep, 1);
-  printRun(1, serial_run, cfg.ref_frequency_hz);
-  const bench::FarmRun parallel_run = bench::runFarm(cfg, sweep, jobs);
-  printRun(jobs, parallel_run, cfg.ref_frequency_hz);
+  std::printf("exact counts, %d points:\n", points);
+  bench::FarmRun serial_run, parallel_run;
+  bool same = serialAndParallel(points, serial_run, parallel_run);
   const bist::ResilientResponse& serial = serial_run.result;
-  const bist::ResilientResponse& parallel = parallel_run.result;
   const bench::FarmFigures exact(serial_run, 1, cfg.ref_frequency_hz);
   std::printf("kernel: %.0f events per point (%llu events), %.4f simulated s per point, "
               "%.1f events per reference cycle, %.1f swallowed per point; the same at every "
@@ -119,26 +124,30 @@ int main(int argc, char** argv) {
               "every --jobs\n",
               exact.pfd_writes_per_point, exact.vco_stops_per_point);
 
-  const double speedup = parallel.report.wall_time_s > 0.0
-                             ? serial.report.wall_time_s / parallel.report.wall_time_s
+  std::printf("wall time, %d points:\n", kWallPoints);
+  bench::FarmRun wall_serial, wall_parallel;
+  same = serialAndParallel(kWallPoints, wall_serial, wall_parallel) && same;
+  const double speedup = wall_parallel.result.report.wall_time_s > 0.0
+                             ? wall_serial.result.report.wall_time_s /
+                                   wall_parallel.result.report.wall_time_s
                              : 0.0;
   std::printf("speedup at --jobs %d: %.2fx\n", jobs, speedup);
 
   // Per-point latency distribution, read back from the telemetry histogram
-  // the engines populate (both runs land in the same process-wide metric).
+  // the engines populate (every run lands in the same process-wide metric).
   const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
   if (const obs::HistogramValue* h = snap.findHistogram("bist.sweep.point_wall_s");
       h != nullptr && h->count > 0) {
-    std::printf("point latency (%llu points, both runs): p50 %.1f ms  p95 %.1f ms  max %.1f ms\n",
+    std::printf("point latency (%llu points, all runs): p50 %.1f ms  p95 %.1f ms  max %.1f ms\n",
                 static_cast<unsigned long long>(h->count), h->quantile(0.50) * 1e3,
                 h->quantile(0.95) * 1e3, h->max * 1e3);
   }
 
-  if (!bitIdentical(serial, parallel)) {
+  if (!same) {
     std::printf("FAIL: determinism contract violated\n");
     return 1;
   }
-  std::printf("determinism: all %zu points bit-identical across job counts [ok]\n",
-              serial.response.points.size());
+  std::printf("determinism: all %d + %d points bit-identical across job counts [ok]\n", points,
+              kWallPoints);
   return 0;
 }

@@ -29,6 +29,7 @@ void BM_EventKernel(benchmark::State& state) {
     sim::Circuit c;
     const auto clk = c.addSignal("clk");
     sim::ClockSource src(c, clk, 1e-6);
+    sim::SourceDriver driver(c, src);
     std::vector<sim::SignalId> nets{clk};
     std::vector<std::unique_ptr<sim::Inverter>> chain;
     for (int i = 0; i < 8; ++i) {
@@ -91,10 +92,9 @@ void BM_ClosedLoopSecond(benchmark::State& state) {
     const pll::PllConfig cfg = pll::scaledTestConfig();
     sim::Circuit c;
     const auto stim = c.addSignal("stim");
-    const auto mk = c.addSignal("mk");
     pll::SineFmSource::Config scfg;
     scfg.nominal_hz = cfg.ref_frequency_hz;
-    pll::SineFmSource src(c, stim, mk, scfg, sim::SourceMode::Pulled);
+    pll::SineFmSource src(c, stim, scfg);
     pll::CpPll pll(c, src, cfg);
     pll.setTestMode(true);
     c.run(1.0);  // one simulated second at 100 kHz VCO

@@ -44,7 +44,7 @@ int main() {
   sim::Circuit c;
   const auto stim = c.addSignal("stim");
   const auto marker = c.addSignal("marker");
-  bist::Dco dco(c, stim, bist::Dco::Config{1e6, 1000, 0.0}, sim::SourceMode::Pulled);
+  bist::Dco dco(c, stim, bist::Dco::Config{1e6, 1000, 0.0});
   bist::FskModulator::Config mcfg;
   mcfg.steps = 10;
   mcfg.nominal_hz = cfg.ref_frequency_hz;
@@ -55,11 +55,7 @@ int main() {
   bist::PeakDetector detector(c, pll);
   bist::TestSequencer::Options opt;
   opt.freq_gate_s = 1.0;
-  bist::TestSequencer sequencer(
-      c, pll,
-      bist::StimulusHooks{[&](double fm) { modulator.start(fm); }, [&] { modulator.stop(); },
-                          [&] { modulator.park(); }},
-      detector, marker, 1e6, opt);
+  bist::TestSequencer sequencer(c, pll, modulator, detector, 1e6, opt);
 
   c.run(1.0);  // lock
 

@@ -47,13 +47,12 @@ BenchResult measureBench(const pll::PllConfig& config, const BenchOptions& optio
 
   sim::Circuit c;
   const sim::SignalId stim = c.addSignal("stimulus");
-  const sim::SignalId marker = c.addSignal("stim_peak");
 
   pll::SineFmSource::Config scfg;
   scfg.nominal_hz = config.ref_frequency_hz;
   scfg.deviation_hz = 0.0;
   scfg.modulation_hz = 0.0;
-  pll::SineFmSource source(c, stim, marker, scfg, sim::SourceMode::Pulled);
+  pll::SineFmSource source(c, stim, scfg);
 
   pll::CpPll pll(c, source, config);
   pll.setTestMode(true);

@@ -20,10 +20,9 @@ namespace pllbist::bist {
 /// edges arithmetically instead of simulating 10^6 master transitions per
 /// second; the emitted waveform is tick-for-tick identical to the counter
 /// it models. Since a modulus is latched only at a rising edge, the next
-/// edge is always decided: pulled (sim::ReferenceSource), the DCO's rising
-/// and falling edges are its puller's instants and it schedules no kernel
-/// event at all.
-class Dco : public sim::Component, public sim::ReferenceSource, private sim::Circuit::Handler {
+/// edge is always decided: the DCO's rising and falling edges are its
+/// puller's instants (sim::ReferenceSource).
+class Dco : public sim::Component, public sim::ReferenceSource {
  public:
   struct Config {
     double master_clock_hz = 1e6;
@@ -32,8 +31,7 @@ class Dco : public sim::Component, public sim::ReferenceSource, private sim::Cir
     void validate() const;
   };
 
-  Dco(sim::Circuit& c, sim::SignalId out, const Config& cfg,
-      sim::SourceMode mode = sim::SourceMode::Drive);
+  Dco(sim::Circuit& c, sim::SignalId out, const Config& cfg);
 
   /// Request an output frequency; the nearest achievable modulus is latched
   /// at the next output rising edge. Returns the frequency that will
@@ -76,15 +74,10 @@ class Dco : public sim::Component, public sim::ReferenceSource, private sim::Cir
   static double resolutionEq2(double fin_nominal_hz, double fref_master_hz);
 
  private:
-  /// Every event is the next output rising edge (the tag is unused).
-  bool onEvent(uint32_t tag, double now) override;
   /// The rising edge at tick_: latch the pending modulus and move tick_ to
   /// the next rising edge. Returns when the output falls.
   double rise();
 
-  sim::Circuit& circuit_;
-  sim::Circuit::HandlerId handler_;
-  sim::SignalId out_;
   Config cfg_;
   double tick_s_ = 0.0;
   std::int64_t tick_ = 0;  ///< master-clock tick index of the next rising edge

@@ -20,27 +20,14 @@ void DelayLineModulator::Config::validate() const {
     throw std::invalid_argument("DelayLineModulator: delay span must be < Tref/4");
 }
 
-DelayLineModulator::DelayLineModulator(sim::Circuit& c, sim::SignalId in, sim::SignalId out,
-                                       sim::SignalId peak_marker, const Config& cfg)
-    : SlotProgram(c, peak_marker, cfg.steps, cfg.marker_pulse_s, 0.0),
-      ReferenceSource(c, out, sim::SourceMode::Drive),
-      cfg_(cfg) {
-  cfg_.validate();
-  for (int k = 0; k < cfg_.steps; ++k) slot_taps_.push_back(tapForSlot(k));
-  // Retime every input edge through the currently selected tap. The base
-  // (tap-0) delay models the line's fixed insertion delay.
-  c.onChange(in, [this, &c, out](double now, bool v) { c.scheduleSet(out, now + delay(), v); });
-}
-
 DelayLineModulator::DelayLineModulator(sim::Circuit& c, sim::ClockSource& in, sim::SignalId out,
                                        sim::SignalId peak_marker, const Config& cfg)
     : SlotProgram(c, peak_marker, cfg.steps, cfg.marker_pulse_s, 0.0),
-      ReferenceSource(c, out, sim::SourceMode::Pulled),
+      ReferenceSource(c, out),
       cfg_(cfg),
-      clock_(&in) {
+      clock_(in) {
+  in.claim();
   cfg_.validate();
-  if (in.mode() != sim::SourceMode::Pulled)
-    throw std::invalid_argument("DelayLineModulator: the input clock must be pulled");
   for (int k = 0; k < cfg_.steps; ++k) slot_taps_.push_back(tapForSlot(k));
 }
 
@@ -50,11 +37,12 @@ bool DelayLineModulator::advance(double now) {
     return true;
   }
   // A clock edge: it passes through the tap selected now.
-  if (clock_->advance(now)) decide(now + delay(), clock_->level());
+  if (clock_.advance(now)) decide(now + delay(), clock_.level());
   return false;
 }
 
-void DelayLineModulator::copyOwnStateFrom(const SlotProgram& source) {
+void DelayLineModulator::copyOwnStateFrom(const StimulusProgram& source) {
+  SlotProgram::copyOwnStateFrom(source);
   copySourceStateFrom(static_cast<const DelayLineModulator&>(source));
 }
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "bist/slot_program.hpp"
+#include "bist/stimulus_program.hpp"
 #include "sim/primitives.hpp"
 #include "sim/reference_source.hpp"
 
@@ -31,11 +31,10 @@ namespace pllbist::bist {
 /// counter measures the same quantity as in the FM test. Idle and parked
 /// alike, the line sits at its mid tap: PM has no DC offset.
 ///
-/// Built over a pulled sim::ClockSource, the line is itself a pulled
+/// The line pulls its sim::ClockSource and is itself a
 /// sim::ReferenceSource: each clock edge is an instant at which the line
 /// samples its tap and decides the delayed edge, which is the next
-/// instant. Built over a net, it retimes the net's changes with kernel
-/// events.
+/// instant.
 class DelayLineModulator : public SlotProgram, public sim::ReferenceSource {
  public:
   struct Config {
@@ -47,15 +46,13 @@ class DelayLineModulator : public SlotProgram, public sim::ReferenceSource {
     void validate() const;
   };
 
-  DelayLineModulator(sim::Circuit& c, sim::SignalId in, sim::SignalId out,
-                     sim::SignalId peak_marker, const Config& cfg);
-  /// The pulled line over `in`, a pulled clock that it alone pulls.
+  /// The line over `in`, a clock that it alone pulls.
   DelayLineModulator(sim::Circuit& c, sim::ClockSource& in, sim::SignalId out,
                      sim::SignalId peak_marker, const Config& cfg);
 
   /// The decided edge comes before the next clock edge (Config::validate).
   [[nodiscard]] double nextInstant() const override {
-    return clock_ ? std::min(decidedEdge(), clock_->nextInstant()) : decidedEdge();
+    return std::min(decidedEdge(), clock_.nextInstant());
   }
   bool advance(double now) override;
 
@@ -74,15 +71,16 @@ class DelayLineModulator : public SlotProgram, public sim::ReferenceSource {
   [[nodiscard]] int currentTap() const {
     return running() ? slot_taps_[slot()] : (cfg_.taps - 1) / 2;
   }
-  /// The line's delay for an input edge now.
+  /// The line's delay for an input edge now; tap 0's is the line's fixed
+  /// insertion delay.
   [[nodiscard]] double delay() const {
     return (1.0 + static_cast<double>(currentTap())) * cfg_.tap_delay_s;
   }
-  void copyOwnStateFrom(const SlotProgram& source) override;
+  void copyOwnStateFrom(const StimulusProgram& source) override;
 
   Config cfg_;
   std::vector<int> slot_taps_;  ///< tapForSlot(k) for each slot k, read per input edge
-  sim::ClockSource* clock_ = nullptr;  ///< the pulled input clock
+  sim::ClockSource& clock_;  ///< the pulled input clock
 };
 
 }  // namespace pllbist::bist

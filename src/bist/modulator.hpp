@@ -1,7 +1,8 @@
 #pragma once
 
 #include "bist/dco.hpp"
-#include "bist/slot_program.hpp"
+#include "bist/stimulus_program.hpp"
+#include "pll/sources.hpp"
 
 namespace pllbist::bist {
 
@@ -48,6 +49,36 @@ class FskModulator : public SlotProgram {
   }
 
   Dco& dco_;
+  Config cfg_;
+};
+
+/// Drives a pll::SineFmSource through the ideal sine-FM program (the
+/// paper's Figure 3 bench generator, the "Pure Sine FM" series of Figures
+/// 11/12): f_nom + deviation * sin(2*pi*fm*(t - start)). No slots, so no
+/// half-slot lag: the marker pulses at every positive crest. Idle, the
+/// source sits at the nominal carrier; parked, at nominal + deviation.
+class SineFmProgram : public StimulusProgram {
+ public:
+  struct Config {
+    double nominal_hz = 1000.0;    ///< carrier (PLL reference) frequency
+    double deviation_hz = 10.0;    ///< peak frequency deviation
+    double marker_pulse_s = 1e-6;
+    void validate() const;
+  };
+
+  SineFmProgram(sim::Circuit& c, pll::SineFmSource& source, sim::SignalId peak_marker,
+                const Config& cfg);
+
+  [[nodiscard]] const Config& config() const { return cfg_; }
+
+ private:
+  void begin(double now) override;
+  /// The next crest is one period on (re-deriving the phase with fmod would
+  /// accumulate round-off and can collapse the wait to ~0).
+  void crested(double now) override { scheduleMarker(now + 1.0 / modulationHz()); }
+  void idle(bool parked) override;
+
+  pll::SineFmSource& source_;
   Config cfg_;
 };
 

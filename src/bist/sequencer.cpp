@@ -71,19 +71,16 @@ void TestSequencer::copyStateFrom(const TestSequencer& source) {
   mfreq_rise_time_ = source.mfreq_rise_time_;
 }
 
-TestSequencer::TestSequencer(sim::Circuit& c, pll::CpPll& pll, StimulusHooks stimulus,
-                             PeakDetector& peak_detector, sim::SignalId stimulus_peak_marker,
-                             double test_clock_hz, Options options)
+TestSequencer::TestSequencer(sim::Circuit& c, pll::CpPll& pll, StimulusProgram& stimulus,
+                             PeakDetector& peak_detector, double test_clock_hz, Options options)
     : circuit_(c),
       pll_(pll),
-      stimulus_(std::move(stimulus)),
+      stimulus_(stimulus),
       freq_counter_(c, pll.vco()),
       phase_counter_(test_clock_hz),
       options_(options) {
   options_.validate();
-  if (!stimulus_.start || !stimulus_.stop || !stimulus_.park)
-    throw std::invalid_argument("TestSequencer: stimulus hooks must be set");
-  c.onRisingEdge(stimulus_peak_marker, [this](double now) { handleStimulusPeak(now); });
+  c.onRisingEdge(stimulus.peakMarker(), [this](double now) { handleStimulusPeak(now); });
   peak_detector.onMinFrequency([this](double now) { handleMfreqRise(now); });
   peak_detector.onMaxFrequency([this](double now) { handleOutputPeak(now); });
 }
@@ -105,7 +102,8 @@ void TestSequencer::enterStage(Stage stage) {
 }
 
 void TestSequencer::measurePoint(double modulation_hz, std::function<void(PointResult)> done) {
-  if (modulation_hz <= 0.0) throw std::invalid_argument("measurePoint: modulation must be positive");
+  if (!std::isfinite(modulation_hz) || modulation_hz <= 0.0)
+    throw std::invalid_argument("measurePoint: modulation must be positive and finite");
   if (stage_ != Stage::Idle) throw std::logic_error("measurePoint: sequencer busy");
 
   current_ = PointResult{};

@@ -6,21 +6,12 @@
 
 #include "bist/counters.hpp"
 #include "bist/peak_detector.hpp"
+#include "bist/stimulus_program.hpp"
 #include "common/status.hpp"
 #include "pll/cppll.hpp"
 #include "sim/circuit.hpp"
 
 namespace pllbist::bist {
-
-/// Abstracts "the block that modulates the PLL reference" so the sequencer
-/// drives the DCO/FSK path and the ideal sine-FM source identically.
-struct StimulusHooks {
-  std::function<void(double modulation_hz)> start;
-  std::function<void()> stop;
-  /// Park the reference statically at nominal + full deviation (the crest
-  /// frequency, held). Used for the DC in-band reference measurement.
-  std::function<void()> park;
-};
 
 /// The Table 2 test sequence, one modulation frequency at a time:
 ///
@@ -33,8 +24,9 @@ struct StimulusHooks {
 ///  stage 4  frequency-count the held output at leisure, then release
 ///  stage 5  caller moves to the next frequency
 ///
-/// The sequencer sees only digital signals (stimulus peak marker, MFREQ,
-/// counter values) — no analog access, as the paper requires.
+/// The sequencer sees only digital signals (the stimulus program's crest
+/// marker, MFREQ, counter values) — no analog access, as the paper
+/// requires.
 class TestSequencer {
  public:
   struct Options {
@@ -66,16 +58,17 @@ class TestSequencer {
   enum class Stage { Idle, Settle, PhaseMeasure, AwaitPeakForHold, HoldCount };
 
   /// The frequency counter counts the raw VCO output (for resolution),
-  /// analytically, so nothing observes it.
-  TestSequencer(sim::Circuit& c, pll::CpPll& pll, StimulusHooks stimulus,
-                PeakDetector& peak_detector, sim::SignalId stimulus_peak_marker,
-                double test_clock_hz, Options options);
+  /// analytically, so nothing observes it. The phase counter starts at the
+  /// program's crest markers.
+  TestSequencer(sim::Circuit& c, pll::CpPll& pll, StimulusProgram& stimulus,
+                PeakDetector& peak_detector, double test_clock_hz, Options options);
 
   TestSequencer(const TestSequencer&) = delete;
   TestSequencer& operator=(const TestSequencer&) = delete;
 
   /// Begin measuring one point; `done` fires (at circuit time) when stage 4
-  /// completes or the watchdog trips. Only one point may be in flight.
+  /// completes or the watchdog trips. Only one point may be in flight; the
+  /// modulation must be positive and finite (std::invalid_argument).
   void measurePoint(double modulation_hz, std::function<void(PointResult)> done);
 
   /// Unmodulated carrier measurement (the nominal-output reference the
@@ -121,7 +114,7 @@ class TestSequencer {
 
   sim::Circuit& circuit_;
   pll::CpPll& pll_;
-  StimulusHooks stimulus_;
+  StimulusProgram& stimulus_;
   FrequencyCounter freq_counter_;
   PhaseCounter phase_counter_;
   Options options_;

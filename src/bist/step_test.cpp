@@ -50,7 +50,7 @@ StepTestResult runStepTest(const pll::PllConfig& config, const StepTestOptions& 
   Dco::Config dcfg;
   dcfg.master_clock_hz = config.ref_frequency_hz * 1000.0;
   dcfg.initial_modulus = 1000;
-  Dco dco(c, stim, dcfg, sim::SourceMode::Pulled);
+  Dco dco(c, stim, dcfg);
   pll::CpPll pll(c, dco, config);
   pll.setTestMode(true);
   PeakDetector detector(c, pll);

@@ -29,21 +29,27 @@ const char* to_string(PointQuality quality) {
   return "unknown";
 }
 
+namespace {
+bool finitePositive(double x) { return std::isfinite(x) && x > 0.0; }
+}  // namespace
+
 Status SweepOptions::check() const {
   using K = Status::Kind;
   if (fm_steps < 2)
     return Status::makef(K::InvalidArgument, "SweepOptions: fm_steps = %d, must be >= 2", fm_steps);
-  if (deviation_hz <= 0.0)
-    return Status::makef(K::InvalidArgument, "SweepOptions: deviation_hz = %g, must be positive",
+  if (!finitePositive(deviation_hz))
+    return Status::makef(K::InvalidArgument,
+                         "SweepOptions: deviation_hz = %g, must be positive and finite",
                          deviation_hz);
   if (modulation_frequencies_hz.empty())
     return Status::make(K::InvalidArgument,
                         "SweepOptions: modulation_frequencies_hz is empty, need >= 1 frequency");
   for (size_t i = 0; i < modulation_frequencies_hz.size(); ++i) {
-    if (!(modulation_frequencies_hz[i] > 0.0))
-      return Status::makef(K::InvalidArgument,
-                           "SweepOptions: modulation_frequencies_hz[%zu] = %g, must be positive",
-                           i, modulation_frequencies_hz[i]);
+    if (!finitePositive(modulation_frequencies_hz[i]))
+      return Status::makef(
+          K::InvalidArgument,
+          "SweepOptions: modulation_frequencies_hz[%zu] = %g, must be positive and finite", i,
+          modulation_frequencies_hz[i]);
     if (i > 0 && modulation_frequencies_hz[i] <= modulation_frequencies_hz[i - 1])
       return Status::makef(
           K::InvalidArgument,
@@ -51,8 +57,9 @@ Status SweepOptions::check() const {
           "ascending",
           i, modulation_frequencies_hz[i], i - 1, modulation_frequencies_hz[i - 1]);
   }
-  if (!(master_clock_hz > 0.0))
-    return Status::makef(K::InvalidArgument, "SweepOptions: master_clock_hz = %g, must be positive",
+  if (!finitePositive(master_clock_hz))
+    return Status::makef(K::InvalidArgument,
+                         "SweepOptions: master_clock_hz = %g, must be positive and finite",
                          master_clock_hz);
   if (pm_taps < 2)
     return Status::makef(K::InvalidArgument, "SweepOptions: pm_taps = %d, must be >= 2", pm_taps);

@@ -70,7 +70,7 @@ class SweepTestbench {
 
   /// Park the stimulus back at the unmodulated nominal carrier (between
   /// points, before relock waits).
-  void stopStimulus() { hooks_.stop(); }
+  void stopStimulus() { program_->stop(); }
 
   /// Fork: continue from `source`'s simulated state — the circuit's queue,
   /// time and signal values and every component's state — as if this bench
@@ -89,15 +89,14 @@ class SweepTestbench {
   sim::SignalId stim_out_;
   sim::SignalId stim_marker_;
 
-  // Stimulus path (only the members for the selected kind are populated).
+  // Stimulus sources (only the selected kind's are populated).
   std::unique_ptr<Dco> dco_;
-  /// The stepped program of the discrete kinds: FskModulator on the DCO,
-  /// or DelayLineModulator behind the PM clock.
-  std::unique_ptr<SlotProgram> program_;
   std::unique_ptr<pll::SineFmSource> sine_source_;
   std::unique_ptr<sim::ClockSource> pm_clock_;
+  /// The program of every kind: FskModulator on the DCO, SineFmProgram on
+  /// the sine source, or DelayLineModulator behind the PM clock.
+  std::unique_ptr<StimulusProgram> program_;
   double pm_theta_dev_rad_ = 0.0;
-  StimulusHooks hooks_;
 
   std::unique_ptr<pll::CpPll> pll_;
   std::unique_ptr<PeakDetector> peak_detector_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <stdexcept>
 
 namespace pllbist::pll {
 
@@ -58,9 +57,7 @@ CpPll::CpPll(sim::Circuit& c, sim::SignalId external_ref, sim::SignalId test_sti
 
 CpPll::CpPll(sim::Circuit& c, sim::ReferenceSource& test_stimulus, const PllConfig& cfg,
              const std::string& prefix)
-    : CpPll(c, test_stimulus.output(), cfg, prefix) {
-  if (test_stimulus.mode() != sim::SourceMode::Pulled)
-    throw std::invalid_argument("CpPll: the test stimulus must be a pulled source");
+    : CpPll(c, test_stimulus.claim().output(), cfg, prefix) {
   test_source_ = &test_stimulus;
   // M1 hears the stimulus net only while a fault rule names it; otherwise
   // it takes the edges it pulls (advanceStimulus).

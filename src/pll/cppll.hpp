@@ -92,9 +92,10 @@ class CpPll : private sim::Circuit::Handler {
   /// sim::DivideByN) and the test stimulus.
   CpPll(sim::Circuit& c, sim::SignalId external_ref, sim::SignalId test_stimulus,
         const PllConfig& cfg, const std::string& prefix = "pll");
-  /// M1's test input pulled from `test_stimulus`, a pulled source that
-  /// nothing else pulls and that outlives the loop. No external reference
-  /// drives the normal input: it stays low.
+  /// M1's test input pulled from `test_stimulus`, which outlives the loop.
+  /// The loop claims it (sim::ReferenceSource::claim): it throws
+  /// std::invalid_argument when another puller already holds it. No
+  /// external reference drives the normal input: it stays low.
   CpPll(sim::Circuit& c, sim::ReferenceSource& test_stimulus, const PllConfig& cfg,
         const std::string& prefix = "pll");
 

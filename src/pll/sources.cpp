@@ -21,8 +21,8 @@ void SineFmSource::Config::validate() const {
   if (nominal_hz <= 0.0) throw std::invalid_argument("SineFmSource: nominal frequency must be positive");
   if (deviation_hz < 0.0 || deviation_hz >= nominal_hz)
     throw std::invalid_argument("SineFmSource: deviation must be in [0, nominal)");
-  if (modulation_hz < 0.0) throw std::invalid_argument("SineFmSource: modulation frequency must be >= 0");
-  if (marker_pulse_s <= 0.0) throw std::invalid_argument("SineFmSource: marker pulse width must be positive");
+  if (!std::isfinite(modulation_hz) || modulation_hz < 0.0)
+    throw std::invalid_argument("SineFmSource: modulation frequency must be finite and >= 0");
   if (edge_jitter_rms_s < 0.0)
     throw std::invalid_argument("SineFmSource: jitter RMS must be >= 0");
   if (edge_jitter_rms_s > 0.05 / nominal_hz)
@@ -30,21 +30,15 @@ void SineFmSource::Config::validate() const {
   requireJitterFits(edge_jitter_rms_s, nominal_hz + deviation_hz);
 }
 
-SineFmSource::SineFmSource(sim::Circuit& c, sim::SignalId out, sim::SignalId peak_marker,
-                           const Config& cfg, sim::SourceMode mode)
-    : ReferenceSource(c, out, mode),
+SineFmSource::SineFmSource(sim::Circuit& c, sim::SignalId out, const Config& cfg)
+    : ReferenceSource(c, out),
       circuit_(c),
-      handler_(c.addHandler(*this)),
-      out_(out),
-      peak_marker_(peak_marker),
       cfg_(cfg),
       mod_epoch_(cfg.start_time_s),
       next_toggle_(cfg.start_time_s),
       jitter_rng_(cfg.jitter_seed) {
   cfg_.validate();
   PLLBIST_ASSERT(cfg.start_time_s >= c.now());
-  if (mode == sim::SourceMode::Drive) circuit_.scheduleEvent(cfg.start_time_s, handler_, kToggle);
-  if (cfg_.modulation_hz > 0.0) schedulePeakMarker(cfg.start_time_s);
 }
 
 double SineFmSource::instantaneousFrequency(double t) const {
@@ -65,24 +59,9 @@ double SineFmSource::jitteredEmissionTime(double clean_time) {
   return clean_time + 3.0 * sigma + j;
 }
 
-bool SineFmSource::onEvent(uint32_t tag, double now) {
-  if (tag == kToggle) {
-    const double emission = toggle(now);
-    circuit_.scheduleSet(out_, emission, out_state_);
-    circuit_.scheduleEvent(next_toggle_, handler_, kToggle);
-    return true;
-  }
-  if (tag != markerTag()) return false;  // scheduled under an older program
-  circuit_.scheduleSet(peak_marker_, now, true);
-  circuit_.scheduleSet(peak_marker_, now + cfg_.marker_pulse_s, false);
-  circuit_.scheduleEvent(now + 1.0 / cfg_.modulation_hz, handler_, tag);
-  return true;
-}
-
 double SineFmSource::toggle(double now) {
   // Track the output polarity internally: with jitter, the previous
-  // emission may still be queued, so reading the net's current value would
-  // produce duplicate (swallowed) transitions.
+  // emission may still be in flight.
   out_state_ = !out_state_;
   const double emission = jitteredEmissionTime(now);
   next_toggle_ = now + 0.5 / instantaneousFrequency(now);
@@ -100,15 +79,14 @@ bool SineFmSource::advance(double now) {
 }
 
 void SineFmSource::setModulation(double modulation_hz, double deviation_hz) {
-  if (modulation_hz < 0.0) throw std::invalid_argument("SineFmSource: modulation frequency must be >= 0");
+  if (!std::isfinite(modulation_hz) || modulation_hz < 0.0)
+    throw std::invalid_argument("SineFmSource: modulation frequency must be finite and >= 0");
   if (deviation_hz < 0.0 || deviation_hz >= cfg_.nominal_hz)
     throw std::invalid_argument("SineFmSource: deviation must be in [0, nominal)");
   requireJitterFits(cfg_.edge_jitter_rms_s, cfg_.nominal_hz + deviation_hz);
   cfg_.modulation_hz = modulation_hz;
   cfg_.deviation_hz = deviation_hz;
   mod_epoch_ = circuit_.now();
-  ++marker_generation_;  // cancel any marker scheduled under the old program
-  if (modulation_hz > 0.0) schedulePeakMarker(circuit_.now());
 }
 
 void SineFmSource::setCarrier(double nominal_hz) {
@@ -124,25 +102,11 @@ void SineFmSource::copyStateFrom(const SineFmSource& source) {
   cfg_ = source.cfg_;
   cfg_.jitter_seed = own_seed;
   mod_epoch_ = source.mod_epoch_;
-  marker_generation_ = source.marker_generation_;
   out_state_ = source.out_state_;
   next_toggle_ = source.next_toggle_;
   copySourceStateFrom(source);
   jitter_rng_.seed(own_seed);
   jitter_dist_.reset();
-}
-
-void SineFmSource::schedulePeakMarker(double from_time) {
-  // Positive crest: modulation phase = pi/2 (mod 2*pi). Subsequent markers
-  // advance by exactly one period (re-deriving the phase with fmod would
-  // accumulate round-off and can collapse the wait to ~0, livelocking the
-  // event queue).
-  const double period = 1.0 / cfg_.modulation_hz;
-  const double phase_time = std::fmod(from_time - mod_epoch_, period);
-  double wait = period * 0.25 - phase_time;
-  const double kMinWait = 1e-12;
-  while (wait < kMinWait) wait += period;
-  circuit_.scheduleEvent(from_time + wait, handler_, markerTag());
 }
 
 }  // namespace pllbist::pll

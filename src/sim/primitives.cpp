@@ -21,24 +21,10 @@ Inverter::Inverter(Circuit& c, SignalId in, SignalId out, double delay_s) {
   c.scheduleSet(out, c.now() + delay_s, !c.value(in));
 }
 
-ClockSource::ClockSource(Circuit& c, SignalId out, double period_s, double start_time_s,
-                         SourceMode mode)
-    : ReferenceSource(c, out, mode),
-      circuit_(c),
-      handler_(c.addHandler(*this)),
-      out_(out),
-      period_(period_s),
-      next_(start_time_s) {
+ClockSource::ClockSource(Circuit& c, SignalId out, double period_s, double start_time_s)
+    : ReferenceSource(c, out), period_(period_s), next_(start_time_s) {
   if (period_s <= 0.0) throw std::invalid_argument("ClockSource: period must be positive");
   PLLBIST_ASSERT(start_time_s >= c.now());
-  if (mode == SourceMode::Drive) circuit_.scheduleEvent(start_time_s, handler_, 0);
-}
-
-bool ClockSource::onEvent(uint32_t, double now) {
-  if (!running_) return false;
-  circuit_.scheduleSet(out_, now, !circuit_.value(out_));
-  circuit_.scheduleEvent(now + period_ / 2.0, handler_, 0);
-  return true;
 }
 
 double ClockSource::nextInstant() const {

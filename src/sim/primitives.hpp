@@ -7,12 +7,12 @@
 
 namespace pllbist::sim {
 
-/// Digital building blocks that the benches still wire as nets: clock
-/// sources, a divider and an edge recorder (the gate-level PFD, mux and
-/// counter oracles live with the tests). Every
-/// primitive registers callbacks (self-scheduling sources: a
-/// Circuit::Handler) on construction; instances must therefore outlive the
-/// Circuit's run and are pinned in memory (non-copyable, non-movable).
+/// Digital building blocks that the benches still wire as nets: an
+/// inverter, a clock source, a divider and an edge recorder (the gate-level
+/// PFD, mux and counter oracles live with the tests). Every primitive
+/// registers callbacks on construction, or is pulled by one that does;
+/// instances must therefore outlive the Circuit's run and are pinned in
+/// memory (non-copyable, non-movable).
 class Component {
  public:
   Component() = default;
@@ -28,13 +28,12 @@ class Inverter : public Component {
 };
 
 /// Free-running square-wave source: toggles its output with the given
-/// period starting at start_time. stop() freezes the output. Pulled (see
-/// ReferenceSource), each toggle is an instant of its puller; a stopped
-/// clock's pending instant passes without an edge.
-class ClockSource : public Component, public ReferenceSource, private Circuit::Handler {
+/// period starting at start_time. stop() freezes the output. Each toggle is
+/// an instant of its puller (see ReferenceSource); a stopped clock's
+/// pending instant passes without an edge.
+class ClockSource : public Component, public ReferenceSource {
  public:
-  ClockSource(Circuit& c, SignalId out, double period_s, double start_time_s = 0.0,
-              SourceMode mode = SourceMode::Drive);
+  ClockSource(Circuit& c, SignalId out, double period_s, double start_time_s = 0.0);
   void stop() { running_ = false; }
   [[nodiscard]] double period() const { return period_; }
   /// Fork support (see Circuit::copyStateFrom): take `source`'s state.
@@ -48,13 +47,8 @@ class ClockSource : public Component, public ReferenceSource, private Circuit::H
   bool advance(double now) override;
 
  private:
-  /// Every event is the next half-period toggle (the tag is unused).
-  bool onEvent(uint32_t tag, double now) override;
-  Circuit& circuit_;
-  Circuit::HandlerId handler_;
-  SignalId out_;
   double period_;
-  double next_;  ///< the next toggle of a pulled clock
+  double next_;  ///< the next toggle
   bool running_ = true;
 };
 

@@ -14,16 +14,17 @@ namespace {
 /// on its VCO (nominal 100 kHz).
 struct LockedLoop {
   sim::Circuit c;
-  sim::SignalId ext_ref, stim, marker;
+  sim::SignalId ext_ref, stim;
   pll::SineFmSource source;
+  sim::SourceDriver drive;
   pll::CpPll pll;
   FrequencyCounter counter;
 
   LockedLoop()
       : ext_ref(c.addSignal("ext_ref")),
         stim(c.addSignal("stim")),
-        marker(c.addSignal("marker")),
-        source(c, stim, marker, sourceConfig()),
+        source(c, stim, sourceConfig()),
+        drive(c, source),
         pll(c, ext_ref, stim, testing::fastTestConfig()),
         counter(c, pll.vco()) {
     pll.setTestMode(true);

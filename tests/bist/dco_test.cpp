@@ -39,6 +39,7 @@ TEST(DcoConfig, Validation) {
 TEST(Dco, NominalFrequencyFromModulus) {
   DcoBench b;
   Dco dco(b.c, b.out, config());  // 1 MHz / 1000 = 1 kHz
+  sim::SourceDriver drive(b.c, dco);
   sim::EdgeRecorder rec(b.c, b.out);
   b.c.run(0.02);
   const auto& rises = rec.risingEdges();
@@ -49,6 +50,7 @@ TEST(Dco, NominalFrequencyFromModulus) {
 TEST(Dco, EdgesLandExactlyOnMasterTicks) {
   DcoBench b;
   Dco dco(b.c, b.out, config());
+  sim::SourceDriver drive(b.c, dco);
   sim::EdgeRecorder rec(b.c, b.out);
   b.c.run(0.01);
   for (double t : rec.risingEdges()) {
@@ -60,6 +62,7 @@ TEST(Dco, EdgesLandExactlyOnMasterTicks) {
 TEST(Dco, DutyCycleNearHalf) {
   DcoBench b;
   Dco dco(b.c, b.out, config());
+  sim::SourceDriver drive(b.c, dco);
   sim::EdgeRecorder rec(b.c, b.out);
   b.c.run(0.01);
   ASSERT_GE(rec.fallingEdges().size(), 3u);
@@ -70,6 +73,7 @@ TEST(Dco, DutyCycleNearHalf) {
 TEST(Dco, FrequencyHopLatchesAtRisingEdge) {
   DcoBench b;
   Dco dco(b.c, b.out, config());
+  sim::SourceDriver drive(b.c, dco);
   sim::EdgeRecorder rec(b.c, b.out);
   b.c.run(0.0035);  // mid-cycle
   dco.setFrequency(2000.0);
@@ -138,6 +142,7 @@ TEST(Dco, StartTimeRespected) {
   Dco::Config cfg = config();
   cfg.start_time_s = 5e-3;
   Dco dco(b.c, b.out, cfg);
+  sim::SourceDriver drive(b.c, dco);
   sim::EdgeRecorder rec(b.c, b.out);
   b.c.run(4e-3);
   EXPECT_TRUE(rec.risingEdges().empty());

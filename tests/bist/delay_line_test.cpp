@@ -23,7 +23,12 @@ struct LineBench {
   sim::SignalId in;
   sim::SignalId out;
   sim::SignalId marker;
-  LineBench() : in(c.addSignal("in")), out(c.addSignal("out")), marker(c.addSignal("marker")) {}
+  sim::ClockSource clock;  ///< 1 kHz on `in`, from 10 us
+  LineBench()
+      : in(c.addSignal("in")),
+        out(c.addSignal("out")),
+        marker(c.addSignal("marker")),
+        clock(c, in, 1e-3, 1e-5) {}
 };
 
 DelayLineModulator::Config lineConfig() {
@@ -50,10 +55,10 @@ TEST(DelayLineConfig, Validation) {
 
 TEST(DelayLine, IdleDelaysByMidTap) {
   LineBench b;
-  DelayLineModulator line(b.c, b.in, b.out, b.marker, lineConfig());
+  DelayLineModulator line(b.c, b.clock, b.out, b.marker, lineConfig());
+  sim::SourceDriver drive(b.c, line);
   sim::EdgeRecorder in_rec(b.c, b.in);
   sim::EdgeRecorder out_rec(b.c, b.out);
-  sim::ClockSource src(b.c, b.in, 1e-3, 1e-5);
   b.c.run(0.02);
   ASSERT_GE(out_rec.risingEdges().size(), 3u);
   // Mid tap of 9 taps = index 4 -> delay (1+4)*5us = 25 us.
@@ -62,7 +67,8 @@ TEST(DelayLine, IdleDelaysByMidTap) {
 
 TEST(DelayLine, TapProgramIsSampledSine) {
   LineBench b;
-  DelayLineModulator line(b.c, b.in, b.out, b.marker, lineConfig());
+  DelayLineModulator line(b.c, b.clock, b.out, b.marker, lineConfig());
+  sim::SourceDriver drive(b.c, line);
   EXPECT_EQ(line.tapForSlot(0), 4);            // mid
   EXPECT_EQ(line.tapForSlot(10), 4);           // wraps
   // Inverted program: phase crest (minimum delay) in the first half.
@@ -74,15 +80,16 @@ TEST(DelayLine, TapProgramIsSampledSine) {
 
 TEST(DelayLine, PhaseDeviationFormula) {
   LineBench b;
-  DelayLineModulator line(b.c, b.in, b.out, b.marker, lineConfig());
+  DelayLineModulator line(b.c, b.clock, b.out, b.marker, lineConfig());
+  sim::SourceDriver drive(b.c, line);
   // (taps-1)/2 * tap_delay * 2*pi*fref = 4 * 5us * 2pi * 1000.
   EXPECT_NEAR(line.phaseDeviationRad(), 4.0 * 5e-6 * kTwoPi * 1000.0, 1e-12);
 }
 
 TEST(DelayLine, ModulationSwingsOutputPhase) {
   LineBench b;
-  DelayLineModulator line(b.c, b.in, b.out, b.marker, lineConfig());
-  sim::ClockSource src(b.c, b.in, 1e-3, 1e-5);
+  DelayLineModulator line(b.c, b.clock, b.out, b.marker, lineConfig());
+  sim::SourceDriver drive(b.c, line);
   line.start(20.0);
   sim::EdgeRecorder in_rec(b.c, b.in);
   sim::EdgeRecorder out_rec(b.c, b.out);
@@ -101,8 +108,8 @@ TEST(DelayLine, ModulationSwingsOutputPhase) {
 
 TEST(DelayLine, MarkerOncePerPeriod) {
   LineBench b;
-  DelayLineModulator line(b.c, b.in, b.out, b.marker, lineConfig());
-  sim::ClockSource src(b.c, b.in, 1e-3, 1e-5);
+  DelayLineModulator line(b.c, b.clock, b.out, b.marker, lineConfig());
+  sim::SourceDriver drive(b.c, line);
   line.start(20.0);
   sim::EdgeRecorder marker(b.c, b.marker);
   b.c.run(0.3);
@@ -113,8 +120,8 @@ TEST(DelayLine, MarkerOncePerPeriod) {
 
 TEST(DelayLine, StopReturnsToMidTapAndSilencesMarker) {
   LineBench b;
-  DelayLineModulator line(b.c, b.in, b.out, b.marker, lineConfig());
-  sim::ClockSource src(b.c, b.in, 1e-3, 1e-5);
+  DelayLineModulator line(b.c, b.clock, b.out, b.marker, lineConfig());
+  sim::SourceDriver drive(b.c, line);
   line.start(20.0);
   b.c.run(0.1);
   line.stop();

@@ -140,18 +140,22 @@ TEST(BenchForkJitter, EachForkDrawsFromItsOwnSeed) {
   EXPECT_TRUE(a.deviation_hz != b.deviation_hz || a.phase_deg != b.phase_deg);
 }
 
-/// One stepped stimulus program on its own circuit, wired as the bench
-/// wires it: the FSK program on a DCO, or the PM program on a delay line
-/// behind a reference clock. Recorders on the stimulus and marker nets see
-/// every slot setting (the DCO's edges follow its modulus, the line's
-/// edges its tap) and every crest marker.
+/// One stimulus program on its own circuit, wired as the bench wires it:
+/// the FSK program on a DCO, the sine-FM program on the sine source, or the
+/// PM program on a delay line behind a reference clock; a driver writes the
+/// source's edges to the stimulus net. Recorders on the stimulus and marker
+/// nets see every program setting (the DCO's edges follow its modulus, the
+/// sine source's its modulation, the line's edges its tap) and every crest
+/// marker.
 struct ProgramBench {
   sim::Circuit c;
   sim::SignalId out = c.addSignal("stimulus");
   sim::SignalId marker = c.addSignal("marker");
   std::unique_ptr<Dco> dco;
+  std::unique_ptr<pll::SineFmSource> sine;
   std::unique_ptr<sim::ClockSource> clock;
-  std::unique_ptr<SlotProgram> program;
+  std::unique_ptr<StimulusProgram> program;
+  std::unique_ptr<sim::SourceDriver> driver;
   sim::EdgeRecorder out_edges{c, out};
   sim::EdgeRecorder marker_edges{c, marker};
 
@@ -162,9 +166,18 @@ struct ProgramBench {
       DelayLineModulator::Config cfg;
       cfg.taps = 9;
       cfg.tap_delay_s = 5e-6;
-      program = std::make_unique<DelayLineModulator>(c, raw, out, marker, cfg);
+      auto line = std::make_unique<DelayLineModulator>(c, *clock, out, marker, cfg);
+      driver = std::make_unique<sim::SourceDriver>(c, *line);
+      program = std::move(line);
+    } else if (kind == StimulusKind::PureSineFm) {
+      pll::SineFmSource::Config cfg;
+      cfg.nominal_hz = 1000.0;
+      sine = std::make_unique<pll::SineFmSource>(c, out, cfg);
+      driver = std::make_unique<sim::SourceDriver>(c, *sine);
+      program = std::make_unique<SineFmProgram>(c, *sine, marker, SineFmProgram::Config{});
     } else {
       dco = std::make_unique<Dco>(c, out, Dco::Config{1e6, 1000, 0.0});
+      driver = std::make_unique<sim::SourceDriver>(c, *dco);
       FskModulator::Config cfg;
       cfg.waveform = kind == StimulusKind::TwoToneFsk ? StimulusWaveform::TwoToneFsk
                                                       : StimulusWaveform::MultiToneFsk;
@@ -175,6 +188,7 @@ struct ProgramBench {
   void copyStateFrom(const ProgramBench& source) {
     c.copyStateFrom(source.c);
     if (dco) dco->copyStateFrom(*source.dco);
+    if (sine) sine->copyStateFrom(*source.sine);
     if (clock) clock->copyStateFrom(*source.clock);
     program->copyStateFrom(*source.program);
   }
@@ -230,12 +244,13 @@ TEST_P(SlotProgramFork, RestartedProgramForkedBeforeTheOldEventsDrain) {
 
 INSTANTIATE_TEST_SUITE_P(Programs, SlotProgramFork,
                          ::testing::Values(StimulusKind::MultiToneFsk, StimulusKind::TwoToneFsk,
-                                           StimulusKind::DelayLinePm),
+                                           StimulusKind::DelayLinePm, StimulusKind::PureSineFm),
                          [](const ::testing::TestParamInfo<StimulusKind>& info) {
                            switch (info.param) {
                              case StimulusKind::MultiToneFsk: return "MultiToneFsk";
                              case StimulusKind::TwoToneFsk: return "TwoToneFsk";
                              case StimulusKind::DelayLinePm: return "DelayLinePm";
+                             case StimulusKind::PureSineFm: return "PureSineFm";
                              default: return "Unknown";
                            }
                          });

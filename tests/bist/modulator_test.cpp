@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/units.hpp"
 #include "dsp/resample.hpp"
@@ -17,10 +18,12 @@ struct ModBench {
   sim::SignalId out;
   sim::SignalId marker;
   Dco dco;
+  sim::SourceDriver drive;
   ModBench()
       : out(c.addSignal("out")),
         marker(c.addSignal("marker")),
-        dco(c, out, Dco::Config{1e6, 1000, 0.0}) {}
+        dco(c, out, Dco::Config{1e6, 1000, 0.0}),
+        drive(c, dco) {}
 };
 
 FskModulator::Config modConfig(StimulusWaveform wf = StimulusWaveform::MultiToneFsk,
@@ -68,6 +71,60 @@ TEST(FskModulator, StartRequiresPositiveModulation) {
   FskModulator mod(b.c, b.dco, b.marker, modConfig());
   EXPECT_THROW(mod.start(0.0), std::invalid_argument);
   EXPECT_FALSE(mod.running());
+}
+
+/// One check in the program base refuses a non-finite modulation for every
+/// stimulus: it would schedule slot boundaries 0 s apart, or a NaN crest.
+TEST(StimulusProgram, StartRefusesNonFiniteModulation) {
+  ModBench b;
+  FskModulator fsk(b.c, b.dco, b.marker, modConfig());
+  pll::SineFmSource::Config scfg;
+  scfg.nominal_hz = 1000.0;
+  pll::SineFmSource sine_source(b.c, b.c.addSignal("sine"), scfg);
+  SineFmProgram sine(b.c, sine_source, b.marker, {1000.0, 10.0});
+  for (StimulusProgram* program : {static_cast<StimulusProgram*>(&fsk),
+                                   static_cast<StimulusProgram*>(&sine)}) {
+    for (const double bad : {std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+      EXPECT_THROW(program->start(bad), std::invalid_argument) << bad;
+      EXPECT_FALSE(program->running());
+    }
+  }
+}
+
+TEST(SineFmProgramConfig, Validation) {
+  SineFmProgram::Config cfg{1000.0, 10.0};
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.nominal_hz = 0.0;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg = {1000.0, 1000.0};  // deviation >= nominal
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg = {1000.0, 10.0};
+  cfg.marker_pulse_s = 0.0;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
+/// Started, the sine source swings about the nominal; stopped, it returns
+/// to the nominal carrier; parked, it holds the crest frequency.
+TEST(SineFmProgram, StartStopAndParkSetTheSource) {
+  sim::Circuit c;
+  const sim::SignalId out = c.addSignal("out");
+  const sim::SignalId marker = c.addSignal("marker");
+  pll::SineFmSource::Config scfg;
+  scfg.nominal_hz = 1000.0;
+  pll::SineFmSource source(c, out, scfg);
+  sim::SourceDriver drive(c, source);
+  SineFmProgram program(c, source, marker, {1000.0, 10.0});
+  program.start(20.0);
+  EXPECT_TRUE(program.running());
+  EXPECT_NEAR(source.instantaneousFrequency(0.25 / 20.0), 1010.0, 1e-9);
+  c.run(0.1);
+  program.park();
+  EXPECT_FALSE(program.running());
+  EXPECT_DOUBLE_EQ(source.instantaneousFrequency(0.2), 1010.0);
+  program.stop();
+  EXPECT_DOUBLE_EQ(source.instantaneousFrequency(0.2), 1000.0);
+  EXPECT_EQ(source.config().modulation_hz, 0.0);
 }
 
 TEST(FskModulator, OutputSwingsAcrossProgramRange) {

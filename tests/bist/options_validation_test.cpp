@@ -73,6 +73,22 @@ TEST(SweepOptionsValidation, RejectsNonPositiveMasterClock) {
   expectRejects(opt.check(), "master_clock_hz");
 }
 
+TEST(SweepOptionsValidation, RejectsNonFiniteStimulusInputs) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {kInf, kNaN}) {
+    SweepOptions opt = goodOptions();
+    opt.modulation_frequencies_hz = {50.0, bad};
+    expectRejects(opt.check(), "modulation_frequencies_hz[1]");
+    opt = goodOptions();
+    opt.master_clock_hz = bad;
+    expectRejects(opt.check(), "master_clock_hz");
+    opt = goodOptions();
+    opt.deviation_hz = bad;
+    expectRejects(opt.check(), "deviation_hz");
+  }
+}
+
 TEST(SweepOptionsValidation, RejectsNegativeJitterAndWaits) {
   SweepOptions opt = goodOptions();
   opt.ref_edge_jitter_rms_s = -1e-9;

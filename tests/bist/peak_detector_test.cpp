@@ -111,10 +111,10 @@ TEST(PeakDetector, MarksCapacitorVoltageMaximaInClosedLoop) {
   sim::Circuit c;
   const auto ext = c.addSignal("ext");
   const auto stim = c.addSignal("stim");
-  const auto mk = c.addSignal("mk");
   pll::SineFmSource::Config scfg;
   scfg.nominal_hz = cfg.ref_frequency_hz;
-  pll::SineFmSource src(c, stim, mk, scfg);
+  pll::SineFmSource src(c, stim, scfg);
+  sim::SourceDriver drive(c, src);
   pll::CpPll pll(c, ext, stim, cfg);
   pll.setTestMode(true);
   PeakDetector det(c, pll);

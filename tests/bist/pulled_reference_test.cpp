@@ -5,8 +5,8 @@
 // off and on again, the sine-FM generator with edge jitter, and the delay
 // line under the PM program over its clock) runs twice on the same seeded
 // program:
-// once driving its net with kernel events while pll::CpPll hears the net,
-// and once pulled by the loop (sim::SourceMode::Pulled). Every reference
+// once driven onto its net by a sim::SourceDriver while pll::CpPll hears
+// the net, and once pulled by the loop. Every reference
 // and feedback edge the loop decides, every UP/DN change, and every
 // filter-voltage sample must be bit-equal, edge for edge and at the same
 // circuit time: with the stimulus net unobserved, observed (its edges then
@@ -109,8 +109,8 @@ struct BenchSetup {
   double rule_at = -1.0;  ///< when a drop-probability-0 rule names the stimulus; < 0: never
 };
 
-/// One bench: the source for `kind`, driving its net or pulled, the loop,
-/// a listener, and the program runner.
+/// One bench: the source for `kind`, driven onto its net or pulled, the
+/// loop, a listener, and the program runner.
 class Bench : private sim::Circuit::Handler {
  public:
   sim::Circuit c;
@@ -124,10 +124,9 @@ class Bench : private sim::Circuit::Handler {
   Bench(const BenchSetup& s, const std::vector<Action>& program)
       : program_(program), handler_(c.addHandler(*this)) {
     const pll::PllConfig cfg = pll::scaledTestConfig();
-    const sim::SourceMode mode = s.pulled ? sim::SourceMode::Pulled : sim::SourceMode::Drive;
     sim::ReferenceSource* test = nullptr;
     if (s.kind == Kind::Fsk) {
-      dco_ = std::make_unique<Dco>(c, stim, Dco::Config{1e6, 100, 0.0}, mode);
+      dco_ = std::make_unique<Dco>(c, stim, Dco::Config{1e6, 100, 0.0});
       FskModulator::Config m;
       m.nominal_hz = kRef;
       m.deviation_hz = kDeviation;
@@ -138,25 +137,28 @@ class Bench : private sim::Circuit::Handler {
       sc.nominal_hz = kRef;
       sc.edge_jitter_rms_s = 50e-9;
       sc.jitter_seed = 5;
-      sine_ = std::make_unique<pll::SineFmSource>(c, stim, marker, sc, mode);
+      sine_ = std::make_unique<pll::SineFmSource>(c, stim, sc);
       test = sine_.get();
+      SineFmProgram::Config p;
+      p.nominal_hz = kRef;
+      p.deviation_hz = kDeviation;
+      program_src_ = std::make_unique<SineFmProgram>(c, *sine_, marker, p);
     } else {
-      pm_clock_ = std::make_unique<sim::ClockSource>(c, raw, 1.0 / kRef, 0.0, mode);
+      pm_clock_ = std::make_unique<sim::ClockSource>(c, raw, 1.0 / kRef, 0.0);
       DelayLineModulator::Config d;
       d.taps = 9;
       d.tap_delay_s = 1.0 / (8.0 * kRef * 8.0);
       d.nominal_hz = kRef;
-      if (s.pulled) {
-        line_ = std::make_unique<DelayLineModulator>(c, *pm_clock_, stim, marker, d);
-        test = line_.get();
-      } else {
-        line_ = std::make_unique<DelayLineModulator>(c, raw, stim, marker, d);
-      }
+      auto line = std::make_unique<DelayLineModulator>(c, *pm_clock_, stim, marker, d);
+      test = line.get();
+      program_src_ = std::move(line);
     }
-    if (s.pulled)
+    if (s.pulled) {
       pll_ = std::make_unique<pll::CpPll>(c, *test, cfg);
-    else
+    } else {
+      driver_ = std::make_unique<sim::SourceDriver>(c, *test);
       pll_ = std::make_unique<pll::CpPll>(c, ext, stim, cfg);
+    }
     pll_->addTap(listener);
     pll_->setTestMode(true);
     // The driven net is written anyway, so it is always recorded there.
@@ -178,16 +180,13 @@ class Bench : private sim::Circuit::Handler {
     if (dco_) dco_->copyStateFrom(*source.dco_);
     if (pm_clock_) pm_clock_->copyStateFrom(*source.pm_clock_);
     if (sine_) sine_->copyStateFrom(*source.sine_);
-    if (program_src_) program_src_->copyStateFrom(*source.program_src_);
-    if (line_) line_->copyStateFrom(*source.line_);
+    program_src_->copyStateFrom(*source.program_src_);
     next_ = source.next_;
   }
 
  private:
   bool onEvent(uint32_t, double now) override {
     const Action& a = program_[next_++];
-    SlotProgram* program =
-        program_src_ ? static_cast<SlotProgram*>(program_src_.get()) : line_.get();
     switch (a.what) {
       case Action::What::Hold:
         pll_->setHold(a.arg != 0.0);
@@ -196,28 +195,13 @@ class Bench : private sim::Circuit::Handler {
         pll_->setTestMode(a.arg != 0.0);
         break;
       case Action::What::Start:
-        if (sine_) {
-          sine_->setCarrier(kRef);
-          sine_->setModulation(a.arg, kDeviation);
-        } else {
-          program->start(a.arg);
-        }
+        program_src_->start(a.arg);
         break;
       case Action::What::Stop:
-        if (sine_) {
-          sine_->setModulation(0.0, 0.0);
-          sine_->setCarrier(kRef);
-        } else {
-          program->stop();
-        }
+        program_src_->stop();
         break;
       case Action::What::Park:
-        if (sine_) {
-          sine_->setModulation(0.0, 0.0);
-          sine_->setCarrier(kRef + kDeviation);
-        } else {
-          program->park();
-        }
+        program_src_->park();
         break;
       case Action::What::Rule:
         injector_ = std::make_unique<sim::FaultInjector>(c, 9);
@@ -237,8 +221,8 @@ class Bench : private sim::Circuit::Handler {
   std::unique_ptr<sim::ClockSource> pm_clock_;
   std::unique_ptr<Dco> dco_;
   std::unique_ptr<pll::SineFmSource> sine_;
-  std::unique_ptr<FskModulator> program_src_;
-  std::unique_ptr<DelayLineModulator> line_;
+  std::unique_ptr<StimulusProgram> program_src_;
+  std::unique_ptr<sim::SourceDriver> driver_;  ///< the driven bench's
   std::unique_ptr<pll::CpPll> pll_;
   // Declared last: destroyed first, while the circuit is still alive.
   std::unique_ptr<sim::FaultInjector> injector_;
@@ -333,6 +317,28 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::tuple<Kind, uint64_t>>& info) {
       return kindName(std::get<0>(info.param)) + "_seed" + std::to_string(std::get<1>(info.param));
     });
+
+/// One puller per source: a loop, a line or a driver that claims a source
+/// another already holds throws, whichever claimed it first.
+TEST(OnePuller, ClaimingAClaimedSourceThrows) {
+  const pll::PllConfig cfg = pll::scaledTestConfig();
+  sim::Circuit c;
+  const sim::SignalId stim = c.addSignal("stimulus");
+  const sim::SignalId raw = c.addSignal("raw_ref");
+  const sim::SignalId marker = c.addSignal("marker");
+  Dco dco(c, stim, Dco::Config{1e6, 100, 0.0});
+  pll::CpPll pll(c, dco, cfg);
+  EXPECT_THROW(sim::SourceDriver(c, dco), std::invalid_argument);
+  EXPECT_THROW(pll::CpPll(c, dco, cfg, "second"), std::invalid_argument);
+
+  sim::ClockSource clock(c, raw, 1.0 / kRef);
+  sim::SourceDriver driver(c, clock);
+  DelayLineModulator::Config d;
+  d.nominal_hz = kRef;
+  d.tap_delay_s = 1e-6;
+  EXPECT_THROW(DelayLineModulator(c, clock, stim, marker, d), std::invalid_argument);
+  EXPECT_THROW(pll::CpPll(c, clock, cfg, "third"), std::invalid_argument);
+}
 
 }  // namespace
 }  // namespace pllbist::bist

@@ -57,7 +57,9 @@ TEST(Robustness, PointMeasurementSurvivesReferenceJitter) {
     pll::SineFmSource::Config scfg;
     scfg.nominal_hz = cfg.ref_frequency_hz;
     scfg.edge_jitter_rms_s = jitter_rms;
-    pll::SineFmSource src(c, stim, marker, scfg);
+    pll::SineFmSource src(c, stim, scfg);
+    sim::SourceDriver drive(c, src);
+    SineFmProgram program(c, src, marker, {cfg.ref_frequency_hz, 100.0});
     pll::CpPll pll(c, ext, stim, cfg);
     pll.setTestMode(true);
     PeakDetector det(c, pll);
@@ -65,14 +67,7 @@ TEST(Robustness, PointMeasurementSurvivesReferenceJitter) {
     opt.freq_gate_s = 0.05;
     opt.hold_to_gate_delay_s = 2e-4;
     opt.average_periods = 8;  // jitter averages out over more periods
-    TestSequencer seq(c, pll,
-                      StimulusHooks{[&](double fm) { src.setModulation(fm, 100.0); },
-                                    [&] { src.setModulation(0.0, 0.0); },
-                                    [&] {
-                                      src.setModulation(0.0, 0.0);
-                                      src.setCarrier(cfg.ref_frequency_hz + 100.0);
-                                    }},
-                      det, marker, 10e6, opt);
+    TestSequencer seq(c, pll, program, det, 10e6, opt);
     c.run(0.05);
     bool done = false;
     TestSequencer::PointResult r;

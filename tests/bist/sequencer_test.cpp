@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "bist/dco.hpp"
 #include "bist/modulator.hpp"
@@ -25,6 +26,7 @@ struct SequencerBench {
   sim::SignalId stim;
   sim::SignalId marker;
   Dco dco;
+  sim::SourceDriver drive;
   FskModulator modulator;
   pll::CpPll pll;
   PeakDetector detector;
@@ -50,13 +52,11 @@ struct SequencerBench {
         stim(c.addSignal("stim")),
         marker(c.addSignal("marker")),
         dco(c, stim, Dco::Config{10e6, 1000, 0.0}),
+        drive(c, dco),
         modulator(c, dco, marker, modConfig(cfg)),
         pll(c, ext_ref, stim, cfg),
         detector(c, pll),
-        sequencer(c, pll,
-                  StimulusHooks{[this](double fm) { modulator.start(fm); },
-                                [this] { modulator.stop(); }, [this] { modulator.park(); }},
-                  detector, marker, 10e6, options()) {
+        sequencer(c, pll, modulator, detector, 10e6, options()) {
     pll.setTestMode(true);
     c.run(0.05);  // lock
   }
@@ -164,6 +164,17 @@ TEST(TestSequencer, InvalidInputsThrow) {
   EXPECT_THROW(b.sequencer.measureStaticReference(0.0, [](double) {}), std::invalid_argument);
 }
 
+TEST(TestSequencer, MeasurePointRefusesNonFiniteModulation) {
+  SequencerBench b;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 0.0}) {
+    EXPECT_THROW(b.sequencer.measurePoint(bad, [](TestSequencer::PointResult) {}),
+                 std::invalid_argument)
+        << bad;
+    EXPECT_EQ(b.sequencer.stage(), TestSequencer::Stage::Idle);
+  }
+}
+
 TEST(TestSequencer, WatchdogFiresOnDeadDetector) {
   // Deaf peak detector: wire it to PLLREF alone, so its feedback input
   // stays low and it never sees reversals. The sequencer must time out
@@ -174,15 +185,13 @@ TEST(TestSequencer, WatchdogFiresOnDeadDetector) {
   const auto stim = c.addSignal("stim");
   const auto marker = c.addSignal("marker");
   Dco dco(c, stim, Dco::Config{10e6, 1000, 0.0});
+  sim::SourceDriver drive(c, dco);
   FskModulator mod(c, dco, marker, SequencerBench::modConfig(cfg));
   pll::CpPll pll(c, ext, stim, cfg);
   pll.setTestMode(true);
   PeakDetector det(c, cfg.pfd, PeakDetectorDelays{});
   c.onRisingEdge(pll.ref(), [&det](double t) { det.inputRose(false, t); });
-  TestSequencer seq(c, pll,
-                    StimulusHooks{[&](double fm) { mod.start(fm); }, [&] { mod.stop(); },
-                                  [&] { mod.park(); }},
-                    det, marker, 10e6, SequencerBench::options());
+  TestSequencer seq(c, pll, mod, det, 10e6, SequencerBench::options());
   c.run(0.05);
   TestSequencer::PointResult r;
   bool done = false;
@@ -203,21 +212,13 @@ TEST(TestSequencer, WorksWithPureSineStimulus) {
   const auto marker = c.addSignal("marker");
   pll::SineFmSource::Config scfg;
   scfg.nominal_hz = cfg.ref_frequency_hz;
-  pll::SineFmSource src(c, stim, marker, scfg);
+  pll::SineFmSource src(c, stim, scfg);
+  sim::SourceDriver drive(c, src);
+  SineFmProgram program(c, src, marker, {cfg.ref_frequency_hz, 100.0});
   pll::CpPll pll(c, ext, stim, cfg);
   pll.setTestMode(true);
   PeakDetector det(c, pll);
-  TestSequencer seq(c, pll,
-                    StimulusHooks{[&](double fm) { src.setModulation(fm, 100.0); },
-                                  [&] {
-                                    src.setModulation(0.0, 0.0);
-                                    src.setCarrier(cfg.ref_frequency_hz);
-                                  },
-                                  [&] {
-                                    src.setModulation(0.0, 0.0);
-                                    src.setCarrier(cfg.ref_frequency_hz + 100.0);
-                                  }},
-                    det, marker, 10e6, SequencerBench::options());
+  TestSequencer seq(c, pll, program, det, 10e6, SequencerBench::options());
   c.run(0.05);
   bool done = false;
   TestSequencer::PointResult r;

@@ -22,15 +22,15 @@ struct LoopBench {
   sim::Circuit c;
   sim::SignalId ext_ref;
   sim::SignalId stim;
-  sim::SignalId marker;
   SineFmSource source;
+  sim::SourceDriver drive;
   CpPll pll;
 
   explicit LoopBench(const PllConfig& cfg, double ref_hz)
       : ext_ref(c.addSignal("ext_ref")),
         stim(c.addSignal("stim")),
-        marker(c.addSignal("marker")),
-        source(c, stim, marker, makeSourceConfig(ref_hz)),
+        source(c, stim, makeSourceConfig(ref_hz)),
+        drive(c, source),
         pll(c, ext_ref, stim, cfg) {
     pll.setTestMode(true);
   }
@@ -236,6 +236,7 @@ TEST(CpPll, NormalModeLocksToExternalReference) {
   const auto ext = c.addSignal("ext");
   const auto stim = c.addSignal("stim");  // unused in normal mode
   sim::ClockSource ext_src(c, ext, 1.0 / (4.0 * cfg.ref_frequency_hz));
+  sim::SourceDriver drive_ext(c, ext_src);
   CpPll pll(c, ext, stim, cfg);
   // test mode left OFF: M1 selects the divided external reference.
   LockDetector lock(pll, 2e-6, 10);
@@ -253,6 +254,8 @@ TEST(CpPll, TestModeSwitchesBetweenSources) {
   const auto stim = c.addSignal("stim");
   sim::ClockSource ext_src(c, ext, 1.0 / (cfg.ref_frequency_hz * 1.02));
   sim::ClockSource stim_src(c, stim, 1.0 / cfg.ref_frequency_hz);
+  sim::SourceDriver drive_ext(c, ext_src);
+  sim::SourceDriver drive_stim(c, stim_src);
   CpPll pll(c, ext, stim, cfg);
   c.run(0.08);
   EXPECT_NEAR(pll.vcoFrequencyNowHz(), cfg.nominalVcoHz() * 1.02, cfg.nominalVcoHz() * 5e-3);

@@ -35,15 +35,16 @@ TEST(CurrentPumpConfig, RejectsBadTargets) {
 
 struct CurrentLoopBench {
   sim::Circuit c;
-  sim::SignalId ext, stim, mk;
+  sim::SignalId ext, stim;
   SineFmSource source;
+  sim::SourceDriver drive;
   CpPll pll;
 
   explicit CurrentLoopBench(const PllConfig& cfg)
       : ext(c.addSignal("ext")),
         stim(c.addSignal("stim")),
-        mk(c.addSignal("mk")),
-        source(c, stim, mk, sourceConfig(cfg)),
+        source(c, stim, sourceConfig(cfg)),
+        drive(c, source),
         pll(c, ext, stim, cfg) {
     pll.setTestMode(true);
   }

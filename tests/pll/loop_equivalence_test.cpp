@@ -412,10 +412,10 @@ TEST(CpPll, PumpEdgesSupersedeNoEvent) {
   sim::Circuit c;
   const sim::SignalId ext = c.addSignal("ext_ref");
   const sim::SignalId stim = c.addSignal("stimulus");
-  const sim::SignalId marker = c.addSignal("marker");
   SineFmSource::Config scfg;
   scfg.nominal_hz = cfg.ref_frequency_hz;
-  SineFmSource source(c, stim, marker, scfg);
+  SineFmSource source(c, stim, scfg);
+  sim::SourceDriver drive(c, source);
   source.setModulation(150.0, 100.0);
   CpPll pll(c, ext, stim, cfg);
   pll.setTestMode(true);

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
+#include "bist/modulator.hpp"
 #include "dsp/resample.hpp"
 #include "sim/circuit.hpp"
 #include "sim/primitives.hpp"
@@ -36,14 +38,14 @@ TEST(SineFmSource, ConfigValidation) {
   cfg = cwConfig();
   cfg.modulation_hz = -1.0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg = cwConfig();
-  cfg.marker_pulse_s = 0.0;
+  cfg.modulation_hz = std::numeric_limits<double>::infinity();
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
 TEST(SineFmSource, UnmodulatedCarrierFrequency) {
   SourceBench b;
-  SineFmSource src(b.c, b.out, b.marker, cwConfig(1000.0));
+  SineFmSource src(b.c, b.out, cwConfig(1000.0));
+  sim::SourceDriver drive(b.c, src);
   sim::EdgeRecorder rec(b.c, b.out);
   b.c.run(0.05);
   const auto& rises = rec.risingEdges();
@@ -57,7 +59,8 @@ TEST(SineFmSource, ModulationSwingsInstantaneousFrequency) {
   SineFmSource::Config cfg = cwConfig(1000.0);
   cfg.deviation_hz = 100.0;
   cfg.modulation_hz = 10.0;
-  SineFmSource src(b.c, b.out, b.marker, cfg);
+  SineFmSource src(b.c, b.out, cfg);
+  sim::SourceDriver drive(b.c, src);
   sim::EdgeRecorder rec(b.c, b.out);
   b.c.run(0.5);
   auto freqs = dsp::frequencyFromEdges(rec.risingEdges());
@@ -75,19 +78,28 @@ TEST(SineFmSource, InstantaneousFrequencyFormula) {
   SineFmSource::Config cfg = cwConfig(1000.0);
   cfg.deviation_hz = 50.0;
   cfg.modulation_hz = 5.0;
-  SineFmSource src(b.c, b.out, b.marker, cfg);
+  SineFmSource src(b.c, b.out, cfg);
   // Peak at a quarter modulation period.
   EXPECT_NEAR(src.instantaneousFrequency(0.05), 1050.0, 1e-9);
   EXPECT_NEAR(src.instantaneousFrequency(0.15), 950.0, 1e-9);
   EXPECT_NEAR(src.instantaneousFrequency(0.2), 1000.0, 1e-6);
 }
 
+/// The sine stimulus's crest markers are its program's: a program over
+/// the source, started at the modulation frequency.
+struct ProgramBench : SourceBench {
+  SineFmSource src;
+  sim::SourceDriver drive;
+  bist::SineFmProgram program;
+  ProgramBench(double nominal_hz, double deviation_hz)
+      : src(c, out, cwConfig(nominal_hz)),
+        drive(c, src),
+        program(c, src, marker, {nominal_hz, deviation_hz}) {}
+};
+
 TEST(SineFmSource, PeakMarkersSpacedOneModulationPeriod) {
-  SourceBench b;
-  SineFmSource::Config cfg = cwConfig(1000.0);
-  cfg.deviation_hz = 100.0;
-  cfg.modulation_hz = 20.0;
-  SineFmSource src(b.c, b.out, b.marker, cfg);
+  ProgramBench b(1000.0, 100.0);
+  b.program.start(20.0);
   sim::EdgeRecorder rec(b.c, b.marker);
   b.c.run(0.5);
   const auto& rises = rec.risingEdges();
@@ -98,23 +110,19 @@ TEST(SineFmSource, PeakMarkersSpacedOneModulationPeriod) {
 }
 
 TEST(SineFmSource, MarkerAlignsWithFrequencyCrest) {
-  SourceBench b;
-  SineFmSource::Config cfg = cwConfig(2000.0);
-  cfg.deviation_hz = 200.0;
-  cfg.modulation_hz = 10.0;
-  SineFmSource src(b.c, b.out, b.marker, cfg);
+  ProgramBench b(2000.0, 200.0);
+  b.program.start(10.0);
   sim::EdgeRecorder marker(b.c, b.marker);
   b.c.run(0.3);
   ASSERT_FALSE(marker.risingEdges().empty());
   for (double t : marker.risingEdges())
-    EXPECT_NEAR(src.instantaneousFrequency(t), 2200.0, 1.0);
+    EXPECT_NEAR(b.src.instantaneousFrequency(t), 2200.0, 1.0);
 }
 
 TEST(SineFmSource, SetModulationRestartsEpochAndMarkers) {
-  SourceBench b;
-  SineFmSource src(b.c, b.out, b.marker, cwConfig(1000.0));
+  ProgramBench b(1000.0, 100.0);
   b.c.run(0.1);
-  src.setModulation(50.0, 100.0);
+  b.program.start(50.0);
   sim::EdgeRecorder marker(b.c, b.marker);
   b.c.run(0.1 + 0.1);
   ASSERT_GE(marker.risingEdges().size(), 2u);
@@ -122,13 +130,10 @@ TEST(SineFmSource, SetModulationRestartsEpochAndMarkers) {
 }
 
 TEST(SineFmSource, StopModulationSilencesMarkers) {
-  SourceBench b;
-  SineFmSource::Config cfg = cwConfig(1000.0);
-  cfg.deviation_hz = 100.0;
-  cfg.modulation_hz = 20.0;
-  SineFmSource src(b.c, b.out, b.marker, cfg);
+  ProgramBench b(1000.0, 100.0);
+  b.program.start(20.0);
   b.c.run(0.2);
-  src.setModulation(0.0, 0.0);
+  b.program.stop();
   sim::EdgeRecorder marker(b.c, b.marker);
   b.c.run(0.4);
   EXPECT_TRUE(marker.risingEdges().empty());
@@ -136,7 +141,8 @@ TEST(SineFmSource, StopModulationSilencesMarkers) {
 
 TEST(SineFmSource, SetCarrierChangesFrequency) {
   SourceBench b;
-  SineFmSource src(b.c, b.out, b.marker, cwConfig(1000.0));
+  SineFmSource src(b.c, b.out, cwConfig(1000.0));
+  sim::SourceDriver drive(b.c, src);
   b.c.run(0.02);
   src.setCarrier(1500.0);
   sim::EdgeRecorder rec(b.c, b.out);
@@ -149,9 +155,11 @@ TEST(SineFmSource, SetCarrierChangesFrequency) {
 
 TEST(SineFmSource, SetModulationValidation) {
   SourceBench b;
-  SineFmSource src(b.c, b.out, b.marker, cwConfig(1000.0));
+  SineFmSource src(b.c, b.out, cwConfig(1000.0));
   EXPECT_THROW(src.setModulation(-5.0, 10.0), std::invalid_argument);
   EXPECT_THROW(src.setModulation(5.0, 2000.0), std::invalid_argument);
+  EXPECT_THROW(src.setModulation(std::numeric_limits<double>::infinity(), 10.0),
+               std::invalid_argument);
 }
 
 
@@ -177,7 +185,7 @@ TEST(SineFmSourceJitter, JitterWindowMustFitTheHalfPeriodAtTheCrest) {
   cfg.deviation_hz = 900.0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg.deviation_hz = 0.0;
-  SineFmSource src(b.c, b.out, b.marker, cfg);
+  SineFmSource src(b.c, b.out, cfg);
   EXPECT_THROW(src.setModulation(5.0, 900.0), std::invalid_argument);
   EXPECT_THROW(src.setCarrier(1900.0), std::invalid_argument);
   EXPECT_NO_THROW(src.setModulation(5.0, 500.0));
@@ -188,7 +196,8 @@ TEST(SineFmSourceJitter, EdgeCountPreservedAndMeanPeriodUnchanged) {
   SourceBench b;
   SineFmSource::Config cfg = cwConfig(1000.0);
   cfg.edge_jitter_rms_s = 5e-6;
-  SineFmSource src(b.c, b.out, b.marker, cfg);
+  SineFmSource src(b.c, b.out, cfg);
+  sim::SourceDriver drive(b.c, src);
   sim::EdgeRecorder rec(b.c, b.out);
   b.c.run(0.5);
   const auto& rises = rec.risingEdges();
@@ -201,7 +210,8 @@ TEST(SineFmSourceJitter, PeriodSpreadMatchesInjectedRms) {
   SourceBench b;
   SineFmSource::Config cfg = cwConfig(1000.0);
   cfg.edge_jitter_rms_s = 5e-6;
-  SineFmSource src(b.c, b.out, b.marker, cfg);
+  SineFmSource src(b.c, b.out, cfg);
+  sim::SourceDriver drive(b.c, src);
   sim::EdgeRecorder rec(b.c, b.out);
   b.c.run(1.0);
   std::vector<double> periods;
@@ -223,7 +233,8 @@ TEST(SineFmSourceJitter, DeterministicPerSeed) {
     SineFmSource::Config cfg = cwConfig(1000.0);
     cfg.edge_jitter_rms_s = 5e-6;
     cfg.jitter_seed = seed;
-    SineFmSource src(b.c, b.out, b.marker, cfg);
+    SineFmSource src(b.c, b.out, cfg);
+    sim::SourceDriver drive(b.c, src);
     sim::EdgeRecorder rec(b.c, b.out);
     b.c.run(0.05);
     return rec.risingEdges();

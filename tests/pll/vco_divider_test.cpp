@@ -210,15 +210,16 @@ TEST(AnalyticFrequencyCounter, MatchesGatedCounterAcrossPumpPulses) {
 /// Closed loop on the fast test device, locked to an ideal reference.
 struct LoopBench {
   sim::Circuit c;
-  sim::SignalId ext_ref, stim, marker;
+  sim::SignalId ext_ref, stim;
   SineFmSource source;
+  sim::SourceDriver drive;
   CpPll pll;
 
   LoopBench()
       : ext_ref(c.addSignal("ext_ref")),
         stim(c.addSignal("stim")),
-        marker(c.addSignal("marker")),
-        source(c, stim, marker, sourceConfig()),
+        source(c, stim, sourceConfig()),
+        drive(c, source),
         pll(c, ext_ref, stim, testing::fastTestConfig()) {
     pll.setTestMode(true);
   }

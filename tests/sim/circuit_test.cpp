@@ -539,6 +539,7 @@ struct ForkableDesign {
   SignalId clk = c.addSignal("clk");
   SignalId div = c.addSignal("div");
   ClockSource clock{c, clk, 1e-4};
+  SourceDriver drive{c, clock};
   DivideByN divider{c, clk, div, 3, 1e-6};
   std::vector<std::pair<double, bool>> edges;
   ForkableDesign() {

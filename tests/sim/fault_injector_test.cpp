@@ -16,6 +16,7 @@ TEST(FaultInjector, DropAllEdgesFreezesSignal) {
   Circuit c;
   const SignalId clk = c.addSignal("clk");
   ClockSource source(c, clk, 1e-3);
+  SourceDriver drive(c, source);
   FaultInjector injector(c, 7);
   injector.dropEdges(clk, 1.0);
   int edges = 0;
@@ -32,6 +33,7 @@ TEST(FaultInjector, ZeroProbabilityDeliversEverything) {
   Circuit c;
   const SignalId clk = c.addSignal("clk");
   ClockSource source(c, clk, 1e-3);
+  SourceDriver drive(c, source);
   FaultInjector injector(c, 7);
   injector.dropEdges(clk, 0.0);
   int edges = 0;
@@ -49,6 +51,7 @@ TEST(FaultInjector, DropPatternIsDeterministicPerSeed) {
     Circuit c;
     const SignalId clk = c.addSignal("clk");
     ClockSource source(c, clk, 1e-3);
+    SourceDriver drive(c, source);
     FaultInjector injector(c, seed);
     injector.dropEdges(clk, 0.5);
     std::vector<double> edge_times;
@@ -88,6 +91,7 @@ TEST(FaultInjector, StickSignalFreezesThenReleases) {
   Circuit c;
   const SignalId clk = c.addSignal("clk");
   ClockSource source(c, clk, 1e-3);
+  SourceDriver drive(c, source);
   FaultInjector injector(c, 1);
   injector.stickSignal(clk, 2e-3, 6e-3);
   std::vector<double> edge_times;
@@ -148,6 +152,7 @@ TEST(FaultInjector, DestructionDetachesInterceptor) {
   Circuit c;
   const SignalId clk = c.addSignal("clk");
   ClockSource source(c, clk, 1e-3);
+  SourceDriver drive(c, source);
   int edges = 0;  // must outlive the onChange registration below
   c.onChange(clk, [&](double, bool) { ++edges; });
   {

@@ -166,6 +166,7 @@ TEST(ClockSource, FrequencyAndStop) {
   Circuit c;
   SignalId clk = c.addSignal("clk");
   ClockSource src(c, clk, 1e-6);
+  SourceDriver drive(c, src);
   EdgeRecorder rec(c, clk);
   c.run(10.5e-6);
   // Toggles every 0.5us from t=0: rising at 0, 1us, 2us, ... -> 11 by 10.5us
@@ -182,6 +183,7 @@ TEST(DivideByN, RisingEdgeSpacingIsNPeriods) {
   SignalId clk = c.addSignal("clk");
   SignalId out = c.addSignal("out");
   ClockSource src(c, clk, 1e-6);
+  SourceDriver drive(c, src);
   DivideByN div(c, clk, out, 5, kD);
   EdgeRecorder rec(c, out);
   c.run(40e-6);
@@ -196,6 +198,7 @@ TEST(DivideByN, PassThroughForNOne) {
   SignalId clk = c.addSignal("clk");
   SignalId out = c.addSignal("out");
   ClockSource src(c, clk, 1e-6);
+  SourceDriver drive(c, src);
   DivideByN div(c, clk, out, 1, kD);
   EdgeRecorder rec(c, out);
   c.run(5.2e-6);
@@ -206,6 +209,7 @@ TEST(GatedCounter, CountsOnlyWhileRunning) {
   Circuit c;
   SignalId clk = c.addSignal("clk");
   ClockSource src(c, clk, 1e-6);
+  SourceDriver drive(c, src);
   GatedCounter counter(c, clk);
   c.run(5.5e-6);
   EXPECT_EQ(counter.count(), 0);  // never started

@@ -46,6 +46,7 @@ TEST(KernelStress, ManyClockDomainsStayConsistent) {
   struct Domain {
     SignalId clk;
     std::unique_ptr<ClockSource> src;
+    std::unique_ptr<SourceDriver> drive;
     std::unique_ptr<GatedCounter> counter;
   };
   std::vector<Domain> domains;
@@ -54,6 +55,7 @@ TEST(KernelStress, ManyClockDomainsStayConsistent) {
     Domain d;
     d.clk = c.addSignal("clk");
     d.src = std::make_unique<ClockSource>(c, d.clk, p);
+    d.drive = std::make_unique<SourceDriver>(c, *d.src);
     d.counter = std::make_unique<GatedCounter>(c, d.clk);
     d.counter->start();
     domains.push_back(std::move(d));
@@ -74,6 +76,7 @@ TEST(KernelStress, DividerChainComposes) {
   const SignalId out_chain = c.addSignal("out_chain");
   const SignalId out_direct = c.addSignal("out_direct");
   ClockSource src(c, clk, 1e-6);
+  SourceDriver drive(c, src);
   DivideByN d2(c, clk, mid, 2, 1e-9);
   DivideByN d5(c, mid, out_chain, 5, 1e-9);
   DivideByN d10(c, clk, out_direct, 10, 1e-9);
@@ -124,6 +127,7 @@ TEST(KernelStress, MillionEventsComplete) {
   Circuit c;
   const SignalId clk = c.addSignal("clk");
   ClockSource src(c, clk, 2e-6);  // 1M events over 1 s
+  SourceDriver drive(c, src);
   GatedCounter counter(c, clk);
   counter.start();
   c.run(1.0);

@@ -1,4 +1,4 @@
-#include "golden/phase_integrator.hpp"
+#include "support/phase_integrator.hpp"
 
 #include <cmath>
 #include <stdexcept>

@@ -30,7 +30,9 @@ struct IntegratorPoint {
 
 /// Second independent golden reference: integrate the *averaged* (linear
 /// phase-domain) loop ODEs with classic RK4 and extract amplitude/phase by
-/// least-squares sine fit.
+/// least-squares sine fit. Only its own test uses it, to cross-check the
+/// closed-form oracle (golden::GoldenModel), so it lives with the tests, in
+/// the oracle's namespace.
 ///
 /// This path shares nothing with either the event-driven simulator (no
 /// edges, no counters, no PFD state machine) or the closed-form oracle (no
